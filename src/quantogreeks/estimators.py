@@ -59,7 +59,6 @@ class FdConfig:
 class QuadConfig:
     nodes_per_panel: int = 64
     domain_halfwidth: float = 10.0  # integration half-width in standard deviations
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.nodes_per_panel < 2:
@@ -284,7 +283,7 @@ def quad_price(model: MarketModel, payoff: PayoffSpec, q: QuadConfig = QuadConfi
     where the strike crossing appears or disappears); the inner coordinate is
     split at the strike crossings returned by the kink geometry. Each panel
     then integrates a smooth function, so fixed-node panels converge far below
-    ``q.tol``. Shares no code with the sampling path.
+    1e-8. Shares no code with the sampling path.
     """
     solver = KinkSolver(model)
     L = q.domain_halfwidth

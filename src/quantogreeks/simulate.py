@@ -2,14 +2,22 @@
 
 Draws are generated in fixed-size blocks from a counter-based Philox stream
 keyed by the seed, so sample i never depends on how many samples are requested
-or on how the blocks are scheduled across threads. Within a block all eight
-Gaussian accumulators are exact linear combinations of per-segment Brownian
-increments.
+or on how the blocks are scheduled across threads.
+
+Each of the six Gaussian accumulators is a fixed linear functional of one
+driver's increments, so a driver's three accumulators are ``dW @ K`` for a
+load matrix K with one column per accumulator. On grids of at most three
+segments the per-segment increments are drawn directly. On finer grids
+(log-Euler with many steps, or many breakpoints) ``diag(sqrt(dt)) K = Q R`` is
+factored once per run and three standard normals per driver are multiplied by
+R: ``Q^T z`` is standard normal, so the joint law is exact and the draw cost
+and block memory do not depend on the step count (Glasserman, Monte Carlo
+Methods in Financial Engineering, 2003, section 2.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -61,10 +69,12 @@ class SimConfig:
 class SampleDraw:
     """A batch of joint draws, one array entry per sample.
 
+    The six Gaussian fields are the accumulators the weights read: three per
+    driver, each an Ito integral of a step function against that driver.
+
     fE_T, fI_T      terminal futures levels
     gE, gI          log-return drivers: int sigma_E dW_E and int sigma_I dW~_I
     iE, iI          weight integrals: int a/sigma_E dW_E and int a/sigma_I dW~_I
-    wE_T, wI_tilde_T  terminal Brownian values W_E(T), W~_I(T)
     iE_cross        int a/sigma_E dW~_I (energy weight kernel on the independent driver)
     gI_cross        int sigma_I dW_E (temperature vol on the energy driver)
     """
@@ -75,8 +85,6 @@ class SampleDraw:
     gI: np.ndarray
     iE: np.ndarray
     iI: np.ndarray
-    wE_T: np.ndarray
-    wI_tilde_T: np.ndarray
     iE_cross: np.ndarray
     gI_cross: np.ndarray
 
@@ -97,18 +105,20 @@ def _check_config(cfg: SimConfig) -> None:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Per-run constants: the time grid and the coefficient vectors on it."""
+    """Per-run constants: normal scales and the accumulator loads on them.
+
+    A block draws ``len(scale)`` normals per driver and scales them by
+    ``scale``; each row of a load matrix then gives one accumulator.
+    """
 
     f0E: float
     f0I: float
     rho: float
     sq1mr2: float
     mode: CorrelationMode
-    sqrt_dt: np.ndarray
-    sigE: np.ndarray
-    sigI: np.ndarray
-    kernE: np.ndarray  # a/sigma_E, zeroed on degenerate segments
-    kernI: np.ndarray
+    scale: np.ndarray
+    loadE: np.ndarray  # rows gE, iE, gI_cross on the energy driver
+    loadI: np.ndarray  # rows gI, iI, iE_cross on the independent driver
     driftE: float  # -1/2 int sigma_E^2 on this grid
     driftI: float
 
@@ -122,6 +132,14 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
     # martingale part usable by dropping their weight-kernel contribution.
     kernE = np.where(sigE > 0.0, av / np.where(sigE > 0.0, sigE, 1.0), 0.0)
     kernI = np.where(sigI > 0.0, av / np.where(sigI > 0.0, sigI, 1.0), 0.0)
+    loadE = np.stack([sigE, kernE, sigI])
+    loadI = np.stack([sigI, kernI, kernE])
+    scale = np.sqrt(dt)
+    if len(dt) > len(loadE):
+        # R^T R = K^T diag(dt) K: the same covariance from three normals per driver.
+        loadE, loadI = (np.ascontiguousarray(np.linalg.qr((k * scale).T, mode="r").T)
+                        for k in (loadE, loadI))
+        scale = np.ones(len(loadE))
     rho = model.rho
     return _Plan(
         f0E=model.energy.f0,
@@ -129,11 +147,9 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
         rho=rho,
         sq1mr2=float(np.sqrt(1.0 - rho * rho)),
         mode=model.correlation_mode,
-        sqrt_dt=np.sqrt(dt),
-        sigE=sigE,
-        sigI=sigI,
-        kernE=kernE,
-        kernI=kernI,
+        scale=scale,
+        loadE=loadE,
+        loadI=loadI,
         driftE=-0.5 * float(np.dot(sigE * sigE, dt)),
         driftI=-0.5 * float(np.dot(sigI * sigI, dt)),
     )
@@ -178,22 +194,15 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int) -> SampleDraw:
     count = min(BLOCK_SIZE, cfg.n_samples - start)
     base = count // 2 if cfg.antithetic else count
     gen = _block_generator(cfg.seed, block)
-    z = gen.standard_normal((base, len(plan.sqrt_dt), 2))
-    dwE = z[:, :, 0] * plan.sqrt_dt
-    dwI = z[:, :, 1] * plan.sqrt_dt
-
-    gE = dwE @ plan.sigE
-    iE = dwE @ plan.kernE
-    wE = dwE.sum(axis=1)
-    gI_cross = dwE @ plan.sigI
-    gI = dwI @ plan.sigI
-    iI = dwI @ plan.kernI
-    wI = dwI.sum(axis=1)
-    iE_cross = dwI @ plan.kernE
+    z = gen.standard_normal((base, len(plan.scale), 2))
+    dwE = z[:, :, 0] * plan.scale
+    dwI = z[:, :, 1] * plan.scale
+    gE, iE, gI_cross = (dwE @ load for load in plan.loadE)
+    gI, iI, iE_cross = (dwI @ load for load in plan.loadI)
 
     if cfg.antithetic:
-        gE, iE, wE, gI_cross = map(_interleave_negated, (gE, iE, wE, gI_cross))
-        gI, iI, wI, iE_cross = map(_interleave_negated, (gI, iI, wI, iE_cross))
+        gE, iE, gI_cross, gI, iI, iE_cross = map(
+            _interleave_negated, (gE, iE, gI_cross, gI, iI, iE_cross))
 
     fE = plan.f0E * np.exp(plan.driftE + gE)
     if plan.mode is CorrelationMode.SDE_MIXING:
@@ -202,7 +211,7 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int) -> SampleDraw:
         stoch_I = gI
     fI = plan.f0I * np.exp(plan.driftI + stoch_I)
 
-    return SampleDraw(fE, fI, gE, gI, iE, iI, wE, wI, iE_cross, gI_cross)
+    return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)
 
 
 def sample_block(model: MarketModel, tuning: TuningFunction, cfg: SimConfig,
@@ -226,11 +235,7 @@ def iter_sample_blocks(model: MarketModel, tuning: TuningFunction,
 def _concatenate(blocks: list[SampleDraw]) -> SampleDraw:
     if len(blocks) == 1:
         return blocks[0]
-    fields_cat = [
-        np.concatenate([getattr(b, name) for b in blocks])
-        for name in ("fE_T", "fI_T", "gE", "gI", "iE", "iI", "wE_T", "wI_tilde_T",
-                     "iE_cross", "gI_cross")
-    ]
+    fields_cat = [np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(SampleDraw)]
     return SampleDraw(*fields_cat)
 
 
@@ -249,8 +254,11 @@ def sample_terminal(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) 
 def sample_paths_log_euler(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) -> SampleDraw:
     """Log-Euler sampling on a uniform grid with left-point Ito accumulators.
 
-    Converges in law to ``sample_terminal`` as the step count grows; with
-    constant coefficients a single step already matches the terminal law.
+    The curves are evaluated at the left points of the grid and the
+    accumulators are drawn by the same sampler as the exact scheme, so the
+    cost and block memory do not grow with the step count. Converges in law to
+    ``sample_terminal`` as the step count grows; with constant coefficients a
+    single step already matches the terminal law.
     """
     if cfg.scheme.kind != "euler":
         raise ValueError("sample_paths_log_euler requires a log-Euler scheme")
@@ -273,6 +281,5 @@ def antithetic_pair(draw: SampleDraw, model: MarketModel) -> SampleDraw:
     fE = model.energy.f0 * np.exp(driftE - draw.gE)
     fI = model.temperature.f0 * np.exp(driftI - stoch_I)
     return SampleDraw(
-        fE, fI, -draw.gE, -draw.gI, -draw.iE, -draw.iI, -draw.wE_T, -draw.wI_tilde_T,
-        -draw.iE_cross, -draw.gI_cross,
+        fE, fI, -draw.gE, -draw.gI, -draw.iE, -draw.iI, -draw.iE_cross, -draw.gI_cross,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from quantogreeks import (
     weight_kernel_moments,
 )
 from quantogreeks.model import CorrelationMode
-from quantogreeks.simulate import BLOCK_SIZE
+from quantogreeks.simulate import BLOCK_SIZE, _block_generator, _build_plan
 
-GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "wE_T", "wI_tilde_T", "iE_cross", "gI_cross")
+GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")
 
 
 def _stderr(x):
@@ -125,6 +126,85 @@ class TestLogEuler:
         with pytest.raises(ValueError):
             sample_paths_log_euler(atm_model, uniform_tuning,
                                    SimConfig(10, seed=0, scheme=SimScheme.log_euler(0)))
+
+
+def _piecewise_model(sigE_segments, mode=CorrelationMode.PAYOFF_MIXING):
+    return dataclasses.replace(
+        make_model(rho=0.4, mode=mode),
+        energy_vol=VolatilityCurve.from_segments(sigE_segments, 1.0),
+        temperature_vol=VolatilityCurve.from_segments([(0.0, 0.4), (0.6, 0.25)], 1.0),
+    )
+
+
+def _driver_loads(model, tuning, t_left):
+    """Accumulator kernels at the left points: (gE, iE, gI_cross), (gI, iI, iE_cross)."""
+    sigE = model.energy_vol.values_on_grid(t_left)
+    sigI = model.temperature_vol.values_on_grid(t_left)
+    av = tuning.values_on_grid(t_left)
+    kernE = np.where(sigE > 0.0, av / np.where(sigE > 0.0, sigE, 1.0), 0.0)
+    kernI = av / sigI
+    return (sigE, kernE, sigI), (sigI, kernI, kernE)
+
+
+class TestFixedRankSampler:
+    TUNING = TuningFunction.from_segments([(0.0, 0.5), (0.6, 1.75)], 1.0)
+
+    @pytest.mark.parametrize("sigE_segments", [((0.0, 0.15), (0.37, 0.28)),
+                                               ((0.0, 0.0), (0.5, 0.3))])
+    def test_factor_reproduces_accumulator_covariance(self, sigE_segments):
+        m = _piecewise_model(sigE_segments)
+        steps = 64
+        plan = _build_plan(m, self.TUNING, SimScheme.log_euler(steps))
+        dt = np.full(steps, 1.0 / steps)
+        loads = _driver_loads(m, self.TUNING, np.linspace(0.0, 1.0, steps + 1)[:-1])
+        assert np.array_equal(plan.scale, np.ones(3))
+        for factor, columns in zip((plan.loadE, plan.loadI), loads):
+            K = np.column_stack(columns)
+            R = factor.T
+            np.testing.assert_allclose(R.T @ R, K.T @ (dt[:, None] * K), rtol=1e-12, atol=1e-12)
+
+    def test_rank_deficient_loads_give_finite_draw(self):
+        # sigma_E = 0 on the first half zeroes both energy columns there, and
+        # with uniform tuning the energy kernel is proportional to sigma_E: rank 2.
+        m = _piecewise_model(((0.0, 0.0), (0.5, 0.3)))
+        tuning = TuningFunction.uniform(1.0)
+        energy_columns, _ = _driver_loads(m, tuning, np.linspace(0.0, 1.0, 65)[:-1])
+        assert np.linalg.matrix_rank(np.column_stack(energy_columns)) == 2
+        draw = sample_block(m, tuning, SimConfig(1000, seed=30, scheme=SimScheme.log_euler(64)), 0)
+        for name in ("fE_T", "fI_T") + GAUSSIAN_FIELDS:
+            assert np.all(np.isfinite(getattr(draw, name)))
+
+    @pytest.mark.parametrize("scheme", [SimScheme.log_euler(2), SimScheme.exact()])
+    def test_few_segments_keep_per_segment_stream(self, scheme):
+        m = _piecewise_model(((0.0, 0.15), (0.3, 0.28)), mode=CorrelationMode.SDE_MIXING)
+        n, seed = 5000, 31
+        if scheme.kind == "exact":
+            edges = np.array([0.0, 0.3, 0.6, 1.0])
+        else:
+            edges = np.linspace(0.0, 1.0, scheme.steps + 1)
+        dt = np.diff(edges)
+        columnsE, columnsI = _driver_loads(m, self.TUNING, edges[:-1])
+
+        z = _block_generator(seed, 0).standard_normal((n, len(dt), 2))
+        dwE = z[:, :, 0] * np.sqrt(dt)
+        dwI = z[:, :, 1] * np.sqrt(dt)
+        expected = dict(zip(("gE", "iE", "gI_cross"), (dwE @ c for c in columnsE)))
+        expected.update(zip(("gI", "iI", "iE_cross"), (dwI @ c for c in columnsI)))
+        draw = sample_block(m, self.TUNING, SimConfig(n, seed=seed, scheme=scheme), 0)
+        for name, value in expected.items():
+            assert np.array_equal(getattr(draw, name), value), name
+
+    def test_block_memory_does_not_grow_with_steps(self, atm_model, uniform_tuning):
+        def peak(steps):
+            cfg = SimConfig(4096, seed=32, scheme=SimScheme.log_euler(steps))
+            tracemalloc.start()
+            try:
+                sample_block(atm_model, uniform_tuning, cfg, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 2 * peak(4)
 
 
 class TestAntithetic:

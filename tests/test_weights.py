@@ -35,7 +35,7 @@ CORR_TO_INDEP = {
 def manual_draw(**overrides):
     """A single hand-built draw; unspecified fields default to zero/one."""
     fields = {name: np.array([0.0]) for name in
-              ("gE", "gI", "iE", "iI", "wE_T", "wI_tilde_T", "iE_cross", "gI_cross")}
+              ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")}
     fields["fE_T"] = np.array([100.0])
     fields["fI_T"] = np.array([100.0])
     for key, value in overrides.items():
@@ -46,7 +46,7 @@ def manual_draw(**overrides):
 class TestIndependentWeights:
     def test_delta_E_constant_vol_formula(self, atm_model, uniform_tuning):
         # sigma=0.2, a=1/T, T=1: iE = W(T)/(sigma T) and the weight is W / (f0 sigma T)
-        draw = manual_draw(iE=0.5 / (0.2 * 1.0), wE_T=0.5)
+        draw = manual_draw(iE=0.5 / (0.2 * 1.0))
         w = weight_indep_delta_E(draw, atm_model, uniform_tuning)
         assert w[0] == pytest.approx(0.025, rel=1e-12)
 
@@ -55,7 +55,7 @@ class TestIndependentWeights:
 
     def test_delta_I_formula(self, uniform_tuning):
         m = make_model(f0I=50.0, sigI=0.4)
-        draw = manual_draw(iI=-1.0 / 0.4, wI_tilde_T=-1.0)
+        draw = manual_draw(iI=-1.0 / 0.4)
         w = weight_indep_delta_I(draw, m, uniform_tuning)
         assert w[0] == pytest.approx(-0.05, rel=1e-12)
 
@@ -91,7 +91,7 @@ class TestCorrelatedDeltaE:
         rho, sig = 0.6, 0.2
         m = make_model(rho=rho)
         wE, wI = 0.5, -0.8
-        draw = manual_draw(iE=wE / sig, iE_cross=wI / sig, wE_T=wE, wI_tilde_T=wI)
+        draw = manual_draw(iE=wE / sig, iE_cross=wI / sig)
         w, mult = weight_corr_delta_E(draw, m, uniform_tuning, V.CORR_DELTA_E_MATRIX_INVERSE)
         expected = (wE / sig - rho * wI / (sig * math.sqrt(1 - rho * rho))) / 100.0
         assert mult == 1.0
@@ -113,7 +113,7 @@ class TestCorrelatedDeltaI:
     def test_scaling_pair(self, uniform_tuning):
         # rho=0.6, f0I=50, sigma_I=0.4, W~(T)=1: weight 0.0625, multiplier 0.8
         m = make_model(f0I=50.0, sigI=0.4, rho=0.6)
-        draw = manual_draw(iI=1.0 / 0.4, wI_tilde_T=1.0)
+        draw = manual_draw(iI=1.0 / 0.4)
         w, mult = weight_corr_delta_I(draw, m, uniform_tuning)
         assert w[0] == pytest.approx(0.0625, rel=1e-12)
         assert mult == pytest.approx(0.8, rel=1e-12)
