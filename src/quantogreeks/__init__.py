@@ -4,14 +4,12 @@ from .model import (
     CorrelationMode,
     FuturesSpec,
     MarketModel,
+    StepFunction,
     TuningFunction,
     ValidationReport,
     VolatilityCurve,
-    integrated_covariance,
-    integrated_variance,
+    integrate,
     validate_model,
-    weight_cross_moment,
-    weight_kernel_moments,
 )
 from .payoffs import (
     DigitalProduct,
@@ -27,24 +25,10 @@ from .simulate import (
     SampleDraw,
     SimConfig,
     SimScheme,
-    antithetic_pair,
     draw_samples,
     sample_block,
-    sample_paths_log_euler,
-    sample_terminal,
 )
-from .weights import (
-    WeightVariant,
-    WeightedSample,
-    greek_of,
-    weight_corr_cross_gamma,
-    weight_corr_delta_E,
-    weight_corr_delta_I,
-    weight_for,
-    weight_indep_cross_gamma,
-    weight_indep_delta_E,
-    weight_indep_delta_I,
-)
+from .weights import WeightVariant, greek_of, weight_for
 from .estimators import (
     FdConfig,
     GreekEstimate,

@@ -30,7 +30,7 @@ from .estimators import (
 from .model import validate_model
 from .payoffs import validate_payoff
 from .simulate import SimScheme
-from .weights import WeightVariant, greek_of
+from .weights import WEIGHTS, WeightVariant, greek_of
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,11 +96,6 @@ def _load_run(args) -> RunConfig:
     return replace(run, sim=sim)
 
 
-def _validate(run: RunConfig) -> list[str]:
-    report = validate_model(run.model, run.tuning)
-    return report.violations + validate_payoff(run.payoff)
-
-
 def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
     echo = run.echo_lines()
     digest = hashlib.sha256("\n".join(echo).encode()).hexdigest()[:16]
@@ -114,136 +109,122 @@ def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
     return comments, meta
 
 
-def _all_variants_for(rho: float) -> list[WeightVariant]:
-    correlated = [v for v in WeightVariant if not v.value.startswith("Indep")]
-    if rho == 0.0:
-        return list(WeightVariant)
-    return correlated
-
-
-def _cmd_price(args) -> int:
-    run = _load_run(args)
-    bad = _validate(run)
-    if bad:
-        print("\n".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
-    est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
-    comments, meta = _meta(run, "price")
-    timing = args.timing or args.format == "json"
-    _write_report(args.out, comments, CSV_HEADER, [_estimate_row(est, timing)],
-                  args.format, meta)
-    return EXIT_OK
-
-
-def _cmd_greeks(args) -> int:
-    run = _load_run(args)
-    if args.all_variants:
-        variants = _all_variants_for(run.model.rho)
-    else:
-        if not args.variant:
-            print("greeks: pass --variant NAME or --all-variants", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            variants = [WeightVariant(name) for name in args.variant]
-        except ValueError:
-            known = ", ".join(v.value for v in WeightVariant)
-            print(f"unknown variant in {args.variant}; known: {known}", file=sys.stderr)
-            return EXIT_CONFIG
-    bad = _validate(run)
-    if bad:
-        print("\n".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
-
-    estimates = mc_estimates(run.model, run.payoff, run.tuning, variants, run.sim,
-                             threads=args.threads)
-    timing = args.timing or args.format == "json"
-    oracle_values: dict[str, float] = {}
-    oracle_rows: list[dict] = []
-    if args.oracle in ("quad", "both"):
-        for which in sorted({greek_of(v) for v in variants}):
-            value = quad_greek(run.model, run.payoff, which)
-            oracle_values[which] = value
-            oracle_rows.append({
-                "variant": f"Quad_{which}", "value": value, "stderr": 0.0,
-                "n": None, "seconds": None, "oracle_value": None, "z_score": None,
-            })
-    if args.oracle in ("fd", "both"):
-        for which in sorted({greek_of(v) for v in variants}):
-            est = fd_greek(run.model, run.payoff, which, FdConfig(), run.sim, run.tuning,
-                           threads=args.threads)
-            oracle_rows.append(_estimate_row(est, timing))
-
-    rows = [
-        _estimate_row(estimates[v.value], timing, oracle_values.get(greek_of(v)))
-        for v in variants
-    ]
-    rows.extend(oracle_rows)
-    comments, meta = _meta(run, "greeks")
-    _write_report(args.out, comments, CSV_HEADER, rows, args.format, meta)
-    return EXIT_OK
-
-
-def _cmd_sweep_rho(args) -> int:
-    run = _load_run(args)
+def _parse_variants(names: list[str] | None) -> list[WeightVariant]:
     try:
-        grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
+        return [WeightVariant(name) for name in names or []]
     except ValueError:
-        print(f"--grid: expected comma-separated floats, got {args.grid!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        known = ", ".join(v.value for v in WeightVariant)
+        raise ValueError(f"unknown variant in {names}; known: {known}") from None
+
+
+def _at_most_one(variants: list[WeightVariant]) -> WeightVariant | None:
+    if len(variants) > 1:
+        raise ValueError(f"--variant: this command takes one variant, got {len(variants)}")
+    return variants[0] if variants else None
+
+
+def _parse_grid(text: str, convert, flag: str, what: str) -> list:
+    try:
+        grid = [convert(tok) for tok in text.split(",") if tok.strip() != ""]
+    except (ValueError, OverflowError):  # int(float("inf")) overflows
+        raise ValueError(f"{flag}: expected comma-separated {what}, got {text!r}") from None
     if not grid:
-        print("--grid: empty grid", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"{flag}: empty grid")
+    return grid
+
+
+# Each command parses its own arguments (raising ValueError on a usage error)
+# and returns its CSV header plus the computation to run once the model has
+# passed validation.
+
+
+def _price(args, run: RunConfig, variants):
+    def compute():
+        est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
+        return [_estimate_row(est, args.timing)]
+
+    return CSV_HEADER, compute
+
+
+def _greeks(args, run: RunConfig, variants):
+    if args.all_variants:
+        variants = [v for v in WeightVariant if run.model.rho == 0.0 or not WEIGHTS[v].zero_rho]
+    elif not variants:
+        raise ValueError("greeks: pass --variant NAME or --all-variants")
+
+    def compute():
+        estimates = mc_estimates(run.model, run.payoff, run.tuning, variants, run.sim,
+                                 threads=args.threads)
+        greeks = sorted({greek_of(v) for v in variants})
+        oracle_values: dict[str, float] = {}
+        oracle_rows: list[dict] = []
+        if args.oracle in ("quad", "both"):
+            for which in greeks:
+                value = quad_greek(run.model, run.payoff, which)
+                oracle_values[which] = value
+                oracle_rows.append({
+                    "variant": f"Quad_{which}", "value": value, "stderr": 0.0,
+                    "n": None, "seconds": None, "oracle_value": None, "z_score": None,
+                })
+        if args.oracle in ("fd", "both"):
+            for which in greeks:
+                est = fd_greek(run.model, run.payoff, which, FdConfig(), run.sim, run.tuning,
+                               threads=args.threads)
+                oracle_rows.append(_estimate_row(est, args.timing))
+        rows = [
+            _estimate_row(estimates[v.value], args.timing, oracle_values.get(greek_of(v)))
+            for v in variants
+        ]
+        return rows + oracle_rows
+
+    return CSV_HEADER, compute
+
+
+def _sweep_rho(args, run: RunConfig, variants):
+    grid = _parse_grid(args.grid, float, "--grid", "floats")
     if any(not abs(r) < 1.0 for r in grid):
-        print(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}", file=sys.stderr)
-        return EXIT_CONFIG
-    bad = _validate(run)
-    if bad:
-        print("\n".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
-    variant = None
-    if args.variant:
-        try:
-            variant = WeightVariant(args.variant[0])
-        except ValueError:
-            print(f"unknown variant {args.variant[0]!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    rows = residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
-                         variant=variant, which=args.greek, threads=args.threads)
-    comments, meta = _meta(run, "sweep-rho")
-    header = ("rho", "delta_corr", "delta_ind", "abs_diff", "stderr")
-    _write_report(args.out, comments, header, rows, args.format, meta)
-    return EXIT_OK
+        raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
+    variant = _at_most_one(variants)
+
+    def compute():
+        return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
+                             variant=variant, which=args.greek, threads=args.threads)
+
+    return ("rho", "delta_corr", "delta_ind", "abs_diff", "stderr"), compute
 
 
-def _cmd_converge(args) -> int:
-    run = _load_run(args)
-    try:
-        sizes = [int(float(tok)) for tok in args.n_grid.split(",") if tok.strip() != ""]
-    except ValueError:
-        print(f"--n-grid: expected comma-separated counts, got {args.n_grid!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not sizes:
-        print("--n-grid: empty grid", file=sys.stderr)
-        return EXIT_CONFIG
+def _converge(args, run: RunConfig, variants):
+    sizes = _parse_grid(args.n_grid, lambda tok: int(float(tok)), "--n-grid", "counts")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        print(f"--n-grid: must be strictly increasing, got {sizes}", file=sys.stderr)
-        return EXIT_CONFIG
-    variant = None
-    if args.variant:
-        try:
-            variant = WeightVariant(args.variant[0])
-        except ValueError:
-            print(f"unknown variant {args.variant[0]!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    bad = _validate(run)
+        raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")
+    variant = _at_most_one(variants)
+
+    def compute():
+        return convergence_table(run.model, run.payoff, run.tuning, variant, sizes,
+                                 run.sim.seed, antithetic=run.sim.antithetic,
+                                 scheme=run.sim.scheme, threads=args.threads)
+
+    return ("n", "value", "stderr"), compute
+
+
+def _run_command(args) -> int:
+    """Load, parse arguments, validate, run, report: the path every command shares.
+
+    Usage errors raise ValueError (exit 2) before the model is validated
+    (exit 3), so a bad invocation never reaches the engine.
+    """
+    run = _load_run(args)
+    if args.threads < 1:
+        raise ValueError(f"--threads: must be >= 1, got {args.threads}")
+    variants = _parse_variants(getattr(args, "variant", None))
+    header, compute = args.handler(args, run, variants)
+    bad = validate_model(run.model, run.tuning).violations + validate_payoff(run.payoff)
     if bad:
         print("\n".join(bad), file=sys.stderr)
         return EXIT_VALIDATION
-    rows = convergence_table(run.model, run.payoff, run.tuning, variant, sizes,
-                             run.sim.seed, antithetic=run.sim.antithetic,
-                             scheme=run.sim.scheme, threads=args.threads)
-    comments, meta = _meta(run, "converge")
-    _write_report(args.out, comments, ("n", "value", "stderr"), rows, args.format, meta)
+    args.timing = args.timing or args.format == "json"  # JSON always carries timings
+    comments, meta = _meta(run, args.command)
+    _write_report(args.out, comments, header, compute(), args.format, meta)
     return EXIT_OK
 
 
@@ -265,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", parents=[common], help="Monte Carlo price with standard error")
-    p.set_defaults(handler=_cmd_price)
+    p.set_defaults(handler=_price)
 
     g = sub.add_parser("greeks", parents=[common], help="weighted Monte Carlo Greeks")
     g.add_argument("--variant", action="append", default=None,
@@ -273,20 +254,20 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--all-variants", action="store_true", help="run the full estimator zoo")
     g.add_argument("--oracle", choices=("fd", "quad", "both"), default=None,
                    help="append oracle rows and conformance z-scores")
-    g.set_defaults(handler=_cmd_greeks)
+    g.set_defaults(handler=_greeks)
 
     s = sub.add_parser("sweep-rho", parents=[common], help="residual-risk table over a rho grid")
     s.add_argument("--grid", required=True, help="comma-separated correlations in (-1, 1)")
     s.add_argument("--greek", choices=("dE", "dI", "dEdI"), default="dE")
     s.add_argument("--variant", action="append", default=None,
-                   help="correlated variant for the sweep")
-    s.set_defaults(handler=_cmd_sweep_rho)
+                   help="correlated variant for the sweep (one)")
+    s.set_defaults(handler=_sweep_rho)
 
     c = sub.add_parser("converge", parents=[common], help="estimates along a sample-size grid")
     c.add_argument("--n-grid", required=True, help="comma-separated increasing sample counts")
     c.add_argument("--variant", action="append", default=None,
-                   help="Greek variant (default: price)")
-    c.set_defaults(handler=_cmd_converge)
+                   help="Greek variant (one; default: price)")
+    c.set_defaults(handler=_converge)
     return parser
 
 
@@ -297,11 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        return _run_command(args)
+    except (ConfigError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 

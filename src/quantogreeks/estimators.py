@@ -19,8 +19,8 @@ import numpy as np
 
 from .model import CorrelationMode, MarketModel, TuningFunction
 from .payoffs import KinkSolver, PayoffSpec, energy_kink_levels, evaluate, h_kink_levels
-from .simulate import SimConfig, _build_plan, _check_config, _draw_block, block_count
-from .weights import WeightVariant, WeightedSample, weight_for
+from .simulate import SimConfig, SimScheme, _build_plan, _check_config, _draw_block, block_count
+from .weights import WeightVariant, weight_for
 
 GREEKS = ("dE", "dI", "dEdI")
 
@@ -46,13 +46,10 @@ class FdConfig:
     """Central finite differences with common random numbers across bumps."""
 
     bump: float = 1e-4  # relative bump on the initial futures level
-    scheme: str = "central"
 
     def __post_init__(self):
         if not 0.0 < self.bump < 1e-1:
             raise ValueError(f"relative bump must lie in (0, 0.1), got {self.bump}")
-        if self.scheme != "central":
-            raise ValueError(f"only central differences are supported, got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +109,8 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     on the thread count.
     """
     _check_config(cfg)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
     names = list(jobs)
@@ -158,7 +157,7 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
     def job(data: _BlockData) -> np.ndarray:
         weight, mult = weight_for(variant, data.draw, data.model, tuning,
                                   allow_rho_mismatch=allow_rho_mismatch)
-        return WeightedSample(data.pay_base, weight, mult).products()
+        return data.pay_base * weight * mult
 
     return job
 
@@ -403,8 +402,6 @@ def convergence_table(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunc
     The counter-based stream makes the first n draws of a larger run identical
     to a smaller run, so rows differ only by how much of the stream they use.
     """
-    from .simulate import SimScheme
-
     if not n_grid:
         raise ValueError("n_grid must not be empty")
     sizes = [int(n) for n in n_grid]

@@ -1,8 +1,9 @@
 """Market model primitives: futures legs, step volatility curves, weight tuning functions.
 
 Both futures are driftless lognormal diffusions under the pricing measure.
-Volatility curves and tuning functions are piecewise constant, so every
-covariance integral the engine needs has an exact closed form.
+Volatility curves and tuning functions are the same piecewise-constant
+``StepFunction``, so every covariance integral the engine needs is one exact
+finite sum, ``integrate``, over the union of the functions' grids.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -34,65 +36,16 @@ class CorrelationMode(Enum):
     SDE_MIXING = "sde_mixing"
 
 
-def _check_step_shape(times, values, horizon, what: str) -> None:
-    if len(times) == 0 or len(times) != len(values):
-        raise ValueError(f"{what}: need one value per segment start")
-    if not all(math.isfinite(t) for t in times) or not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{what}: non-finite entry")
-    if times[0] != 0.0:
-        raise ValueError(f"{what}: first segment must start at t=0")
-    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-        raise ValueError(f"{what}: segment starts must be strictly increasing")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"{what}: horizon must be positive")
-    if times[-1] >= horizon:
-        raise ValueError(f"{what}: last segment starts at or beyond the horizon")
-
-
 @dataclass(frozen=True)
-class VolatilityCurve:
-    """Right-continuous piecewise-constant volatility sigma(t) on [0, horizon).
+class StepFunction:
+    """Right-continuous piecewise-constant function on [0, horizon).
 
-    ``times`` are the segment start points (first one 0.0), ``sigmas`` the
-    per-segment values in vol-per-sqrt-year. Value bounds (positivity,
-    ellipticity floor) are checked by ``validate_model``, not here, so that
-    deliberately degenerate curves can be constructed and flagged.
-    """
-
-    times: tuple[float, ...]
-    sigmas: tuple[float, ...]
-    horizon: float
-
-    def __post_init__(self):
-        _check_step_shape(self.times, self.sigmas, self.horizon, "volatility curve")
-
-    @classmethod
-    def constant(cls, sigma: float, horizon: float) -> "VolatilityCurve":
-        return cls((0.0,), (float(sigma),), float(horizon))
-
-    @classmethod
-    def from_segments(cls, segments, horizon: float) -> "VolatilityCurve":
-        """Build from ``[(t_start, sigma), ...]`` pairs."""
-        ts = tuple(float(t) for t, _ in segments)
-        vs = tuple(float(s) for _, s in segments)
-        return cls(ts, vs, float(horizon))
-
-    def value_at(self, t: float) -> float:
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.sigmas[max(idx, 0)]
-
-    def values_on_grid(self, t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
-        return np.asarray(self.sigmas)[np.maximum(idx, 0)]
-
-
-@dataclass(frozen=True)
-class TuningFunction:
-    """Piecewise-constant weight function a(t) on [0, horizon].
-
-    Weight estimators stay non-degenerate exactly when a integrates to one
-    over the fixing interval; ``validate_model`` enforces that within
-    ``TUNING_INTEGRAL_TOL``.
+    Volatility curves sigma(t) and weight tuning functions a(t) are both step
+    functions: ``times`` are the segment start points (first one 0.0) and
+    ``values`` the per-segment levels. Value bounds (positive volatility above
+    the ellipticity floor, unit-integral tuning) are checked by
+    ``validate_model``, not here, so that deliberately degenerate functions can
+    be constructed and flagged.
     """
 
     times: tuple[float, ...]
@@ -100,15 +53,32 @@ class TuningFunction:
     horizon: float
 
     def __post_init__(self):
-        _check_step_shape(self.times, self.values, self.horizon, "tuning function")
+        times, values, horizon = self.times, self.values, self.horizon
+        if len(times) == 0 or len(times) != len(values):
+            raise ValueError("step function: need one value per segment start")
+        if not all(math.isfinite(t) for t in times) or not all(math.isfinite(v) for v in values):
+            raise ValueError("step function: non-finite entry")
+        if times[0] != 0.0:
+            raise ValueError("step function: first segment must start at t=0")
+        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+            raise ValueError("step function: segment starts must be strictly increasing")
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise ValueError("step function: horizon must be positive")
+        if times[-1] >= horizon:
+            raise ValueError("step function: last segment starts at or beyond the horizon")
 
     @classmethod
-    def uniform(cls, horizon: float) -> "TuningFunction":
-        """The default a(t) = 1/horizon."""
-        return cls((0.0,), (1.0 / float(horizon),), float(horizon))
+    def constant(cls, value: float, horizon: float) -> "StepFunction":
+        return cls((0.0,), (float(value),), float(horizon))
 
     @classmethod
-    def from_segments(cls, segments, horizon: float) -> "TuningFunction":
+    def uniform(cls, horizon: float) -> "StepFunction":
+        """The default tuning function a(t) = 1/horizon."""
+        return cls.constant(1.0 / float(horizon), horizon)
+
+    @classmethod
+    def from_segments(cls, segments, horizon: float) -> "StepFunction":
+        """Build from ``[(t_start, value), ...]`` pairs."""
         ts = tuple(float(t) for t, _ in segments)
         vs = tuple(float(v) for _, v in segments)
         return cls(ts, vs, float(horizon))
@@ -122,8 +92,45 @@ class TuningFunction:
         return np.asarray(self.values)[np.maximum(idx, 0)]
 
     def integral(self) -> float:
-        edges = list(self.times) + [self.horizon]
-        return float(sum(v * (t1 - t0) for v, t0, t1 in zip(self.values, edges, edges[1:])))
+        return integrate(lambda v: v, self)
+
+
+# A volatility curve and a weight tuning function are the same kind of object.
+VolatilityCurve = TuningFunction = StepFunction
+
+
+def union_grid(lo: float, hi: float, *steps: StepFunction) -> list[float]:
+    """``lo``, ``hi`` and every segment start of ``steps`` strictly between them, sorted."""
+    pts = {lo, hi}
+    for s in steps:
+        pts.update(t for t in s.times if lo < t < hi)
+    return sorted(pts)
+
+
+def integrate(f: Callable[..., float], *steps: StepFunction, lo: float = 0.0,
+              hi: float | None = None) -> float:
+    """Exact integral of ``f(s1(t), s2(t), ...)`` over [lo, hi] (default: the whole horizon).
+
+    Every product of step functions is itself a step function on the union of
+    their grids, so the integral is a finite sum. The arithmetic is scalar
+    Python on purpose: ``x ** 2`` on a float calls libm ``pow``, which numpy's
+    ``x * x`` does not reproduce bit for bit.
+    """
+    horizon = steps[0].horizon
+    if any(s.horizon != horizon for s in steps):
+        raise ValueError("step functions must share the horizon")
+    hi = horizon if hi is None else hi
+    if lo > hi:
+        raise ValueError(f"integration bounds reversed: lo={lo} > hi={hi}")
+    if lo < 0.0 or hi > horizon:
+        raise ValueError(f"[{lo}, {hi}] not inside [0, {horizon}]")
+    edges = union_grid(lo, hi, *steps)
+    try:
+        return float(sum(f(*(s.value_at(a) for s in steps)) * (b - a)
+                         for a, b in zip(edges, edges[1:])))
+    except ZeroDivisionError:
+        raise ValueError("integrand divides by a zero step value "
+                         "(strictly positive volatility required)") from None
 
 
 @dataclass(frozen=True)
@@ -176,80 +183,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _segment_edges(step, lo: float, hi: float) -> list[float]:
-    pts = sorted({lo, hi} | {t for t in step.times if lo < t < hi})
-    return pts
-
-
-def _union_edges(lo: float, hi: float, *steps) -> list[float]:
-    pts = {lo, hi}
-    for s in steps:
-        pts.update(t for t in s.times if lo < t < hi)
-    return sorted(pts)
-
-
-def integrated_variance(curve: VolatilityCurve, s: float, t: float) -> float:
-    """Exact integral of sigma(u)^2 over [s, t] for a piecewise-constant curve."""
-    if s > t:
-        raise ValueError(f"integration bounds reversed: s={s} > t={t}")
-    if s < 0.0 or t > curve.horizon:
-        raise ValueError(f"[{s}, {t}] not inside [0, {curve.horizon}]")
-    if s == t:
-        return 0.0
-    edges = _segment_edges(curve, s, t)
-    return float(sum(curve.value_at(a) ** 2 * (b - a) for a, b in zip(edges, edges[1:])))
-
-
-def integrated_covariance(curve_a: VolatilityCurve, curve_b: VolatilityCurve, s: float, t: float) -> float:
-    """Exact integral of sigma_a(u) * sigma_b(u) over [s, t]."""
-    if s > t:
-        raise ValueError(f"integration bounds reversed: s={s} > t={t}")
-    if s == t:
-        return 0.0
-    edges = _union_edges(s, t, curve_a, curve_b)
-    return float(
-        sum(curve_a.value_at(a) * curve_b.value_at(a) * (b - a) for a, b in zip(edges, edges[1:]))
-    )
-
-
-def weight_kernel_moments(curve: VolatilityCurve, a: TuningFunction) -> tuple[float, float, float]:
-    """Covariance integrals of the Gaussian pair (int sigma dW, int a/sigma dW).
-
-    Returns ``(v_aa, v_as, v_ss)`` over the shared horizon:
-
-        v_aa = int a(t)^2 / sigma(t)^2 dt     variance of the weight integral
-        v_as = int a(t) dt                    cross-covariance (1 for unit-integral a)
-        v_ss = int sigma(t)^2 dt              log-return variance
-    """
-    if curve.horizon != a.horizon:
-        raise ValueError("curve and tuning function must share the horizon")
-    if any(s <= 0.0 for s in curve.sigmas):
-        raise ValueError("weight kernel moments require strictly positive volatility")
-    edges = _union_edges(0.0, curve.horizon, curve, a)
-    v_aa = v_as = v_ss = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        sig = curve.value_at(lo)
-        av = a.value_at(lo)
-        dt = hi - lo
-        v_aa += (av / sig) ** 2 * dt
-        v_as += av * dt
-        v_ss += sig**2 * dt
-    return float(v_aa), float(v_as), float(v_ss)
-
-
-def weight_cross_moment(curve_e: VolatilityCurve, curve_i: VolatilityCurve, a: TuningFunction) -> float:
-    """Exact integral of a(t)^2 / (sigma_E(t) * sigma_I(t)) over the horizon."""
-    if curve_e.horizon != curve_i.horizon or curve_e.horizon != a.horizon:
-        raise ValueError("curves and tuning function must share the horizon")
-    if any(s <= 0.0 for s in curve_e.sigmas) or any(s <= 0.0 for s in curve_i.sigmas):
-        raise ValueError("weight cross moment requires strictly positive volatility")
-    edges = _union_edges(0.0, a.horizon, curve_e, curve_i, a)
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        total += a.value_at(lo) ** 2 / (curve_e.value_at(lo) * curve_i.value_at(lo)) * (hi - lo)
-    return float(total)
-
-
 def _check_leg(report: ValidationReport, name: str, spec: FuturesSpec, vol: VolatilityCurve,
                horizon: float, eta: float) -> None:
     if not (math.isfinite(spec.f0) and spec.f0 > 0.0):
@@ -263,7 +196,7 @@ def _check_leg(report: ValidationReport, name: str, spec: FuturesSpec, vol: Vola
         report.violations.append(f"{name}: delivery end {spec.delivery_end} differs from model horizon {horizon}")
     if vol.horizon != horizon:
         report.violations.append(f"{name}: volatility curve horizon {vol.horizon} differs from model horizon {horizon}")
-    for t0, sig in zip(vol.times, vol.sigmas):
+    for t0, sig in zip(vol.times, vol.values):
         if sig < eta:
             report.violations.append(
                 f"{name}: volatility {sig} on segment starting t={t0} is below the floor "

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import CorrelationMode, MarketModel, integrated_covariance, integrated_variance
+from .model import CorrelationMode, MarketModel, integrate
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ class KinkSolver:
     def __init__(self, model: MarketModel):
         horizon = model.horizon
         self.model = model
-        self.vE = integrated_variance(model.energy_vol, 0.0, horizon)
-        self.vI = integrated_variance(model.temperature_vol, 0.0, horizon)
+        self.vE = integrate(lambda s: s ** 2, model.energy_vol, hi=horizon)
+        self.vI = integrate(lambda s: s ** 2, model.temperature_vol, hi=horizon)
         if self.vE <= 0.0 or self.vI <= 0.0:
             raise ValueError("kink geometry requires nondegenerate volatility")
         self.sE = math.sqrt(self.vE)
@@ -163,7 +163,8 @@ class KinkSolver:
         rho = model.rho
         self.sq1mr2 = math.sqrt(1.0 - rho * rho)
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
-            vEI = integrated_covariance(model.energy_vol, model.temperature_vol, 0.0, horizon)
+            vEI = integrate(lambda sE, sI: sE * sI, model.energy_vol, model.temperature_vol,
+                            hi=horizon)
             self.m1 = rho * vEI / self.sE
             self.s2 = math.sqrt(rho * rho * (self.vI - vEI * vEI / self.vE)
                                 + (1.0 - rho * rho) * self.vI)

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import CorrelationMode, MarketModel, TuningFunction
+from .model import CorrelationMode, MarketModel, TuningFunction, union_grid
 
 BLOCK_SIZE = 1 << 16
 
@@ -160,17 +160,12 @@ def _build_plan(model: MarketModel, tuning: TuningFunction, scheme: SimScheme) -
     if tuning.horizon != horizon:
         raise ValueError("tuning function horizon must match the model horizon")
     if scheme.kind == "exact":
-        pts = {0.0, horizon}
-        for step in (model.energy_vol, model.temperature_vol, tuning):
-            pts.update(t for t in step.times if 0.0 < t < horizon)
-        edges = np.array(sorted(pts))
-        t_left = edges[:-1]
+        edges = np.array(union_grid(0.0, horizon, model.energy_vol, model.temperature_vol, tuning))
         dt = np.diff(edges)
     else:
         edges = np.linspace(0.0, horizon, scheme.steps + 1)
-        t_left = edges[:-1]
         dt = np.full(scheme.steps, horizon / scheme.steps)
-    return _coefficients(model, tuning, t_left, dt)
+    return _coefficients(model, tuning, edges[:-1], dt)
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -242,44 +237,3 @@ def _concatenate(blocks: list[SampleDraw]) -> SampleDraw:
 def draw_samples(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) -> SampleDraw:
     """All requested samples as one batch, regardless of scheme."""
     return _concatenate(list(iter_sample_blocks(model, tuning, cfg)))
-
-
-def sample_terminal(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) -> SampleDraw:
-    """Exact-terminal sampling: the joint Gaussian law carries no time-stepping bias."""
-    if cfg.scheme.kind != "exact":
-        raise ValueError("sample_terminal requires the exact scheme")
-    return draw_samples(model, tuning, cfg)
-
-
-def sample_paths_log_euler(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) -> SampleDraw:
-    """Log-Euler sampling on a uniform grid with left-point Ito accumulators.
-
-    The curves are evaluated at the left points of the grid and the
-    accumulators are drawn by the same sampler as the exact scheme, so the
-    cost and block memory do not grow with the step count. Converges in law to
-    ``sample_terminal`` as the step count grows; with constant coefficients a
-    single step already matches the terminal law.
-    """
-    if cfg.scheme.kind != "euler":
-        raise ValueError("sample_paths_log_euler requires a log-Euler scheme")
-    return draw_samples(model, tuning, cfg)
-
-
-def antithetic_pair(draw: SampleDraw, model: MarketModel) -> SampleDraw:
-    """Mirror a batch: negate every Gaussian and rebuild the terminal prices.
-
-    The per-draw drift is recovered from the stored prices, so the pairing is
-    consistent for both sampling schemes.
-    """
-    driftE = np.log(draw.fE_T / model.energy.f0) - draw.gE
-    if model.correlation_mode is CorrelationMode.SDE_MIXING:
-        sq1mr2 = np.sqrt(1.0 - model.rho * model.rho)
-        stoch_I = model.rho * draw.gI_cross + sq1mr2 * draw.gI
-    else:
-        stoch_I = draw.gI
-    driftI = np.log(draw.fI_T / model.temperature.f0) - stoch_I
-    fE = model.energy.f0 * np.exp(driftE - draw.gE)
-    fI = model.temperature.f0 * np.exp(driftI - stoch_I)
-    return SampleDraw(
-        fE, fI, -draw.gE, -draw.gI, -draw.iE, -draw.iI, -draw.iE_cross, -draw.gI_cross,
-    )

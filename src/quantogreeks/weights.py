@@ -10,12 +10,12 @@ oracles rather than picking one here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import MarketModel, TuningFunction, weight_cross_moment
+from .model import MarketModel, TuningFunction, integrate
 from .simulate import SampleDraw
 
 
@@ -46,155 +46,91 @@ class WeightVariant(Enum):
     CORR_CROSS_GAMMA_CONDITIONAL = "CorrCrossGamma_Conditional"
 
 
-INDEPENDENT_VARIANTS = frozenset({
-    WeightVariant.INDEP_DELTA_E,
-    WeightVariant.INDEP_DELTA_I,
-    WeightVariant.INDEP_CROSS_GAMMA,
-})
+_KERNELS = {
+    # one delta weight per leg: a Wiener integral divided by the initial level
+    "E": lambda d, m: d.iE / m.energy.f0,
+    "I": lambda d, m: d.iI / m.temperature.f0,
+    # inverse of the triangular diffusion matrix: the energy kernel corrected
+    # on the independent driver, and the independent-driver kernel rescaled
+    "E_inv": lambda d, m: ((d.iE - m.rho / math.sqrt(1.0 - m.rho * m.rho) * d.iE_cross)
+                           / m.energy.f0),
+    "I_inv": lambda d, m: d.iI / (m.temperature.f0 * math.sqrt(1.0 - m.rho * m.rho)),
+}
 
-DELTA_E_VARIANTS = (
-    WeightVariant.CORR_DELTA_E_ONE_PLUS_RHO,
-    WeightVariant.CORR_DELTA_E_MATRIX_INVERSE,
-    WeightVariant.CORR_DELTA_E_CONDITIONAL,
-)
 
-CROSS_GAMMA_VARIANTS = (
-    WeightVariant.CORR_CROSS_GAMMA_SCALED_PRODUCT,
-    WeightVariant.CORR_CROSS_GAMMA_MATRIX_INVERSE,
-    WeightVariant.CORR_CROSS_GAMMA_CONDITIONAL,
-)
+class _Weight(NamedTuple):
+    """A weight as a product of kernels, a scalar multiplier in rho, and flags.
+
+    ``compensator_sign`` adds (+1) or subtracts (-1) the deterministic
+    compensator; ``zero_rho`` marks a construction that assumes independent
+    legs.
+    """
+
+    kernels: tuple[str, ...]
+    multiplier: Callable[[float], float]
+    compensator_sign: float = 0.0
+    zero_rho: bool = False
+
+
+def _one(rho: float) -> float:
+    return 1.0
+
+
+_V = WeightVariant
+WEIGHTS = {
+    _V.INDEP_DELTA_E: _Weight(("E",), _one, zero_rho=True),
+    _V.INDEP_DELTA_I: _Weight(("I",), _one, zero_rho=True),
+    _V.INDEP_CROSS_GAMMA: _Weight(("E", "I"), _one, zero_rho=True),
+    _V.CORR_DELTA_E_ONE_PLUS_RHO: _Weight(("E",), lambda rho: 1.0 + rho),
+    _V.CORR_DELTA_E_MATRIX_INVERSE: _Weight(("E_inv",), _one),
+    _V.CORR_DELTA_E_CONDITIONAL: _Weight(("E",), _one),
+    # the sqrt(1-rho^2) multiplier cancels the kernel scaling: net iI / fI(0)
+    _V.CORR_DELTA_I: _Weight(("I_inv",), lambda rho: math.sqrt(1.0 - rho * rho)),
+    _V.CORR_CROSS_GAMMA_SCALED_PRODUCT: _Weight(
+        ("E", "I_inv"), lambda rho: math.sqrt(1.0 - rho * rho) * (1.0 + rho)),
+    _V.CORR_CROSS_GAMMA_MATRIX_INVERSE: _Weight(("E_inv", "I_inv"), _one, compensator_sign=-1.0),
+    _V.CORR_CROSS_GAMMA_CONDITIONAL: _Weight(("E", "I"), _one),
+}
 
 
 def greek_of(variant: WeightVariant) -> str:
-    """Which sensitivity a variant estimates: 'dE', 'dI' or 'dEdI'."""
-    if variant in (WeightVariant.INDEP_DELTA_E, *DELTA_E_VARIANTS):
-        return "dE"
-    if variant in (WeightVariant.INDEP_DELTA_I, WeightVariant.CORR_DELTA_I):
-        return "dI"
-    return "dEdI"
+    """Which sensitivity a variant estimates: 'dE', 'dI' or 'dEdI'.
 
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Payoff values paired with their weight factor and scalar multiplier."""
-
-    payoff: np.ndarray
-    weight: np.ndarray
-    multiplier: float
-
-    def products(self) -> np.ndarray:
-        return self.payoff * self.weight * self.multiplier
-
-
-def _require_zero_rho(model: MarketModel, allow_rho_mismatch: bool, name: str) -> None:
-    if model.rho != 0.0 and not allow_rho_mismatch:
-        raise ValueError(
-            f"{name} assumes rho = 0 (model has rho={model.rho}); "
-            "pass allow_rho_mismatch=True to force it"
-        )
-
-
-def weight_indep_delta_E(draw: SampleDraw, model: MarketModel, tuning: TuningFunction,
-                         *, allow_rho_mismatch: bool = False) -> np.ndarray:
-    """Energy-delta weight for independent legs: iE / fE(0).
-
-    With constant volatility and the uniform tuning function this is
-    W_E(T) / (fE(0) * sigma_E * T).
+    A one-kernel weight is that leg's delta; a product of an energy and a
+    temperature kernel is the cross-gamma.
     """
-    _require_zero_rho(model, allow_rho_mismatch, "weight_indep_delta_E")
-    return draw.iE / model.energy.f0
+    kernels = WEIGHTS[variant].kernels
+    return "dEdI" if len(kernels) == 2 else "d" + kernels[0][0]
 
 
-def weight_indep_delta_I(draw: SampleDraw, model: MarketModel, tuning: TuningFunction,
-                         *, allow_rho_mismatch: bool = False) -> np.ndarray:
-    """Temperature-delta weight for independent legs: iI / fI(0)."""
-    _require_zero_rho(model, allow_rho_mismatch, "weight_indep_delta_I")
-    return draw.iI / model.temperature.f0
-
-
-def weight_indep_cross_gamma(draw: SampleDraw, model: MarketModel, tuning: TuningFunction,
-                             *, allow_rho_mismatch: bool = False) -> np.ndarray:
-    """Cross-gamma weight for independent legs: the product of the two delta weights.
-
-    No compensation term appears because the two integrals live on independent
-    drivers and the first factor's kernel is deterministic.
-    """
-    _require_zero_rho(model, allow_rho_mismatch, "weight_indep_cross_gamma")
-    return (draw.iE / model.energy.f0) * (draw.iI / model.temperature.f0)
-
-
-def _matrix_inverse_delta_E(draw: SampleDraw, model: MarketModel) -> np.ndarray:
+def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
+    """rho * int a(t)^2 / (sigma_E sigma_I) dt / ((1 - rho^2) fE(0) fI(0)), in closed form."""
+    vols = (model.energy_vol, model.temperature_vol)
+    if any(v <= 0.0 for curve in vols for v in curve.values):
+        raise ValueError("the cross-gamma compensator requires strictly positive volatility")
     rho = model.rho
-    mix = rho / math.sqrt(1.0 - rho * rho)
-    return (draw.iE - mix * draw.iE_cross) / model.energy.f0
-
-
-def weight_corr_delta_E(draw: SampleDraw, model: MarketModel, tuning: TuningFunction,
-                        variant: WeightVariant) -> tuple[np.ndarray, float]:
-    """Correlated energy-delta weight and its scalar multiplier, per variant."""
-    rho = model.rho
-    if variant is WeightVariant.CORR_DELTA_E_ONE_PLUS_RHO:
-        return draw.iE / model.energy.f0, 1.0 + rho
-    if variant is WeightVariant.CORR_DELTA_E_MATRIX_INVERSE:
-        return _matrix_inverse_delta_E(draw, model), 1.0
-    if variant is WeightVariant.CORR_DELTA_E_CONDITIONAL:
-        return draw.iE / model.energy.f0, 1.0
-    raise ValueError(f"{variant} is not a correlated energy-delta variant")
-
-
-def weight_corr_delta_I(draw: SampleDraw, model: MarketModel,
-                        tuning: TuningFunction) -> tuple[np.ndarray, float]:
-    """Correlated temperature-delta weight iI / (fI(0) sqrt(1-rho^2)), multiplier sqrt(1-rho^2).
-
-    The multiplier cancels the kernel scaling, so the net estimator factor is
-    iI / fI(0), the same arithmetic as the independent case.
-    """
-    sq1mr2 = math.sqrt(1.0 - model.rho * model.rho)
-    return draw.iI / (model.temperature.f0 * sq1mr2), sq1mr2
-
-
-def weight_corr_cross_gamma(draw: SampleDraw, model: MarketModel, tuning: TuningFunction,
-                            variant: WeightVariant) -> tuple[np.ndarray, float]:
-    """Correlated cross-gamma weight and multiplier, per variant.
-
-    The matrix-inverse construction subtracts the deterministic compensator
-
-        rho * int a(t)^2 / (sigma_E sigma_I) dt / ((1 - rho^2) fE(0) fI(0))
-
-    computed in closed form from the curves rather than path-accumulated.
-    """
-    rho = model.rho
-    f0E = model.energy.f0
-    f0I = model.temperature.f0
-    sq1mr2 = math.sqrt(1.0 - rho * rho)
-    if variant is WeightVariant.CORR_CROSS_GAMMA_MATRIX_INVERSE:
-        wE = _matrix_inverse_delta_E(draw, model)
-        wI = draw.iI / (f0I * sq1mr2)
-        compensator = rho * weight_cross_moment(model.energy_vol, model.temperature_vol, tuning) \
-            / ((1.0 - rho * rho) * f0E * f0I)
-        return wE * wI - compensator, 1.0
-    if variant is WeightVariant.CORR_CROSS_GAMMA_SCALED_PRODUCT:
-        weight = (draw.iE / f0E) * (draw.iI / (f0I * sq1mr2))
-        return weight, sq1mr2 * (1.0 + rho)
-    if variant is WeightVariant.CORR_CROSS_GAMMA_CONDITIONAL:
-        return (draw.iE / f0E) * (draw.iI / f0I), 1.0
-    raise ValueError(f"{variant} is not a correlated cross-gamma variant")
+    cross = integrate(lambda sE, sI, a: a ** 2 / (sE * sI), *vols, tuning)
+    return rho * cross / ((1.0 - rho * rho) * model.energy.f0 * model.temperature.f0)
 
 
 def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
                tuning: TuningFunction, *, allow_rho_mismatch: bool = False
                ) -> tuple[np.ndarray, float]:
-    """Dispatch to the right weight function; returns (weight array, multiplier)."""
-    if variant is WeightVariant.INDEP_DELTA_E:
-        return weight_indep_delta_E(draw, model, tuning, allow_rho_mismatch=allow_rho_mismatch), 1.0
-    if variant is WeightVariant.INDEP_DELTA_I:
-        return weight_indep_delta_I(draw, model, tuning, allow_rho_mismatch=allow_rho_mismatch), 1.0
-    if variant is WeightVariant.INDEP_CROSS_GAMMA:
-        return weight_indep_cross_gamma(draw, model, tuning, allow_rho_mismatch=allow_rho_mismatch), 1.0
-    if variant in DELTA_E_VARIANTS:
-        return weight_corr_delta_E(draw, model, tuning, variant)
-    if variant is WeightVariant.CORR_DELTA_I:
-        return weight_corr_delta_I(draw, model, tuning)
-    if variant in CROSS_GAMMA_VARIANTS:
-        return weight_corr_cross_gamma(draw, model, tuning, variant)
-    raise ValueError(f"unknown weight variant {variant!r}")
+    """Per-draw weight array and scalar multiplier of ``variant``.
+
+    The matrix-inverse cross-gamma subtracts the deterministic compensator
+    from the kernel product (``w + (-1.0 * c)`` is ``w - c`` exactly).
+    """
+    spec = WEIGHTS.get(variant)
+    if spec is None:
+        raise ValueError(f"unknown weight variant {variant!r}")
+    if spec.zero_rho and model.rho != 0.0 and not allow_rho_mismatch:
+        raise ValueError(
+            f"{variant.value} assumes rho = 0 (model has rho={model.rho}); "
+            "pass allow_rho_mismatch=True to force it"
+        )
+    first, *rest = (_KERNELS[k](draw, model) for k in spec.kernels)
+    weight = first * rest[0] if rest else first
+    if spec.compensator_sign:
+        weight = weight + spec.compensator_sign * _compensator(model, tuning)
+    return weight, spec.multiplier(model.rho)

@@ -1,6 +1,6 @@
 import pytest
 
-from quantogreeks import FuturesSpec, MarketModel, TuningFunction, VolatilityCurve
+from quantogreeks import FuturesSpec, MarketModel, TuningFunction, VolatilityCurve, integrate
 from quantogreeks.model import CorrelationMode
 
 
@@ -15,6 +15,13 @@ def make_model(f0E=100.0, f0I=100.0, sigE=0.2, sigI=0.2, rho=0.0, horizon=1.0,
         rate=rate,
         correlation_mode=mode,
     )
+
+
+def kernel_moments(curve, a):
+    """(int a^2/sigma^2, int a, int sigma^2): the covariances of (int a/sigma dW, int sigma dW)."""
+    return (integrate(lambda s, av: (av / s) ** 2, curve, a),
+            integrate(lambda s, av: av, curve, a),
+            integrate(lambda s, av: s ** 2, curve, a))
 
 
 @pytest.fixture

@@ -20,12 +20,12 @@ from quantogreeks import (
     SimConfig,
     TuningFunction,
     WeightVariant,
+    draw_samples,
     fd_greek,
     mc_estimates,
     mc_greek,
     quad_greek,
     quad_price,
-    sample_terminal,
     weight_for,
 )
 from quantogreeks.cli import main
@@ -116,7 +116,7 @@ def test_c03_independent_cross_gamma_vs_quadrature(atm_model, uniform_tuning):
 
 def test_c04_zero_rho_bitwise_reduction(uniform_tuning):
     m = make_model(rho=0.0)
-    draw = sample_terminal(m, uniform_tuning, SimConfig(10_000, seed=104))
+    draw = draw_samples(m, uniform_tuning, SimConfig(10_000, seed=104))
     for corr, indep in CORR_TO_INDEP.items():
         w_corr, mult_corr = weight_for(corr, draw, m, uniform_tuning)
         w_ind, mult_ind = weight_for(indep, draw, m, uniform_tuning)
@@ -164,7 +164,7 @@ def test_c06_conformance_matrix_adjudicates_variants(tmp_path):
 
 
 def test_c07_weight_zero_mean_and_isometry(atm_model, uniform_tuning):
-    draw = sample_terminal(atm_model, uniform_tuning, SimConfig(N_BIG, seed=109))
+    draw = draw_samples(atm_model, uniform_tuning, SimConfig(N_BIG, seed=109))
     for variant in (V.INDEP_DELTA_E, V.INDEP_DELTA_I, V.INDEP_CROSS_GAMMA):
         w, mult = weight_for(variant, draw, atm_model, uniform_tuning)
         w = w * mult

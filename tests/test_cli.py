@@ -170,9 +170,40 @@ class TestConverge:
 
     def test_non_numeric_grid_exits_2(self, config_path):
         assert main(["converge", "--config", config_path, "--n-grid", "1e4,x"]) == 2
+        assert main(["converge", "--config", config_path, "--n-grid", "1e4,inf"]) == 2
 
     def test_non_monotone_grid_exits_2(self, config_path):
         assert main(["converge", "--config", config_path, "--n-grid", "1e4,1e4"]) == 2
+
+
+@pytest.mark.parametrize("command", [["sweep-rho", "--grid", "0.3"],
+                                     ["converge", "--n-grid", "1e3,2e3"]])
+@pytest.mark.parametrize("second", ["CorrDeltaE_OnePlusRho", "NoSuch"])
+def test_single_variant_commands_reject_a_second_variant(config_path, capsys, command, second):
+    argv = [*command, "--config", config_path, "--variant", "CorrDeltaE_Conditional",
+            "--variant", second]
+    assert main(argv) == 2
+    assert "variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_exits_2(config_path, capsys, threads):
+    # rejected while parsing arguments, before any worker thread could start
+    assert main(["price", "--config", config_path, "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("usage_error", [
+    ["price", "--scheme", "sobol"],
+    ["greeks", "--variant", "NoSuchWeight"],
+    ["sweep-rho", "--grid", "0.3", "--variant", "NoSuchWeight"],
+    ["converge", "--n-grid", "1e4,x"],
+])
+def test_usage_error_beats_model_validation(tmp_path, usage_error):
+    path = write_config(tmp_path, BASE_CONFIG.replace(
+        "energy.sigma = [[0.0, 0.2]]", "energy.sigma = [[0.0, 0.0]]"))
+    assert main(["price", "--config", path]) == 3
+    assert main([*usage_error, "--config", path]) == 2
 
 
 class TestReproducibility:

@@ -104,6 +104,12 @@ class TestMcGreek:
         assert one.value == four.value
         assert one.stderr == four.stderr
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_rejected(self, atm_model, uniform_tuning, threads):
+        # rejected before the pass starts, so no worker thread is created
+        with pytest.raises(ValueError, match="threads"):
+            mc_price(atm_model, ATM, SimConfig(1000, seed=41), uniform_tuning, threads=threads)
+
 
 class TestQuadrature:
     def test_zero_strikes_integrate_to_forward_product(self, atm_model):

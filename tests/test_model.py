@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model
-from quantogreeks import (
-    TuningFunction,
-    VolatilityCurve,
-    integrated_covariance,
-    integrated_variance,
-    validate_model,
-    weight_cross_moment,
-    weight_kernel_moments,
-)
+from conftest import kernel_moments, make_model
+from quantogreeks import TuningFunction, VolatilityCurve, integrate, validate_model
+
+
+def square(s):
+    return s ** 2
 
 
 class TestValidateModel:
@@ -51,54 +47,84 @@ class TestValidateModel:
 class TestIntegratedVariance:
     def test_constant_curve(self):
         curve = VolatilityCurve.constant(0.2, 1.0)
-        assert integrated_variance(curve, 0.0, 1.0) == pytest.approx(0.04, abs=1e-15)
+        assert integrate(square, curve, lo=0.0, hi=1.0) == pytest.approx(0.04, abs=1e-15)
 
     def test_two_segments(self):
         curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0)
-        assert integrated_variance(curve, 0.0, 1.0) == pytest.approx(0.05, abs=1e-15)
+        assert integrate(square, curve, lo=0.0, hi=1.0) == pytest.approx(0.05, abs=1e-15)
 
     def test_empty_interval_is_zero(self):
         curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.3, 0.7)], 1.0)
-        assert integrated_variance(curve, 0.4, 0.4) == 0.0
+        assert integrate(square, curve, lo=0.4, hi=0.4) == 0.0
 
     def test_reversed_bounds_rejected(self):
         curve = VolatilityCurve.constant(0.2, 1.0)
         with pytest.raises(ValueError):
-            integrated_variance(curve, 0.8, 0.2)
+            integrate(square, curve, lo=0.8, hi=0.2)
+
+    def test_bounds_outside_horizon_and_horizon_mismatch_rejected(self):
+        curve = VolatilityCurve.constant(0.2, 1.0)
+        with pytest.raises(ValueError):
+            integrate(square, curve, lo=-0.1, hi=0.5)
+        with pytest.raises(ValueError):
+            integrate(square, curve, lo=0.5, hi=1.5)
+        with pytest.raises(ValueError):
+            integrate(lambda s, a: s * a, curve, TuningFunction.uniform(2.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
         sigmas=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
         cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4),
         pivots=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        other=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+        a_levels=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4),
+        zero_at=st.integers(0, 4),
     )
-    def test_additive_over_subintervals(self, sigmas, cuts, pivots):
+    def test_additive_over_subintervals(self, sigmas, cuts, pivots, other, a_levels, zero_at):
         rounded = {round(2.0 * c, 6) for c in cuts}
         times = [0.0] + sorted(t for t in rounded if 0.0 < t < 2.0)
         sigmas = (sigmas * len(times))[: len(times)]
         curve = VolatilityCurve(tuple(times), tuple(sigmas), 2.0)
         s, u, t = sorted(pivots)
-        total = integrated_variance(curve, s, t)
-        split = integrated_variance(curve, s, u) + integrated_variance(curve, u, t)
+        total = integrate(square, curve, lo=s, hi=t)
+        split = integrate(square, curve, lo=s, hi=u) + integrate(square, curve, lo=u, hi=t)
         assert split == pytest.approx(total, abs=1e-12)
+
+        # products of two and three step functions on a union grid, with a
+        # tuning function that is zero on one segment
+        other_curve = VolatilityCurve(tuple(2.0 * i / len(other) for i in range(len(other))),
+                                      tuple(other), 2.0)
+        levels = list(a_levels)
+        zero_at %= len(levels) + 1
+        levels.insert(zero_at, 0.0)
+        a_times = tuple(2.0 * i / len(levels) for i in range(len(levels)))
+        tuning = TuningFunction(a_times, tuple(levels), 2.0)
+        for f, steps in ((lambda x, y: x * y, (curve, other_curve)),
+                         (lambda x, y, a: a ** 2 / (x * y), (curve, other_curve, tuning))):
+            total = integrate(f, *steps, lo=s, hi=t)
+            split = integrate(f, *steps, lo=s, hi=u) + integrate(f, *steps, lo=u, hi=t)
+            assert split == pytest.approx(total, rel=1e-12, abs=1e-12)
+        zero_end = a_times[zero_at + 1] if zero_at + 1 < len(a_times) else 2.0
+        assert integrate(lambda x, y, a: a ** 2 / (x * y), curve, other_curve, tuning,
+                         lo=a_times[zero_at], hi=zero_end) == 0.0
 
 
 class TestWeightKernelMoments:
     def test_constant_curve_uniform_tuning(self, uniform_tuning):
         curve = VolatilityCurve.constant(0.2, 1.0)
-        v_aa, v_as, v_ss = weight_kernel_moments(curve, uniform_tuning)
+        v_aa, v_as, v_ss = kernel_moments(curve, uniform_tuning)
         assert v_aa == pytest.approx(25.0, rel=1e-12)
         assert v_as == pytest.approx(1.0, abs=1e-15)
         assert v_ss == pytest.approx(0.04, rel=1e-12)
 
     def test_half_vol_long_horizon(self):
         curve = VolatilityCurve.constant(0.5, 4.0)
-        moments = weight_kernel_moments(curve, TuningFunction.uniform(4.0))
+        moments = kernel_moments(curve, TuningFunction.uniform(4.0))
         assert moments == pytest.approx((1.0, 1.0, 1.0), rel=1e-12)
 
     def test_degenerate_curve_rejected(self, uniform_tuning):
         with pytest.raises(ValueError):
-            weight_kernel_moments(VolatilityCurve.constant(0.0, 1.0), uniform_tuning)
+            kernel_moments(VolatilityCurve.constant(0.0, 1.0), uniform_tuning)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -114,7 +140,7 @@ class TestWeightKernelMoments:
         a_times = tuple(horizon * i / n_a for i in range(n_a))
         scale = sum(a_levels) * (horizon / n_a)
         tuning = TuningFunction(a_times, tuple(v / scale for v in a_levels), horizon)
-        v_aa, v_as, v_ss = weight_kernel_moments(curve, tuning)
+        v_aa, v_as, v_ss = kernel_moments(curve, tuning)
         assert v_as == pytest.approx(1.0, abs=1e-12)
         # Cauchy-Schwarz: (int a)^2 <= int a^2/s^2 * int s^2
         assert v_aa * v_ss >= 1.0 - 1e-12
@@ -122,15 +148,16 @@ class TestWeightKernelMoments:
     def test_cauchy_schwarz_equality_for_proportional_kernel(self, uniform_tuning):
         # constant sigma and constant a: a is proportional to sigma^2
         curve = VolatilityCurve.constant(0.37, 1.0)
-        v_aa, _, v_ss = weight_kernel_moments(curve, uniform_tuning)
+        v_aa, _, v_ss = kernel_moments(curve, uniform_tuning)
         assert v_aa * v_ss == pytest.approx(1.0, rel=1e-12)
 
     def test_cross_moment_mixed_curves(self):
         e = VolatilityCurve.constant(0.2, 1.0)
         i = VolatilityCurve.constant(0.4, 1.0)
         a = TuningFunction.uniform(1.0)
-        assert weight_cross_moment(e, i, a) == pytest.approx(12.5, rel=1e-12)
-        assert integrated_covariance(e, i, 0.0, 1.0) == pytest.approx(0.08, rel=1e-12)
+        assert integrate(lambda se, si, av: av ** 2 / (se * si), e, i, a) == pytest.approx(
+            12.5, rel=1e-12)
+        assert integrate(lambda se, si: se * si, e, i) == pytest.approx(0.08, rel=1e-12)
 
 
 class TestCurveConstruction:

@@ -5,19 +5,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import make_model
+from conftest import kernel_moments, make_model
 from quantogreeks import (
     SimConfig,
     SimScheme,
     TuningFunction,
     VolatilityCurve,
-    antithetic_pair,
     draw_samples,
     sample_block,
-    sample_paths_log_euler,
-    sample_terminal,
     validate_model,
-    weight_kernel_moments,
 )
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import BLOCK_SIZE, _block_generator, _build_plan
@@ -33,25 +29,25 @@ class TestExactTerminal:
     def test_degenerate_volatility_gives_constant_price(self, uniform_tuning):
         m = make_model(sigE=0.0)
         assert validate_model(m, eta=0.0).valid  # forced past the ellipticity floor
-        draw = sample_terminal(m, uniform_tuning, SimConfig(1000, seed=1))
+        draw = draw_samples(m, uniform_tuning, SimConfig(1000, seed=1))
         assert np.all(draw.fE_T == 100.0)
 
     def test_terminal_prices_are_martingales(self, atm_model, uniform_tuning):
-        draw = sample_terminal(atm_model, uniform_tuning, SimConfig(1_000_000, seed=2))
+        draw = draw_samples(atm_model, uniform_tuning, SimConfig(1_000_000, seed=2))
         for leg, f0 in ((draw.fE_T, 100.0), (draw.fI_T, 100.0)):
             assert abs(leg.mean() - f0) < 4.0 * _stderr(leg)
 
     def test_constant_vol_makes_weight_integral_proportional_to_return(self, atm_model, uniform_tuning):
         # gE = sigma * W and iE = W / sigma share one Gaussian, so the sample
         # correlation is 1 up to rounding: v_as / sqrt(v_aa v_ss) = 1.
-        draw = sample_terminal(atm_model, uniform_tuning, SimConfig(50_000, seed=3))
+        draw = draw_samples(atm_model, uniform_tuning, SimConfig(50_000, seed=3))
         corr = np.corrcoef(draw.gE, draw.iE)[0, 1]
         assert corr == pytest.approx(1.0, abs=1e-12)
 
     def test_moments_match_kernel_integrals(self, uniform_tuning):
         m = make_model(sigE=0.2, sigI=0.4)
-        v_aa, v_as, v_ss = weight_kernel_moments(m.energy_vol, uniform_tuning)
-        draw = sample_terminal(m, uniform_tuning, SimConfig(1_000_000, seed=4))
+        v_aa, v_as, v_ss = kernel_moments(m.energy_vol, uniform_tuning)
+        draw = draw_samples(m, uniform_tuning, SimConfig(1_000_000, seed=4))
         assert draw.gE.var(ddof=1) == pytest.approx(v_ss, abs=4 * np.sqrt(2 / 1e6) * v_ss)
         assert draw.iE.var(ddof=1) == pytest.approx(v_aa, abs=4 * np.sqrt(2 / 1e6) * v_aa)
         cov = np.cov(draw.gE, draw.iE)[0, 1]
@@ -64,29 +60,24 @@ class TestExactTerminal:
             energy_vol=VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0),
         )
         a = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
-        v_aa, v_as, v_ss = weight_kernel_moments(m.energy_vol, a)
-        draw = sample_terminal(m, a, SimConfig(500_000, seed=5))
+        v_aa, v_as, v_ss = kernel_moments(m.energy_vol, a)
+        draw = draw_samples(m, a, SimConfig(500_000, seed=5))
         assert draw.gE.var(ddof=1) == pytest.approx(v_ss, rel=0.02)
         assert draw.iE.var(ddof=1) == pytest.approx(v_aa, rel=0.02)
         assert np.cov(draw.gE, draw.iE)[0, 1] == pytest.approx(v_as, abs=0.02)
-
-    def test_requires_exact_scheme(self, atm_model, uniform_tuning):
-        cfg = SimConfig(10, seed=0, scheme=SimScheme.log_euler(4))
-        with pytest.raises(ValueError):
-            sample_terminal(atm_model, uniform_tuning, cfg)
 
 
 class TestSdeMixing:
     def test_martingale_and_log_correlation(self, uniform_tuning):
         m = make_model(rho=0.6, sigI=0.4, mode=CorrelationMode.SDE_MIXING)
-        draw = sample_terminal(m, uniform_tuning, SimConfig(500_000, seed=6))
+        draw = draw_samples(m, uniform_tuning, SimConfig(500_000, seed=6))
         assert abs(draw.fI_T.mean() - 100.0) < 4.0 * _stderr(draw.fI_T)
         corr = np.corrcoef(np.log(draw.fE_T), np.log(draw.fI_T))[0, 1]
         assert corr == pytest.approx(0.6, abs=0.01)
 
     def test_payoff_mixing_keeps_legs_independent(self, uniform_tuning):
         m = make_model(rho=0.6, sigI=0.4)
-        draw = sample_terminal(m, uniform_tuning, SimConfig(500_000, seed=6))
+        draw = draw_samples(m, uniform_tuning, SimConfig(500_000, seed=6))
         corr = np.corrcoef(np.log(draw.fE_T), np.log(draw.fI_T))[0, 1]
         assert corr == pytest.approx(0.0, abs=0.01)
 
@@ -94,8 +85,8 @@ class TestSdeMixing:
 class TestLogEuler:
     def test_single_step_matches_exact_law(self, atm_model, uniform_tuning):
         n = 100_000
-        exact = sample_terminal(atm_model, uniform_tuning, SimConfig(n, seed=7))
-        euler = sample_paths_log_euler(
+        exact = draw_samples(atm_model, uniform_tuning, SimConfig(n, seed=7))
+        euler = draw_samples(
             atm_model, uniform_tuning, SimConfig(n, seed=8, scheme=SimScheme.log_euler(1))
         )
         stat = ks_2samp(exact.fE_T, euler.fE_T).statistic
@@ -103,7 +94,7 @@ class TestLogEuler:
 
     def test_weight_integral_mean_and_variance(self, atm_model, uniform_tuning):
         cfg = SimConfig(250_000, seed=9, scheme=SimScheme.log_euler(256))
-        draw = sample_paths_log_euler(atm_model, uniform_tuning, cfg)
+        draw = draw_samples(atm_model, uniform_tuning, cfg)
         assert abs(draw.iE.mean()) < 3.0 * _stderr(draw.iE)
         v_aa = 25.0
         se_var = np.sqrt(2.0 / len(draw.iE)) * v_aa
@@ -116,16 +107,16 @@ class TestLogEuler:
             energy_vol=VolatilityCurve.from_segments([(0.0, 0.15), (0.37, 0.28)], 1.0),
         )
         n = 100_000
-        exact = sample_terminal(m, uniform_tuning, SimConfig(n, seed=10))
-        euler = sample_paths_log_euler(
+        exact = draw_samples(m, uniform_tuning, SimConfig(n, seed=10))
+        euler = draw_samples(
             m, uniform_tuning, SimConfig(n, seed=11, scheme=SimScheme.log_euler(512))
         )
         assert ks_2samp(exact.fE_T, euler.fE_T).statistic < 0.01
 
     def test_rejects_zero_steps(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError):
-            sample_paths_log_euler(atm_model, uniform_tuning,
-                                   SimConfig(10, seed=0, scheme=SimScheme.log_euler(0)))
+            draw_samples(atm_model, uniform_tuning,
+                         SimConfig(10, seed=0, scheme=SimScheme.log_euler(0)))
 
 
 def _piecewise_model(sigE_segments, mode=CorrelationMode.PAYOFF_MIXING):
@@ -208,30 +199,18 @@ class TestFixedRankSampler:
 
 
 class TestAntithetic:
-    def test_pair_negates_every_gaussian(self, atm_model, uniform_tuning):
-        draw = sample_terminal(atm_model, uniform_tuning, SimConfig(1000, seed=12))
-        anti = antithetic_pair(draw, atm_model)
-        for name in GAUSSIAN_FIELDS:
-            assert np.array_equal(getattr(anti, name), -getattr(draw, name))
-
-    def test_pairing_twice_is_identity(self, atm_model, uniform_tuning):
-        draw = sample_terminal(atm_model, uniform_tuning, SimConfig(1000, seed=13))
-        twice = antithetic_pair(antithetic_pair(draw, atm_model), atm_model)
-        for name in GAUSSIAN_FIELDS:
-            assert np.array_equal(getattr(twice, name), getattr(draw, name))
-        np.testing.assert_allclose(twice.fE_T, draw.fE_T, rtol=1e-12)
-        np.testing.assert_allclose(twice.fI_T, draw.fI_T, rtol=1e-12)
-
     def test_interleaved_stream_negates_odd_draws(self, atm_model, uniform_tuning):
         cfg = SimConfig(10_000, seed=14, antithetic=True)
         draw = draw_samples(atm_model, uniform_tuning, cfg)
         assert np.array_equal(draw.gE[1::2], -draw.gE[0::2])
         assert np.array_equal(draw.iI[1::2], -draw.iI[0::2])
+        for name in GAUSSIAN_FIELDS:
+            assert np.array_equal(getattr(draw, name)[1::2], -getattr(draw, name)[0::2]), name
 
     def test_paired_mean_estimator_has_lower_variance(self, atm_model, uniform_tuning):
         n = 100_000
-        plain = sample_terminal(atm_model, uniform_tuning, SimConfig(n, seed=15))
-        anti = sample_terminal(atm_model, uniform_tuning, SimConfig(n, seed=15, antithetic=True))
+        plain = draw_samples(atm_model, uniform_tuning, SimConfig(n, seed=15))
+        anti = draw_samples(atm_model, uniform_tuning, SimConfig(n, seed=15, antithetic=True))
         pair_means = anti.fE_T.reshape(-1, 2).mean(axis=1)
         var_plain = plain.fE_T.var(ddof=1) / n
         var_anti = pair_means.var(ddof=1) / (n // 2)
@@ -239,32 +218,32 @@ class TestAntithetic:
 
     def test_odd_count_rejected(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError):
-            sample_terminal(atm_model, uniform_tuning, SimConfig(11, seed=0, antithetic=True))
+            draw_samples(atm_model, uniform_tuning, SimConfig(11, seed=0, antithetic=True))
 
 
 class TestReproducibility:
     def test_same_seed_bitwise_identical(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=16)
-        a = sample_terminal(atm_model, uniform_tuning, cfg)
-        b = sample_terminal(atm_model, uniform_tuning, cfg)
+        a = draw_samples(atm_model, uniform_tuning, cfg)
+        b = draw_samples(atm_model, uniform_tuning, cfg)
         assert np.array_equal(a.fE_T, b.fE_T)
         assert np.array_equal(a.iI, b.iI)
 
     def test_longer_run_extends_shorter_one(self, atm_model, uniform_tuning):
         # crosses a block boundary: the counter-based stream is a prefix code
-        short = sample_terminal(atm_model, uniform_tuning, SimConfig(70_000, seed=17))
-        long = sample_terminal(atm_model, uniform_tuning, SimConfig(140_000, seed=17))
+        short = draw_samples(atm_model, uniform_tuning, SimConfig(70_000, seed=17))
+        long = draw_samples(atm_model, uniform_tuning, SimConfig(140_000, seed=17))
         assert len(short) == 70_000 and BLOCK_SIZE < 70_000 * 2
         assert np.array_equal(long.fE_T[:70_000], short.fE_T)
 
     def test_blocks_are_pure_functions_of_index(self, atm_model, uniform_tuning):
         cfg = SimConfig(150_000, seed=18)
-        full = sample_terminal(atm_model, uniform_tuning, cfg)
+        full = draw_samples(atm_model, uniform_tuning, cfg)
         b1 = sample_block(atm_model, uniform_tuning, cfg, 1)
         assert np.array_equal(full.gE[BLOCK_SIZE:2 * BLOCK_SIZE], b1.gE)
 
     def test_config_validation(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError):
-            sample_terminal(atm_model, uniform_tuning, SimConfig(0, seed=0))
+            draw_samples(atm_model, uniform_tuning, SimConfig(0, seed=0))
         with pytest.raises(ValueError):
             sample_block(atm_model, uniform_tuning, SimConfig(10, seed=0), 5)
