@@ -18,10 +18,9 @@ from dataclasses import replace
 
 from .config import ConfigError, RunConfig, build_run, load_config
 from .estimators import (
-    FdConfig,
     GreekEstimate,
     convergence_table,
-    fd_greek,
+    fd_greek,  # noqa: F401  unused here; bench/run.py traces Monte Carlo passes by cli names
     mc_estimates,
     mc_price,
     quad_greek,
@@ -29,7 +28,7 @@ from .estimators import (
 )
 from .model import validate_model
 from .payoffs import validate_payoff
-from .simulate import SimScheme
+from .simulate import SimScheme, _check_config
 from .weights import WEIGHTS, WeightVariant, greek_of
 
 EXIT_OK = 0
@@ -133,12 +132,14 @@ def _parse_grid(text: str, convert, flag: str, what: str) -> list:
     return grid
 
 
-# Each command parses its own arguments (raising ValueError on a usage error)
-# and returns its CSV header plus the computation to run once the model has
-# passed validation.
+# Each command parses its own arguments, including the sample counts it will
+# draw (raising ValueError on a usage error), and returns its CSV header plus
+# the computation to run once the model has passed validation.
 
 
 def _price(args, run: RunConfig, variants):
+    _check_config(run.sim)
+
     def compute():
         est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
         return [_estimate_row(est, args.timing)]
@@ -147,15 +148,17 @@ def _price(args, run: RunConfig, variants):
 
 
 def _greeks(args, run: RunConfig, variants):
+    _check_config(run.sim)
     if args.all_variants:
         variants = [v for v in WeightVariant if run.model.rho == 0.0 or not WEIGHTS[v].zero_rho]
     elif not variants:
         raise ValueError("greeks: pass --variant NAME or --all-variants")
 
     def compute():
-        estimates = mc_estimates(run.model, run.payoff, run.tuning, variants, run.sim,
-                                 threads=args.threads)
         greeks = sorted({greek_of(v) for v in variants})
+        fd_greeks = greeks if args.oracle in ("fd", "both") else []
+        estimates = mc_estimates(run.model, run.payoff, run.tuning, variants, run.sim,
+                                 threads=args.threads, fd_greeks=fd_greeks)
         oracle_values: dict[str, float] = {}
         oracle_rows: list[dict] = []
         if args.oracle in ("quad", "both"):
@@ -166,11 +169,8 @@ def _greeks(args, run: RunConfig, variants):
                     "variant": f"Quad_{which}", "value": value, "stderr": 0.0,
                     "n": None, "seconds": None, "oracle_value": None, "z_score": None,
                 })
-        if args.oracle in ("fd", "both"):
-            for which in greeks:
-                est = fd_greek(run.model, run.payoff, which, FdConfig(), run.sim, run.tuning,
-                               threads=args.threads)
-                oracle_rows.append(_estimate_row(est, args.timing))
+        oracle_rows += [_estimate_row(estimates[f"FD_{which}"], args.timing)
+                        for which in fd_greeks]
         rows = [
             _estimate_row(estimates[v.value], args.timing, oracle_values.get(greek_of(v)))
             for v in variants
@@ -181,6 +181,7 @@ def _greeks(args, run: RunConfig, variants):
 
 
 def _sweep_rho(args, run: RunConfig, variants):
+    _check_config(run.sim)
     grid = _parse_grid(args.grid, float, "--grid", "floats")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
@@ -197,6 +198,8 @@ def _converge(args, run: RunConfig, variants):
     sizes = _parse_grid(args.n_grid, lambda tok: int(float(tok)), "--n-grid", "counts")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")
+    for n in sizes:
+        _check_config(replace(run.sim, n_samples=n))
     variant = _at_most_one(variants)
 
     def compute():

@@ -2,24 +2,38 @@
 
 The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
-result is bit-identical for any thread count. The quadrature oracle shares no
-sampling code with the Monte Carlo path.
+result is bit-identical for any thread count. Correlation scenarios,
+finite-difference bumps and sample-size prefixes are jobs on that one stream,
+so each command draws once. The quadrature oracle shares no sampling code
+with the Monte Carlo path.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import CorrelationMode, MarketModel, TuningFunction
 from .payoffs import KinkSolver, PayoffSpec, energy_kink_levels, evaluate, h_kink_levels
-from .simulate import SimConfig, SimScheme, _build_plan, _check_config, _draw_block, block_count
+from .simulate import (
+    BLOCK_SIZE,
+    SampleDraw,
+    SimConfig,
+    SimScheme,
+    _build_plan,
+    _check_config,
+    _draw_block,
+    _Plan,
+    _temperature_level,
+    block_count,
+)
 from .weights import WeightVariant, weight_for
 
 GREEKS = ("dE", "dI", "dEdI")
@@ -68,17 +82,43 @@ class QuadConfig:
 
 
 class _BlockData:
-    """One block of draws with the derived quantities every job needs."""
+    """One block of draws with the derived quantities every job needs.
 
-    __slots__ = ("draw", "eE", "eI", "model", "payoff", "pay_base")
+    ``pay_base`` is evaluated when a job first reads it, so a block whose
+    jobs only bump the initial levels never computes it.
+    """
 
-    def __init__(self, draw, model: MarketModel, payoff: PayoffSpec):
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_pay_base")
+
+    def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec):
         self.draw = draw
+        self.plan = plan
         self.model = model
         self.payoff = payoff
         self.eE = draw.fE_T / model.energy.f0
         self.eI = draw.fI_T / model.temperature.f0
-        self.pay_base = self.payoff_at(1.0, 1.0)
+        self._pay_base = None
+
+    @property
+    def pay_base(self) -> np.ndarray:
+        if self._pay_base is None:
+            self._pay_base = self.payoff_at(1.0, 1.0)
+        return self._pay_base
+
+    def at(self, model: MarketModel) -> "_BlockData":
+        """This block under ``model``: the pass's model with another rho.
+
+        Under sde_mixing the temperature level moves with rho and is rebuilt
+        from the drawn accumulators; the view shares every other array.
+        """
+        view = copy.copy(self)
+        view.model, view._pay_base = model, None
+        if model.correlation_mode is CorrelationMode.SDE_MIXING:
+            draw = self.draw
+            view.draw = replace(draw, fI_T=_temperature_level(self.plan, model.rho, draw.gI,
+                                                              draw.gI_cross))
+            view.eI = view.draw.fI_T / model.temperature.f0
+        return view
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
         """Payoff with the initial futures levels rescaled; draws stay fixed."""
@@ -100,29 +140,50 @@ def _pair_means(values: np.ndarray) -> np.ndarray:
 
 
 def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
-             cfg: SimConfig, jobs: dict[str, _Job], threads: int = 1
-             ) -> tuple[dict[str, tuple[float, float]], float]:
-    """Run all jobs over the shared draw stream.
+             cfg: SimConfig, jobs: list[tuple[str, _Job]], threads: int = 1,
+             sizes: Sequence[int] | None = None) -> list[list[GreekEstimate]]:
+    """Run all labelled jobs over one shared stream of ``cfg.n_samples`` draws.
 
-    Returns per-job (mean, stderr) of the discounted values plus the wall time.
-    Partial moments are reduced in block-index order, so results do not depend
-    on the thread count.
+    Returns, per job, one estimate of the discounted values per sample count
+    n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
+    draws; a block that n ends inside is also reduced over its prefix.
+    Partial moments are reduced in block-index order, so every estimate has
+    the bits of a separate pass of n draws at any thread count. ``seconds``
+    is the wall time of the whole pass.
     """
-    _check_config(cfg)
+    sizes = [cfg.n_samples] if sizes is None else [int(n) for n in sizes]
+    if not sizes or max(sizes) != cfg.n_samples:
+        raise ValueError(f"the largest sample count must be cfg.n_samples = {cfg.n_samples}, "
+                         f"got {sizes}")
+    for n in sizes:
+        _check_config(replace(cfg, n_samples=n))
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
-    names = list(jobs)
+    draws_per_value = 2 if cfg.antithetic else 1
 
-    def run_block(block: int):
-        data = _BlockData(_draw_block(plan, cfg, block), model, payoff)
-        out = []
-        for name in names:
-            values = jobs[name](data)
+    def add_moments(out: list[dict], draw: SampleDraw, ends: list[int]) -> None:
+        data = _BlockData(draw, plan, model, payoff)
+        for moments, (_, job) in zip(out, jobs):
+            values = job(data)
             if cfg.antithetic:
                 values = _pair_means(values)
-            out.append((float(values.sum()), float(np.dot(values, values)), len(values)))
+            for end in ends:
+                head = values[:end // draws_per_value]
+                moments[end] = (float(head.sum()), float(np.dot(head, head)), len(head))
+
+    def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
+        start = block * BLOCK_SIZE
+        count = min(BLOCK_SIZE, cfg.n_samples - start)
+        ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
+        out: list[dict] = [{} for _ in jobs]
+        # numpy multiplies a one-row draw by the loads with a dot product, not
+        # gemv, so a one-row prefix is drawn on its own to keep its bits.
+        if ends[0] == draws_per_value < count:
+            lone = _draw_block(plan, replace(cfg, n_samples=start + ends.pop(0)), block)
+            add_moments(out, lone, [draws_per_value])
+        add_moments(out, _draw_block(plan, cfg, block), ends)
         return out
 
     blocks = range(block_count(cfg.n_samples))
@@ -131,30 +192,38 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
             partials = list(pool.map(run_block, blocks))
     else:
         partials = [run_block(b) for b in blocks]
+    seconds = time.perf_counter() - t0
 
     discount = math.exp(-model.rate * model.horizon)
-    results: dict[str, tuple[float, float]] = {}
-    for j, name in enumerate(names):
-        total = sq = 0.0
-        count = 0
-        for part in partials:
-            s1, s2, c = part[j]
-            total += s1
-            sq += s2
-            count += c
-        mean = total / count
-        var = max(sq - total * total / count, 0.0) / (count - 1) if count > 1 else 0.0
-        results[name] = (mean * discount, math.sqrt(var / count) * discount)
-    return results, time.perf_counter() - t0
+    estimates = []
+    for j, (label, _) in enumerate(jobs):
+        per_size = []
+        for n in sizes:
+            total = sq = 0.0
+            count = 0
+            for block in range(block_count(n)):
+                s1, s2, c = partials[block][j][min(n - block * BLOCK_SIZE, BLOCK_SIZE)]
+                total += s1
+                sq += s2
+                count += c
+            mean = total / count
+            var = max(sq - total * total / count, 0.0) / (count - 1) if count > 1 else 0.0
+            per_size.append(GreekEstimate(mean * discount, math.sqrt(var / count) * discount,
+                                          n, label, seconds))
+        estimates.append(per_size)
+    return estimates
 
 
 def _price_job(data: _BlockData) -> np.ndarray:
     return data.pay_base
 
 
-def _variant_job(variant: WeightVariant, tuning: TuningFunction,
-                 allow_rho_mismatch: bool) -> _Job:
+def _variant_job(variant: WeightVariant, tuning: TuningFunction, allow_rho_mismatch: bool,
+                 scenario: MarketModel | None = None) -> _Job:
+    """Job for ``variant``; with ``scenario``, on each block's view under that model."""
     def job(data: _BlockData) -> np.ndarray:
+        if scenario is not None:
+            data = data.at(scenario)
         weight, mult = weight_for(variant, data.draw, data.model, tuning,
                                   allow_rho_mismatch=allow_rho_mismatch)
         return data.pay_base * weight * mult
@@ -187,39 +256,58 @@ def _fd_job(which: str, bump: float) -> _Job:
 
 
 def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
-             tuning: TuningFunction | None = None, threads: int = 1) -> GreekEstimate:
-    """Discounted Monte Carlo price with standard error."""
+             tuning: TuningFunction | None = None, threads: int = 1,
+             sizes: Sequence[int] | None = None) -> GreekEstimate | list[GreekEstimate]:
+    """Discounted Monte Carlo price with standard error.
+
+    With ``sizes`` (sample counts, the largest ``cfg.n_samples``), returns one
+    estimate per count n over the first n draws of this one pass; each equals
+    a separate pass of n draws bit for bit.
+    """
     tuning = tuning or TuningFunction.uniform(model.horizon)
-    results, secs = _mc_pass(model, payoff, tuning, cfg, {"price": _price_job}, threads)
-    mean, se = results["price"]
-    return GreekEstimate(mean, se, cfg.n_samples, "Price", secs)
+    [ests] = _mc_pass(model, payoff, tuning, cfg, [("Price", _price_job)], threads, sizes)
+    return ests if sizes is not None else ests[0]
 
 
 def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
              variant: WeightVariant, cfg: SimConfig, threads: int = 1,
-             allow_rho_mismatch: bool = False) -> GreekEstimate:
-    """Weighted Monte Carlo Greek: mean of discounted payoff * weight * multiplier."""
-    job = _variant_job(variant, tuning, allow_rho_mismatch)
-    results, secs = _mc_pass(model, payoff, tuning, cfg, {variant.value: job}, threads)
-    mean, se = results[variant.value]
-    return GreekEstimate(mean, se, cfg.n_samples, variant.value, secs)
+             allow_rho_mismatch: bool = False, sizes: Sequence[int] | None = None,
+             scenarios: Sequence[tuple[float, WeightVariant]] | None = None
+             ) -> GreekEstimate | list:
+    """Weighted Monte Carlo Greek: mean of discounted payoff * weight * multiplier.
+
+    ``sizes`` works as in ``mc_price``. ``scenarios`` lists (rho, variant)
+    pairs to estimate on the same draws with the model's correlation set to
+    rho; the result is then a list, the estimate of ``variant`` first, and
+    each scenario equals a separate pass at its rho bit for bit.
+    """
+    jobs = [(variant.value, _variant_job(variant, tuning, allow_rho_mismatch))]
+    jobs += [(v.value, _variant_job(v, tuning, allow_rho_mismatch, replace(model, rho=float(rho))))
+             for rho, v in scenarios or ()]
+    per_job = [ests if sizes is not None else ests[0]
+               for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads, sizes)]
+    return per_job if scenarios is not None else per_job[0]
 
 
 def mc_estimates(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                  variants: list[WeightVariant], cfg: SimConfig, threads: int = 1,
-                 include_price: bool = False, allow_rho_mismatch: bool = False
-                 ) -> dict[str, GreekEstimate]:
-    """Estimate several variants (and optionally the price) on one shared draw stream."""
+                 include_price: bool = False, allow_rho_mismatch: bool = False,
+                 fd_greeks: Sequence[str] = ()) -> dict[str, GreekEstimate]:
+    """Estimate several variants on one shared draw stream.
+
+    The same pass optionally gives the price ("Price") and, for each
+    sensitivity in ``fd_greeks``, the default-bump finite difference of
+    ``fd_greek`` ("FD_dE", ...).
+    """
     jobs: dict[str, _Job] = {}
     if include_price:
         jobs["Price"] = _price_job
     for variant in variants:
         jobs[variant.value] = _variant_job(variant, tuning, allow_rho_mismatch)
-    results, secs = _mc_pass(model, payoff, tuning, cfg, jobs, threads)
-    return {
-        name: GreekEstimate(mean, se, cfg.n_samples, name, secs)
-        for name, (mean, se) in results.items()
-    }
+    for which in fd_greeks:
+        jobs[f"FD_{which}"] = _fd_job(which, FdConfig().bump)
+    return {ests[0].variant: ests[0]
+            for ests in _mc_pass(model, payoff, tuning, cfg, list(jobs.items()), threads)}
 
 
 def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, fd: FdConfig,
@@ -233,10 +321,9 @@ def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, fd: FdConfig,
     the difference down to rare boundary crossings; expect a noisy estimate.
     """
     tuning = tuning or TuningFunction.uniform(model.horizon)
-    name = f"FD_{which}"
-    results, secs = _mc_pass(model, payoff, tuning, cfg, {name: _fd_job(which, fd.bump)}, threads)
-    mean, se = results[name]
-    return GreekEstimate(mean, se, cfg.n_samples, name, secs)
+    [[est]] = _mc_pass(model, payoff, tuning, cfg, [(f"FD_{which}", _fd_job(which, fd.bump))],
+                       threads)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +454,10 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
                   threads: int = 1) -> list[dict[str, float]]:
     """Hedging error from ignoring correlation: |corr Greek - rho=0 Greek| per rho.
 
-    Both estimates reuse the same seed, so the rho = 0 row vanishes exactly.
-    Rows carry (rho, delta_corr, delta_ind, abs_diff, stderr) with stderr the
-    combined standard error of the difference.
+    The rho = 0 baseline and every grid point are jobs on one pass over the
+    draws, so the rho = 0 row vanishes exactly and each row equals a separate
+    pass at its rho. Rows carry (rho, delta_corr, delta_ind, abs_diff, stderr)
+    with stderr the combined standard error of the difference.
     """
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
@@ -377,44 +465,35 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
         if not abs(rho) < 1.0:
             raise ValueError(f"rho grid values must lie in (-1, 1), got {rho}")
     corr_variant = variant or _DEFAULT_CORR_VARIANT[which]
-    base = mc_greek(replace(model, rho=0.0), payoff, tuning, _INDEP_VARIANT[which], cfg,
-                    threads=threads)
-    rows = []
-    for rho in rho_grid:
-        est = mc_greek(replace(model, rho=float(rho)), payoff, tuning, corr_variant, cfg,
-                       threads=threads)
-        rows.append({
-            "rho": float(rho),
-            "delta_corr": est.value,
-            "delta_ind": base.value,
-            "abs_diff": abs(est.value - base.value),
-            "stderr": math.hypot(est.stderr, base.stderr),
-        })
-    return rows
+    base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, _INDEP_VARIANT[which], cfg,
+                           threads=threads, scenarios=[(rho, corr_variant) for rho in rho_grid])
+    return [{
+        "rho": float(rho),
+        "delta_corr": est.value,
+        "delta_ind": base.value,
+        "abs_diff": abs(est.value - base.value),
+        "stderr": math.hypot(est.stderr, base.stderr),
+    } for rho, est in zip(rho_grid, ests)]
 
 
 def convergence_table(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                       variant: WeightVariant | None, n_grid: list[int], seed: int,
                       antithetic: bool = False, scheme=None, threads: int = 1
                       ) -> list[dict[str, float]]:
-    """Estimates along an increasing sample-size grid sharing one seed prefix.
+    """Estimates along an increasing sample-size grid from one pass to max(n_grid).
 
     The counter-based stream makes the first n draws of a larger run identical
-    to a smaller run, so rows differ only by how much of the stream they use.
+    to a smaller run, so each row reduces a prefix of that pass and equals a
+    separate run of n draws bit for bit.
     """
     if not n_grid:
         raise ValueError("n_grid must not be empty")
     sizes = [int(n) for n in n_grid]
-    if any(n < 1 for n in sizes):
-        raise ValueError(f"sample counts must be >= 1, got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"n_grid must be strictly increasing, got {sizes}")
-    rows = []
-    for n in sizes:
-        cfg = SimConfig(n, seed, antithetic=antithetic, scheme=scheme or SimScheme.exact())
-        if variant is None:
-            est = mc_price(model, payoff, cfg, tuning, threads=threads)
-        else:
-            est = mc_greek(model, payoff, tuning, variant, cfg, threads=threads)
-        rows.append({"n": n, "value": est.value, "stderr": est.stderr})
-    return rows
+    cfg = SimConfig(sizes[-1], seed, antithetic=antithetic, scheme=scheme or SimScheme.exact())
+    if variant is None:
+        ests = mc_price(model, payoff, cfg, tuning, threads=threads, sizes=sizes)
+    else:
+        ests = mc_greek(model, payoff, tuning, variant, cfg, threads=threads, sizes=sizes)
+    return [{"n": est.n, "value": est.value, "stderr": est.stderr} for est in ests]

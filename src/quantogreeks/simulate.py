@@ -114,7 +114,6 @@ class _Plan:
     f0E: float
     f0I: float
     rho: float
-    sq1mr2: float
     mode: CorrelationMode
     scale: np.ndarray
     loadE: np.ndarray  # rows gE, iE, gI_cross on the energy driver
@@ -140,12 +139,10 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
         loadE, loadI = (np.ascontiguousarray(np.linalg.qr((k * scale).T, mode="r").T)
                         for k in (loadE, loadI))
         scale = np.ones(len(loadE))
-    rho = model.rho
     return _Plan(
         f0E=model.energy.f0,
         f0I=model.temperature.f0,
-        rho=rho,
-        sq1mr2=float(np.sqrt(1.0 - rho * rho)),
+        rho=model.rho,
         mode=model.correlation_mode,
         scale=scale,
         loadE=loadE,
@@ -200,13 +197,23 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int) -> SampleDraw:
             _interleave_negated, (gE, iE, gI_cross, gI, iI, iE_cross))
 
     fE = plan.f0E * np.exp(plan.driftE + gE)
+    fI = _temperature_level(plan, plan.rho, gI, gI_cross)
+    return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)
+
+
+def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray,
+                       gI_cross: np.ndarray) -> np.ndarray:
+    """Terminal temperature futures at correlation ``rho`` from the drawn accumulators.
+
+    Only sde_mixing mixes the drivers here, so this is the one draw quantity
+    that depends on rho; a scenario at another rho recomputes it from the same
+    ``gI`` and ``gI_cross``.
+    """
     if plan.mode is CorrelationMode.SDE_MIXING:
-        stoch_I = plan.rho * gI_cross + plan.sq1mr2 * gI
+        stoch_I = rho * gI_cross + float(np.sqrt(1.0 - rho * rho)) * gI
     else:
         stoch_I = gI
-    fI = plan.f0I * np.exp(plan.driftI + stoch_I)
-
-    return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)
+    return plan.f0I * np.exp(plan.driftI + stoch_I)
 
 
 def sample_block(model: MarketModel, tuning: TuningFunction, cfg: SimConfig,

@@ -198,6 +198,10 @@ def test_thread_count_below_one_exits_2(config_path, capsys, threads):
     ["greeks", "--variant", "NoSuchWeight"],
     ["sweep-rho", "--grid", "0.3", "--variant", "NoSuchWeight"],
     ["converge", "--n-grid", "1e4,x"],
+    ["price", "--n", "0"],
+    ["price", "--n", "3", "--antithetic"],
+    ["converge", "--n-grid", "0,5"],
+    ["sweep-rho", "--grid", "0.3", "--n", "0"],
 ])
 def test_usage_error_beats_model_validation(tmp_path, usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace(

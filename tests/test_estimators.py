@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,9 @@ from quantogreeks import (
     quad_price,
     residual_risk,
 )
+from quantogreeks import estimators
 from quantogreeks.model import CorrelationMode
+from quantogreeks.simulate import BLOCK_SIZE, SimScheme, block_count
 
 ATM = ProductCall(100.0, 100.0)
 V = WeightVariant
@@ -213,6 +217,121 @@ class TestOracleTriangle:
             est = ests[variant.value]
             oracle = quad_greek(atm_model, payoff, which)
             assert abs(est.value - oracle) < 3.0 * est.stderr, (payoff, which)
+
+
+def per_rho_rows(model, payoff, tuning, grid, cfg, indep, corr, threads):
+    """Residual-risk rows from one pass per correlation: the reference the batch must match."""
+    base = mc_greek(dataclasses.replace(model, rho=0.0), payoff, tuning, indep, cfg,
+                    threads=threads)
+    rows = []
+    for rho in grid:
+        est = mc_greek(dataclasses.replace(model, rho=rho), payoff, tuning, corr, cfg,
+                       threads=threads)
+        rows.append({"rho": rho, "delta_corr": est.value, "delta_ind": base.value,
+                     "abs_diff": abs(est.value - base.value),
+                     "stderr": math.hypot(est.stderr, base.stderr)})
+    return rows
+
+
+def counting_draws(monkeypatch):
+    calls = []
+    draw_block = estimators._draw_block
+
+    def counted(plan, cfg, block):
+        calls.append(block)
+        return draw_block(plan, cfg, block)
+
+    monkeypatch.setattr(estimators, "_draw_block", counted)
+    return calls
+
+
+MODES = list(CorrelationMode)
+COLLAR = FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.0)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant", [V.CORR_CROSS_GAMMA_CONDITIONAL,
+                                         V.CORR_CROSS_GAMMA_MATRIX_INVERSE])
+    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads, variant):
+        model = make_model(rho=0.3, sigI=0.3, mode=mode)
+        grid = [-0.5, 0.0, 0.25, 0.6]
+        cfg = SimConfig(70_000, seed=56, antithetic=True)
+        rows = residual_risk(model, ATM, uniform_tuning, grid, cfg, variant=variant,
+                             which="dEdI", threads=threads)
+        assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg,
+                                    V.INDEP_CROSS_GAMMA, variant, threads)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant,antithetic,grid", [
+        (None, False, [1, 1000, 65_536, 65_537, 70_000, 200_001]),
+        (V.CORR_DELTA_I, False, [1, 65_536, 65_537, 200_001]),
+        (V.CORR_CROSS_GAMMA_MATRIX_INVERSE, True, [2, 65_536, 65_538, 131_074]),
+    ])
+    def test_converge_rows_equal_separate_passes(self, mode, variant, antithetic, grid):
+        # n = 1 and 65_537 (2 and 65_538 antithetic) leave one row in their last
+        # block. Zero strikes keep every payoff nonzero, and at seed 64 a last-bit
+        # error in that row's weight integrals reaches the one-row estimate.
+        model = make_model(rho=0.4, mode=mode)
+        payoff = ProductCall(0.0, 0.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        rows = convergence_table(model, payoff, tuning, variant, grid, seed=64,
+                                 antithetic=antithetic, scheme=SimScheme.log_euler(16))
+        for n, row in zip(grid, rows):
+            cfg = SimConfig(n, seed=64, antithetic=antithetic, scheme=SimScheme.log_euler(16))
+            est = (mc_price(model, payoff, cfg, tuning) if variant is None
+                   else mc_greek(model, payoff, tuning, variant, cfg))
+            assert row == {"n": n, "value": est.value, "stderr": est.stderr}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fused_finite_differences_equal_fd_greek(self, mode):
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(70_000, seed=58, antithetic=True)
+        fused = mc_estimates(model, COLLAR, tuning, [V.CORR_DELTA_I], cfg,
+                             fd_greeks=["dE", "dI", "dEdI"])
+        assert fused["CorrDeltaI"] == dataclasses.replace(
+            mc_greek(model, COLLAR, tuning, V.CORR_DELTA_I, cfg),
+            seconds=fused["CorrDeltaI"].seconds)
+        for which in ("dE", "dI", "dEdI"):
+            single = fd_greek(model, COLLAR, which, FdConfig(), cfg, tuning)
+            assert fused[f"FD_{which}"] == dataclasses.replace(
+                single, seconds=fused[f"FD_{which}"].seconds)
+
+    def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
+        calls = counting_draws(monkeypatch)
+        residual_risk(make_model(rho=0.3), ATM, uniform_tuning, [-0.5, 0.25, 0.5],
+                      SimConfig(200_001, seed=59), which="dEdI")
+        assert sorted(calls) == list(range(block_count(200_001)))
+
+    def test_converge_draws_each_block_of_the_largest_size_once(self, monkeypatch,
+                                                                uniform_tuning):
+        calls = counting_draws(monkeypatch)
+        convergence_table(make_model(), ATM, uniform_tuning, V.INDEP_CROSS_GAMMA,
+                          [70_000, 131_072, 200_001], seed=60)
+        assert sorted(calls) == list(range(block_count(200_001)))
+
+    def test_scenario_views_do_not_accumulate(self, uniform_tuning):
+        # each scenario's arrays die with its job, so a block's peak memory
+        # does not grow with the number of correlations swept
+        model = make_model(rho=0.3, mode=CorrelationMode.SDE_MIXING)
+        cfg = SimConfig(BLOCK_SIZE, seed=61)
+
+        def peak(grid_size):
+            grid = [0.8 * k / grid_size - 0.4 for k in range(grid_size)]
+            tracemalloc.start()
+            try:
+                residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(1)
+
+    def test_sizes_must_end_at_the_pass_size(self, atm_model, uniform_tuning):
+        with pytest.raises(ValueError, match="largest sample count"):
+            mc_price(atm_model, ATM, SimConfig(1000, seed=0), uniform_tuning, sizes=[10, 500])
 
 
 class TestResidualRisk:
