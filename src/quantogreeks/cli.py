@@ -195,6 +195,8 @@ def _sweep_rho(args, run: RunConfig, variants):
 
 
 def _converge(args, run: RunConfig, variants):
+    if args.n is not None:
+        raise ValueError("--n: converge draws the --n-grid sample counts; drop --n")
     sizes = _parse_grid(args.n_grid, lambda tok: int(float(tok)), "--n-grid", "counts")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")

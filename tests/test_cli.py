@@ -175,6 +175,12 @@ class TestConverge:
     def test_non_monotone_grid_exits_2(self, config_path):
         assert main(["converge", "--config", config_path, "--n-grid", "1e4,1e4"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "6"])
+    def test_sample_count_flag_exits_2(self, config_path, capsys, n):
+        # converge draws its --n-grid counts; --n would only be echoed
+        assert main(["converge", "--config", config_path, "--n-grid", "5,6", "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [["sweep-rho", "--grid", "0.3"],
                                      ["converge", "--n-grid", "1e3,2e3"]])
@@ -202,6 +208,7 @@ def test_thread_count_below_one_exits_2(config_path, capsys, threads):
     ["price", "--n", "3", "--antithetic"],
     ["converge", "--n-grid", "0,5"],
     ["sweep-rho", "--grid", "0.3", "--n", "0"],
+    ["converge", "--n-grid", "5,6", "--n", "0"],
 ])
 def test_usage_error_beats_model_validation(tmp_path, usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace(

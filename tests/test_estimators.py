@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -170,6 +172,43 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quad_greek(atm_model, ATM, "vega")
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"nodes_per_panel": 1}, "nodes per panel"),
+        ({"domain_halfwidth": -10.0}, "domain_halfwidth"),
+        ({"domain_halfwidth": 0.0}, "domain_halfwidth"),
+        ({"domain_halfwidth": math.inf}, "domain_halfwidth"),
+        ({"domain_halfwidth": math.nan}, "domain_halfwidth"),
+    ])
+    def test_config_rejects_bad_panels_and_domain(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            QuadConfig(**kwargs)
+
+    @pytest.mark.parametrize("mode", list(CorrelationMode))
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.5, 0.9])
+    def test_batched_oracle_equals_node_by_node_sum(self, mode, rho):
+        model = make_model(f0I=60.0, sigE=0.25, sigI=0.35, rho=rho, rate=0.03, mode=mode)
+        separable = Separable(PiecewiseLinear((80.0, 100.0, 120.0), (0.0, 5.0, 20.0), 0.0, 1.0),
+                              PiecewiseLinear((40.0, 60.0, 90.0), (1.0, 3.0, 3.5), -0.5, 0.2))
+        for payoff in (ProductCall(100.0, 60.0), DigitalProduct(95.0, 65.0), COLLAR, separable):
+            assert quad_price(model, payoff) == oracles.reference_quad_price(model, payoff)
+
+    def test_batched_oracle_splits_a_panel_by_split_count(self, monkeypatch):
+        # Just below fE = kI / rho the strike crossing lies beyond -L, so the
+        # outer panel below that split holds rows with and without it.
+        rows = []
+        panel_nodes = estimators._panel_nodes
+
+        def counted(splits, nodes):
+            rows.append(len(splits))
+            return panel_nodes(splits, nodes)
+
+        monkeypatch.setattr(estimators, "_panel_nodes", counted)
+        model = make_model(rho=0.5)
+        assert quad_price(model, ATM) == oracles.reference_quad_price(model, ATM)
+        outer, *inner = rows
+        assert outer == 1
+        assert len(inner) > sum(inner) // QuadConfig().nodes_per_panel
+
 
 class TestFiniteDifferences:
     def test_linear_leg_is_bump_independent_and_exact(self, atm_model, uniform_tuning):
@@ -332,6 +371,31 @@ class TestOnePass:
     def test_sizes_must_end_at_the_pass_size(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError, match="largest sample count"):
             mc_price(atm_model, ATM, SimConfig(1000, seed=0), uniform_tuning, sizes=[10, 500])
+
+
+class TestPairMeans:
+    def test_equals_mean_of_each_pair_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        spread = rng.standard_normal(4096) * np.exp(rng.uniform(-700.0, 700.0, 4096))
+        payload_nans = np.array([0x7FF0000000000123, 0xFFF8000000000456], np.uint64).view(float)
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf,
+                math.nan, -math.nan, *payload_nans, 1.0, -3.5]
+        pairs = np.array([x for pair in itertools.product(edge, repeat=2) for x in pair])
+        for values in (spread, pairs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = values.reshape(-1, 2).mean(axis=1)
+                got = estimators._pair_means(values)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_antithetic_pass_keeps_its_values(self):
+        # frozen from the reshape-and-mean pair reduction at n = 65 538 (two blocks)
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(65_538, seed=66, antithetic=True)
+        price = mc_price(model, COLLAR, cfg, tuning)
+        assert (price.value, price.stderr) == (124.86897289027878, 1.593303745737668)
+        greek = mc_greek(model, COLLAR, tuning, V.CORR_CROSS_GAMMA_CONDITIONAL, cfg)
+        assert (greek.value, greek.stderr) == (0.33288844799800626, 0.015264841178394446)
 
 
 class TestResidualRisk:
