@@ -19,7 +19,6 @@ from .payoffs import (
     ProductCall,
     Separable,
     evaluate,
-    kink_lines,
 )
 from .simulate import (
     SampleDraw,
@@ -32,7 +31,6 @@ from .weights import WeightVariant, greek_of, weight_for
 from .estimators import (
     FdConfig,
     GreekEstimate,
-    QuadConfig,
     convergence_table,
     fd_greek,
     mc_estimates,

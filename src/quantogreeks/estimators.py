@@ -5,7 +5,8 @@ stream, block by block, reducing partial moments in fixed block order so the
 result is bit-identical for any thread count. Correlation scenarios,
 finite-difference bumps and sample-size prefixes are jobs on that one stream,
 so each command draws once. The quadrature oracle shares no sampling code
-with the Monte Carlo path.
+with the Monte Carlo path: it integrates a closed-form mean over the
+temperature driver against Gauss-Legendre nodes in the energy driver.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import CorrelationMode, MarketModel, TuningFunction
-from .payoffs import KinkSolver, PayoffSpec, energy_kink_levels, evaluate, h_kink_levels
+from .payoffs import (KinkSolver, PayoffSpec, conditional_mean, energy_kink_levels, evaluate,
+                      h_kink_levels)
 from .simulate import (
     BLOCK_SIZE,
     SampleDraw,
@@ -64,18 +65,6 @@ class FdConfig:
     def __post_init__(self):
         if not 0.0 < self.bump < 1e-1:
             raise ValueError(f"relative bump must lie in (0, 0.1), got {self.bump}")
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    nodes_per_panel: int = 64
-    domain_halfwidth: float = 10.0  # integration half-width in standard deviations
-
-    def __post_init__(self):
-        if self.nodes_per_panel < 2:
-            raise ValueError(f"need at least 2 nodes per panel, got {self.nodes_per_panel}")
-        if not 0.0 < self.domain_halfwidth < math.inf:
-            raise ValueError(f"domain_halfwidth must lie in (0, inf), got {self.domain_halfwidth}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +324,8 @@ def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, fd: FdConfig,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
-
-
-def _panel_nodes(splits: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights over the panels between each row's splits, row by row."""
-    xr, wr = _gauss_legendre(nodes)
-    lo, hi = splits[:, :-1, None], splits[:, 1:, None]
-    half = 0.5 * (hi - lo)
-    shape = (len(splits), -1)
-    return (half * xr + 0.5 * (hi + lo)).reshape(shape), (half * wr).reshape(shape)
+_NODES = 64  # Gauss-Legendre nodes per outer panel
+_HALFWIDTH = 10.0  # the panels cover this many standard deviations either side of 0
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -363,84 +341,66 @@ def _with_coarse(points: list[float], halfwidth: float) -> list[float]:
     return sorted(pts)
 
 
-def quad_price(model: MarketModel, payoff: PayoffSpec, q: QuadConfig = QuadConfig()) -> float:
-    """Deterministic price: 2-D Gauss-Legendre against the bivariate standard normal.
+def quad_price(model: MarketModel, payoff: PayoffSpec) -> float:
+    """Deterministic price: Gauss-Legendre over the energy driver of a closed-form inner mean.
 
-    The outer coordinate drives the energy leg and is split at the energy-leg
-    kinks (and, under payoff mixing with positive correlation, at the level
-    where the strike crossing appears or disappears); the inner coordinate is
-    split at the strike crossings returned by the kink geometry. Each panel
-    then integrates a smooth function, so fixed-node panels converge far below
-    1e-8. The inner integrals are batched per outer panel, with the bits of a
-    node-by-node sum. Shares no code with the sampling path.
+    Given the energy driver z1, the payoff's temperature argument is a shifted
+    lognormal variable (``KinkSolver.h_law``), so the payoff's mean over the
+    temperature driver is a closed form (``conditional_mean``). The outer
+    coordinate is split at the energy-leg kinks and, under payoff mixing with
+    positive correlation, where the shift rho * fE crosses a temperature
+    strike; each panel then integrates a smooth function, so 64 fixed nodes
+    per panel converge far below 1e-8. Shares no code with the sampling path.
     """
     solver = KinkSolver(model)
-    L = q.domain_halfwidth
-    h_levels = h_kink_levels(payoff)
-
     outer_pts: list[float] = []
     for level in energy_kink_levels(payoff):
         z = solver.energy_kink(level)
         if z is not None:
             outer_pts.append(z)
     if model.correlation_mode is CorrelationMode.PAYOFF_MIXING and model.rho > 0.0:
-        for level in h_levels:
+        for level in h_kink_levels(payoff):
             z = solver.energy_kink(level / model.rho)
             if z is not None:
                 outer_pts.append(z)
-    nodes = q.nodes_per_panel
-    [z1], [w1] = _panel_nodes(np.array([_with_coarse(outer_pts, L)]), nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
+    splits = np.array(_with_coarse(outer_pts, _HALFWIDTH))
+    half = 0.5 * (splits[1:] - splits[:-1])[:, None]
+    z1 = (half * nodes + 0.5 * (splits[1:] + splits[:-1])[:, None]).ravel()
+    w1 = (half * weights).ravel() * _norm_pdf(z1)
 
     total = 0.0
-    f0I = model.temperature.f0
-    rho = model.rho
-    for z1_p, w1_p in zip(z1.reshape(-1, nodes), w1.reshape(-1, nodes)):
-        # Batch the inner integrals of one outer panel by split count.
-        splits = [_with_coarse(solver.h_kinks(h_levels, z1_k), L) for z1_k in z1_p]
-        inner = [0.0] * nodes
-        for count in {len(row) for row in splits}:
-            rows = [i for i, row in enumerate(splits) if len(row) == count]
-            z2, w2 = _panel_nodes(np.array([splits[i] for i in rows]), nodes)
-            fE = np.array([[solver.energy_price(z1_p[i])] for i in rows])
-            if model.correlation_mode is CorrelationMode.SDE_MIXING:
-                h_arg = f0I * np.exp(-0.5 * solver.vI + solver.m1 * z1_p[rows, None]
-                                     + solver.s2 * z2)
-            else:
-                fI = f0I * np.exp(-0.5 * solver.vI + solver.sI * z2)
-                h_arg = rho * fE + solver.sq1mr2 * fI
-            values = evaluate(payoff, np.broadcast_to(fE, z2.shape), h_arg) * _norm_pdf(z2)
-            for i, row, w2_row in zip(rows, values, w2):
-                inner[i] = float(np.dot(row, w2_row))
-        for z1_k, w1_k, inner_k in zip(z1_p, w1_p, inner):
-            total += float(w1_k) * _norm_pdf(float(z1_k)) * inner_k
-    return float(total * math.exp(-model.rate * model.horizon))
+    for z, w in zip(z1.tolist(), w1.tolist()):
+        fE = solver.energy_price(z)
+        total += w * conditional_mean(payoff, fE, *solver.h_law(z, fE))
+    return total * math.exp(-model.rate * model.horizon)
 
 
-def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str,
-               q: QuadConfig = QuadConfig(), rel_step: float = 1e-5) -> float:
+def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
     """Sensitivity of ``quad_price`` by central differences in the initial levels.
 
-    The integrand is deterministic, so a relative step of 1e-5 resolves the
-    derivative to roughly 1e-6 relative accuracy.
+    The step is 1e-5 of each initial level. The price is deterministic and
+    accurate to rounding, so this resolves the derivative to roughly 1e-6
+    relative accuracy.
     """
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
     f0E = model.energy.f0
     f0I = model.temperature.f0
-    hE = rel_step * f0E
-    hI = rel_step * f0I
+    hE = 1e-5 * f0E
+    hI = 1e-5 * f0I
     if which == "dE":
-        up = quad_price(model.with_f0(energy=f0E + hE), payoff, q)
-        dn = quad_price(model.with_f0(energy=f0E - hE), payoff, q)
+        up = quad_price(model.with_f0(energy=f0E + hE), payoff)
+        dn = quad_price(model.with_f0(energy=f0E - hE), payoff)
         return (up - dn) / (2.0 * hE)
     if which == "dI":
-        up = quad_price(model.with_f0(temperature=f0I + hI), payoff, q)
-        dn = quad_price(model.with_f0(temperature=f0I - hI), payoff, q)
+        up = quad_price(model.with_f0(temperature=f0I + hI), payoff)
+        dn = quad_price(model.with_f0(temperature=f0I - hI), payoff)
         return (up - dn) / (2.0 * hI)
-    pp = quad_price(model.with_f0(energy=f0E + hE, temperature=f0I + hI), payoff, q)
-    pm = quad_price(model.with_f0(energy=f0E + hE, temperature=f0I - hI), payoff, q)
-    mp = quad_price(model.with_f0(energy=f0E - hE, temperature=f0I + hI), payoff, q)
-    mm = quad_price(model.with_f0(energy=f0E - hE, temperature=f0I - hI), payoff, q)
+    pp = quad_price(model.with_f0(energy=f0E + hE, temperature=f0I + hI), payoff)
+    pm = quad_price(model.with_f0(energy=f0E + hE, temperature=f0I - hI), payoff)
+    mp = quad_price(model.with_f0(energy=f0E - hE, temperature=f0I + hI), payoff)
+    mm = quad_price(model.with_f0(energy=f0E - hE, temperature=f0I - hI), payoff)
     return (pp - pm - mp + mm) / (4.0 * hE * hI)
 
 

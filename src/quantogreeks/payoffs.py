@@ -1,4 +1,4 @@
-"""Bivariate quanto payoffs and their kink geometry.
+"""Bivariate quanto payoffs, their kink geometry and their conditional means.
 
 Every payoff is a pure function of the terminal energy price and an effective
 temperature argument. Which quantity feeds the temperature slot (the raw
@@ -121,6 +121,49 @@ def evaluate(p: PayoffSpec, fE, fI_effective) -> np.ndarray:
     raise TypeError(f"unknown payoff spec {type(p).__name__}")
 
 
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def conditional_mean(p: PayoffSpec, fE: float, shift: float, forward: float,
+                     vol: float) -> float:
+    """E[evaluate(p, fE, shift + X)], X lognormal with mean ``forward`` and log-volatility ``vol``.
+
+    Each temperature leg is a Black call (or a put by parity) on its strike
+    less ``shift``; a strike at or below ``shift`` is always cleared, so its
+    call is linear. ``(shift, forward, vol)`` is a ``KinkSolver.h_law``.
+    """
+    def call(k: float) -> float:
+        k -= shift
+        if k <= 0.0:
+            return forward - k
+        d1 = (math.log(forward / k) + 0.5 * vol * vol) / vol
+        return forward * _norm_cdf(d1) - k * _norm_cdf(d1 - vol)
+
+    if isinstance(p, ProductCall):
+        return (fE - p.kE) * call(p.kI) if fE > p.kE else 0.0
+    if isinstance(p, FourStrikeCollar):
+        up = (fE - p.kE_high) * call(p.kI_high) if fE > p.kE_high else 0.0
+        # put by parity: E[(k - h)+] = call(k) - (E[h] - k)
+        down = ((p.kE_low - fE) * (call(p.kI_low) - (shift + forward - p.kI_low))
+                if fE < p.kE_low else 0.0)
+        return p.alpha * (up + down)
+    if isinstance(p, DigitalProduct):
+        if not fE > p.kE:
+            return 0.0
+        k = p.kI - shift
+        return 1.0 if k <= 0.0 else _norm_cdf((math.log(forward / k) - 0.5 * vol * vol) / vol)
+    if isinstance(p, Separable):
+        h = p.h
+        slopes = [h.left_slope]
+        slopes += [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(h.xs, h.xs[1:], h.ys, h.ys[1:])]
+        slopes.append(h.right_slope)
+        mean = h.ys[0] + h.left_slope * (shift + forward - h.xs[0])
+        mean += sum((s1 - s0) * call(x) for s0, s1, x in zip(slopes, slopes[1:], h.xs))
+        return float(p.g(fE)) * mean
+    raise TypeError(f"unknown payoff spec {type(p).__name__}")
+
+
 def energy_kink_levels(p: PayoffSpec) -> tuple[float, ...]:
     """Energy-price levels where the payoff's energy leg is non-smooth."""
     if isinstance(p, (ProductCall, DigitalProduct)):
@@ -144,23 +187,25 @@ def h_kink_levels(p: PayoffSpec) -> tuple[float, ...]:
 
 
 class KinkSolver:
-    """Closed-form kink locations in standard-normal coordinates.
+    """Closed-form geometry of the payoff arguments in standard-normal coordinates.
 
-    z1 parametrizes the energy driver and z2 the independent temperature
-    driver; the solver inverts the lognormal maps to find where the payoff's
-    second argument crosses each strike level.
+    z1 parametrizes the energy driver; given z1, the payoff's temperature
+    argument is a shifted lognormal variable in the independent temperature
+    driver, whose law ``h_law`` returns.
     """
 
     def __init__(self, model: MarketModel):
         horizon = model.horizon
         self.model = model
+        rho = model.rho
+        if not (math.isfinite(rho) and abs(rho) < 1.0):
+            raise ValueError(f"correlation rho must lie in (-1, 1), got {rho}")
         self.vE = integrate(lambda s: s ** 2, model.energy_vol, hi=horizon)
         self.vI = integrate(lambda s: s ** 2, model.temperature_vol, hi=horizon)
         if self.vE <= 0.0 or self.vI <= 0.0:
             raise ValueError("kink geometry requires nondegenerate volatility")
         self.sE = math.sqrt(self.vE)
         self.sI = math.sqrt(self.vI)
-        rho = model.rho
         self.sq1mr2 = math.sqrt(1.0 - rho * rho)
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             vEI = integrate(lambda sE, sI: sE * sI, model.energy_vol, model.temperature_vol,
@@ -168,9 +213,6 @@ class KinkSolver:
             self.m1 = rho * vEI / self.sE
             self.s2 = math.sqrt(rho * rho * (self.vI - vEI * vEI / self.vE)
                                 + (1.0 - rho * rho) * self.vI)
-        else:
-            self.m1 = 0.0
-            self.s2 = self.sI
 
     def energy_price(self, z1: float) -> float:
         return self.model.energy.f0 * math.exp(-0.5 * self.vE + self.sE * z1)
@@ -181,30 +223,13 @@ class KinkSolver:
             return None
         return (math.log(level / self.model.energy.f0) + 0.5 * self.vE) / self.sE
 
-    def h_kinks(self, levels, z1: float) -> list[float]:
-        model = self.model
-        out: list[float] = []
-        if model.correlation_mode is CorrelationMode.SDE_MIXING:
-            for level in levels:
-                if level > 0.0:
-                    out.append((math.log(level / model.temperature.f0) + 0.5 * self.vI
-                                - self.m1 * z1) / self.s2)
-        else:
-            fE = self.energy_price(z1)
-            for level in levels:
-                resid = level - model.rho * fE
-                # The mixed argument spans (rho*fE, inf), so a crossing exists
-                # only when the strike sits above rho*fE.
-                if resid > 0.0:
-                    target = resid / self.sq1mr2
-                    out.append((math.log(target / model.temperature.f0) + 0.5 * self.vI) / self.sI)
-        return sorted(out)
+    def h_law(self, z1: float, fE: float) -> tuple[float, float, float]:
+        """Law of the temperature argument given z1, whose energy price is ``fE``.
 
-
-def kink_lines(p: PayoffSpec, model: MarketModel, z1: float) -> list[float]:
-    """z2 locations where the payoff's second argument crosses a strike, given z1.
-
-    Empty when no crossing exists for any strike (for example a positive-rho
-    mix that already exceeds the strike at fI -> 0).
-    """
-    return KinkSolver(model).h_kinks(h_kink_levels(p), z1)
+        Returns (shift, forward, vol): the argument is shift + X with X
+        lognormal of mean ``forward`` and log-volatility ``vol``.
+        """
+        f0I = self.model.temperature.f0
+        if self.model.correlation_mode is CorrelationMode.SDE_MIXING:
+            return 0.0, f0I * math.exp(self.m1 * z1 + 0.5 * (self.s2 * self.s2 - self.vI)), self.s2
+        return self.model.rho * fE, self.sq1mr2 * f0I, self.sI

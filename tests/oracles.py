@@ -3,16 +3,19 @@
 The closed forms for the independent-legs lognormal model (zero rate) are
 independent of the package's estimation code: product payoffs over independent
 legs factor into one-dimensional integrals with textbook solutions.
-``reference_quad_price`` is the quadrature oracle summed node by node, the
-loop that the package's batched ``quad_price`` must match bit for bit.
+``reference_quad_price`` is a 2-D Gauss-Legendre price, summed node by node,
+that integrates the temperature driver numerically between its strike
+crossings; the package's ``quad_price`` replaces that inner integral with a
+closed form and must agree with it to rounding.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
 
-from quantogreeks.estimators import QuadConfig, _gauss_legendre, _norm_pdf, _with_coarse
+from quantogreeks.estimators import _norm_pdf, _with_coarse
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import KinkSolver, energy_kink_levels, evaluate, h_kink_levels
 
@@ -66,6 +69,11 @@ def digital_product_delta_E(f0E, kE, sE, f0I, kI, sI, t):
     return digital_delta(f0E, kE, sE, t) * digital_prob(f0I, kI, sI, t)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
 def _panel_nodes(splits, nodes):
     """Gauss-Legendre nodes/weights over consecutive panels between splits."""
     xr, wr = _gauss_legendre(nodes)
@@ -77,10 +85,35 @@ def _panel_nodes(splits, nodes):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def reference_quad_price(model, payoff, q=QuadConfig()):
-    """2-D Gauss-Legendre price with one inner integral per outer node."""
+def _h_kinks(solver, levels, z1):
+    """Sorted z2 at which the payoff's temperature argument crosses each level, given z1."""
+    model = solver.model
+    out = []
+    if model.correlation_mode is CorrelationMode.SDE_MIXING:
+        for level in levels:
+            if level > 0.0:
+                out.append((math.log(level / model.temperature.f0) + 0.5 * solver.vI
+                            - solver.m1 * z1) / solver.s2)
+    else:
+        fE = solver.energy_price(z1)
+        for level in levels:
+            resid = level - model.rho * fE
+            # The mixed argument spans (rho*fE, inf), so a crossing exists
+            # only when the strike sits above rho*fE.
+            if resid > 0.0:
+                target = resid / solver.sq1mr2
+                out.append((math.log(target / model.temperature.f0) + 0.5 * solver.vI)
+                           / solver.sI)
+    return sorted(out)
+
+
+def reference_quad_price(model, payoff, nodes=64, halfwidth=10.0):
+    """2-D Gauss-Legendre price with one inner integral per outer node.
+
+    Both coordinates are split into panels at the payoff's kinks, with
+    ``nodes`` per panel over [-halfwidth, halfwidth] standard deviations.
+    """
     solver = KinkSolver(model)
-    L = q.domain_halfwidth
     h_levels = h_kink_levels(payoff)
 
     outer_pts = []
@@ -93,14 +126,14 @@ def reference_quad_price(model, payoff, q=QuadConfig()):
             z = solver.energy_kink(level / model.rho)
             if z is not None:
                 outer_pts.append(z)
-    z1, w1 = _panel_nodes(_with_coarse(outer_pts, L), q.nodes_per_panel)
+    z1, w1 = _panel_nodes(_with_coarse(outer_pts, halfwidth), nodes)
 
     total = 0.0
     f0I = model.temperature.f0
     rho = model.rho
     for z1_k, w1_k in zip(z1, w1):
         fE = solver.energy_price(z1_k)
-        z2, w2 = _panel_nodes(_with_coarse(solver.h_kinks(h_levels, z1_k), L), q.nodes_per_panel)
+        z2, w2 = _panel_nodes(_with_coarse(_h_kinks(solver, h_levels, z1_k), halfwidth), nodes)
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             h_arg = f0I * np.exp(-0.5 * solver.vI + solver.m1 * z1_k + solver.s2 * z2)
         else:

@@ -14,7 +14,6 @@ from quantogreeks import (
     FourStrikeCollar,
     PiecewiseLinear,
     ProductCall,
-    QuadConfig,
     Separable,
     SimConfig,
     TuningFunction,
@@ -142,7 +141,7 @@ class TestQuadrature:
         m = make_model(rho=0.5)
         value = quad_price(m, ATM)
         assert value == pytest.approx(QUAD_RHO_HALF_PAYOFF_MIXING, rel=1e-9)
-        dense = quad_price(m, ATM, QuadConfig(nodes_per_panel=96, domain_halfwidth=12.0))
+        dense = oracles.reference_quad_price(m, ATM, nodes=96, halfwidth=12.0)
         assert dense == pytest.approx(value, rel=1e-10)
 
     @pytest.mark.slow
@@ -172,16 +171,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quad_greek(atm_model, ATM, "vega")
 
-    @pytest.mark.parametrize("kwargs,match", [
-        ({"nodes_per_panel": 1}, "nodes per panel"),
-        ({"domain_halfwidth": -10.0}, "domain_halfwidth"),
-        ({"domain_halfwidth": 0.0}, "domain_halfwidth"),
-        ({"domain_halfwidth": math.inf}, "domain_halfwidth"),
-        ({"domain_halfwidth": math.nan}, "domain_halfwidth"),
-    ])
-    def test_config_rejects_bad_panels_and_domain(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            QuadConfig(**kwargs)
+    @pytest.mark.parametrize("mode", list(CorrelationMode))
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, math.nan])
+    def test_rejects_correlation_outside_unit_interval(self, mode, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\)"):
+            quad_price(make_model(rho=rho, mode=mode), ATM)
 
     @pytest.mark.parametrize("mode", list(CorrelationMode))
     @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.5, 0.9])
@@ -190,24 +184,8 @@ class TestQuadrature:
         separable = Separable(PiecewiseLinear((80.0, 100.0, 120.0), (0.0, 5.0, 20.0), 0.0, 1.0),
                               PiecewiseLinear((40.0, 60.0, 90.0), (1.0, 3.0, 3.5), -0.5, 0.2))
         for payoff in (ProductCall(100.0, 60.0), DigitalProduct(95.0, 65.0), COLLAR, separable):
-            assert quad_price(model, payoff) == oracles.reference_quad_price(model, payoff)
-
-    def test_batched_oracle_splits_a_panel_by_split_count(self, monkeypatch):
-        # Just below fE = kI / rho the strike crossing lies beyond -L, so the
-        # outer panel below that split holds rows with and without it.
-        rows = []
-        panel_nodes = estimators._panel_nodes
-
-        def counted(splits, nodes):
-            rows.append(len(splits))
-            return panel_nodes(splits, nodes)
-
-        monkeypatch.setattr(estimators, "_panel_nodes", counted)
-        model = make_model(rho=0.5)
-        assert quad_price(model, ATM) == oracles.reference_quad_price(model, ATM)
-        outer, *inner = rows
-        assert outer == 1
-        assert len(inner) > sum(inner) // QuadConfig().nodes_per_panel
+            ref = oracles.reference_quad_price(model, payoff)
+            assert abs(quad_price(model, payoff) - ref) <= 1e-12 * abs(ref), payoff
 
 
 class TestFiniteDifferences:

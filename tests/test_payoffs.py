@@ -13,9 +13,15 @@ from quantogreeks import (
     ProductCall,
     Separable,
     evaluate,
-    kink_lines,
 )
-from quantogreeks.payoffs import energy_kink_levels, h_kink_levels, validate_payoff
+from quantogreeks.model import CorrelationMode
+from quantogreeks.payoffs import (
+    KinkSolver,
+    conditional_mean,
+    energy_kink_levels,
+    h_kink_levels,
+    validate_payoff,
+)
 
 prices = st.floats(0.01, 500.0)
 
@@ -100,37 +106,76 @@ class TestValidatePayoff:
         assert validate_payoff(FourStrikeCollar(110.0, 95.0, 90.0, 75.0, 0.5)) == []
 
 
-class TestKinkLines:
-    def test_independent_case_inverts_lognormal_map(self):
-        m = make_model(rho=0.0)
-        p = ProductCall(100.0, 120.0)
-        (z2,) = kink_lines(p, m, z1=0.3)
-        v = 0.04
-        expected = (math.log(120.0 / 100.0) + 0.5 * v) / math.sqrt(v)
-        assert z2 == pytest.approx(expected, rel=1e-12)
+def dense_conditional_mean(p, fE, shift, forward, vol, n=400_000):
+    """Midpoint rule of evaluate(p, fE, shift + X) against X's lognormal law, over |z| <= 12."""
+    dz = 24.0 / n
+    z = -12.0 + dz * (np.arange(n) + 0.5)
+    x = shift + forward * np.exp(vol * z - 0.5 * vol * vol)
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return float(np.dot(evaluate(p, np.full(n, fE), x), pdf)) * dz
 
-    def test_mixed_argument_strike_already_cleared(self):
-        # rho fE alone exceeds the strike, so the mixed argument never crosses it
-        m = make_model(rho=0.5)
+
+COLLAR = FourStrikeCollar(110.0, 95.0, 90.0, 75.0, 1.3)
+SEPARABLE = Separable(PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0),
+                      PiecewiseLinear((40.0, 60.0, 90.0), (1.0, 3.0, 3.5), -0.5, 0.2))
+PAYOFF_MIXING = CorrelationMode.PAYOFF_MIXING
+SDE_MIXING = CorrelationMode.SDE_MIXING
+
+
+def law_at(model, z1):
+    solver = KinkSolver(model)
+    fE = solver.energy_price(z1)
+    return fE, solver.h_law(z1, fE)
+
+
+class TestConditionalMean:
+    # (payoff, mode, rho, z1); fE(z1) = 100 exp(-0.02 + 0.2 z1)
+    @pytest.mark.parametrize("p,mode,rho,z1", [
+        (ProductCall(100.0, 120.0), PAYOFF_MIXING, 0.0, 0.3),
+        (ProductCall(100.0, 100.0), PAYOFF_MIXING, 0.5, 0.5),
+        (ProductCall(100.0, 100.0), PAYOFF_MIXING, 0.5, 4.0),  # rho fE > kI: linear
+        (ProductCall(100.0, 100.0), PAYOFF_MIXING, -0.5, 5.0),
+        (ProductCall(100.0, 100.0), SDE_MIXING, -0.5, 1.5),
+        (DigitalProduct(100.0, 90.0), PAYOFF_MIXING, 0.3, 0.7),
+        (DigitalProduct(100.0, 90.0), SDE_MIXING, 0.6, 1.0),
+        (COLLAR, PAYOFF_MIXING, 0.0, 1.5),  # call-call leg
+        (COLLAR, PAYOFF_MIXING, 0.0, -1.5),  # put-put leg
+        (COLLAR, PAYOFF_MIXING, 0.4, -1.5),
+        (COLLAR, SDE_MIXING, -0.4, -2.0),
+        (SEPARABLE, PAYOFF_MIXING, -0.6, 1.0),
+        (SEPARABLE, PAYOFF_MIXING, 0.5, 2.0),
+        (SEPARABLE, SDE_MIXING, 0.5, 0.5),
+    ])
+    def test_matches_dense_integral_of_evaluate(self, p, mode, rho, z1):
+        fE, law = law_at(make_model(sigI=0.3, rho=rho, mode=mode), z1)
+        mean = conditional_mean(p, fE, *law)
+        assert mean != 0.0
+        rel = 1e-4 if isinstance(p, DigitalProduct) else 1e-8
+        assert mean == pytest.approx(dense_conditional_mean(p, fE, *law), rel=rel)
+
+    def test_strike_cleared_by_rho_fE_is_linear(self):
+        # the mixed argument spans (rho fE, inf), so it never falls below kI
         p = ProductCall(100.0, 100.0)
-        z1 = 4.0  # fE(4.0) = 100 exp(-0.02 + 0.8) > 200 = kI / rho
-        assert kink_lines(p, m, z1) == []
-        assert kink_lines(p, m, 0.0) != []
+        fE, (shift, forward, vol) = law_at(make_model(rho=0.5), 4.0)
+        assert shift > p.kI
+        expected = (fE - p.kE) * (shift + forward - p.kI)
+        assert conditional_mean(p, fE, shift, forward, vol) == pytest.approx(expected, rel=1e-15)
+        assert conditional_mean(DigitalProduct(100.0, 100.0), fE, shift, forward, vol) == 1.0
 
-    def test_negative_rho_always_crosses(self):
-        m = make_model(rho=-0.5)
-        p = ProductCall(100.0, 100.0)
-        assert len(kink_lines(p, m, 5.0)) == 1
+    def test_negative_rho_lowers_the_shift(self):
+        fE, (shift, forward, vol) = law_at(make_model(rho=-0.5), 5.0)
+        assert shift == -0.5 * fE
+        assert forward == pytest.approx(100.0 * math.sqrt(0.75), rel=1e-15)
+        assert vol == pytest.approx(0.2, rel=1e-15)
 
-    def test_digital_shares_kinks_with_product_call(self):
-        m = make_model(rho=0.3)
-        call_kinks = kink_lines(ProductCall(100.0, 90.0), m, 0.7)
-        digital_kinks = kink_lines(DigitalProduct(100.0, 90.0), m, 0.7)
-        assert call_kinks == digital_kinks
+    def test_sde_mixing_law_has_no_shift_and_the_drifted_forward(self):
+        # s2^2 = vI - m1^2 and m1 = rho sE for equal constant volatilities
+        _, (shift, forward, vol) = law_at(make_model(rho=0.6, mode=SDE_MIXING), 1.0)
+        assert shift == 0.0
+        assert forward == pytest.approx(100.0 * math.exp(0.12 - 0.5 * 0.0144), rel=1e-14)
+        assert vol == pytest.approx(0.2 * math.sqrt(1.0 - 0.36), rel=1e-14)
 
     def test_collar_has_two_kink_levels(self):
-        m = make_model(rho=0.0)
         p = FourStrikeCollar(110.0, 95.0, 90.0, 75.0)
         assert h_kink_levels(p) == (75.0, 95.0)
         assert energy_kink_levels(p) == (90.0, 110.0)
-        assert len(kink_lines(p, m, 0.0)) == 2
