@@ -6,7 +6,6 @@ from .model import (
     MarketModel,
     StepFunction,
     TuningFunction,
-    ValidationReport,
     VolatilityCurve,
     integrate,
     validate_model,
@@ -29,7 +28,6 @@ from .simulate import (
 )
 from .weights import WeightVariant, greek_of, weight_for
 from .estimators import (
-    FdConfig,
     GreekEstimate,
     convergence_table,
     fd_greek,

@@ -223,7 +223,7 @@ def _run_command(args) -> int:
         raise ValueError(f"--threads: must be >= 1, got {args.threads}")
     variants = _parse_variants(getattr(args, "variant", None))
     header, compute = args.handler(args, run, variants)
-    bad = validate_model(run.model, run.tuning).violations + validate_payoff(run.payoff)
+    bad = validate_model(run.model, run.tuning) + validate_payoff(run.payoff)
     if bad:
         print("\n".join(bad), file=sys.stderr)
         return EXIT_VALIDATION

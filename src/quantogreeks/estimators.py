@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import CorrelationMode, MarketModel, TuningFunction
+from .model import CorrelationMode, MarketModel, TuningFunction, validate_model
 from .payoffs import (KinkSolver, PayoffSpec, conditional_mean, energy_kink_levels, evaluate,
-                      h_kink_levels)
+                      validate_payoff)
 from .simulate import (
     BLOCK_SIZE,
     SampleDraw,
@@ -38,6 +38,7 @@ from .simulate import (
 from .weights import WeightVariant, weight_for
 
 GREEKS = ("dE", "dI", "dEdI")
+FD_BUMP = 1e-4  # relative bump on the initial futures level of every finite difference
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,6 @@ class GreekEstimate:
     n: int
     variant: str
     seconds: float
-
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Central finite differences with common random numbers across bumps."""
-
-    bump: float = 1e-4  # relative bump on the initial futures level
-
-    def __post_init__(self):
-        if not 0.0 < self.bump < 1e-1:
-            raise ValueError(f"relative bump must lie in (0, 0.1), got {self.bump}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +116,14 @@ class _BlockData:
 _Job = Callable[[_BlockData], np.ndarray]
 
 
+def _require_valid(model: MarketModel, payoff: PayoffSpec,
+                   tuning: TuningFunction | None = None) -> None:
+    """The engine boundary: raise ValueError listing every model and payoff violation."""
+    bad = validate_model(model, tuning) + validate_payoff(payoff)
+    if bad:
+        raise ValueError("; ".join(bad))
+
+
 def _pair_means(values: np.ndarray) -> np.ndarray:
     # values.reshape(-1, 2).mean(axis=1) bit for bit, without its slow length-2
     # reduce: mean turns a -0.0 pair sum into +0.0, and so does "+ 0.0".
@@ -142,7 +140,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     draws; a block that n ends inside is also reduced over its prefix.
     Partial moments are reduced in block-index order, so every estimate has
     the bits of a separate pass of n draws at any thread count. ``seconds``
-    is the wall time of the whole pass.
+    is the wall time of the whole pass. Nothing is drawn for an invalid input.
     """
     sizes = [cfg.n_samples] if sizes is None else [int(n) for n in sizes]
     if not sizes or max(sizes) != cfg.n_samples:
@@ -152,6 +150,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         _check_config(replace(cfg, n_samples=n))
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _require_valid(model, payoff, tuning)
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
@@ -211,20 +210,19 @@ def _price_job(data: _BlockData) -> np.ndarray:
     return data.pay_base
 
 
-def _variant_job(variant: WeightVariant, tuning: TuningFunction, allow_rho_mismatch: bool,
+def _variant_job(variant: WeightVariant, tuning: TuningFunction,
                  scenario: MarketModel | None = None) -> _Job:
     """Job for ``variant``; with ``scenario``, on each block's view under that model."""
     def job(data: _BlockData) -> np.ndarray:
         if scenario is not None:
             data = data.at(scenario)
-        weight, mult = weight_for(variant, data.draw, data.model, tuning,
-                                  allow_rho_mismatch=allow_rho_mismatch)
+        weight, mult = weight_for(variant, data.draw, data.model, tuning)
         return data.pay_base * weight * mult
 
     return job
 
 
-def _fd_job(which: str, bump: float) -> _Job:
+def _fd_job(which: str) -> _Job:
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
 
@@ -232,18 +230,18 @@ def _fd_job(which: str, bump: float) -> _Job:
         f0E = data.model.energy.f0
         f0I = data.model.temperature.f0
         if which == "dE":
-            up = data.payoff_at(1.0 + bump, 1.0)
-            dn = data.payoff_at(1.0 - bump, 1.0)
-            return (up - dn) / (2.0 * bump * f0E)
+            up = data.payoff_at(1.0 + FD_BUMP, 1.0)
+            dn = data.payoff_at(1.0 - FD_BUMP, 1.0)
+            return (up - dn) / (2.0 * FD_BUMP * f0E)
         if which == "dI":
-            up = data.payoff_at(1.0, 1.0 + bump)
-            dn = data.payoff_at(1.0, 1.0 - bump)
-            return (up - dn) / (2.0 * bump * f0I)
-        pp = data.payoff_at(1.0 + bump, 1.0 + bump)
-        pm = data.payoff_at(1.0 + bump, 1.0 - bump)
-        mp = data.payoff_at(1.0 - bump, 1.0 + bump)
-        mm = data.payoff_at(1.0 - bump, 1.0 - bump)
-        return (pp - pm - mp + mm) / (4.0 * bump * bump * f0E * f0I)
+            up = data.payoff_at(1.0, 1.0 + FD_BUMP)
+            dn = data.payoff_at(1.0, 1.0 - FD_BUMP)
+            return (up - dn) / (2.0 * FD_BUMP * f0I)
+        pp = data.payoff_at(1.0 + FD_BUMP, 1.0 + FD_BUMP)
+        pm = data.payoff_at(1.0 + FD_BUMP, 1.0 - FD_BUMP)
+        mp = data.payoff_at(1.0 - FD_BUMP, 1.0 + FD_BUMP)
+        mm = data.payoff_at(1.0 - FD_BUMP, 1.0 - FD_BUMP)
+        return (pp - pm - mp + mm) / (4.0 * FD_BUMP * FD_BUMP * f0E * f0I)
 
     return job
 
@@ -264,7 +262,7 @@ def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
 
 def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
              variant: WeightVariant, cfg: SimConfig, threads: int = 1,
-             allow_rho_mismatch: bool = False, sizes: Sequence[int] | None = None,
+             sizes: Sequence[int] | None = None,
              scenarios: Sequence[tuple[float, WeightVariant]] | None = None
              ) -> GreekEstimate | list:
     """Weighted Monte Carlo Greek: mean of discounted payoff * weight * multiplier.
@@ -274,8 +272,8 @@ def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     rho; the result is then a list, the estimate of ``variant`` first, and
     each scenario equals a separate pass at its rho bit for bit.
     """
-    jobs = [(variant.value, _variant_job(variant, tuning, allow_rho_mismatch))]
-    jobs += [(v.value, _variant_job(v, tuning, allow_rho_mismatch, replace(model, rho=float(rho))))
+    jobs = [(variant.value, _variant_job(variant, tuning))]
+    jobs += [(v.value, _variant_job(v, tuning, replace(model, rho=float(rho))))
              for rho, v in scenarios or ()]
     per_job = [ests if sizes is not None else ests[0]
                for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads, sizes)]
@@ -284,38 +282,32 @@ def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
 def mc_estimates(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                  variants: list[WeightVariant], cfg: SimConfig, threads: int = 1,
-                 include_price: bool = False, allow_rho_mismatch: bool = False,
                  fd_greeks: Sequence[str] = ()) -> dict[str, GreekEstimate]:
-    """Estimate several variants on one shared draw stream.
+    """Estimate several variants on one shared draw stream, keyed by variant value.
 
-    The same pass optionally gives the price ("Price") and, for each
-    sensitivity in ``fd_greeks``, the default-bump finite difference of
-    ``fd_greek`` ("FD_dE", ...).
+    The same pass also gives, for each sensitivity in ``fd_greeks``, the
+    finite difference of ``fd_greek`` ("FD_dE", ...). Each estimate equals a
+    separate ``mc_greek``/``fd_greek`` pass bit for bit.
     """
-    jobs: dict[str, _Job] = {}
-    if include_price:
-        jobs["Price"] = _price_job
-    for variant in variants:
-        jobs[variant.value] = _variant_job(variant, tuning, allow_rho_mismatch)
+    jobs = {variant.value: _variant_job(variant, tuning) for variant in variants}
     for which in fd_greeks:
-        jobs[f"FD_{which}"] = _fd_job(which, FdConfig().bump)
+        jobs[f"FD_{which}"] = _fd_job(which)
     return {ests[0].variant: ests[0]
             for ests in _mc_pass(model, payoff, tuning, cfg, list(jobs.items()), threads)}
 
 
-def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, fd: FdConfig,
-             cfg: SimConfig, tuning: TuningFunction | None = None,
-             threads: int = 1) -> GreekEstimate:
+def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
+             tuning: TuningFunction | None = None, threads: int = 1) -> GreekEstimate:
     """Central finite difference of the Monte Carlo price under common random numbers.
 
-    The same draw stream feeds every bump scenario, so for payoffs linear in
-    the bumped coordinate the difference is exact for any bump size. The
-    cross sensitivity uses the symmetric four-point stencil. Digitals whittle
-    the difference down to rare boundary crossings; expect a noisy estimate.
+    Each initial level is bumped by ``FD_BUMP`` relative. The same draw
+    stream feeds every bump scenario, so for payoffs linear in the bumped
+    coordinate the difference equals price / f0 up to rounding. The cross
+    sensitivity uses the symmetric four-point stencil. Digitals whittle the
+    difference down to rare boundary crossings; expect a noisy estimate.
     """
     tuning = tuning or TuningFunction.uniform(model.horizon)
-    [[est]] = _mc_pass(model, payoff, tuning, cfg, [(f"FD_{which}", _fd_job(which, fd.bump))],
-                       threads)
+    [[est]] = _mc_pass(model, payoff, tuning, cfg, [(f"FD_{which}", _fd_job(which))], threads)
     return est
 
 
@@ -346,23 +338,19 @@ def quad_price(model: MarketModel, payoff: PayoffSpec) -> float:
 
     Given the energy driver z1, the payoff's temperature argument is a shifted
     lognormal variable (``KinkSolver.h_law``), so the payoff's mean over the
-    temperature driver is a closed form (``conditional_mean``). The outer
-    coordinate is split at the energy-leg kinks and, under payoff mixing with
-    positive correlation, where the shift rho * fE crosses a temperature
-    strike; each panel then integrates a smooth function, so 64 fixed nodes
-    per panel converge far below 1e-8. Shares no code with the sampling path.
+    temperature driver is a closed form (``conditional_mean``), smooth in z1
+    even where the shift crosses a temperature strike. The outer coordinate
+    is split at the energy-leg kinks, so each panel integrates a smooth
+    function and 64 fixed nodes per panel converge far below 1e-8. Shares no
+    code with the sampling path.
     """
+    _require_valid(model, payoff)
     solver = KinkSolver(model)
     outer_pts: list[float] = []
     for level in energy_kink_levels(payoff):
         z = solver.energy_kink(level)
         if z is not None:
             outer_pts.append(z)
-    if model.correlation_mode is CorrelationMode.PAYOFF_MIXING and model.rho > 0.0:
-        for level in h_kink_levels(payoff):
-            z = solver.energy_kink(level / model.rho)
-            if z is not None:
-                outer_pts.append(z)
     nodes, weights = np.polynomial.legendre.leggauss(_NODES)
     splits = np.array(_with_coarse(outer_pts, _HALFWIDTH))
     half = 0.5 * (splits[1:] - splits[:-1])[:, None]
@@ -385,6 +373,7 @@ def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
     """
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
+    _require_valid(model, payoff)  # report the model as given, not a bumped copy
     f0E = model.energy.f0
     f0I = model.temperature.f0
     hE = 1e-5 * f0E

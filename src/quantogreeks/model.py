@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -107,9 +107,8 @@ def union_grid(lo: float, hi: float, *steps: StepFunction) -> list[float]:
     return sorted(pts)
 
 
-def integrate(f: Callable[..., float], *steps: StepFunction, lo: float = 0.0,
-              hi: float | None = None) -> float:
-    """Exact integral of ``f(s1(t), s2(t), ...)`` over [lo, hi] (default: the whole horizon).
+def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
+    """Exact integral of ``f(s1(t), s2(t), ...)`` over the whole horizon.
 
     Every product of step functions is itself a step function on the union of
     their grids, so the integral is a finite sum. The arithmetic is scalar
@@ -119,12 +118,7 @@ def integrate(f: Callable[..., float], *steps: StepFunction, lo: float = 0.0,
     horizon = steps[0].horizon
     if any(s.horizon != horizon for s in steps):
         raise ValueError("step functions must share the horizon")
-    hi = horizon if hi is None else hi
-    if lo > hi:
-        raise ValueError(f"integration bounds reversed: lo={lo} > hi={hi}")
-    if lo < 0.0 or hi > horizon:
-        raise ValueError(f"[{lo}, {hi}] not inside [0, {horizon}]")
-    edges = union_grid(lo, hi, *steps)
+    edges = union_grid(0.0, horizon, *steps)
     try:
         return float(sum(f(*(s.value_at(a) for s in steps)) * (b - a)
                          for a, b in zip(edges, edges[1:])))
@@ -172,63 +166,53 @@ class MarketModel:
         return m
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of ``validate_model``: empty violation list means acceptable."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def _check_leg(report: ValidationReport, name: str, spec: FuturesSpec, vol: VolatilityCurve,
-               horizon: float, eta: float) -> None:
+def _check_leg(bad: list[str], name: str, spec: FuturesSpec, vol: VolatilityCurve,
+               horizon: float) -> None:
     if not (math.isfinite(spec.f0) and spec.f0 > 0.0):
-        report.violations.append(f"{name}: initial futures level must be positive, got {spec.f0}")
+        bad.append(f"{name}: initial futures level must be positive, got {spec.f0}")
     if not (0.0 < spec.delivery_start <= spec.delivery_end):
-        report.violations.append(
+        bad.append(
             f"{name}: delivery window must satisfy 0 < start <= end, got "
             f"[{spec.delivery_start}, {spec.delivery_end}]"
         )
     if spec.delivery_end != horizon:
-        report.violations.append(f"{name}: delivery end {spec.delivery_end} differs from model horizon {horizon}")
+        bad.append(f"{name}: delivery end {spec.delivery_end} differs from model horizon {horizon}")
     if vol.horizon != horizon:
-        report.violations.append(f"{name}: volatility curve horizon {vol.horizon} differs from model horizon {horizon}")
+        bad.append(f"{name}: volatility curve horizon {vol.horizon} differs from model horizon {horizon}")
     for t0, sig in zip(vol.times, vol.values):
-        if sig < eta:
-            report.violations.append(
+        if sig < ELLIPTICITY_FLOOR:
+            bad.append(
                 f"{name}: volatility {sig} on segment starting t={t0} is below the floor "
-                f"eta={eta} (uniform ellipticity condition violated)"
+                f"eta={ELLIPTICITY_FLOOR} (uniform ellipticity condition violated)"
             )
 
 
-def validate_model(model: MarketModel, tuning: TuningFunction | None = None,
-                   eta: float = ELLIPTICITY_FLOOR) -> ValidationReport:
-    """Check every model invariant and report violations without raising.
+def validate_model(model: MarketModel, tuning: TuningFunction | None = None) -> list[str]:
+    """Return every model invariant violation (empty list when acceptable).
 
-    ``eta`` is the uniform ellipticity floor: each volatility segment must sit
-    at or above it. Pass ``tuning`` to also check unit-integral membership.
+    Each volatility segment must sit at or above the uniform ellipticity
+    floor ``ELLIPTICITY_FLOOR``. Pass ``tuning`` to also check unit-integral
+    membership. The Monte Carlo and quadrature entry points raise ValueError
+    on any violation; the CLI exits 3 before reaching them.
     """
-    report = ValidationReport()
+    bad: list[str] = []
     horizon = model.horizon
-    _check_leg(report, "energy", model.energy, model.energy_vol, horizon, eta)
-    _check_leg(report, "temperature", model.temperature, model.temperature_vol, horizon, eta)
+    _check_leg(bad, "energy", model.energy, model.energy_vol, horizon)
+    _check_leg(bad, "temperature", model.temperature, model.temperature_vol, horizon)
     if not (math.isfinite(model.rho) and abs(model.rho) < 1.0):
-        report.violations.append(f"correlation rho must lie in (-1, 1), got {model.rho}")
+        bad.append(f"correlation rho must lie in (-1, 1), got {model.rho}")
     if not math.isfinite(model.rate):
-        report.violations.append(f"risk-free rate must be finite, got {model.rate}")
+        bad.append(f"risk-free rate must be finite, got {model.rate}")
     if tuning is not None:
         if tuning.horizon != horizon:
-            report.violations.append(
+            bad.append(
                 f"tuning function horizon {tuning.horizon} differs from model horizon {horizon}"
             )
         else:
             integral = tuning.integral()
             if abs(integral - 1.0) > TUNING_INTEGRAL_TOL:
-                report.violations.append(
+                bad.append(
                     f"tuning function integrates to {integral!r}, not 1 "
                     f"(unit-integral weight family violated)"
                 )
-    return report
+    return bad

@@ -175,41 +175,25 @@ def energy_kink_levels(p: PayoffSpec) -> tuple[float, ...]:
     raise TypeError(f"unknown payoff spec {type(p).__name__}")
 
 
-def h_kink_levels(p: PayoffSpec) -> tuple[float, ...]:
-    """Effective-temperature levels where the payoff's second leg is non-smooth."""
-    if isinstance(p, (ProductCall, DigitalProduct)):
-        return (p.kI,)
-    if isinstance(p, FourStrikeCollar):
-        return (p.kI_low, p.kI_high)
-    if isinstance(p, Separable):
-        return p.h.xs
-    raise TypeError(f"unknown payoff spec {type(p).__name__}")
-
-
 class KinkSolver:
     """Closed-form geometry of the payoff arguments in standard-normal coordinates.
 
     z1 parametrizes the energy driver; given z1, the payoff's temperature
     argument is a shifted lognormal variable in the independent temperature
-    driver, whose law ``h_law`` returns.
+    driver, whose law ``h_law`` returns. The model must pass
+    ``validate_model``; ``quad_price`` checks that first.
     """
 
     def __init__(self, model: MarketModel):
-        horizon = model.horizon
         self.model = model
         rho = model.rho
-        if not (math.isfinite(rho) and abs(rho) < 1.0):
-            raise ValueError(f"correlation rho must lie in (-1, 1), got {rho}")
-        self.vE = integrate(lambda s: s ** 2, model.energy_vol, hi=horizon)
-        self.vI = integrate(lambda s: s ** 2, model.temperature_vol, hi=horizon)
-        if self.vE <= 0.0 or self.vI <= 0.0:
-            raise ValueError("kink geometry requires nondegenerate volatility")
+        self.vE = integrate(lambda s: s ** 2, model.energy_vol)
+        self.vI = integrate(lambda s: s ** 2, model.temperature_vol)
         self.sE = math.sqrt(self.vE)
         self.sI = math.sqrt(self.vI)
         self.sq1mr2 = math.sqrt(1.0 - rho * rho)
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
-            vEI = integrate(lambda sE, sI: sE * sI, model.energy_vol, model.temperature_vol,
-                            hi=horizon)
+            vEI = integrate(lambda sE, sI: sE * sI, model.energy_vol, model.temperature_vol)
             self.m1 = rho * vEI / self.sE
             self.s2 = math.sqrt(rho * rho * (self.vI - vEI * vEI / self.vE)
                                 + (1.0 - rho * rho) * self.vI)

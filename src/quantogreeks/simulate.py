@@ -50,7 +50,10 @@ class SimScheme:
         if text == "exact":
             return cls.exact()
         if text.startswith("euler:"):
-            return cls.log_euler(int(text.split(":", 1)[1]))
+            try:
+                return cls.log_euler(int(text.split(":", 1)[1]))
+            except ValueError:  # not an integer step count
+                pass
         raise ValueError(f"unknown scheme {text!r}; expected 'exact' or 'euler:STEPS'")
 
     def label(self) -> str:

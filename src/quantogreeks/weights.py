@@ -114,21 +114,18 @@ def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
 
 
 def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
-               tuning: TuningFunction, *, allow_rho_mismatch: bool = False
-               ) -> tuple[np.ndarray, float]:
-    """Per-draw weight array and scalar multiplier of ``variant``.
+               tuning: TuningFunction) -> tuple[np.ndarray, float]:
+    """Per-draw weight array and scalar multiplier of ``variant``; ``model`` is not validated.
 
-    The matrix-inverse cross-gamma subtracts the deterministic compensator
-    from the kernel product (``w + (-1.0 * c)`` is ``w - c`` exactly).
+    An independent-legs variant rejects rho != 0. The matrix-inverse
+    cross-gamma subtracts the deterministic compensator from the kernel
+    product (``w + (-1.0 * c)`` is ``w - c`` exactly).
     """
     spec = WEIGHTS.get(variant)
     if spec is None:
         raise ValueError(f"unknown weight variant {variant!r}")
-    if spec.zero_rho and model.rho != 0.0 and not allow_rho_mismatch:
-        raise ValueError(
-            f"{variant.value} assumes rho = 0 (model has rho={model.rho}); "
-            "pass allow_rho_mismatch=True to force it"
-        )
+    if spec.zero_rho and model.rho != 0.0:
+        raise ValueError(f"{variant.value} assumes rho = 0 (model has rho={model.rho})")
     first, *rest = (_KERNELS[k](draw, model) for k in spec.kernels)
     weight = first * rest[0] if rest else first
     if spec.compensator_sign:

@@ -17,7 +17,8 @@ from scipy.stats import norm
 
 from quantogreeks.estimators import _norm_pdf, _with_coarse
 from quantogreeks.model import CorrelationMode
-from quantogreeks.payoffs import KinkSolver, energy_kink_levels, evaluate, h_kink_levels
+from quantogreeks.payoffs import (DigitalProduct, FourStrikeCollar, KinkSolver, ProductCall,
+                                  energy_kink_levels, evaluate)
 
 
 def _d1(f0, k, sigma, t):
@@ -83,6 +84,15 @@ def _panel_nodes(splits, nodes):
         xs.append(half * xr + 0.5 * (hi + lo))
         ws.append(half * wr)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def h_kink_levels(p):
+    """Effective-temperature levels where the payoff's second leg is non-smooth."""
+    if isinstance(p, (ProductCall, DigitalProduct)):
+        return (p.kI,)
+    if isinstance(p, FourStrikeCollar):
+        return (p.kI_low, p.kI_high)
+    return p.h.xs
 
 
 def _h_kinks(solver, levels, z1):

@@ -15,7 +15,6 @@ import oracles
 from conftest import make_model
 from quantogreeks import (
     DigitalProduct,
-    FdConfig,
     ProductCall,
     SimConfig,
     TuningFunction,
@@ -24,6 +23,7 @@ from quantogreeks import (
     fd_greek,
     mc_estimates,
     mc_greek,
+    mc_price,
     quad_greek,
     quad_price,
     weight_for,
@@ -79,13 +79,13 @@ def read_rows(path):
 
 def test_c01_independent_closed_form_agreement(atm_model, uniform_tuning):
     start = time.monotonic()
-    ests = mc_estimates(atm_model, ATM, uniform_tuning, [V.INDEP_DELTA_E],
-                        SimConfig(N_BIG, seed=101), include_price=True)
+    cfg = SimConfig(N_BIG, seed=101)
+    price = mc_price(atm_model, ATM, cfg, uniform_tuning)
+    delta = mc_estimates(atm_model, ATM, uniform_tuning, [V.INDEP_DELTA_E], cfg)["IndepDeltaE"]
     elapsed = time.monotonic() - start
 
     price_ref = oracles.product_call_price(100, 100, 0.2, 100, 100, 0.2, 1.0)
     delta_ref = oracles.product_call_delta_E(100, 100, 0.2, 100, 100, 0.2, 1.0)
-    price, delta = ests["Price"], ests["IndepDeltaE"]
     assert abs(price.value - price_ref) <= 3.0 * price.stderr
     assert abs(delta.value - delta_ref) <= 3.0 * delta.stderr
     assert elapsed < 60.0
@@ -196,7 +196,7 @@ def test_c09_digital_variance_ordering(atm_model, uniform_tuning):
     digital = DigitalProduct(100.0, 100.0)
     cfg = SimConfig(100_000, seed=112)
     mal = mc_greek(atm_model, digital, uniform_tuning, V.INDEP_DELTA_E, cfg)
-    fd = fd_greek(atm_model, digital, "dE", FdConfig(bump=1e-4), cfg, uniform_tuning)
+    fd = fd_greek(atm_model, digital, "dE", cfg, uniform_tuning)
     # same sample count, so comparing stderr compares per-draw variance
     assert mal.stderr < fd.stderr
     ref = oracles.digital_product_delta_E(100, 100, 0.2, 100, 100, 0.2, 1.0)

@@ -248,8 +248,11 @@ class TestSchemeAndFlags:
                      "--n", "10000", "--out", str(out)]) == 0
         assert "# sim.scheme = \"euler:16\"" in open(out).read()
 
-    def test_bad_scheme_exits_2(self, config_path):
-        assert main(["price", "--config", config_path, "--scheme", "sobol"]) == 2
+    @pytest.mark.parametrize("scheme", ["sobol", "euler:abc", "euler:1.5", "euler:"])
+    def test_bad_scheme_exits_2(self, config_path, capsys, scheme):
+        assert main(["price", "--config", config_path, "--scheme", scheme]) == 2
+        assert capsys.readouterr().err == (f"unknown scheme {scheme!r}; "
+                                           "expected 'exact' or 'euler:STEPS'\n")
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["price", "--config", str(tmp_path / "nope.cfg")]) == 2

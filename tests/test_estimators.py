@@ -10,7 +10,6 @@ import oracles
 from conftest import make_model
 from quantogreeks import (
     DigitalProduct,
-    FdConfig,
     FourStrikeCollar,
     PiecewiseLinear,
     ProductCall,
@@ -26,9 +25,11 @@ from quantogreeks import (
     quad_greek,
     quad_price,
     residual_risk,
+    validate_model,
 )
 from quantogreeks import estimators
 from quantogreeks.model import CorrelationMode
+from quantogreeks.payoffs import validate_payoff
 from quantogreeks.simulate import BLOCK_SIZE, SimScheme, block_count
 
 ATM = ProductCall(100.0, 100.0)
@@ -96,11 +97,10 @@ class TestMcGreek:
     def test_shared_pass_matches_single_runs(self, atm_model, uniform_tuning):
         cfg = SimConfig(50_000, seed=39)
         combined = mc_estimates(atm_model, ATM, uniform_tuning,
-                                [V.INDEP_DELTA_E, V.INDEP_CROSS_GAMMA], cfg,
-                                include_price=True)
-        single = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
-        assert combined["IndepDeltaE"].value == single.value
-        assert combined["Price"].value == mc_price(atm_model, ATM, cfg, uniform_tuning).value
+                                [V.INDEP_DELTA_E, V.INDEP_CROSS_GAMMA], cfg)
+        for v in (V.INDEP_DELTA_E, V.INDEP_CROSS_GAMMA):
+            single = mc_greek(atm_model, ATM, uniform_tuning, v, cfg)
+            assert combined[v.value].value == single.value
 
     def test_threads_do_not_change_results(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=40)
@@ -114,6 +114,53 @@ class TestMcGreek:
         # rejected before the pass starts, so no worker thread is created
         with pytest.raises(ValueError, match="threads"):
             mc_price(atm_model, ATM, SimConfig(1000, seed=41), uniform_tuning, threads=threads)
+
+
+# Every Monte Carlo and quadrature entry point, called as (model, payoff, tuning, cfg).
+ENTRY_POINTS = {
+    "mc_price": lambda m, p, a, cfg: mc_price(m, p, cfg, a),
+    "mc_greek": lambda m, p, a, cfg: mc_greek(m, p, a, V.CORR_DELTA_E_CONDITIONAL, cfg),
+    "mc_estimates": lambda m, p, a, cfg: mc_estimates(m, p, a, [V.CORR_DELTA_I], cfg,
+                                                      fd_greeks=["dE"]),
+    "fd_greek": lambda m, p, a, cfg: fd_greek(m, p, "dEdI", cfg, a),
+    "quad_price": lambda m, p, a, cfg: quad_price(m, p),
+    "quad_greek": lambda m, p, a, cfg: quad_greek(m, p, "dE"),
+}
+MONTE_CARLO = ["mc_price", "mc_greek", "mc_estimates", "fd_greek"]
+
+
+class TestEngineValidation:
+    # Unvalidated, these models give nan, a confident 0.0, a finite price at
+    # rho = 1, or a bare math or division error.
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [dict(rho=1.0), dict(rho=1.5), dict(rho=math.nan),
+                                     dict(sigE=0.0), dict(f0E=-5.0), dict(f0E=0.0),
+                                     dict(f0I=0.0)])
+    def test_invalid_model_raises_the_validation_message(self, uniform_tuning, entry, bad):
+        model = make_model(**bad)
+        with pytest.raises(ValueError) as exc:
+            ENTRY_POINTS[entry](model, ATM, uniform_tuning, SimConfig(1000, seed=0))
+        assert str(exc.value) == "; ".join(validate_model(model))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_invalid_payoff_raises_the_validation_message(self, atm_model, uniform_tuning,
+                                                          entry):
+        payoff = FourStrikeCollar(90.0, 95.0, 110.0, 75.0, alpha=0.0)
+        with pytest.raises(ValueError) as exc:
+            ENTRY_POINTS[entry](atm_model, payoff, uniform_tuning, SimConfig(1000, seed=0))
+        assert str(exc.value) == "; ".join(validate_payoff(payoff))
+
+    @pytest.mark.parametrize("entry", MONTE_CARLO)
+    def test_monte_carlo_rejects_a_non_unit_tuning_function(self, atm_model, entry):
+        doubled = TuningFunction((0.0,), (2.0,), 1.0)
+        with pytest.raises(ValueError) as exc:
+            ENTRY_POINTS[entry](atm_model, ATM, doubled, SimConfig(1000, seed=0))
+        assert str(exc.value) == "; ".join(validate_model(atm_model, doubled))
+
+    @pytest.mark.parametrize("entry", MONTE_CARLO)
+    def test_usage_errors_come_before_validation(self, uniform_tuning, entry):
+        with pytest.raises(ValueError, match="n_samples"):
+            ENTRY_POINTS[entry](make_model(rho=1.5), ATM, uniform_tuning, SimConfig(0, seed=0))
 
 
 class TestQuadrature:
@@ -189,38 +236,32 @@ class TestQuadrature:
 
 
 class TestFiniteDifferences:
-    def test_linear_leg_is_bump_independent_and_exact(self, atm_model, uniform_tuning):
-        # payoff linear in f0E: CRN differences collapse to price / f0E exactly
+    def test_linear_leg_is_exact_at_the_fixed_bump(self, atm_model, uniform_tuning):
+        # payoff linear in f0E: CRN differences collapse to price / f0E up to rounding
         payoff = ProductCall(0.0, 100.0)
         cfg = SimConfig(100_000, seed=45)
         price = mc_price(atm_model, payoff, cfg, uniform_tuning)
-        coarse = fd_greek(atm_model, payoff, "dE", FdConfig(bump=1e-2), cfg, uniform_tuning)
-        fine = fd_greek(atm_model, payoff, "dE", FdConfig(bump=1e-5), cfg, uniform_tuning)
-        assert coarse.value == pytest.approx(price.value / 100.0, rel=1e-12)
-        assert fine.value == pytest.approx(coarse.value, rel=1e-9)
+        fd = fd_greek(atm_model, payoff, "dE", cfg, uniform_tuning)
+        assert fd.value == pytest.approx(price.value / 100.0, rel=1e-12)
 
     def test_matches_weighted_estimator_on_smooth_payoff(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=46)
-        fd = fd_greek(atm_model, ATM, "dE", FdConfig(), cfg, uniform_tuning)
+        fd = fd_greek(atm_model, ATM, "dE", cfg, uniform_tuning)
         mal = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
         assert abs(fd.value - mal.value) < 3.0 * math.hypot(fd.stderr, mal.stderr)
 
     def test_cross_stencil_matches_oracle(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=47)
-        fd = fd_greek(atm_model, ATM, "dEdI", FdConfig(), cfg, uniform_tuning)
+        fd = fd_greek(atm_model, ATM, "dEdI", cfg, uniform_tuning)
         ref = oracles.product_call_cross_gamma(100, 100, 0.2, 100, 100, 0.2, 1.0)
         assert abs(fd.value - ref) < 4.0 * fd.stderr
 
     def test_digital_bump_noise_dwarfs_weighted_estimator(self, atm_model, uniform_tuning):
         cfg = SimConfig(10_000, seed=48)
         digital = DigitalProduct(100.0, 100.0)
-        fd = fd_greek(atm_model, digital, "dE", FdConfig(bump=1e-4), cfg, uniform_tuning)
+        fd = fd_greek(atm_model, digital, "dE", cfg, uniform_tuning)
         mal = mc_greek(atm_model, digital, uniform_tuning, V.INDEP_DELTA_E, cfg)
         assert fd.stderr > mal.stderr
-
-    def test_bump_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            FdConfig(bump=0.5)
 
 
 class TestOracleTriangle:
@@ -312,7 +353,7 @@ class TestOnePass:
             mc_greek(model, COLLAR, tuning, V.CORR_DELTA_I, cfg),
             seconds=fused["CorrDeltaI"].seconds)
         for which in ("dE", "dI", "dEdI"):
-            single = fd_greek(model, COLLAR, which, FdConfig(), cfg, tuning)
+            single = fd_greek(model, COLLAR, which, cfg, tuning)
             assert fused[f"FD_{which}"] == dataclasses.replace(
                 single, seconds=fused[f"FD_{which}"].seconds)
 

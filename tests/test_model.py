@@ -15,83 +15,58 @@ def square(s):
 
 class TestValidateModel:
     def test_plain_model_is_valid(self, atm_model, uniform_tuning):
-        report = validate_model(atm_model, uniform_tuning)
-        assert report.valid
-        assert report.violations == []
+        assert validate_model(atm_model, uniform_tuning) == []
 
     def test_zero_volatility_segment_flags_ellipticity(self):
         bad = VolatilityCurve.from_segments([(0.0, 0.2), (0.5, 0.0)], 1.0)
         m = dataclasses.replace(make_model(), energy_vol=bad)
-        report = validate_model(m)
-        assert not report.valid
-        assert any("uniform ellipticity" in v for v in report.violations)
+        assert any("uniform ellipticity" in v for v in validate_model(m))
 
-    def test_eta_zero_admits_degenerate_curve(self):
-        m = make_model(sigE=0.0)
-        assert not validate_model(m).valid
-        assert validate_model(m, eta=0.0).valid
+    def test_degenerate_curve_message_names_the_floor(self):
+        assert validate_model(make_model(sigE=0.0)) == [
+            "energy: volatility 0.0 on segment starting t=0.0 is below the floor eta=1e-06 "
+            "(uniform ellipticity condition violated)"]
 
     def test_tuning_integral_violation_flagged(self, atm_model):
         doubled = TuningFunction((0.0,), (2.0,), 1.0)  # integrates to 2
-        report = validate_model(atm_model, doubled)
-        assert not report.valid
-        assert any("unit-integral" in v for v in report.violations)
+        assert any("unit-integral" in v for v in validate_model(atm_model, doubled))
 
     def test_collects_all_violations_without_raising(self):
-        m = make_model(f0E=-5.0, rho=1.0)
-        report = validate_model(m)
-        assert len(report.violations) >= 2
-        assert any("rho" in v for v in report.violations)
+        bad = validate_model(make_model(f0E=-5.0, rho=1.0))
+        assert len(bad) >= 2
+        assert any("rho" in v for v in bad)
 
 
 class TestIntegratedVariance:
     def test_constant_curve(self):
         curve = VolatilityCurve.constant(0.2, 1.0)
-        assert integrate(square, curve, lo=0.0, hi=1.0) == pytest.approx(0.04, abs=1e-15)
+        assert integrate(square, curve) == pytest.approx(0.04, abs=1e-15)
 
     def test_two_segments(self):
         curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0)
-        assert integrate(square, curve, lo=0.0, hi=1.0) == pytest.approx(0.05, abs=1e-15)
+        assert integrate(square, curve) == pytest.approx(0.05, abs=1e-15)
 
-    def test_empty_interval_is_zero(self):
-        curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.3, 0.7)], 1.0)
-        assert integrate(square, curve, lo=0.4, hi=0.4) == 0.0
-
-    def test_reversed_bounds_rejected(self):
+    def test_horizon_mismatch_rejected(self):
         curve = VolatilityCurve.constant(0.2, 1.0)
-        with pytest.raises(ValueError):
-            integrate(square, curve, lo=0.8, hi=0.2)
-
-    def test_bounds_outside_horizon_and_horizon_mismatch_rejected(self):
-        curve = VolatilityCurve.constant(0.2, 1.0)
-        with pytest.raises(ValueError):
-            integrate(square, curve, lo=-0.1, hi=0.5)
-        with pytest.raises(ValueError):
-            integrate(square, curve, lo=0.5, hi=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share the horizon"):
             integrate(lambda s, a: s * a, curve, TuningFunction.uniform(2.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
         sigmas=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
         cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4),
-        pivots=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
         other=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
         a_levels=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4),
         zero_at=st.integers(0, 4),
     )
-    def test_additive_over_subintervals(self, sigmas, cuts, pivots, other, a_levels, zero_at):
+    def test_matches_left_point_sum_on_the_union_grid(self, sigmas, cuts, other, a_levels,
+                                                      zero_at):
+        # products of one, two and three step functions, with a tuning
+        # function that is zero on one segment
         rounded = {round(2.0 * c, 6) for c in cuts}
         times = [0.0] + sorted(t for t in rounded if 0.0 < t < 2.0)
         sigmas = (sigmas * len(times))[: len(times)]
         curve = VolatilityCurve(tuple(times), tuple(sigmas), 2.0)
-        s, u, t = sorted(pivots)
-        total = integrate(square, curve, lo=s, hi=t)
-        split = integrate(square, curve, lo=s, hi=u) + integrate(square, curve, lo=u, hi=t)
-        assert split == pytest.approx(total, abs=1e-12)
-
-        # products of two and three step functions on a union grid, with a
-        # tuning function that is zero on one segment
         other_curve = VolatilityCurve(tuple(2.0 * i / len(other) for i in range(len(other))),
                                       tuple(other), 2.0)
         levels = list(a_levels)
@@ -99,14 +74,13 @@ class TestIntegratedVariance:
         levels.insert(zero_at, 0.0)
         a_times = tuple(2.0 * i / len(levels) for i in range(len(levels)))
         tuning = TuningFunction(a_times, tuple(levels), 2.0)
-        for f, steps in ((lambda x, y: x * y, (curve, other_curve)),
+        for f, steps in ((square, (curve,)),
+                         (lambda x, y: x * y, (curve, other_curve)),
                          (lambda x, y, a: a ** 2 / (x * y), (curve, other_curve, tuning))):
-            total = integrate(f, *steps, lo=s, hi=t)
-            split = integrate(f, *steps, lo=s, hi=u) + integrate(f, *steps, lo=u, hi=t)
-            assert split == pytest.approx(total, rel=1e-12, abs=1e-12)
-        zero_end = a_times[zero_at + 1] if zero_at + 1 < len(a_times) else 2.0
-        assert integrate(lambda x, y, a: a ** 2 / (x * y), curve, other_curve, tuning,
-                         lo=a_times[zero_at], hi=zero_end) == 0.0
+            edges = np.unique(np.concatenate([s.times for s in steps] + [[2.0]]))
+            left = edges[:-1]
+            ref = np.sum(f(*(s.values_on_grid(left) for s in steps)) * np.diff(edges))
+            assert integrate(f, *steps) == pytest.approx(ref, rel=1e-12)
 
 
 class TestWeightKernelMoments:

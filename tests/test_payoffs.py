@@ -19,7 +19,6 @@ from quantogreeks.payoffs import (
     KinkSolver,
     conditional_mean,
     energy_kink_levels,
-    h_kink_levels,
     validate_payoff,
 )
 
@@ -177,5 +176,4 @@ class TestConditionalMean:
 
     def test_collar_has_two_kink_levels(self):
         p = FourStrikeCollar(110.0, 95.0, 90.0, 75.0)
-        assert h_kink_levels(p) == (75.0, 95.0)
         assert energy_kink_levels(p) == (90.0, 110.0)

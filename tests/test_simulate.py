@@ -13,7 +13,6 @@ from quantogreeks import (
     VolatilityCurve,
     draw_samples,
     sample_block,
-    validate_model,
 )
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import BLOCK_SIZE, _block_generator, _build_plan
@@ -28,7 +27,6 @@ def _stderr(x):
 class TestExactTerminal:
     def test_degenerate_volatility_gives_constant_price(self, uniform_tuning):
         m = make_model(sigE=0.0)
-        assert validate_model(m, eta=0.0).valid  # forced past the ellipticity floor
         draw = draw_samples(m, uniform_tuning, SimConfig(1000, seed=1))
         assert np.all(draw.fE_T == 100.0)
 

@@ -68,11 +68,11 @@ class TestIndependentWeights:
             w, _ = weight_for(variant, draw, atm_model, uniform_tuning)
             assert abs(w.mean()) < 3.0 * w.std(ddof=1) / math.sqrt(len(w))
 
-    def test_nonzero_rho_rejected_without_override(self, uniform_tuning):
+    def test_nonzero_rho_rejected(self, uniform_tuning):
         m = make_model(rho=0.4)
-        with pytest.raises(ValueError, match="rho"):
+        message = r"^IndepDeltaE assumes rho = 0 \(model has rho=0\.4\)$"
+        with pytest.raises(ValueError, match=message):
             weight_for(V.INDEP_DELTA_E, manual_draw(), m, uniform_tuning)
-        weight_for(V.INDEP_DELTA_E, manual_draw(), m, uniform_tuning, allow_rho_mismatch=True)
 
 
 class TestCorrelatedDeltaE:
