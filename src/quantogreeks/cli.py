@@ -11,12 +11,13 @@ deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, build_run, load_config
+from .config import ConfigError, RunConfig, as_integer, build_run, load_config
 from .estimators import (
     GreekEstimate,
     convergence_table,
@@ -46,23 +47,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_report(path: str | None, comment_lines: list[str], header: tuple[str, ...],
-                  rows: list[dict], fmt: str, meta: dict) -> None:
+def _report(comment_lines: list[str], header: tuple[str, ...], rows: list[dict], fmt: str,
+            meta: dict) -> str:
     if fmt == "json":
-        payload = dict(meta)
-        payload["results"] = rows
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [f"# {line}" for line in comment_lines]
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(col)) for col in header))
-        text = "\n".join(lines) + "\n"
+        return json.dumps({**meta, "results": rows}, indent=2, sort_keys=True) + "\n"
+    lines = [f"# {line}" for line in comment_lines]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_fmt(row.get(col)) for col in header))
+    return "\n".join(lines) + "\n"
+
+
+def _output(path: str | None):
+    """stdout, or ``path`` opened for writing; an unwritable path is a usage error."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"--out: cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _estimate_row(est: GreekEstimate, timing: bool, oracle_value: float | None = None) -> dict:
@@ -125,7 +128,7 @@ def _at_most_one(variants: list[WeightVariant]) -> WeightVariant | None:
 def _parse_grid(text: str, convert, flag: str, what: str) -> list:
     try:
         grid = [convert(tok) for tok in text.split(",") if tok.strip() != ""]
-    except (ValueError, OverflowError):  # int(float("inf")) overflows
+    except ValueError:
         raise ValueError(f"{flag}: expected comma-separated {what}, got {text!r}") from None
     if not grid:
         raise ValueError(f"{flag}: empty grid")
@@ -197,7 +200,8 @@ def _sweep_rho(args, run: RunConfig, variants):
 def _converge(args, run: RunConfig, variants):
     if args.n is not None:
         raise ValueError("--n: converge draws the --n-grid sample counts; drop --n")
-    sizes = _parse_grid(args.n_grid, lambda tok: int(float(tok)), "--n-grid", "counts")
+    sizes = _parse_grid(args.n_grid, lambda tok: as_integer(float(tok), "--n-grid"),
+                        "--n-grid", "counts")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")
     for n in sizes:
@@ -205,9 +209,9 @@ def _converge(args, run: RunConfig, variants):
     variant = _at_most_one(variants)
 
     def compute():
-        return convergence_table(run.model, run.payoff, run.tuning, variant, sizes,
-                                 run.sim.seed, antithetic=run.sim.antithetic,
-                                 scheme=run.sim.scheme, threads=args.threads)
+        return convergence_table(run.model, run.payoff, run.tuning, variant,
+                                 replace(run.sim, n_samples=sizes[-1]), sizes,
+                                 threads=args.threads)
 
     return ("n", "value", "stderr"), compute
 
@@ -216,7 +220,8 @@ def _run_command(args) -> int:
     """Load, parse arguments, validate, run, report: the path every command shares.
 
     Usage errors raise ValueError (exit 2) before the model is validated
-    (exit 3), so a bad invocation never reaches the engine.
+    (exit 3), so a bad invocation never reaches the engine. An unwritable
+    ``--out`` is a usage error found after validation and before the run.
     """
     run = _load_run(args)
     if args.threads < 1:
@@ -229,7 +234,8 @@ def _run_command(args) -> int:
         return EXIT_VALIDATION
     args.timing = args.timing or args.format == "json"  # JSON always carries timings
     comments, meta = _meta(run, args.command)
-    _write_report(args.out, comments, header, compute(), args.format, meta)
+    with _output(args.out) as fh:
+        fh.write(_report(comments, header, compute(), args.format, meta))
     return EXIT_OK
 
 

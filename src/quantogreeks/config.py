@@ -75,6 +75,13 @@ def _as_float(raw: dict, key: str) -> float:
         raise ConfigError(f"key {key}: expected a number, got {value!r}") from None
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` if it is a whole number (``20000``, ``1e4``); a bool or a fraction is refused."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name}: expected an integer, got {value!r}")
+
+
 def _curve(raw: dict, key: str, horizon: float) -> VolatilityCurve:
     value = _require(raw, key)
     try:
@@ -169,8 +176,8 @@ def build_sim(raw: dict) -> SimConfig:
     if not isinstance(antithetic, bool):
         raise ConfigError(f"key sim.antithetic: expected true/false, got {antithetic!r}")
     return SimConfig(
-        n_samples=int(raw.get("sim.n", 100_000)),
-        seed=int(raw.get("sim.seed", 0)),
+        n_samples=as_integer(raw.get("sim.n", 100_000), "key sim.n"),
+        seed=as_integer(raw.get("sim.seed", 0), "key sim.seed"),
         antithetic=antithetic,
         scheme=scheme,
     )

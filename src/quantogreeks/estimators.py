@@ -27,7 +27,6 @@ from .simulate import (
     BLOCK_SIZE,
     SampleDraw,
     SimConfig,
-    SimScheme,
     _build_plan,
     _check_config,
     _draw_block,
@@ -222,28 +221,25 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
     return job
 
 
+def _central_difference(which: str, price_at: Callable, step: float, f0E: float, f0I: float):
+    """Central difference in a relative ``step`` of both initial levels f0E and f0I.
+
+    ``price_at(scale_E, scale_I)`` is the price, an array or a float, with both levels rescaled.
+    """
+    up, dn = 1.0 + step, 1.0 - step
+    if which == "dE":
+        return (price_at(up, 1.0) - price_at(dn, 1.0)) / (2.0 * step * f0E)
+    if which == "dI":
+        return (price_at(1.0, up) - price_at(1.0, dn)) / (2.0 * step * f0I)
+    pp, pm, mp, mm = price_at(up, up), price_at(up, dn), price_at(dn, up), price_at(dn, dn)
+    return (pp - pm - mp + mm) / (4.0 * step * step * f0E * f0I)
+
+
 def _fd_job(which: str) -> _Job:
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
-
-    def job(data: _BlockData) -> np.ndarray:
-        f0E = data.model.energy.f0
-        f0I = data.model.temperature.f0
-        if which == "dE":
-            up = data.payoff_at(1.0 + FD_BUMP, 1.0)
-            dn = data.payoff_at(1.0 - FD_BUMP, 1.0)
-            return (up - dn) / (2.0 * FD_BUMP * f0E)
-        if which == "dI":
-            up = data.payoff_at(1.0, 1.0 + FD_BUMP)
-            dn = data.payoff_at(1.0, 1.0 - FD_BUMP)
-            return (up - dn) / (2.0 * FD_BUMP * f0I)
-        pp = data.payoff_at(1.0 + FD_BUMP, 1.0 + FD_BUMP)
-        pm = data.payoff_at(1.0 + FD_BUMP, 1.0 - FD_BUMP)
-        mp = data.payoff_at(1.0 - FD_BUMP, 1.0 + FD_BUMP)
-        mm = data.payoff_at(1.0 - FD_BUMP, 1.0 - FD_BUMP)
-        return (pp - pm - mp + mm) / (4.0 * FD_BUMP * FD_BUMP * f0E * f0I)
-
-    return job
+    return lambda data: _central_difference(which, data.payoff_at, FD_BUMP,
+                                            data.model.energy.f0, data.model.temperature.f0)
 
 
 def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
@@ -273,8 +269,10 @@ def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     each scenario equals a separate pass at its rho bit for bit.
     """
     jobs = [(variant.value, _variant_job(variant, tuning))]
-    jobs += [(v.value, _variant_job(v, tuning, replace(model, rho=float(rho))))
-             for rho, v in scenarios or ()]
+    for rho, v in scenarios or ():
+        scenario = replace(model, rho=float(rho))
+        _require_valid(scenario, payoff)  # nothing is drawn for an invalid scenario either
+        jobs.append((v.value, _variant_job(v, tuning, scenario)))
     per_job = [ests if sizes is not None else ests[0]
                for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads, sizes)]
     return per_job if scenarios is not None else per_job[0]
@@ -367,30 +365,17 @@ def quad_price(model: MarketModel, payoff: PayoffSpec) -> float:
 def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
     """Sensitivity of ``quad_price`` by central differences in the initial levels.
 
-    The step is 1e-5 of each initial level. The price is deterministic and
-    accurate to rounding, so this resolves the derivative to roughly 1e-6
-    relative accuracy.
+    It is the Monte Carlo bumps' stencil with a relative step of 1e-5. The
+    price is deterministic and accurate to rounding, so this resolves the
+    derivative to roughly 1e-6 relative accuracy.
     """
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
     _require_valid(model, payoff)  # report the model as given, not a bumped copy
-    f0E = model.energy.f0
-    f0I = model.temperature.f0
-    hE = 1e-5 * f0E
-    hI = 1e-5 * f0I
-    if which == "dE":
-        up = quad_price(model.with_f0(energy=f0E + hE), payoff)
-        dn = quad_price(model.with_f0(energy=f0E - hE), payoff)
-        return (up - dn) / (2.0 * hE)
-    if which == "dI":
-        up = quad_price(model.with_f0(temperature=f0I + hI), payoff)
-        dn = quad_price(model.with_f0(temperature=f0I - hI), payoff)
-        return (up - dn) / (2.0 * hI)
-    pp = quad_price(model.with_f0(energy=f0E + hE, temperature=f0I + hI), payoff)
-    pm = quad_price(model.with_f0(energy=f0E + hE, temperature=f0I - hI), payoff)
-    mp = quad_price(model.with_f0(energy=f0E - hE, temperature=f0I + hI), payoff)
-    mm = quad_price(model.with_f0(energy=f0E - hE, temperature=f0I - hI), payoff)
-    return (pp - pm - mp + mm) / (4.0 * hE * hI)
+    f0E, f0I = model.energy.f0, model.temperature.f0
+    return _central_difference(
+        which, lambda sE, sI: quad_price(model.with_f0(f0E * sE, f0I * sI), payoff),
+        1e-5, f0E, f0I)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +408,6 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
     """
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
-    for rho in rho_grid:
-        if not abs(rho) < 1.0:
-            raise ValueError(f"rho grid values must lie in (-1, 1), got {rho}")
     corr_variant = variant or _DEFAULT_CORR_VARIANT[which]
     base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, _INDEP_VARIANT[which], cfg,
                            threads=threads, scenarios=[(rho, corr_variant) for rho in rho_grid])
@@ -439,23 +421,18 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
 
 
 def convergence_table(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
-                      variant: WeightVariant | None, n_grid: list[int], seed: int,
-                      antithetic: bool = False, scheme=None, threads: int = 1
-                      ) -> list[dict[str, float]]:
-    """Estimates along an increasing sample-size grid from one pass to max(n_grid).
+                      variant: WeightVariant | None, cfg: SimConfig, n_grid: Sequence[int],
+                      threads: int = 1) -> list[dict[str, float]]:
+    """Estimates along an increasing sample-size grid from one pass of ``cfg``.
 
-    The counter-based stream makes the first n draws of a larger run identical
-    to a smaller run, so each row reduces a prefix of that pass and equals a
-    separate run of n draws bit for bit.
+    ``cfg.n_samples`` must be the largest count. The first n draws of the
+    counter-based stream are those of a run of n, so each row reduces a
+    prefix of the pass and equals a separate run of n draws bit for bit.
     """
-    if not n_grid:
-        raise ValueError("n_grid must not be empty")
-    sizes = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"n_grid must be strictly increasing, got {sizes}")
-    cfg = SimConfig(sizes[-1], seed, antithetic=antithetic, scheme=scheme or SimScheme.exact())
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError(f"n_grid must be strictly increasing, got {list(n_grid)}")
     if variant is None:
-        ests = mc_price(model, payoff, cfg, tuning, threads=threads, sizes=sizes)
+        ests = mc_price(model, payoff, cfg, tuning, threads=threads, sizes=n_grid)
     else:
-        ests = mc_greek(model, payoff, tuning, variant, cfg, threads=threads, sizes=sizes)
+        ests = mc_greek(model, payoff, tuning, variant, cfg, threads=threads, sizes=n_grid)
     return [{"n": est.n, "value": est.value, "stderr": est.stderr} for est in ests]

@@ -8,7 +8,6 @@ finite sum, ``integrate``, over the union of the functions' grids.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -83,10 +82,6 @@ class StepFunction:
         vs = tuple(float(v) for _, v in segments)
         return cls(ts, vs, float(horizon))
 
-    def value_at(self, t: float) -> float:
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.values[max(idx, 0)]
-
     def values_on_grid(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
         return np.asarray(self.values)[np.maximum(idx, 0)]
@@ -99,11 +94,11 @@ class StepFunction:
 VolatilityCurve = TuningFunction = StepFunction
 
 
-def union_grid(lo: float, hi: float, *steps: StepFunction) -> list[float]:
-    """``lo``, ``hi`` and every segment start of ``steps`` strictly between them, sorted."""
-    pts = {lo, hi}
+def union_grid(horizon: float, *steps: StepFunction) -> list[float]:
+    """0, ``horizon`` and every segment start of ``steps`` strictly between them, sorted."""
+    pts = {0.0, horizon}
     for s in steps:
-        pts.update(t for t in s.times if lo < t < hi)
+        pts.update(t for t in s.times if 0.0 < t < horizon)
     return sorted(pts)
 
 
@@ -111,17 +106,17 @@ def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
     """Exact integral of ``f(s1(t), s2(t), ...)`` over the whole horizon.
 
     Every product of step functions is itself a step function on the union of
-    their grids, so the integral is a finite sum. The arithmetic is scalar
-    Python on purpose: ``x ** 2`` on a float calls libm ``pow``, which numpy's
-    ``x * x`` does not reproduce bit for bit.
+    their grids, so the integral is a finite sum. The sum is scalar Python on
+    purpose: ``x ** 2`` on a float calls libm ``pow``, which numpy's ``x * x``
+    does not reproduce bit for bit.
     """
     horizon = steps[0].horizon
     if any(s.horizon != horizon for s in steps):
         raise ValueError("step functions must share the horizon")
-    edges = union_grid(0.0, horizon, *steps)
+    edges = union_grid(horizon, *steps)
+    levels = zip(*(s.values_on_grid(np.array(edges[:-1])).tolist() for s in steps))
     try:
-        return float(sum(f(*(s.value_at(a) for s in steps)) * (b - a)
-                         for a, b in zip(edges, edges[1:])))
+        return float(sum(f(*vals) * (b - a) for vals, a, b in zip(levels, edges, edges[1:])))
     except ZeroDivisionError:
         raise ValueError("integrand divides by a zero step value "
                          "(strictly positive volatility required)") from None
@@ -156,14 +151,10 @@ class MarketModel:
     def horizon(self) -> float:
         return self.energy.delivery_end
 
-    def with_f0(self, energy: float | None = None, temperature: float | None = None) -> "MarketModel":
-        """Copy with bumped initial futures levels (used by finite differences)."""
-        m = self
-        if energy is not None:
-            m = replace(m, energy=replace(m.energy, f0=float(energy)))
-        if temperature is not None:
-            m = replace(m, temperature=replace(m.temperature, f0=float(temperature)))
-        return m
+    def with_f0(self, energy: float, temperature: float) -> "MarketModel":
+        """Copy with both initial futures levels replaced (the quadrature oracle's bumps)."""
+        return replace(self, energy=replace(self.energy, f0=float(energy)),
+                       temperature=replace(self.temperature, f0=float(temperature)))
 
 
 def _check_leg(bad: list[str], name: str, spec: FuturesSpec, vol: VolatilityCurve,

@@ -91,9 +91,6 @@ class SampleDraw:
     iE_cross: np.ndarray
     gI_cross: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.fE_T)
-
 
 def _check_config(cfg: SimConfig) -> None:
     if cfg.n_samples < 1:
@@ -160,7 +157,7 @@ def _build_plan(model: MarketModel, tuning: TuningFunction, scheme: SimScheme) -
     if tuning.horizon != horizon:
         raise ValueError("tuning function horizon must match the model horizon")
     if scheme.kind == "exact":
-        edges = np.array(union_grid(0.0, horizon, model.energy_vol, model.temperature_vol, tuning))
+        edges = np.array(union_grid(horizon, model.energy_vol, model.temperature_vol, tuning))
         dt = np.diff(edges)
     else:
         edges = np.linspace(0.0, horizon, scheme.steps + 1)

@@ -272,3 +272,31 @@ payoff.alpha = 1.5""")
             'payoff.h = {"knots": [[80.0, 0.0]], "slopes": [0.0, 1.0]}')
         path = write_config(tmp_path, sep, "sep.cfg")
         assert main(["price", "--config", path, "--n", "2000"]) == 0
+
+    @pytest.mark.parametrize("line,key", [("sim.n = 2.7", "sim.n"), ("sim.n = true", "sim.n"),
+                                          ('sim.n = "abc"', "sim.n"),
+                                          ("sim.seed = 1.9", "sim.seed")])
+    def test_non_integral_count_or_seed_exits_2_naming_the_key(self, tmp_path, capsys, line,
+                                                               key):
+        # a fraction or a bool used to be truncated: 2.7 samples ran 2, true ran 1
+        text = BASE_CONFIG.replace("sim.n = 20000", "sim.n = 2000") + line + "\n"
+        assert main(["price", "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.startswith(f"key {key}: expected an integer")
+
+    def test_exponent_count_is_valid(self, tmp_path):
+        out = tmp_path / "a.csv"
+        text = BASE_CONFIG.replace("sim.n = 20000", "sim.n = 2e3")
+        assert main(["price", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        assert read_rows(out)[0]["n"] == "2000"
+
+    def test_fractional_grid_count_exits_2_naming_the_flag(self, config_path, capsys):
+        assert main(["converge", "--config", config_path, "--n-grid", "1000.7,2000.9"]) == 2
+        assert capsys.readouterr().err.startswith("--n-grid")
+
+
+@pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])
+def test_unwritable_out_exits_2_naming_the_path(config_path, tmp_path, capsys, out):
+    path = str(tmp_path / out)
+    assert main(["price", "--config", config_path, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"--out: cannot write {path}: ") and err.count("\n") == 1

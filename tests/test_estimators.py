@@ -157,6 +157,19 @@ class TestEngineValidation:
             ENTRY_POINTS[entry](atm_model, ATM, doubled, SimConfig(1000, seed=0))
         assert str(exc.value) == "; ".join(validate_model(atm_model, doubled))
 
+    @pytest.mark.parametrize("mode", list(CorrelationMode))
+    @pytest.mark.parametrize("rho", [1.0, 1.5, math.nan])
+    def test_scenario_models_raise_the_validation_message(self, monkeypatch, uniform_tuning,
+                                                          mode, rho):
+        # unvalidated, rho = 1 divides by zero and 1.5 takes the root of a negative
+        calls = counting_draws(monkeypatch)
+        model = make_model(rho=0.3, mode=mode)
+        with pytest.raises(ValueError) as exc:
+            mc_greek(model, ATM, uniform_tuning, V.CORR_DELTA_I, SimConfig(1000, seed=0),
+                     scenarios=[(0.5, V.CORR_DELTA_I), (rho, V.CORR_DELTA_E_MATRIX_INVERSE)])
+        assert str(exc.value) == "; ".join(validate_model(dataclasses.replace(model, rho=rho)))
+        assert calls == []
+
     @pytest.mark.parametrize("entry", MONTE_CARLO)
     def test_usage_errors_come_before_validation(self, uniform_tuning, entry):
         with pytest.raises(ValueError, match="n_samples"):
@@ -256,6 +269,20 @@ class TestFiniteDifferences:
         ref = oracles.product_call_cross_gamma(100, 100, 0.2, 100, 100, 0.2, 1.0)
         assert abs(fd.value - ref) < 4.0 * fd.stderr
 
+    @pytest.mark.parametrize("mode,frozen", [
+        (CorrelationMode.PAYOFF_MIXING, {"dE": 10.655252519458202, "dI": 3.869182876703632,
+                                         "dEdI": 0.3366589728163627}),
+        (CorrelationMode.SDE_MIXING, {"dE": 1.8883200075668856, "dI": 1.9187959558836072,
+                                      "dEdI": 0.3155025868269417}),
+    ])
+    def test_collar_bumps_keep_their_values(self, mode, frozen):
+        # frozen from the per-Greek stencils that preceded the shared central difference
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(65_538, seed=66, antithetic=True)
+        fused = mc_estimates(model, COLLAR, tuning, [], cfg, fd_greeks=list(frozen))
+        assert {which: fused[f"FD_{which}"].value for which in frozen} == frozen
+
     def test_digital_bump_noise_dwarfs_weighted_estimator(self, atm_model, uniform_tuning):
         cfg = SimConfig(10_000, seed=48)
         digital = DigitalProduct(100.0, 100.0)
@@ -334,8 +361,9 @@ class TestOnePass:
         model = make_model(rho=0.4, mode=mode)
         payoff = ProductCall(0.0, 0.0)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
-        rows = convergence_table(model, payoff, tuning, variant, grid, seed=64,
-                                 antithetic=antithetic, scheme=SimScheme.log_euler(16))
+        rows = convergence_table(model, payoff, tuning, variant,
+                                 SimConfig(grid[-1], seed=64, antithetic=antithetic,
+                                           scheme=SimScheme.log_euler(16)), grid)
         for n, row in zip(grid, rows):
             cfg = SimConfig(n, seed=64, antithetic=antithetic, scheme=SimScheme.log_euler(16))
             est = (mc_price(model, payoff, cfg, tuning) if variant is None
@@ -367,7 +395,7 @@ class TestOnePass:
                                                                 uniform_tuning):
         calls = counting_draws(monkeypatch)
         convergence_table(make_model(), ATM, uniform_tuning, V.INDEP_CROSS_GAMMA,
-                          [70_000, 131_072, 200_001], seed=60)
+                          SimConfig(200_001, seed=60), [70_000, 131_072, 200_001])
         assert sorted(calls) == list(range(block_count(200_001)))
 
     def test_scenario_views_do_not_accumulate(self, uniform_tuning):
@@ -432,33 +460,39 @@ class TestResidualRisk:
         assert [r["rho"] for r in rows] == [-0.5, 0.0, 0.5]
 
     def test_out_of_range_rho_rejected(self, atm_model, uniform_tuning):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\), got 1.0"):
             residual_risk(atm_model, ATM, uniform_tuning, [1.0], SimConfig(100, seed=0))
 
 
 class TestConvergenceTable:
     def test_rows_and_prefix_sharing(self, atm_model, uniform_tuning):
         rows = convergence_table(atm_model, ATM, uniform_tuning, None,
-                                 [10_000, 40_000], seed=51)
+                                 SimConfig(40_000, seed=51), [10_000, 40_000])
         assert len(rows) == 2
         assert rows[1]["stderr"] < rows[0]["stderr"]
 
     def test_singleton_grid(self, atm_model, uniform_tuning):
         rows = convergence_table(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E,
-                                 [5_000], seed=52)
+                                 SimConfig(5_000, seed=52), [5_000])
         assert len(rows) == 1
 
     def test_quadrupling_samples_halves_stderr(self, atm_model, uniform_tuning):
         rows = convergence_table(atm_model, ATM, uniform_tuning, None,
-                                 [100_000, 400_000], seed=55)
+                                 SimConfig(400_000, seed=55), [100_000, 400_000])
         ratio = rows[1]["stderr"] / rows[0]["stderr"]
         assert 0.4 <= ratio <= 0.6
 
     def test_monotone_grid_required(self, atm_model, uniform_tuning):
+        cfg = SimConfig(100, seed=0)
         with pytest.raises(ValueError):
-            convergence_table(atm_model, ATM, uniform_tuning, None, [100, 100], seed=0)
+            convergence_table(atm_model, ATM, uniform_tuning, None, cfg, [100, 100])
         with pytest.raises(ValueError):
-            convergence_table(atm_model, ATM, uniform_tuning, None, [], seed=0)
+            convergence_table(atm_model, ATM, uniform_tuning, None, cfg, [])
+
+    def test_grid_must_end_at_the_pass_size(self, atm_model, uniform_tuning):
+        with pytest.raises(ValueError, match="largest sample count"):
+            convergence_table(atm_model, ATM, uniform_tuning, None, SimConfig(100, seed=0),
+                              [10, 50])
 
 
 class TestTuningInvariance:

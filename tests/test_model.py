@@ -145,7 +145,7 @@ class TestCurveConstruction:
 
     def test_lookup_is_right_continuous(self):
         curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0)
-        assert curve.value_at(0.5) == 0.3
-        assert curve.value_at(0.49999) == 0.1
+        assert curve.values_on_grid(np.array([0.5])).tolist() == [0.3]
+        assert curve.values_on_grid(np.array([0.49999])).tolist() == [0.1]
         grid = curve.values_on_grid(np.array([0.0, 0.25, 0.5, 0.75]))
         assert grid.tolist() == [0.1, 0.1, 0.3, 0.3]

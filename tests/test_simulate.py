@@ -231,7 +231,7 @@ class TestReproducibility:
         # crosses a block boundary: the counter-based stream is a prefix code
         short = draw_samples(atm_model, uniform_tuning, SimConfig(70_000, seed=17))
         long = draw_samples(atm_model, uniform_tuning, SimConfig(140_000, seed=17))
-        assert len(short) == 70_000 and BLOCK_SIZE < 70_000 * 2
+        assert len(short.fE_T) == 70_000 and BLOCK_SIZE < 70_000 * 2
         assert np.array_equal(long.fE_T[:70_000], short.fE_T)
 
     def test_blocks_are_pure_functions_of_index(self, atm_model, uniform_tuning):
