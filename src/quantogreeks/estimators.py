@@ -2,7 +2,8 @@
 
 The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
-result is bit-identical for any thread count. Correlation scenarios,
+result is bit-identical for any thread count. Each worker draws a block into
+buffers it reuses for the whole pass and evaluates it a tile at a time. Correlation scenarios,
 finite-difference bumps and sample-size prefixes are jobs on that one stream,
 so each command draws once. The quadrature oracle shares no sampling code
 with the Monte Carlo path: it integrates a closed-form mean over the
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,8 +33,10 @@ from .simulate import (
     _check_config,
     _draw_block,
     _Plan,
+    _rows,
     _temperature_level,
     block_count,
+    tile_bounds,
 )
 from .weights import WeightVariant, weight_for
 
@@ -154,17 +158,30 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
 
-    def add_moments(out: list[dict], draw: SampleDraw, ends: list[int]) -> None:
-        data = _BlockData(draw, plan, model, payoff)
+    local = threading.local()  # each worker's block buffers, reused for every block it runs
+
+    def add_moments(out: list[dict], block_cfg: SimConfig, block: int, ends: list[int]) -> None:
+        draw = _draw_block(plan, block_cfg, block, local.draw)
+        tiles = [(lo, hi, _BlockData(_rows(draw, lo, hi), plan, model, payoff))
+                 for lo, hi in tile_bounds(len(draw.fE_T), cfg.antithetic)]
         for moments, (_, job) in zip(out, jobs):
-            values = job(data)
-            if cfg.antithetic:
-                values = _pair_means(values)
+            for lo, hi, data in tiles:
+                values = job(data)
+                if cfg.antithetic:
+                    values = _pair_means(values)
+                local.values[lo // draws_per_value:hi // draws_per_value] = values
             for end in ends:
-                head = values[:end // draws_per_value]
+                head = local.values[:end // draws_per_value]
                 moments[end] = (float(head.sum()), float(np.dot(head, head)), len(head))
 
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
+        if not hasattr(local, "draw"):
+            # One allocation holds the draw fields and the job values. Once it is
+            # freed, glibc's dynamic thresholds keep the smaller tile temporaries
+            # on the heap instead of returning them to the kernel after each block.
+            *rows, local.values = np.empty((len(fields(SampleDraw)) + 1,
+                                            min(BLOCK_SIZE, cfg.n_samples)))
+            local.draw = SampleDraw(*rows)
         start = block * BLOCK_SIZE
         count = min(BLOCK_SIZE, cfg.n_samples - start)
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
@@ -172,9 +189,9 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         # numpy multiplies a one-row draw by the loads with a dot product, not
         # gemv, so a one-row prefix is drawn on its own to keep its bits.
         if ends[0] == draws_per_value < count:
-            lone = _draw_block(plan, replace(cfg, n_samples=start + ends.pop(0)), block)
-            add_moments(out, lone, [draws_per_value])
-        add_moments(out, _draw_block(plan, cfg, block), ends)
+            add_moments(out, replace(cfg, n_samples=start + ends.pop(0)), block,
+                        [draws_per_value])
+        add_moments(out, cfg, block, ends)
         return out
 
     blocks = range(block_count(cfg.n_samples))

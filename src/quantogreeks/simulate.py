@@ -2,7 +2,10 @@
 
 Draws are generated in fixed-size blocks from a counter-based Philox stream
 keyed by the seed, so sample i never depends on how many samples are requested
-or on how the blocks are scheduled across threads.
+or on how the blocks are scheduled across threads. A block is drawn in tiles
+of ``TILE_SIZE`` samples, into buffers a caller may reuse from block to block;
+the tiles continue the block's generator, so the tiling leaves every bit as a
+single draw of the block would give it.
 
 Each of the six Gaussian accumulators is a fixed linear functional of one
 driver's increments, so a driver's three accumulators are ``dW @ K`` for a
@@ -24,7 +27,8 @@ import numpy as np
 
 from .model import CorrelationMode, MarketModel, TuningFunction, union_grid
 
-BLOCK_SIZE = 1 << 16
+BLOCK_SIZE = 1 << 16  # samples per block: the unit of the random stream and of the reductions
+TILE_SIZE = 1 << 14  # samples per tile: a block is drawn and evaluated this many at a time
 
 _KEY_MASK = (1 << 128) - 1
 
@@ -174,35 +178,63 @@ def block_count(n_samples: int) -> int:
     return (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def _interleave_negated(x: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(x))
-    out[0::2] = x
-    out[1::2] = -x
-    return out
+def tile_bounds(count: int, antithetic: bool) -> list[tuple[int, int]]:
+    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block.
+
+    A tail of one draw row (one sample, or one antithetic pair) joins the
+    tile before it: numpy multiplies a single row by the loads with a dot
+    product rather than gemv, so a lone row would not keep its bits.
+    """
+    row = 2 if antithetic else 1
+    edges = [*range(0, count, TILE_SIZE), count]
+    if len(edges) > 2 and count - edges[-2] == row:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
 
 
-def _draw_block(plan: _Plan, cfg: SimConfig, block: int) -> SampleDraw:
-    start = block * BLOCK_SIZE
-    count = min(BLOCK_SIZE, cfg.n_samples - start)
-    base = count // 2 if cfg.antithetic else count
+def _empty_draw(count: int) -> SampleDraw:
+    return SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
+
+
+def _rows(draw: SampleDraw, lo: int, hi: int) -> SampleDraw:
+    """Views of samples [lo, hi) of every field."""
+    return SampleDraw(*(getattr(draw, f.name)[lo:hi] for f in fields(SampleDraw)))
+
+
+def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
+                out: SampleDraw | None = None) -> SampleDraw:
+    """Draw block ``block`` tile by tile into ``out`` (fresh arrays if None).
+
+    ``out`` holds at least the block's sample count; the result is views of
+    its leading entries. The block's generator fills the normals one tile at
+    a time, so every sample has the bits of a single draw of the block.
+    """
+    count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
+    draw = _empty_draw(count) if out is None else _rows(out, 0, count)
     gen = _block_generator(cfg.seed, block)
-    z = gen.standard_normal((base, len(plan.scale), 2))
-    dwE = z[:, :, 0] * plan.scale
-    dwI = z[:, :, 1] * plan.scale
-    gE, iE, gI_cross = (dwE @ load for load in plan.loadE)
-    gI, iI, iE_cross = (dwI @ load for load in plan.loadI)
+    for lo, hi in tile_bounds(count, cfg.antithetic):
+        tile = _rows(draw, lo, hi)
+        rows = (hi - lo) // 2 if cfg.antithetic else hi - lo
+        z = gen.standard_normal((rows, len(plan.scale), 2))
+        dwE = z[:, :, 0] * plan.scale
+        dwI = z[:, :, 1] * plan.scale
+        for dw, loads, dsts in ((dwE, plan.loadE, (tile.gE, tile.iE, tile.gI_cross)),
+                                (dwI, plan.loadI, (tile.gI, tile.iI, tile.iE_cross))):
+            for load, dst in zip(loads, dsts):
+                if cfg.antithetic:
+                    dst[0::2] = dw @ load
+                    np.negative(dst[0::2], out=dst[1::2])
+                else:
+                    np.matmul(dw, load, out=dst)
+        np.add(tile.gE, plan.driftE, out=tile.fE_T)
+        np.exp(tile.fE_T, out=tile.fE_T)
+        np.multiply(tile.fE_T, plan.f0E, out=tile.fE_T)
+        _temperature_level(plan, plan.rho, tile.gI, tile.gI_cross, out=tile.fI_T)
+    return draw
 
-    if cfg.antithetic:
-        gE, iE, gI_cross, gI, iI, iE_cross = map(
-            _interleave_negated, (gE, iE, gI_cross, gI, iI, iE_cross))
 
-    fE = plan.f0E * np.exp(plan.driftE + gE)
-    fI = _temperature_level(plan, plan.rho, gI, gI_cross)
-    return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)
-
-
-def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray,
-                       gI_cross: np.ndarray) -> np.ndarray:
+def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray, gI_cross: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Terminal temperature futures at correlation ``rho`` from the drawn accumulators.
 
     Only sde_mixing mixes the drivers here, so this is the one draw quantity
@@ -213,7 +245,10 @@ def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray,
         stoch_I = rho * gI_cross + float(np.sqrt(1.0 - rho * rho)) * gI
     else:
         stoch_I = gI
-    return plan.f0I * np.exp(plan.driftI + stoch_I)
+    level = np.add(stoch_I, plan.driftI, out=out)
+    np.exp(level, out=level)
+    level *= plan.f0I
+    return level
 
 
 def sample_block(model: MarketModel, tuning: TuningFunction, cfg: SimConfig,

@@ -6,7 +6,8 @@ legs factor into one-dimensional integrals with textbook solutions.
 ``reference_quad_price`` is a 2-D Gauss-Legendre price, summed node by node,
 that integrates the temperature driver numerically between its strike
 crossings; the package's ``quad_price`` replaces that inner integral with a
-closed form and must agree with it to rounding.
+closed form and must agree with it to rounding. ``untiled_block`` draws a
+sample block in one piece, the reference for the tiled draw.
 """
 
 import math
@@ -19,6 +20,7 @@ from quantogreeks.estimators import _norm_pdf, _with_coarse
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import (DigitalProduct, FourStrikeCollar, KinkSolver, ProductCall,
                                   energy_kink_levels, evaluate)
+from quantogreeks.simulate import BLOCK_SIZE, SampleDraw, _block_generator, _build_plan
 
 
 def _d1(f0, k, sigma, t):
@@ -152,3 +154,25 @@ def reference_quad_price(model, payoff, nodes=64, halfwidth=10.0):
         inner = float(np.dot(evaluate(payoff, np.full_like(z2, fE), h_arg) * _norm_pdf(z2), w2))
         total += float(w1_k) * _norm_pdf(float(z1_k)) * inner
     return float(total * math.exp(-model.rate * model.horizon))
+
+
+def untiled_block(model, tuning, cfg, block):
+    """Block ``block`` from one standard_normal call over all of its rows."""
+    plan = _build_plan(model, tuning, cfg.scheme)
+    count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
+    rows = count // 2 if cfg.antithetic else count
+    z = _block_generator(cfg.seed, block).standard_normal((rows, len(plan.scale), 2))
+    dwE = z[:, :, 0] * plan.scale
+    dwI = z[:, :, 1] * plan.scale
+    gE, iE, gI_cross = (dwE @ load for load in plan.loadE)
+    gI, iI, iE_cross = (dwI @ load for load in plan.loadI)
+    if cfg.antithetic:
+        gE, iE, gI_cross, gI, iI, iE_cross = (np.stack([x, -x], axis=1).ravel()
+                                               for x in (gE, iE, gI_cross, gI, iI, iE_cross))
+    fE = plan.f0E * np.exp(plan.driftE + gE)
+    if plan.mode is CorrelationMode.SDE_MIXING:
+        stoch_I = plan.rho * gI_cross + float(np.sqrt(1.0 - plan.rho * plan.rho)) * gI
+    else:
+        stoch_I = gI
+    fI = plan.f0I * np.exp(plan.driftI + stoch_I)
+    return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)

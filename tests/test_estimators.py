@@ -322,9 +322,9 @@ def counting_draws(monkeypatch):
     calls = []
     draw_block = estimators._draw_block
 
-    def counted(plan, cfg, block):
+    def counted(plan, cfg, block, out=None):
         calls.append(block)
-        return draw_block(plan, cfg, block)
+        return draw_block(plan, cfg, block, out)
 
     monkeypatch.setattr(estimators, "_draw_block", counted)
     return calls

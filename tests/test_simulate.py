@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import kernel_moments, make_model
+from oracles import untiled_block
 from quantogreeks import (
     SimConfig,
     SimScheme,
@@ -15,7 +17,9 @@ from quantogreeks import (
     sample_block,
 )
 from quantogreeks.model import CorrelationMode
-from quantogreeks.simulate import BLOCK_SIZE, _block_generator, _build_plan
+from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, _block_generator,
+                                   _build_plan, _draw_block, block_count, iter_sample_blocks,
+                                   tile_bounds)
 
 GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")
 
@@ -217,6 +221,62 @@ class TestAntithetic:
     def test_odd_count_rejected(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError):
             draw_samples(atm_model, uniform_tuning, SimConfig(11, seed=0, antithetic=True))
+
+
+def _assert_same_bits(got, expected):
+    for f in dataclasses.fields(SampleDraw):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+
+class TestTiles:
+    """The tiled draw has the bits of one standard_normal call per block."""
+
+    MODEL_ARGS = dict(rho=0.4, sigI=0.3)
+    TUNING = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+    # (sample count, antithetic, block): k tiles, k tiles plus one row, k tiles
+    # plus one pair, a full block and a partial last block
+    CASES = [(2 * TILE_SIZE, False, 0), (2 * TILE_SIZE + 1, False, 0),
+             (TILE_SIZE + 2, True, 0), (3 * TILE_SIZE + 2, True, 0),
+             (BLOCK_SIZE + 5, False, 0), (BLOCK_SIZE + 2 * TILE_SIZE + 7, False, 1),
+             (BLOCK_SIZE + TILE_SIZE + 2, True, 1)]
+    SETUPS = list(itertools.product(CorrelationMode, [SimScheme.exact(), SimScheme.log_euler(16)]))
+    SETUP_IDS = [f"{mode.value}-{scheme.label()}" for mode, scheme in SETUPS]
+
+    def test_one_row_tail_joins_the_previous_tile(self):
+        t = TILE_SIZE
+        assert tile_bounds(2 * t, False) == [(0, t), (t, 2 * t)]
+        assert tile_bounds(2 * t + 1, False) == [(0, t), (t, 2 * t + 1)]
+        assert tile_bounds(2 * t + 2, False) == [(0, t), (t, 2 * t), (2 * t, 2 * t + 2)]
+        assert tile_bounds(2 * t + 2, True) == [(0, t), (t, 2 * t + 2)]
+        assert tile_bounds(1, False) == [(0, 1)] and tile_bounds(2, True) == [(0, 2)]
+
+    @pytest.mark.parametrize("mode,scheme", SETUPS, ids=SETUP_IDS)
+    @pytest.mark.parametrize("n,antithetic,block", CASES)
+    def test_sample_block_equals_untiled_draw(self, mode, scheme, n, antithetic, block):
+        model = make_model(mode=mode, **self.MODEL_ARGS)
+        cfg = SimConfig(n, seed=33, antithetic=antithetic, scheme=scheme)
+        _assert_same_bits(sample_block(model, self.TUNING, cfg, block),
+                          untiled_block(model, self.TUNING, cfg, block))
+
+    @pytest.mark.parametrize("mode,scheme", SETUPS, ids=SETUP_IDS)
+    def test_buffered_draw_equals_untiled_draw(self, mode, scheme):
+        # one set of buffers, reused across configs and blocks as a pass reuses them
+        model = make_model(mode=mode, **self.MODEL_ARGS)
+        plan = _build_plan(model, self.TUNING, scheme)
+        buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), BLOCK_SIZE), np.nan))
+        for n, antithetic, _ in self.CASES:
+            cfg = SimConfig(n, seed=34, antithetic=antithetic, scheme=scheme)
+            for block in range(block_count(n)):
+                got = _draw_block(plan, cfg, block, buffers)
+                assert np.shares_memory(got.fE_T, buffers.fE_T)
+                _assert_same_bits(got, untiled_block(model, self.TUNING, cfg, block))
+
+    def test_streamed_blocks_share_no_memory(self, atm_model, uniform_tuning):
+        first, second = iter_sample_blocks(atm_model, uniform_tuning,
+                                           SimConfig(BLOCK_SIZE + 10, seed=35))
+        for f, g in itertools.product(dataclasses.fields(SampleDraw), repeat=2):
+            assert not np.shares_memory(getattr(first, f.name), getattr(second, g.name))
 
 
 class TestReproducibility:
