@@ -141,8 +141,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     Returns, per job, one estimate of the discounted values per sample count
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
     draws; a block that n ends inside is also reduced over its prefix.
-    Partial moments are reduced in block-index order, so every estimate has
-    the bits of a separate pass of n draws at any thread count. ``seconds``
+    Each block reduces to its count, sum and sum of squared deviations from
+    its own mean (two passes, no BLAS). These are merged in block-index order
+    (Chan, Golub & LeVeque), so every estimate has the bits of a separate pass
+    of n draws at any thread count and any BLAS thread count. ``seconds``
     is the wall time of the whole pass. Nothing is drawn for an invalid input.
     """
     sizes = [cfg.n_samples] if sizes is None else [int(n) for n in sizes]
@@ -172,15 +174,19 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                 local.values[lo // draws_per_value:hi // draws_per_value] = values
             for end in ends:
                 head = local.values[:end // draws_per_value]
-                moments[end] = (float(head.sum()), float(np.dot(head, head)), len(head))
+                total = float(head.sum())
+                dev = np.subtract(head, total / len(head), out=local.scratch[:len(head)])
+                np.multiply(dev, dev, out=dev)
+                moments[end] = (total, float(dev.sum()), len(head))
 
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
         if not hasattr(local, "draw"):
-            # One allocation holds the draw fields and the job values. Once it is
-            # freed, glibc's dynamic thresholds keep the smaller tile temporaries
-            # on the heap instead of returning them to the kernel after each block.
-            *rows, local.values = np.empty((len(fields(SampleDraw)) + 1,
-                                            min(BLOCK_SIZE, cfg.n_samples)))
+            # One allocation holds the draw fields, the job values and a scratch
+            # row. Once it is freed, glibc's dynamic thresholds keep the smaller
+            # tile temporaries on the heap instead of returning them to the
+            # kernel after each block.
+            *rows, local.values, local.scratch = np.empty((len(fields(SampleDraw)) + 2,
+                                                           min(BLOCK_SIZE, cfg.n_samples)))
             local.draw = SampleDraw(*rows)
         start = block * BLOCK_SIZE
         count = min(BLOCK_SIZE, cfg.n_samples - start)
@@ -207,15 +213,18 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     for j, (label, _) in enumerate(jobs):
         per_size = []
         for n in sizes:
-            total = sq = 0.0
+            total = m2 = 0.0
             count = 0
             for block in range(block_count(n)):
-                s1, s2, c = partials[block][j][min(n - block * BLOCK_SIZE, BLOCK_SIZE)]
+                s1, block_m2, c = partials[block][j][min(n - block * BLOCK_SIZE, BLOCK_SIZE)]
+                if count:  # the spread between the two means
+                    delta = s1 / c - total / count
+                    m2 += delta * delta * count * c / (count + c)
+                m2 += block_m2
                 total += s1
-                sq += s2
                 count += c
             mean = total / count
-            var = max(sq - total * total / count, 0.0) / (count - 1) if count > 1 else 0.0
+            var = m2 / (count - 1) if count > 1 else 0.0
             per_size.append(GreekEstimate(mean * discount, math.sqrt(var / count) * discount,
                                           n, label, seconds))
         estimates.append(per_size)

@@ -18,6 +18,7 @@ from quantogreeks import (
     TuningFunction,
     WeightVariant,
     convergence_table,
+    draw_samples,
     fd_greek,
     mc_estimates,
     mc_greek,
@@ -66,6 +67,17 @@ class TestMcPrice:
         g_flat = mc_greek(make_model(rate=0.0), ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
         g_bump = mc_greek(make_model(rate=0.03), ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
         assert g_bump.value == g_flat.value * math.exp(-0.03)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stderr_survives_a_large_offset(self, atm_model, uniform_tuning, threads):
+        # payoff 1e7 + 5e-5 fE: a spread near 1e-3 on a level near 1e7, where
+        # sum(x^2) - sum(x)^2 / n loses every digit and reported 0.0
+        payoff = Separable(PiecewiseLinear((0.0,), (1e7,), 0.0, 5e-5),
+                           PiecewiseLinear((0.0,), (1.0,)))
+        cfg = SimConfig(200_001, seed=69)
+        est = mc_price(atm_model, payoff, cfg, uniform_tuning, threads=threads)
+        x = 1e7 + 5e-5 * draw_samples(atm_model, uniform_tuning, cfg).fE_T
+        assert est.stderr == pytest.approx(x.std(ddof=1) / math.sqrt(len(x)), rel=1e-6)
 
     def test_antithetic_reduces_price_stderr_here(self, atm_model, uniform_tuning):
         plain = mc_price(atm_model, ATM, SimConfig(100_000, seed=35), uniform_tuning)
@@ -435,14 +447,15 @@ class TestPairMeans:
             assert got.tobytes() == expected.tobytes()
 
     def test_antithetic_pass_keeps_its_values(self):
-        # frozen from the reshape-and-mean pair reduction at n = 65 538 (two blocks)
+        # frozen from the reshape-and-mean pair reduction at n = 65 538 (two
+        # blocks); the stderr values from block M2 values merged in block order
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(65_538, seed=66, antithetic=True)
         price = mc_price(model, COLLAR, cfg, tuning)
-        assert (price.value, price.stderr) == (124.86897289027878, 1.593303745737668)
+        assert (price.value, price.stderr) == (124.86897289027878, 1.5933037457376675)
         greek = mc_greek(model, COLLAR, tuning, V.CORR_CROSS_GAMMA_CONDITIONAL, cfg)
-        assert (greek.value, greek.stderr) == (0.33288844799800626, 0.015264841178394446)
+        assert (greek.value, greek.stderr) == (0.33288844799800626, 0.015264841178394445)
 
 
 class TestResidualRisk:
