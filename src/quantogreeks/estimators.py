@@ -3,9 +3,9 @@
 The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
 result is bit-identical for any thread count. Each worker draws a block into
-buffers it reuses for the whole pass and evaluates it a tile at a time. Correlation scenarios,
-finite-difference bumps and sample-size prefixes are jobs on that one stream,
-so each command draws once. The quadrature oracle shares no sampling code
+buffers it reuses for the whole pass and evaluates it a tile at a time.
+Correlation scenarios, finite-difference bumps and sample-size prefixes are
+jobs on that one stream, so each command draws once. The quadrature oracle shares no sampling code
 with the Monte Carlo path: it integrates a closed-form mean over the
 temperature driver against Gauss-Legendre nodes in the energy driver.
 """
@@ -66,9 +66,9 @@ class GreekEstimate:
 
 
 class _BlockData:
-    """One block of draws with the derived quantities every job needs.
+    """One tile of a block's draws with the derived quantities every job needs.
 
-    ``pay_base`` is evaluated when a job first reads it, so a block whose
+    ``pay_base`` is evaluated when a job first reads it, so a tile whose
     jobs only bump the initial levels never computes it.
     """
 
@@ -147,7 +147,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     of n draws at any thread count and any BLAS thread count. ``seconds``
     is the wall time of the whole pass. Nothing is drawn for an invalid input.
     """
-    sizes = [cfg.n_samples] if sizes is None else [int(n) for n in sizes]
+    sizes = [cfg.n_samples] if sizes is None else list(sizes)
     if not sizes or max(sizes) != cfg.n_samples:
         raise ValueError(f"the largest sample count must be cfg.n_samples = {cfg.n_samples}, "
                          f"got {sizes}")

@@ -33,6 +33,11 @@ TILE_SIZE = 1 << 14  # samples per tile: a block is drawn and evaluated this man
 _KEY_MASK = (1 << 128) - 1
 
 
+def _require_int(value, name: str) -> None:
+    if type(value) is not int:  # a bool or a float, even a whole one, is refused
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimScheme:
     """Sampling scheme: exact terminal law, or log-Euler paths on a uniform grid."""
@@ -40,13 +45,16 @@ class SimScheme:
     kind: str  # "exact" | "euler"
     steps: int = 0
 
+    def __post_init__(self):
+        _require_int(self.steps, "scheme steps")
+
     @classmethod
     def exact(cls) -> "SimScheme":
         return cls("exact", 0)
 
     @classmethod
     def log_euler(cls, steps: int) -> "SimScheme":
-        return cls("euler", int(steps))
+        return cls("euler", steps)
 
     @classmethod
     def parse(cls, text: str) -> "SimScheme":
@@ -97,6 +105,8 @@ class SampleDraw:
 
 
 def _check_config(cfg: SimConfig) -> None:
+    _require_int(cfg.n_samples, "n_samples")
+    _require_int(cfg.seed, "seed")
     if cfg.n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {cfg.n_samples}")
     if cfg.scheme.kind not in ("exact", "euler"):
@@ -192,10 +202,6 @@ def tile_bounds(count: int, antithetic: bool) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _empty_draw(count: int) -> SampleDraw:
-    return SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
-
-
 def _rows(draw: SampleDraw, lo: int, hi: int) -> SampleDraw:
     """Views of samples [lo, hi) of every field."""
     return SampleDraw(*(getattr(draw, f.name)[lo:hi] for f in fields(SampleDraw)))
@@ -210,7 +216,9 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
     a time, so every sample has the bits of a single draw of the block.
     """
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
-    draw = _empty_draw(count) if out is None else _rows(out, 0, count)
+    if out is None:
+        out = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
+    draw = _rows(out, 0, count)
     gen = _block_generator(cfg.seed, block)
     for lo, hi in tile_bounds(count, cfg.antithetic):
         tile = _rows(draw, lo, hi)

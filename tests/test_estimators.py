@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -180,6 +181,21 @@ class TestEngineValidation:
             mc_greek(model, ATM, uniform_tuning, V.CORR_DELTA_I, SimConfig(1000, seed=0),
                      scenarios=[(0.5, V.CORR_DELTA_I), (rho, V.CORR_DELTA_E_MATRIX_INVERSE)])
         assert str(exc.value) == "; ".join(validate_model(dataclasses.replace(model, rho=rho)))
+        assert calls == []
+
+    # unchecked, a fractional size reported a row at n = 10, 1000.0 and a
+    # fractional seed raised bare TypeErrors, and True ran as n = 1
+    @pytest.mark.parametrize("cfg,sizes,field", [
+        (SimConfig(1000, 0), [10.7, 1000], "n_samples"),
+        (SimConfig(1000.0, 0), None, "n_samples"),
+        (SimConfig(True, 0), None, "n_samples"),
+        (SimConfig(1000, 0.5), None, "seed"),
+    ])
+    def test_sample_counts_and_seeds_must_be_integers(self, monkeypatch, atm_model,
+                                                       uniform_tuning, cfg, sizes, field):
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            mc_price(atm_model, ATM, cfg, uniform_tuning, sizes=sizes)
         assert calls == []
 
     @pytest.mark.parametrize("entry", MONTE_CARLO)
@@ -396,6 +412,23 @@ class TestOnePass:
             single = fd_greek(model, COLLAR, which, cfg, tuning)
             assert fused[f"FD_{which}"] == dataclasses.replace(
                 single, seconds=fused[f"FD_{which}"].seconds)
+
+    def test_workers_keep_their_own_block_buffers(self):
+        # more workers than cores, switching often: a buffer shared between
+        # workers would mix one block's draws or values into another's
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(6 * BLOCK_SIZE + 3, seed=62)
+        args = (model, COLLAR, tuning, [V.CORR_DELTA_I, V.CORR_CROSS_GAMMA_CONDITIONAL], cfg)
+        serial = mc_estimates(*args, fd_greeks=["dE"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = mc_estimates(*args, threads=6, fd_greeks=["dE"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert ({k: (e.value, e.stderr) for k, e in threaded.items()}
+                == {k: (e.value, e.stderr) for k, e in serial.items()})
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         calls = counting_draws(monkeypatch)

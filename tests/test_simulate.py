@@ -115,6 +115,15 @@ class TestLogEuler:
         )
         assert ks_2samp(exact.fE_T, euler.fE_T).statistic < 0.01
 
+    @pytest.mark.parametrize("make", [SimScheme.log_euler,
+                                      lambda steps: SimScheme("euler", steps)])
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, make, steps):
+        # log_euler truncated 2.5 to 2 steps; the constructor let a bare
+        # TypeError out of the draw
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            make(steps)
+
     def test_rejects_zero_steps(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError):
             draw_samples(atm_model, uniform_tuning,
