@@ -20,6 +20,7 @@ from dataclasses import replace
 from .config import ConfigError, RunConfig, as_integer, build_run, load_config
 from .estimators import (
     GreekEstimate,
+    _sweep_variant,
     convergence_table,
     fd_greek,  # noqa: F401  unused here; bench/run.py traces Monte Carlo passes by cli names
     mc_estimates,
@@ -188,7 +189,7 @@ def _sweep_rho(args, run: RunConfig, variants):
     grid = _parse_grid(args.grid, float, "--grid", "floats")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
-    variant = _at_most_one(variants)
+    variant = _sweep_variant(args.greek, _at_most_one(variants))
 
     def compute():
         return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,

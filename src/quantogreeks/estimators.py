@@ -13,6 +13,7 @@ temperature driver against Gauss-Legendre nodes in the energy driver.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import threading
 import time
@@ -38,7 +39,7 @@ from .simulate import (
     block_count,
     tile_bounds,
 )
-from .weights import WeightVariant, weight_for
+from .weights import WEIGHTS, WeightVariant, greek_of, require_rho_supported, weight_for
 
 GREEKS = ("dE", "dI", "dEdI")
 FD_BUMP = 1e-4  # relative bump on the initial futures level of every finite difference
@@ -69,10 +70,11 @@ class _BlockData:
     """One tile of a block's draws with the derived quantities every job needs.
 
     ``pay_base`` is evaluated when a job first reads it, so a tile whose
-    jobs only bump the initial levels never computes it.
+    jobs only bump the initial levels never computes it. A weight array that
+    reads no rho is built once per tile and shared by every scenario view.
     """
 
-    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_pay_base")
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_pay_base", "_weights")
 
     def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec):
         self.draw = draw
@@ -82,6 +84,7 @@ class _BlockData:
         self.eE = draw.fE_T / model.energy.f0
         self.eI = draw.fI_T / model.temperature.f0
         self._pay_base = None
+        self._weights: dict[tuple[str, ...], np.ndarray] = {}  # rho-free weights by kernels
 
     @property
     def pay_base(self) -> np.ndarray:
@@ -103,6 +106,18 @@ class _BlockData:
                                                               draw.gI_cross))
             view.eI = view.draw.fI_T / model.temperature.f0
         return view
+
+    def weight(self, variant: WeightVariant, tuning: TuningFunction) -> tuple[np.ndarray, float]:
+        """``weight_for`` on this tile; a rho-free array is built once for the tile and its views.
+
+        A shared array skips ``weight_for``'s zero-rho check, so the engine makes it before drawing.
+        """
+        spec = WEIGHTS[variant]
+        if not spec.rho_free:
+            return weight_for(variant, self.draw, self.model, tuning)
+        if spec.kernels not in self._weights:
+            self._weights[spec.kernels] = weight_for(variant, self.draw, self.model, tuning)[0]
+        return self._weights[spec.kernels], spec.multiplier(self.model.rho)
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
         """Payoff with the initial futures levels rescaled; draws stay fixed."""
@@ -241,8 +256,9 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
     def job(data: _BlockData) -> np.ndarray:
         if scenario is not None:
             data = data.at(scenario)
-        weight, mult = weight_for(variant, data.draw, data.model, tuning)
-        return data.pay_base * weight * mult
+        weight, mult = data.weight(variant, tuning)
+        values = data.pay_base * weight
+        return values if mult == 1.0 else values * mult  # x * 1.0 is x bit for bit
 
     return job
 
@@ -294,10 +310,12 @@ def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     rho; the result is then a list, the estimate of ``variant`` first, and
     each scenario equals a separate pass at its rho bit for bit.
     """
+    require_rho_supported(variant, model)
     jobs = [(variant.value, _variant_job(variant, tuning))]
     for rho, v in scenarios or ():
         scenario = replace(model, rho=float(rho))
         _require_valid(scenario, payoff)  # nothing is drawn for an invalid scenario either
+        require_rho_supported(v, scenario)
         jobs.append((v.value, _variant_job(v, tuning, scenario)))
     per_job = [ests if sizes is not None else ests[0]
                for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads, sizes)]
@@ -313,6 +331,8 @@ def mc_estimates(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     finite difference of ``fd_greek`` ("FD_dE", ...). Each estimate equals a
     separate ``mc_greek``/``fd_greek`` pass bit for bit.
     """
+    for variant in variants:
+        require_rho_supported(variant, model)  # before anything is drawn
     jobs = {variant.value: _variant_job(variant, tuning) for variant in variants}
     for which in fd_greeks:
         jobs[f"FD_{which}"] = _fd_job(which)
@@ -342,6 +362,15 @@ def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
 
 _NODES = 64  # Gauss-Legendre nodes per outer panel
 _HALFWIDTH = 10.0  # the panels cover this many standard deviations either side of 0
+
+
+@functools.cache
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use, not at import."""
+    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -375,7 +404,7 @@ def quad_price(model: MarketModel, payoff: PayoffSpec) -> float:
         z = solver.energy_kink(level)
         if z is not None:
             outer_pts.append(z)
-    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
+    nodes, weights = _legendre()
     splits = np.array(_with_coarse(outer_pts, _HALFWIDTH))
     half = 0.5 * (splits[1:] - splits[:-1])[:, None]
     z1 = (half * nodes + 0.5 * (splits[1:] + splits[:-1])[:, None]).ravel()
@@ -421,6 +450,21 @@ _INDEP_VARIANT = {
 }
 
 
+def _sweep_variant(which: str, variant: WeightVariant | None) -> WeightVariant:
+    """The correlated variant a sweep of ``which`` runs: ``variant`` or the default.
+
+    A variant of another Greek is refused: its rows would subtract one Greek
+    from another.
+    """
+    if which not in GREEKS:
+        raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
+    if variant is None:
+        return _DEFAULT_CORR_VARIANT[which]
+    if greek_of(variant) != which:
+        raise ValueError(f"{variant.value} estimates {greek_of(variant)}, not {which}")
+    return variant
+
+
 def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                   rho_grid: list[float], cfg: SimConfig,
                   variant: WeightVariant | None = None, which: str = "dE",
@@ -432,9 +476,7 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
     pass at its rho. Rows carry (rho, delta_corr, delta_ind, abs_diff, stderr)
     with stderr the combined standard error of the difference.
     """
-    if which not in GREEKS:
-        raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
-    corr_variant = variant or _DEFAULT_CORR_VARIANT[which]
+    corr_variant = _sweep_variant(which, variant)
     base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, _INDEP_VARIANT[which], cfg,
                            threads=threads, scenarios=[(rho, corr_variant) for rho in rho_grid])
     return [{

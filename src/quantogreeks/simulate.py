@@ -229,11 +229,13 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
         for dw, loads, dsts in ((dwE, plan.loadE, (tile.gE, tile.iE, tile.gI_cross)),
                                 (dwI, plan.loadI, (tile.gI, tile.iI, tile.iE_cross))):
             for load, dst in zip(loads, dsts):
+                # np.dot, not matmul: the same bits, but matmul skips BLAS for a
+                # one-column dw (a one-segment grid) and runs 5-10x slower
                 if cfg.antithetic:
-                    dst[0::2] = dw @ load
+                    dst[0::2] = np.dot(dw, load)
                     np.negative(dst[0::2], out=dst[1::2])
                 else:
-                    np.matmul(dw, load, out=dst)
+                    np.dot(dw, load, out=dst)
         np.add(tile.gE, plan.driftE, out=tile.fE_T)
         np.exp(tile.fE_T, out=tile.fE_T)
         np.multiply(tile.fE_T, plan.f0E, out=tile.fE_T)

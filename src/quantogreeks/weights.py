@@ -71,6 +71,11 @@ class _Weight(NamedTuple):
     compensator_sign: float = 0.0
     zero_rho: bool = False
 
+    @property
+    def rho_free(self) -> bool:
+        """The weight array reads no rho: only the E and I kernels and no compensator."""
+        return not self.compensator_sign and all(k in ("E", "I") for k in self.kernels)
+
 
 def _one(rho: float) -> float:
     return 1.0
@@ -103,6 +108,12 @@ def greek_of(variant: WeightVariant) -> str:
     return "dEdI" if len(kernels) == 2 else "d" + kernels[0][0]
 
 
+def require_rho_supported(variant: WeightVariant, model: MarketModel) -> None:
+    """Raise ValueError if ``variant`` assumes independent legs and ``model`` has rho != 0."""
+    if WEIGHTS[variant].zero_rho and model.rho != 0.0:
+        raise ValueError(f"{variant.value} assumes rho = 0 (model has rho={model.rho})")
+
+
 def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
     """rho * int a(t)^2 / (sigma_E sigma_I) dt / ((1 - rho^2) fE(0) fI(0)), in closed form."""
     vols = (model.energy_vol, model.temperature_vol)
@@ -124,8 +135,7 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     spec = WEIGHTS.get(variant)
     if spec is None:
         raise ValueError(f"unknown weight variant {variant!r}")
-    if spec.zero_rho and model.rho != 0.0:
-        raise ValueError(f"{variant.value} assumes rho = 0 (model has rho={model.rho})")
+    require_rho_supported(variant, model)
     first, *rest = (_KERNELS[k](draw, model) for k in spec.kernels)
     weight = first * rest[0] if rest else first
     if spec.compensator_sign:

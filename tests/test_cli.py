@@ -148,6 +148,14 @@ class TestSweepRho:
     def test_non_numeric_grid_exits_2(self, config_path):
         assert main(["sweep-rho", "--config", config_path, "--grid", "a,b"]) == 2
 
+    @pytest.mark.parametrize("greek,variant", [("dE", "CorrCrossGamma_Conditional"),
+                                               ("dI", "CorrDeltaE_Conditional")])
+    def test_variant_of_another_greek_exits_2(self, config_path, capsys, greek, variant):
+        # its rows would subtract the rho = 0 estimate of one Greek from another
+        assert main(["sweep-rho", "--config", config_path, "--grid", "0.3", "--greek", greek,
+                     "--variant", variant]) == 2
+        assert f"{variant} estimates" in capsys.readouterr().err
+
     def test_cross_gamma_sweep(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-rho", "--config", config_path, "--grid", "0.4",
@@ -209,6 +217,7 @@ def test_thread_count_below_one_exits_2(config_path, capsys, threads):
     ["converge", "--n-grid", "0,5"],
     ["sweep-rho", "--grid", "0.3", "--n", "0"],
     ["converge", "--n-grid", "5,6", "--n", "0"],
+    ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "CorrCrossGamma_Conditional"],
 ])
 def test_usage_error_beats_model_validation(tmp_path, usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace(

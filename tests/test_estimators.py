@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -32,7 +34,7 @@ from quantogreeks import (
 from quantogreeks import estimators
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
-from quantogreeks.simulate import BLOCK_SIZE, SimScheme, block_count
+from quantogreeks.simulate import BLOCK_SIZE, TILE_SIZE, SimScheme, block_count, tile_bounds
 
 ATM = ProductCall(100.0, 100.0)
 V = WeightVariant
@@ -198,6 +200,21 @@ class TestEngineValidation:
             mc_price(atm_model, ATM, cfg, uniform_tuning, sizes=sizes)
         assert calls == []
 
+    # unchecked, these drew block 0 before weight_for refused the variant
+    @pytest.mark.parametrize("call", [
+        lambda a, cfg: mc_estimates(make_model(rho=0.3), ATM, a,
+                                    [V.CORR_CROSS_GAMMA_CONDITIONAL, V.INDEP_CROSS_GAMMA], cfg),
+        lambda a, cfg: mc_greek(make_model(rho=0.3), ATM, a, V.INDEP_DELTA_I, cfg),
+        lambda a, cfg: residual_risk(make_model(rho=0.3), ATM, a, [0.3], cfg,
+                                     variant=V.INDEP_DELTA_E, which="dE"),
+    ], ids=["mc_estimates", "mc_greek", "residual_risk_scenario"])
+    def test_zero_rho_variants_are_refused_before_drawing(self, monkeypatch, uniform_tuning,
+                                                          call):
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match=r"^Indep\w+ assumes rho = 0 \(model has rho=0.3\)$"):
+            call(uniform_tuning, SimConfig(1000, seed=0))
+        assert calls == []
+
     @pytest.mark.parametrize("entry", MONTE_CARLO)
     def test_usage_errors_come_before_validation(self, uniform_tuning, entry):
         with pytest.raises(ValueError, match="n_samples"):
@@ -231,6 +248,17 @@ class TestQuadrature:
         assert value == pytest.approx(QUAD_RHO_HALF_PAYOFF_MIXING, rel=1e-9)
         dense = oracles.reference_quad_price(m, ATM, nodes=96, halfwidth=12.0)
         assert dense == pytest.approx(value, rel=1e-10)
+
+    def test_nodes_are_computed_on_first_use_not_at_import(self):
+        # computing them at import slowed the start-up of every command
+        code = ("import sys, quantogreeks.cli, quantogreeks.estimators as e;"
+                "assert 'numpy.polynomial' not in sys.modules;"
+                "e._legendre(); assert 'numpy.polynomial' in sys.modules")
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                       check=True, timeout=60)
+        assert estimators._legendre() is estimators._legendre()
 
     @pytest.mark.slow
     def test_correlated_regression_cross_checked_by_mc(self, uniform_tuning):
@@ -430,6 +458,36 @@ class TestOnePass:
         assert ({k: (e.value, e.stderr) for k, e in threaded.items()}
                 == {k: (e.value, e.stderr) for k, e in serial.items()})
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sweep_builds_the_rho_free_cross_gamma_weight_once_per_tile(self, monkeypatch,
+                                                                        uniform_tuning, mode):
+        # the rho = 0 baseline and all four scenarios read one iE * iI array per tile
+        calls = []
+        weight_for = estimators.weight_for
+
+        def counted(variant, *args):
+            calls.append(variant)
+            return weight_for(variant, *args)
+
+        monkeypatch.setattr(estimators, "weight_for", counted)
+        n = BLOCK_SIZE + 2 * TILE_SIZE + 7
+        residual_risk(make_model(rho=0.3, mode=mode), ATM, uniform_tuning,
+                      [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which="dEdI")
+        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start), False))
+                    for start in range(0, n, BLOCK_SIZE))
+        assert tiles == 7 and len(calls) == tiles
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shared_weight_takes_each_scenarios_multiplier(self, uniform_tuning, mode):
+        # the (1 + rho) multiplier differs per scenario on one shared iE array
+        model = make_model(rho=0.3, sigI=0.3, mode=mode)
+        grid = [-0.5, 0.0, 0.6]
+        cfg = SimConfig(70_000, seed=57)
+        rows = residual_risk(model, ATM, uniform_tuning, grid, cfg,
+                             variant=V.CORR_DELTA_E_ONE_PLUS_RHO, which="dE")
+        assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg, V.INDEP_DELTA_E,
+                                    V.CORR_DELTA_E_ONE_PLUS_RHO, 1)
+
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         calls = counting_draws(monkeypatch)
         residual_risk(make_model(rho=0.3), ATM, uniform_tuning, [-0.5, 0.25, 0.5],
@@ -504,6 +562,17 @@ class TestResidualRisk:
         assert len(rows) == 3
         assert list(rows[0]) == ["rho", "delta_corr", "delta_ind", "abs_diff", "stderr"]
         assert [r["rho"] for r in rows] == [-0.5, 0.0, 0.5]
+
+    @pytest.mark.parametrize("variant,which", [(V.CORR_CROSS_GAMMA_CONDITIONAL, "dE"),
+                                               (V.CORR_DELTA_E_CONDITIONAL, "dI")])
+    def test_variant_of_another_greek_rejected(self, monkeypatch, uniform_tuning, variant,
+                                               which):
+        # unchecked, each row subtracted the rho = 0 estimate of one Greek from another
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{variant.value} estimates d\\w+, not {which}$"):
+            residual_risk(make_model(rho=0.3), ATM, uniform_tuning, [0.3],
+                          SimConfig(1000, seed=0), variant=variant, which=which)
+        assert calls == []
 
     def test_out_of_range_rho_rejected(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\), got 1.0"):

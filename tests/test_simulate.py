@@ -243,14 +243,23 @@ class TestTiles:
 
     MODEL_ARGS = dict(rho=0.4, sigI=0.3)
     TUNING = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+    UNIFORM = TuningFunction.uniform(1.0)
     # (sample count, antithetic, block): k tiles, k tiles plus one row, k tiles
     # plus one pair, a full block and a partial last block
     CASES = [(2 * TILE_SIZE, False, 0), (2 * TILE_SIZE + 1, False, 0),
              (TILE_SIZE + 2, True, 0), (3 * TILE_SIZE + 2, True, 0),
              (BLOCK_SIZE + 5, False, 0), (BLOCK_SIZE + 2 * TILE_SIZE + 7, False, 1),
              (BLOCK_SIZE + TILE_SIZE + 2, True, 1)]
-    SETUPS = list(itertools.product(CorrelationMode, [SimScheme.exact(), SimScheme.log_euler(16)]))
-    SETUP_IDS = [f"{mode.value}-{scheme.label()}" for mode, scheme in SETUPS]
+    # (mode, scheme, tuning, sigE). Constant volatility with uniform tuning is
+    # a one-segment exact grid, where each accumulator is the product of a
+    # one-column increment matrix and its load; sigE = 0 makes the energy
+    # loads zero.
+    SETUPS = [*itertools.product(CorrelationMode, [SimScheme.exact(), SimScheme.log_euler(16)],
+                                 [TUNING], [0.2]),
+              *itertools.product(CorrelationMode, [SimScheme.exact()], [UNIFORM], [0.2, 0.0])]
+    SETUP_IDS = [f"{mode.value}-{setup}" for setups in (["exact", "euler:16"],
+                                                          ["one-segment", "one-segment-zero-load"])
+                 for mode, setup in itertools.product(CorrelationMode, setups)]
 
     def test_one_row_tail_joins_the_previous_tile(self):
         t = TILE_SIZE
@@ -260,26 +269,40 @@ class TestTiles:
         assert tile_bounds(2 * t + 2, True) == [(0, t), (t, 2 * t + 2)]
         assert tile_bounds(1, False) == [(0, 1)] and tile_bounds(2, True) == [(0, 2)]
 
-    @pytest.mark.parametrize("mode,scheme", SETUPS, ids=SETUP_IDS)
+    @pytest.mark.parametrize("mode,scheme,tuning,sigE", SETUPS, ids=SETUP_IDS)
     @pytest.mark.parametrize("n,antithetic,block", CASES)
-    def test_sample_block_equals_untiled_draw(self, mode, scheme, n, antithetic, block):
-        model = make_model(mode=mode, **self.MODEL_ARGS)
+    def test_sample_block_equals_untiled_draw(self, mode, scheme, tuning, sigE, n, antithetic,
+                                              block):
+        model = make_model(mode=mode, sigE=sigE, **self.MODEL_ARGS)
         cfg = SimConfig(n, seed=33, antithetic=antithetic, scheme=scheme)
-        _assert_same_bits(sample_block(model, self.TUNING, cfg, block),
-                          untiled_block(model, self.TUNING, cfg, block))
+        _assert_same_bits(sample_block(model, tuning, cfg, block),
+                          untiled_block(model, tuning, cfg, block))
 
-    @pytest.mark.parametrize("mode,scheme", SETUPS, ids=SETUP_IDS)
-    def test_buffered_draw_equals_untiled_draw(self, mode, scheme):
+    @pytest.mark.parametrize("mode,scheme,tuning,sigE", SETUPS, ids=SETUP_IDS)
+    def test_buffered_draw_equals_untiled_draw(self, mode, scheme, tuning, sigE):
         # one set of buffers, reused across configs and blocks as a pass reuses them
-        model = make_model(mode=mode, **self.MODEL_ARGS)
-        plan = _build_plan(model, self.TUNING, scheme)
+        model = make_model(mode=mode, sigE=sigE, **self.MODEL_ARGS)
+        plan = _build_plan(model, tuning, scheme)
         buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), BLOCK_SIZE), np.nan))
         for n, antithetic, _ in self.CASES:
             cfg = SimConfig(n, seed=34, antithetic=antithetic, scheme=scheme)
             for block in range(block_count(n)):
                 got = _draw_block(plan, cfg, block, buffers)
                 assert np.shares_memory(got.fE_T, buffers.fE_T)
-                _assert_same_bits(got, untiled_block(model, self.TUNING, cfg, block))
+                _assert_same_bits(got, untiled_block(model, tuning, cfg, block))
+
+    def test_zero_load_gives_positive_zeros(self):
+        # a dot product sums from +0.0, so a zero load gives +0.0 for every drawn
+        # increment, where dw[:, 0] * 0.0 would give -0.0 for the negative ones
+        # (an antithetic mirror is the negation of its drawn row: -0.0)
+        model = make_model(sigE=0.0, **self.MODEL_ARGS)
+        assert len(_build_plan(model, self.UNIFORM, SimScheme.exact()).scale) == 1
+        for antithetic in (False, True):
+            cfg = SimConfig(TILE_SIZE + 2, seed=36, antithetic=antithetic)
+            draw = sample_block(model, self.UNIFORM, cfg, 0)
+            for field in ("gE", "iE", "iE_cross"):
+                drawn = getattr(draw, field)[::2 if antithetic else 1]
+                assert np.all(drawn == 0.0) and not np.signbit(drawn).any(), field
 
     def test_streamed_blocks_share_no_memory(self, atm_model, uniform_tuning):
         first, second = iter_sample_blocks(atm_model, uniform_tuning,
