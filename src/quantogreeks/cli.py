@@ -31,7 +31,7 @@ from .estimators import (
 from .model import validate_model
 from .payoffs import validate_payoff
 from .simulate import SimScheme, _check_config
-from .weights import WEIGHTS, WeightVariant, greek_of
+from .weights import WEIGHTS, WeightVariant, greek_of, require_rho_supported
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,7 +120,7 @@ def _parse_variants(names: list[str] | None) -> list[WeightVariant]:
         raise ValueError(f"unknown variant in {names}; known: {known}") from None
 
 
-def _at_most_one(variants: list[WeightVariant]) -> WeightVariant | None:
+def _single_variant(variants: list[WeightVariant]) -> WeightVariant | None:
     if len(variants) > 1:
         raise ValueError(f"--variant: this command takes one variant, got {len(variants)}")
     return variants[0] if variants else None
@@ -157,6 +157,8 @@ def _greeks(args, run: RunConfig, variants):
         variants = [v for v in WeightVariant if run.model.rho == 0.0 or not WEIGHTS[v].zero_rho]
     elif not variants:
         raise ValueError("greeks: pass --variant NAME or --all-variants")
+    for variant in variants:
+        require_rho_supported(variant, run.model)
 
     def compute():
         greeks = sorted({greek_of(v) for v in variants})
@@ -189,7 +191,9 @@ def _sweep_rho(args, run: RunConfig, variants):
     grid = _parse_grid(args.grid, float, "--grid", "floats")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
-    variant = _sweep_variant(args.greek, _at_most_one(variants))
+    variant = _sweep_variant(args.greek, _single_variant(variants))
+    for rho in grid:
+        require_rho_supported(variant, replace(run.model, rho=rho))
 
     def compute():
         return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
@@ -207,7 +211,9 @@ def _converge(args, run: RunConfig, variants):
         raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")
     for n in sizes:
         _check_config(replace(run.sim, n_samples=n))
-    variant = _at_most_one(variants)
+    variant = _single_variant(variants)
+    if variant is not None:
+        require_rho_supported(variant, run.model)
 
     def compute():
         return convergence_table(run.model, run.payoff, run.tuning, variant,

@@ -107,7 +107,7 @@ class _BlockData:
             view.eI = view.draw.fI_T / model.temperature.f0
         return view
 
-    def weight(self, variant: WeightVariant, tuning: TuningFunction) -> tuple[np.ndarray, float]:
+    def weight(self, variant: WeightVariant, tuning: TuningFunction) -> np.ndarray:
         """``weight_for`` on this tile; a rho-free array is built once for the tile and its views.
 
         A shared array skips ``weight_for``'s zero-rho check, so the engine makes it before drawing.
@@ -116,8 +116,8 @@ class _BlockData:
         if not spec.rho_free:
             return weight_for(variant, self.draw, self.model, tuning)
         if spec.kernels not in self._weights:
-            self._weights[spec.kernels] = weight_for(variant, self.draw, self.model, tuning)[0]
-        return self._weights[spec.kernels], spec.multiplier(self.model.rho)
+            self._weights[spec.kernels] = weight_for(variant, self.draw, self.model, tuning)
+        return self._weights[spec.kernels]
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
         """Payoff with the initial futures levels rescaled; draws stay fixed."""
@@ -256,9 +256,7 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
     def job(data: _BlockData) -> np.ndarray:
         if scenario is not None:
             data = data.at(scenario)
-        weight, mult = data.weight(variant, tuning)
-        values = data.pay_base * weight
-        return values if mult == 1.0 else values * mult  # x * 1.0 is x bit for bit
+        return data.pay_base * data.weight(variant, tuning)
 
     return job
 
@@ -303,7 +301,7 @@ def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
              sizes: Sequence[int] | None = None,
              scenarios: Sequence[tuple[float, WeightVariant]] | None = None
              ) -> GreekEstimate | list:
-    """Weighted Monte Carlo Greek: mean of discounted payoff * weight * multiplier.
+    """Weighted Monte Carlo Greek: mean of discounted payoff * weight.
 
     ``sizes`` works as in ``mc_price``. ``scenarios`` lists (rho, variant)
     pairs to estimate on the same draws with the model's correlation set to

@@ -86,9 +86,17 @@ class Separable:
 PayoffSpec = Union[ProductCall, FourStrikeCollar, DigitalProduct, Separable]
 
 
+def _numbers(p) -> list[float]:
+    """Every number of a payoff or of one of its legs: strikes, alpha, knots and slopes."""
+    return [x for v in vars(p).values()
+            for x in (_numbers(v) if isinstance(v, PiecewiseLinear) else np.ravel(v))]
+
+
 def validate_payoff(p: PayoffSpec) -> list[str]:
-    """Return strike-consistency violations (empty list when acceptable)."""
+    """Return non-finite-number and strike-consistency violations (empty list when acceptable)."""
     bad: list[str] = []
+    if not np.isfinite(_numbers(p)).all():
+        bad.append("payoff strikes, alpha, knots and slopes must be finite, not NaN or infinity")
     if isinstance(p, (ProductCall, DigitalProduct)):
         if p.kE < 0.0 or p.kI < 0.0:
             bad.append(f"strikes must be nonnegative, got kE={p.kE}, kI={p.kI}")

@@ -2,7 +2,7 @@
 
 For lognormal futures the first-variation process cancels against the state in
 the diffusion coefficient, so every weight reduces to a deterministic-kernel
-Wiener integral already carried by the draw. Several correlated constructions
+Wiener integral already carried by the draw. Two correlated constructions
 coexist on purpose; the estimator layer adjudicates them against deterministic
 oracles rather than picking one here.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,13 +22,11 @@ from .simulate import SampleDraw
 class WeightVariant(Enum):
     """Estimator zoo. Independent variants assume zero correlation.
 
-    The correlated delta and cross-gamma come in several constructions:
+    The correlated energy delta and cross-gamma come in two constructions:
 
-    * ``OnePlusRho``       single-driver weight rescaled by (1 + rho)
     * ``MatrixInverse``    two-integral weight from inverting the triangular
                            diffusion matrix (cross-gamma carries a
                            deterministic compensator term)
-    * ``ScaledProduct``    product weight rescaled by sqrt(1-rho^2)(1+rho)
     * ``Conditional``      weight obtained by conditioning on the other driver
                            and applying the one-driver argument to the full
                            payoff
@@ -37,11 +35,9 @@ class WeightVariant(Enum):
     INDEP_DELTA_E = "IndepDeltaE"
     INDEP_DELTA_I = "IndepDeltaI"
     INDEP_CROSS_GAMMA = "IndepCrossGamma"
-    CORR_DELTA_E_ONE_PLUS_RHO = "CorrDeltaE_OnePlusRho"
     CORR_DELTA_E_MATRIX_INVERSE = "CorrDeltaE_MatrixInverse"
     CORR_DELTA_E_CONDITIONAL = "CorrDeltaE_Conditional"
     CORR_DELTA_I = "CorrDeltaI"
-    CORR_CROSS_GAMMA_SCALED_PRODUCT = "CorrCrossGamma_ScaledProduct"
     CORR_CROSS_GAMMA_MATRIX_INVERSE = "CorrCrossGamma_MatrixInverse"
     CORR_CROSS_GAMMA_CONDITIONAL = "CorrCrossGamma_Conditional"
 
@@ -59,7 +55,7 @@ _KERNELS = {
 
 
 class _Weight(NamedTuple):
-    """A weight as a product of kernels, a scalar multiplier in rho, and flags.
+    """A weight as a product of kernels, with flags.
 
     ``compensator_sign`` adds (+1) or subtracts (-1) the deterministic
     compensator; ``zero_rho`` marks a construction that assumes independent
@@ -67,7 +63,6 @@ class _Weight(NamedTuple):
     """
 
     kernels: tuple[str, ...]
-    multiplier: Callable[[float], float]
     compensator_sign: float = 0.0
     zero_rho: bool = False
 
@@ -77,24 +72,16 @@ class _Weight(NamedTuple):
         return not self.compensator_sign and all(k in ("E", "I") for k in self.kernels)
 
 
-def _one(rho: float) -> float:
-    return 1.0
-
-
 _V = WeightVariant
 WEIGHTS = {
-    _V.INDEP_DELTA_E: _Weight(("E",), _one, zero_rho=True),
-    _V.INDEP_DELTA_I: _Weight(("I",), _one, zero_rho=True),
-    _V.INDEP_CROSS_GAMMA: _Weight(("E", "I"), _one, zero_rho=True),
-    _V.CORR_DELTA_E_ONE_PLUS_RHO: _Weight(("E",), lambda rho: 1.0 + rho),
-    _V.CORR_DELTA_E_MATRIX_INVERSE: _Weight(("E_inv",), _one),
-    _V.CORR_DELTA_E_CONDITIONAL: _Weight(("E",), _one),
-    # the sqrt(1-rho^2) multiplier cancels the kernel scaling: net iI / fI(0)
-    _V.CORR_DELTA_I: _Weight(("I_inv",), lambda rho: math.sqrt(1.0 - rho * rho)),
-    _V.CORR_CROSS_GAMMA_SCALED_PRODUCT: _Weight(
-        ("E", "I_inv"), lambda rho: math.sqrt(1.0 - rho * rho) * (1.0 + rho)),
-    _V.CORR_CROSS_GAMMA_MATRIX_INVERSE: _Weight(("E_inv", "I_inv"), _one, compensator_sign=-1.0),
-    _V.CORR_CROSS_GAMMA_CONDITIONAL: _Weight(("E", "I"), _one),
+    _V.INDEP_DELTA_E: _Weight(("E",), zero_rho=True),
+    _V.INDEP_DELTA_I: _Weight(("I",), zero_rho=True),
+    _V.INDEP_CROSS_GAMMA: _Weight(("E", "I"), zero_rho=True),
+    _V.CORR_DELTA_E_MATRIX_INVERSE: _Weight(("E_inv",)),
+    _V.CORR_DELTA_E_CONDITIONAL: _Weight(("E",)),
+    _V.CORR_DELTA_I: _Weight(("I",)),
+    _V.CORR_CROSS_GAMMA_MATRIX_INVERSE: _Weight(("E_inv", "I_inv"), compensator_sign=-1.0),
+    _V.CORR_CROSS_GAMMA_CONDITIONAL: _Weight(("E", "I")),
 }
 
 
@@ -125,8 +112,8 @@ def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
 
 
 def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
-               tuning: TuningFunction) -> tuple[np.ndarray, float]:
-    """Per-draw weight array and scalar multiplier of ``variant``; ``model`` is not validated.
+               tuning: TuningFunction) -> np.ndarray:
+    """Per-draw weight array of ``variant``; ``model`` is not validated.
 
     An independent-legs variant rejects rho != 0. The matrix-inverse
     cross-gamma subtracts the deterministic compensator from the kernel
@@ -140,4 +127,4 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     weight = first * rest[0] if rest else first
     if spec.compensator_sign:
         weight = weight + spec.compensator_sign * _compensator(model, tuning)
-    return weight, spec.multiplier(model.rho)
+    return weight

@@ -37,11 +37,9 @@ N_BIG = 1_000_000
 REPORT_DIR = Path(__file__).resolve().parent.parent / "build" / "reports"
 
 CORR_TO_INDEP = {
-    V.CORR_DELTA_E_ONE_PLUS_RHO: V.INDEP_DELTA_E,
     V.CORR_DELTA_E_MATRIX_INVERSE: V.INDEP_DELTA_E,
     V.CORR_DELTA_E_CONDITIONAL: V.INDEP_DELTA_E,
     V.CORR_DELTA_I: V.INDEP_DELTA_I,
-    V.CORR_CROSS_GAMMA_SCALED_PRODUCT: V.INDEP_CROSS_GAMMA,
     V.CORR_CROSS_GAMMA_MATRIX_INVERSE: V.INDEP_CROSS_GAMMA,
     V.CORR_CROSS_GAMMA_CONDITIONAL: V.INDEP_CROSS_GAMMA,
 }
@@ -118,9 +116,9 @@ def test_c04_zero_rho_bitwise_reduction(uniform_tuning):
     m = make_model(rho=0.0)
     draw = draw_samples(m, uniform_tuning, SimConfig(10_000, seed=104))
     for corr, indep in CORR_TO_INDEP.items():
-        w_corr, mult_corr = weight_for(corr, draw, m, uniform_tuning)
-        w_ind, mult_ind = weight_for(indep, draw, m, uniform_tuning)
-        assert np.array_equal(w_corr * mult_corr, w_ind * mult_ind), corr.value
+        w_corr = weight_for(corr, draw, m, uniform_tuning)
+        w_ind = weight_for(indep, draw, m, uniform_tuning)
+        assert np.array_equal(w_corr, w_ind), corr.value
     report(4, f"{len(CORR_TO_INDEP)} correlated variants bitwise equal at rho=0 "
               f"over 10^4 draws")
 
@@ -149,7 +147,7 @@ def test_c06_conformance_matrix_adjudicates_variants(tmp_path):
 
         delta_rows = {k: v for k, v in rows.items() if k.startswith("CorrDeltaE")}
         cross_rows = {k: v for k, v in rows.items() if k.startswith("CorrCrossGamma")}
-        assert len(delta_rows) == 3 and len(cross_rows) == 3
+        assert len(delta_rows) == 2 and len(cross_rows) == 2
         assert all(r["z_score"] != "" for r in {**delta_rows, **cross_rows}.values())
 
         passing_delta = {k for k, r in delta_rows.items() if float(r["z_score"]) <= 3.0}
@@ -166,11 +164,10 @@ def test_c06_conformance_matrix_adjudicates_variants(tmp_path):
 def test_c07_weight_zero_mean_and_isometry(atm_model, uniform_tuning):
     draw = draw_samples(atm_model, uniform_tuning, SimConfig(N_BIG, seed=109))
     for variant in (V.INDEP_DELTA_E, V.INDEP_DELTA_I, V.INDEP_CROSS_GAMMA):
-        w, mult = weight_for(variant, draw, atm_model, uniform_tuning)
-        w = w * mult
+        w = weight_for(variant, draw, atm_model, uniform_tuning)
         assert abs(w.mean()) <= 4.0 * w.std(ddof=1) / math.sqrt(len(w))
 
-    w, _ = weight_for(V.INDEP_DELTA_E, draw, atm_model, uniform_tuning)
+    w = weight_for(V.INDEP_DELTA_E, draw, atm_model, uniform_tuning)
     target = 25.0 / 100.0**2  # v_aa / f0E^2
     sample_var = w.var(ddof=1)
     centered = w - w.mean()

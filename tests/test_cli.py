@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from quantogreeks import mc_price, quad_price
 from quantogreeks.cli import main
+from quantogreeks.config import build_run, parse_config_text
 
 BASE_CONFIG = """
 # symmetric at-the-money product call
@@ -91,11 +93,9 @@ class TestGreeks:
                      "--out", str(out)]) == 0
         rows = {r["variant"]: r for r in read_rows(out)}
         pairs = [
-            ("CorrDeltaE_OnePlusRho", "IndepDeltaE"),
             ("CorrDeltaE_MatrixInverse", "IndepDeltaE"),
             ("CorrDeltaE_Conditional", "IndepDeltaE"),
             ("CorrDeltaI", "IndepDeltaI"),
-            ("CorrCrossGamma_ScaledProduct", "IndepCrossGamma"),
             ("CorrCrossGamma_MatrixInverse", "IndepCrossGamma"),
             ("CorrCrossGamma_Conditional", "IndepCrossGamma"),
         ]
@@ -192,7 +192,7 @@ class TestConverge:
 
 @pytest.mark.parametrize("command", [["sweep-rho", "--grid", "0.3"],
                                      ["converge", "--n-grid", "1e3,2e3"]])
-@pytest.mark.parametrize("second", ["CorrDeltaE_OnePlusRho", "NoSuch"])
+@pytest.mark.parametrize("second", ["CorrDeltaE_MatrixInverse", "NoSuch"])
 def test_single_variant_commands_reject_a_second_variant(config_path, capsys, command, second):
     argv = [*command, "--config", config_path, "--variant", "CorrDeltaE_Conditional",
             "--variant", second]
@@ -218,12 +218,54 @@ def test_thread_count_below_one_exits_2(config_path, capsys, threads):
     ["sweep-rho", "--grid", "0.3", "--n", "0"],
     ["converge", "--n-grid", "5,6", "--n", "0"],
     ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "CorrCrossGamma_Conditional"],
+    ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "IndepDeltaE"],
 ])
 def test_usage_error_beats_model_validation(tmp_path, usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace(
         "energy.sigma = [[0.0, 0.2]]", "energy.sigma = [[0.0, 0.0]]"))
     assert main(["price", "--config", path]) == 3
     assert main([*usage_error, "--config", path]) == 2
+
+
+@pytest.mark.parametrize("usage_error", [
+    ["greeks", "--variant", "IndepDeltaE"],
+    ["converge", "--n-grid", "1000,2000", "--variant", "IndepDeltaE"],
+])
+def test_zero_rho_variant_on_a_correlated_model_beats_model_validation(tmp_path, capsys,
+                                                                       usage_error):
+    path = write_config(tmp_path, BASE_CONFIG.replace("rho = 0.0", "rho = 0.3").replace(
+        "energy.sigma = [[0.0, 0.2]]", "energy.sigma = [[0.0, 0.0]]"))
+    assert main(["price", "--config", path]) == 3
+    capsys.readouterr()
+    assert main([*usage_error, "--config", path]) == 2
+    assert capsys.readouterr().err == "IndepDeltaE assumes rho = 0 (model has rho=0.3)\n"
+
+
+NONFINITE_PAYOFFS = {
+    "product_call": BASE_CONFIG.replace("payoff.kE = 100.0", "payoff.kE = NaN"),
+    "digital_product": BASE_CONFIG.replace("product_call", "digital_product").replace(
+        "payoff.kI = 100.0", "payoff.kI = Infinity"),
+    "four_strike_collar": BASE_CONFIG.replace("product_call", "four_strike_collar")
+    + "payoff.kE_low = 90.0\npayoff.kI_low = 75.0\npayoff.alpha = Infinity\n",
+    "separable": BASE_CONFIG.replace(
+        "payoff.variant = product_call\npayoff.kE = 100.0\npayoff.kI = 100.0",
+        'payoff.variant = separable\n'
+        'payoff.g = {"knots": [[100.0, 0.0], [NaN, 1.0]], "slopes": [0.0, 1.0]}\n'
+        'payoff.h = {"knots": [[80.0, 0.0]], "slopes": [0.0, 1.0]}'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NONFINITE_PAYOFFS))
+def test_nonfinite_payoff_number_fails_validation(tmp_path, capsys, kind):
+    # NaN and Infinity are JSON numbers to the config parser; they priced as nan or 0.0
+    text = NONFINITE_PAYOFFS[kind]
+    run = build_run(parse_config_text(text))
+    with pytest.raises(ValueError, match="must be finite"):
+        mc_price(run.model, run.payoff, run.sim)
+    with pytest.raises(ValueError, match="must be finite"):
+        quad_price(run.model, run.payoff)
+    assert main(["price", "--config", write_config(tmp_path, text)]) == 3
+    assert "must be finite" in capsys.readouterr().err
 
 
 class TestReproducibility:

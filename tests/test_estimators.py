@@ -459,9 +459,11 @@ class TestOnePass:
                 == {k: (e.value, e.stderr) for k, e in serial.items()})
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_sweep_builds_the_rho_free_cross_gamma_weight_once_per_tile(self, monkeypatch,
-                                                                        uniform_tuning, mode):
-        # the rho = 0 baseline and all four scenarios read one iE * iI array per tile
+    @pytest.mark.parametrize("which", ["dI", "dEdI"])
+    def test_sweep_builds_the_rho_free_weight_once_per_tile(self, monkeypatch, uniform_tuning,
+                                                            which, mode):
+        # the rho = 0 baseline and all four scenarios read one iI (dI) or iE * iI (dEdI)
+        # array per tile
         calls = []
         weight_for = estimators.weight_for
 
@@ -472,21 +474,10 @@ class TestOnePass:
         monkeypatch.setattr(estimators, "weight_for", counted)
         n = BLOCK_SIZE + 2 * TILE_SIZE + 7
         residual_risk(make_model(rho=0.3, mode=mode), ATM, uniform_tuning,
-                      [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which="dEdI")
+                      [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which=which)
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start), False))
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(calls) == tiles
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_shared_weight_takes_each_scenarios_multiplier(self, uniform_tuning, mode):
-        # the (1 + rho) multiplier differs per scenario on one shared iE array
-        model = make_model(rho=0.3, sigI=0.3, mode=mode)
-        grid = [-0.5, 0.0, 0.6]
-        cfg = SimConfig(70_000, seed=57)
-        rows = residual_risk(model, ATM, uniform_tuning, grid, cfg,
-                             variant=V.CORR_DELTA_E_ONE_PLUS_RHO, which="dE")
-        assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg, V.INDEP_DELTA_E,
-                                    V.CORR_DELTA_E_ONE_PLUS_RHO, 1)
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         calls = counting_draws(monkeypatch)
