@@ -9,6 +9,7 @@ for the full key schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .model import (
@@ -67,12 +68,18 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _as_float(raw: dict, key: str) -> float:
-    value = _require(raw, key)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key}: expected a number, got {value!r}") from None
+def _as_float(raw: dict, key: str, default: float | None = None) -> float:
+    """``raw[key]`` as a float; a key without a ``default`` is required.
+
+    A bool, a list, an object or null is refused, as is text that is not a number.
+    """
+    value = _require(raw, key) if default is None else raw.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"key {key}: expected a number, got {value!r}")
 
 
 def as_integer(value, name: str) -> int:
@@ -84,6 +91,8 @@ def as_integer(value, name: str) -> int:
 
 def _curve(raw: dict, key: str, horizon: float) -> VolatilityCurve:
     value = _require(raw, key)
+    if isinstance(value, bool):
+        raise ConfigError(f"key {key}: expected a number or segments, got {value!r}")
     try:
         if isinstance(value, (int, float)):
             return VolatilityCurve.constant(float(value), horizon)
@@ -95,8 +104,10 @@ def _curve(raw: dict, key: str, horizon: float) -> VolatilityCurve:
 def build_model(raw: dict) -> MarketModel:
     tau1 = _as_float(raw, "tau1")
     tau2 = _as_float(raw, "tau2")
+    if not (math.isfinite(tau2) and tau2 > 0.0):
+        raise ConfigError(f"key tau2: expected a positive finite horizon, got {tau2!r}")
     rho = _as_float(raw, "rho")
-    rate = float(raw.get("rate", 0.0))
+    rate = _as_float(raw, "rate", 0.0)
     mode_text = raw.get("correlation_mode", CorrelationMode.PAYOFF_MIXING.value)
     try:
         mode = CorrelationMode(mode_text)
@@ -156,7 +167,7 @@ def build_payoff(raw: dict) -> PayoffSpec:
             kI_high=_as_float(raw, "payoff.kI"),
             kE_low=_as_float(raw, "payoff.kE_low"),
             kI_low=_as_float(raw, "payoff.kI_low"),
-            alpha=float(raw.get("payoff.alpha", 1.0)),
+            alpha=_as_float(raw, "payoff.alpha", 1.0),
         )
     if variant == "separable":
         return Separable(_piecewise(raw, "payoff.g"), _piecewise(raw, "payoff.h"))

@@ -3,11 +3,14 @@
 The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
 result is bit-identical for any thread count. Each worker draws a block into
-buffers it reuses for the whole pass and evaluates it a tile at a time.
-Correlation scenarios, finite-difference bumps and sample-size prefixes are
-jobs on that one stream, so each command draws once. The quadrature oracle shares no sampling code
-with the Monte Carlo path: it integrates a closed-form mean over the
-temperature driver against Gauss-Legendre nodes in the energy driver.
+buffers it reuses for the whole pass and runs the block's jobs tile by tile,
+up to eight jobs together, each writing its own row of values. Correlation
+scenarios, finite-difference bumps and sample-size prefixes are jobs on that
+one stream, so each command draws once; the bumped payoffs of a tile are one
+grid, evaluated once for all of its finite differences. The quadrature
+oracle shares no sampling code with the Monte Carlo path: it integrates a
+closed-form mean over the temperature driver against Gauss-Legendre nodes in
+the energy driver.
 """
 
 from __future__ import annotations
@@ -69,28 +72,31 @@ class GreekEstimate:
 class _BlockData:
     """One tile of a block's draws with the derived quantities every job needs.
 
-    ``pay_base`` is evaluated when a job first reads it, so a tile whose
-    jobs only bump the initial levels never computes it. A weight array that
-    reads no rho is built once per tile and shared by every scenario view.
+    ``layout`` (a ``_grid_layout``) holds the (scale_E, scale_I) rescalings
+    of the initial levels whose payoffs the tile's jobs read: (1, 1) for
+    ``pay_base`` and the finite-difference bumps. They are evaluated together
+    on the first read, so a tile whose jobs only bump the initial levels
+    never computes the base. A weight array that reads no rho is built once
+    per tile and shared by every scenario view.
     """
 
-    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_pay_base", "_weights")
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs", "_weights")
 
-    def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec):
+    def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec,
+                 layout: tuple):
         self.draw = draw
         self.plan = plan
         self.model = model
         self.payoff = payoff
+        self._layout = layout
         self.eE = draw.fE_T / model.energy.f0
         self.eI = draw.fI_T / model.temperature.f0
-        self._pay_base = None
+        self._payoffs: dict[tuple[float, float], np.ndarray] | None = None
         self._weights: dict[tuple[str, ...], np.ndarray] = {}  # rho-free weights by kernels
 
     @property
     def pay_base(self) -> np.ndarray:
-        if self._pay_base is None:
-            self._pay_base = self.payoff_at(1.0, 1.0)
-        return self._pay_base
+        return self.payoff_at(1.0, 1.0)
 
     def at(self, model: MarketModel) -> "_BlockData":
         """This block under ``model``: the pass's model with another rho.
@@ -99,7 +105,7 @@ class _BlockData:
         from the drawn accumulators; the view shares every other array.
         """
         view = copy.copy(self)
-        view.model, view._pay_base = model, None
+        view.model, view._payoffs = model, None
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             draw = self.draw
             view.draw = replace(draw, fI_T=_temperature_level(self.plan, model.rho, draw.gI,
@@ -120,15 +126,48 @@ class _BlockData:
         return self._weights[spec.kernels]
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
-        """Payoff with the initial futures levels rescaled; draws stay fixed."""
+        """Payoff with the initial levels rescaled to a point of the layout; draws stay fixed."""
+        if self._payoffs is None:
+            self._payoffs = self._payoff_grid()
+        return self._payoffs[scale_E, scale_I]
+
+    def _payoff_grid(self) -> dict[tuple[float, float], np.ndarray]:
+        """The payoff at every point: one ``evaluate`` per energy scale, over its temperature rows.
+
+        Each entry has the bits of evaluating that point alone: the broadcasts
+        repeat the same elementwise operations in the same order.
+        """
         m = self.model
-        fE = (m.energy.f0 * scale_E) * self.eE
-        fI = (m.temperature.f0 * scale_I) * self.eI
+        scales_I, by_energy = self._layout
+        fI = (m.temperature.f0 * scales_I) * self.eI
         if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
-            h_arg = m.rho * fE + math.sqrt(1.0 - m.rho * m.rho) * fI
-        else:
-            h_arg = fI
-        return evaluate(self.payoff, fE, h_arg)
+            fI = math.sqrt(1.0 - m.rho * m.rho) * fI
+        grid = {}
+        for scale_E, rows, keys in by_energy:
+            fE = (m.energy.f0 * scale_E) * self.eE
+            h_arg = fI[rows]
+            if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
+                h_arg = m.rho * fE + h_arg
+            grid.update(zip(keys, evaluate(self.payoff, fE, h_arg).reshape(len(keys), -1)))
+        return grid
+
+
+def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, list]:
+    """How ``_BlockData`` evaluates the payoff at ``points``, worked out once per pass.
+
+    Returns the temperature scales, a column (a float if there is one), and
+    per energy scale the index of the temperature rows it is evaluated over
+    with the points those rows give. A single row is an int index, so its
+    arrays stay 1-D.
+    """
+    scales_I = sorted({scale_I for _, scale_I in points})
+    by_energy = []
+    for scale_E in sorted({scale_E for scale_E, _ in points}):
+        rows = [k for k, scale_I in enumerate(scales_I) if (scale_E, scale_I) in points]
+        index = (slice(None) if len(rows) == len(scales_I) else rows[0] if len(rows) == 1
+                 else rows)
+        by_energy.append((scale_E, index, [(scale_E, scales_I[k]) for k in rows]))
+    return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
 
 
 _Job = Callable[[_BlockData], np.ndarray]
@@ -142,26 +181,48 @@ def _require_valid(model: MarketModel, payoff: PayoffSpec,
         raise ValueError("; ".join(bad))
 
 
-def _pair_means(values: np.ndarray) -> np.ndarray:
-    # values.reshape(-1, 2).mean(axis=1) bit for bit, without its slow length-2
-    # reduce: mean turns a -0.0 pair sum into +0.0, and so does "+ 0.0".
-    return (values[0::2] + values[1::2] + 0.0) / 2
+def _pair_means(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of each antithetic pair, into ``out`` if given.
+
+    values.reshape(-1, 2).mean(axis=1) bit for bit, without its slow length-2
+    reduce: mean turns a -0.0 pair sum into +0.0, and so does "+ 0.0".
+    """
+    out = np.add(values[0::2], values[1::2], out=out)
+    out += 0.0
+    out /= 2
+    return out
+
+
+_GROUP_JOBS = 8  # jobs a block evaluates together, each into its own row of values
 
 
 def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
              cfg: SimConfig, jobs: list[tuple[str, _Job]], threads: int = 1,
-             sizes: Sequence[int] | None = None) -> list[list[GreekEstimate]]:
+             sizes: Sequence[int] | None = None,
+             fd_greeks: Sequence[str] = ()) -> list[list[GreekEstimate]]:
     """Run all labelled jobs over one shared stream of ``cfg.n_samples`` draws.
 
+    Every job in ``jobs`` reads ``pay_base``. After them come the central
+    differences "FD_dE", ... of ``fd_greeks``, which read the bumped payoffs.
     Returns, per job, one estimate of the discounted values per sample count
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
     draws; a block that n ends inside is also reduced over its prefix.
-    Each block reduces to its count, sum and sum of squared deviations from
-    its own mean (two passes, no BLAS). These are merged in block-index order
-    (Chan, Golub & LeVeque), so every estimate has the bits of a separate pass
-    of n draws at any thread count and any BLAS thread count. ``seconds``
-    is the wall time of the whole pass. Nothing is drawn for an invalid input.
+
+    A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
+    each tile is evaluated once for the whole group (its payoffs at every
+    point the group reads, its rho-free weights) and dropped, and each job
+    writes its values, pair means when antithetic, into its own row. Each row
+    then reduces to its count, sum and sum of squared deviations from its
+    own mean (two passes, no BLAS). These are merged in block-index order
+    (Chan, Golub & LeVeque), so every estimate has the bits of a separate
+    pass of n draws at any thread count and any BLAS thread count.
+    ``seconds`` is the wall time of the whole pass. Nothing is drawn for an
+    invalid input.
     """
+    base = ((1.0, 1.0),)
+    jobs = ([(label, job, base) for label, job in jobs]
+            + [(f"FD_{which}", _fd_job(which), _bump_points(which))
+               for which in dict.fromkeys(fd_greeks)])
     sizes = [cfg.n_samples] if sizes is None else list(sizes)
     if not sizes or max(sizes) != cfg.n_samples:
         raise ValueError(f"the largest sample count must be cfg.n_samples = {cfg.n_samples}, "
@@ -174,35 +235,46 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
+    groups = []
+    for first in range(0, len(jobs), _GROUP_JOBS):
+        group = jobs[first:first + _GROUP_JOBS]
+        groups.append((first, group, _grid_layout({p for _, _, points in group for p in points})))
 
     local = threading.local()  # each worker's block buffers, reused for every block it runs
 
     def add_moments(out: list[dict], block_cfg: SimConfig, block: int, ends: list[int]) -> None:
         draw = _draw_block(plan, block_cfg, block, local.draw)
-        tiles = [(lo, hi, _BlockData(_rows(draw, lo, hi), plan, model, payoff))
-                 for lo, hi in tile_bounds(len(draw.fE_T), cfg.antithetic)]
-        for moments, (_, job) in zip(out, jobs):
-            for lo, hi, data in tiles:
-                values = job(data)
-                if cfg.antithetic:
-                    values = _pair_means(values)
-                local.values[lo // draws_per_value:hi // draws_per_value] = values
-            for end in ends:
-                head = local.values[:end // draws_per_value]
-                total = float(head.sum())
-                dev = np.subtract(head, total / len(head), out=local.scratch[:len(head)])
-                np.multiply(dev, dev, out=dev)
-                moments[end] = (total, float(dev.sum()), len(head))
+        bounds = tile_bounds(len(draw.fE_T), cfg.antithetic)
+        for first, group, layout in groups:
+            for lo, hi in bounds:
+                data = _BlockData(_rows(draw, lo, hi), plan, model, payoff, layout)
+                for row, (_, job, _) in zip(local.values, group):
+                    values = job(data)
+                    dst = row[lo // draws_per_value:hi // draws_per_value]
+                    if cfg.antithetic:
+                        _pair_means(values, out=dst)
+                    else:
+                        dst[:] = values
+            for moments, row in zip(out[first:], local.values[:len(group)]):
+                for end in ends:
+                    head = row[:end // draws_per_value]
+                    total = float(head.sum())
+                    dev = np.subtract(head, total / len(head), out=local.scratch[:len(head)])
+                    np.multiply(dev, dev, out=dev)
+                    moments[end] = (total, float(dev.sum()), len(head))
 
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
         if not hasattr(local, "draw"):
-            # One allocation holds the draw fields, the job values and a scratch
-            # row. Once it is freed, glibc's dynamic thresholds keep the smaller
-            # tile temporaries on the heap instead of returning them to the
-            # kernel after each block.
-            *rows, local.values, local.scratch = np.empty((len(fields(SampleDraw)) + 2,
-                                                           min(BLOCK_SIZE, cfg.n_samples)))
-            local.draw = SampleDraw(*rows)
+            # One allocation holds the draw fields, the job value rows and a
+            # scratch row. Once it is freed, glibc's dynamic thresholds keep the
+            # smaller tile temporaries on the heap instead of returning them to
+            # the kernel after each block.
+            width = min(BLOCK_SIZE, cfg.n_samples)
+            n_draw = len(fields(SampleDraw)) * width
+            n_rows = min(len(jobs), _GROUP_JOBS) + 1
+            buffer = np.empty(n_draw + n_rows * (width // draws_per_value))
+            local.draw = SampleDraw(*buffer[:n_draw].reshape(-1, width))
+            *local.values, local.scratch = buffer[n_draw:].reshape(n_rows, -1)
         start = block * BLOCK_SIZE
         count = min(BLOCK_SIZE, cfg.n_samples - start)
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
@@ -225,7 +297,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
     discount = math.exp(-model.rate * model.horizon)
     estimates = []
-    for j, (label, _) in enumerate(jobs):
+    for j, (label, _, _) in enumerate(jobs):
         per_size = []
         for n in sizes:
             total = m2 = 0.0
@@ -282,6 +354,14 @@ def _fd_job(which: str) -> _Job:
                                             data.model.energy.f0, data.model.temperature.f0)
 
 
+def _bump_points(which: str) -> tuple[tuple[float, float], ...]:
+    """The (scale_E, scale_I) points where the ``FD_BUMP`` stencil of ``which`` reads the payoff."""
+    up, dn = 1.0 + FD_BUMP, 1.0 - FD_BUMP
+    return {"dE": ((up, 1.0), (dn, 1.0)),
+            "dI": ((1.0, up), (1.0, dn)),
+            "dEdI": ((up, up), (up, dn), (dn, up), (dn, dn))}[which]
+
+
 def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
              tuning: TuningFunction | None = None, threads: int = 1,
              sizes: Sequence[int] | None = None) -> GreekEstimate | list[GreekEstimate]:
@@ -332,10 +412,9 @@ def mc_estimates(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     for variant in variants:
         require_rho_supported(variant, model)  # before anything is drawn
     jobs = {variant.value: _variant_job(variant, tuning) for variant in variants}
-    for which in fd_greeks:
-        jobs[f"FD_{which}"] = _fd_job(which)
     return {ests[0].variant: ests[0]
-            for ests in _mc_pass(model, payoff, tuning, cfg, list(jobs.items()), threads)}
+            for ests in _mc_pass(model, payoff, tuning, cfg, list(jobs.items()), threads,
+                                 fd_greeks=fd_greeks)}
 
 
 def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
@@ -349,7 +428,7 @@ def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
     difference down to rare boundary crossings; expect a noisy estimate.
     """
     tuning = tuning or TuningFunction.uniform(model.horizon)
-    [[est]] = _mc_pass(model, payoff, tuning, cfg, [(f"FD_{which}", _fd_job(which))], threads)
+    [[est]] = _mc_pass(model, payoff, tuning, cfg, [], threads, fd_greeks=[which])
     return est
 
 

@@ -112,16 +112,32 @@ def validate_payoff(p: PayoffSpec) -> list[str]:
     return bad
 
 
+def _times_leg(energy_leg: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """energy_leg * max(diff, 0), in place in ``diff``, a fresh array."""
+    np.maximum(diff, 0.0, out=diff)
+    return np.multiply(energy_leg, diff, out=diff)
+
+
 def evaluate(p: PayoffSpec, fE, fI_effective) -> np.ndarray:
-    """Payoff value; vectorized over equally shaped price arrays."""
+    """Payoff value; vectorized over price arrays that broadcast together.
+
+    The product payoffs work in place in fresh arrays of the broadcast shape:
+    the same operations on the same operands, so the same bits, with fewer
+    temporaries. ``[()]`` turns a 0-d result into a scalar, as operators do.
+    """
     fE = np.asarray(fE, dtype=float)
     fI = np.asarray(fI_effective, dtype=float)
+    shape = np.broadcast_shapes(fE.shape, fI.shape)
     if isinstance(p, ProductCall):
-        return np.maximum(fE - p.kE, 0.0) * np.maximum(fI - p.kI, 0.0)
+        return _times_leg(np.maximum(fE - p.kE, 0.0),
+                          np.subtract(fI, p.kI, out=np.empty(shape)))[()]
     if isinstance(p, FourStrikeCollar):
-        up = np.maximum(fE - p.kE_high, 0.0) * np.maximum(fI - p.kI_high, 0.0)
-        down = np.maximum(p.kE_low - fE, 0.0) * np.maximum(p.kI_low - fI, 0.0)
-        return p.alpha * (up + down)
+        up = _times_leg(np.maximum(fE - p.kE_high, 0.0),
+                        np.subtract(fI, p.kI_high, out=np.empty(shape)))
+        down = _times_leg(np.maximum(p.kE_low - fE, 0.0),
+                          np.subtract(p.kI_low, fI, out=np.empty(shape)))
+        np.add(up, down, out=up)
+        return np.multiply(p.alpha, up, out=up)[()]
     if isinstance(p, DigitalProduct):
         return ((fE > p.kE) & (fI > p.kI)).astype(float)
     if isinstance(p, Separable):

@@ -214,6 +214,10 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
     ``out`` holds at least the block's sample count; the result is views of
     its leading entries. The block's generator fills the normals one tile at
     a time, so every sample has the bits of a single draw of the block.
+    The normals are scaled one column at a time into C-ordered increments:
+    the same products as broadcasting ``plan.scale`` over each row, without
+    numpy's length-k inner loop per row. A unit scale is multiplied too, as
+    ``np.dot`` would otherwise copy the strided normals once per accumulator.
     """
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     if out is None:
@@ -224,8 +228,10 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
         tile = _rows(draw, lo, hi)
         rows = (hi - lo) // 2 if cfg.antithetic else hi - lo
         z = gen.standard_normal((rows, len(plan.scale), 2))
-        dwE = z[:, :, 0] * plan.scale
-        dwI = z[:, :, 1] * plan.scale
+        dwE, dwI = np.empty((2, rows, len(plan.scale)))
+        for k, scale in enumerate(plan.scale):
+            np.multiply(z[:, k, 0], scale, out=dwE[:, k])
+            np.multiply(z[:, k, 1], scale, out=dwI[:, k])
         for dw, loads, dsts in ((dwE, plan.loadE, (tile.gE, tile.iE, tile.gI_cross)),
                                 (dwI, plan.loadI, (tile.gI, tile.iI, tile.iE_cross))):
             for load, dst in zip(loads, dsts):

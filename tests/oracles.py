@@ -7,7 +7,9 @@ legs factor into one-dimensional integrals with textbook solutions.
 that integrates the temperature driver numerically between its strike
 crossings; the package's ``quad_price`` replaces that inner integral with a
 closed form and must agree with it to rounding. ``untiled_block`` draws a
-sample block in one piece, the reference for the tiled draw.
+sample block in one piece, the reference for the tiled draw, and
+``per_point_payoff`` evaluates one rescaled payoff at a time, the reference
+for the engine's payoff grid.
 """
 
 import math
@@ -176,3 +178,19 @@ def untiled_block(model, tuning, cfg, block):
         stoch_I = gI
     fI = plan.f0I * np.exp(plan.driftI + stoch_I)
     return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)
+
+
+def per_point_payoff(data, scale_E, scale_I):
+    """A tile's payoff with the initial levels rescaled, evaluated for this one point alone.
+
+    ``data`` is an engine tile (``estimators._BlockData``); the engine
+    evaluates all of a tile's points together, one ``evaluate`` per energy scale.
+    """
+    m = data.model
+    fE = (m.energy.f0 * scale_E) * data.eE
+    fI = (m.temperature.f0 * scale_I) * data.eI
+    if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
+        h_arg = m.rho * fE + math.sqrt(1.0 - m.rho * m.rho) * fI
+    else:
+        h_arg = fI
+    return evaluate(data.payoff, fE, h_arg)

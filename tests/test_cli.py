@@ -334,6 +334,29 @@ payoff.alpha = 1.5""")
         assert main(["price", "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err.startswith(f"key {key}: expected an integer")
 
+    @pytest.mark.parametrize("line,message", [
+        ("rate = [1, 2]", "key rate: expected a number, got [1, 2]"),
+        ('rate = "abc"', "key rate: expected a number, got 'abc'"),
+        ('payoff.alpha = {"a": 1}', "key payoff.alpha: expected a number, got {'a': 1}"),
+        ("energy.f0 = true", "key energy.f0: expected a number, got True"),
+        ("temperature.f0 = null", "key temperature.f0: expected a number, got None"),
+        ("tau1 = true", "key tau1: expected a number, got True"),
+        ("tau2 = Infinity", "key tau2: expected a positive finite horizon, got inf"),
+        ("rho = false", "key rho: expected a number, got False"),
+        ("payoff.kE = true", "key payoff.kE: expected a number, got True"),
+        ("payoff.kI_low = [50]", "key payoff.kI_low: expected a number, got [50]"),
+        ("energy.sigma = true", "key energy.sigma: expected a number or segments, got True"),
+    ])
+    def test_non_number_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
+        # a list or null crashed with a TypeError (exit 1), a bool priced as 1.0 or 0.0,
+        # and an infinite tau2 was blamed on energy.sigma
+        collar = BASE_CONFIG.replace("product_call", "four_strike_collar") + (
+            "payoff.kE_low = 90.0\npayoff.kI_low = 75.0\n")
+        assert main(["price", "--config", write_config(tmp_path, collar), "--n", "2000"]) == 0
+        path = write_config(tmp_path, collar + line + "\n", "bad.cfg")
+        assert main(["price", "--config", path, "--n", "2000"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     def test_exponent_count_is_valid(self, tmp_path):
         out = tmp_path / "a.csv"
         text = BASE_CONFIG.replace("sim.n = 20000", "sim.n = 2e3")

@@ -43,6 +43,14 @@ V = WeightVariant
 # cross-checked against Monte Carlo at N=1e7 below.
 QUAD_RHO_HALF_PAYOFF_MIXING = 409.7914744063864
 
+MODES = list(CorrelationMode)
+COLLAR = FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.0)
+PAYOFF_KINDS = [
+    ProductCall(100.0, 60.0), DigitalProduct(100.0, 60.0), COLLAR,
+    Separable(PiecewiseLinear((80.0, 100.0, 120.0), (0.0, 5.0, 20.0), 0.0, 1.0),
+              PiecewiseLinear((40.0, 60.0, 90.0), (1.0, 3.0, 3.5), -0.5, 0.2)),
+]
+
 
 class TestMcPrice:
     def test_zero_strikes_price_product_of_forwards(self, atm_model, uniform_tuning):
@@ -339,6 +347,35 @@ class TestFiniteDifferences:
         fused = mc_estimates(model, COLLAR, tuning, [], cfg, fd_greeks=list(frozen))
         assert {which: fused[f"FD_{which}"].value for which in frozen} == frozen
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("rho", [0.0, 0.4])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
+    def test_payoff_grid_equals_the_per_point_stencil(self, monkeypatch, payoff, mode, rho,
+                                                      antithetic):
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(TILE_SIZE + 6, seed=68, antithetic=antithetic)
+        points = {(1.0, 1.0), *(p for which in estimators.GREEKS
+                                for p in estimators._bump_points(which))}
+        data = estimators._BlockData(draw_samples(model, tuning, cfg), None, model, payoff,
+                                     estimators._grid_layout(points))
+        for point in points:
+            grid = data.payoff_at(*point)
+            assert grid.tobytes() == oracles.per_point_payoff(data, *point).tobytes(), point
+
+        def passes():
+            # every grid shape: all points, the bumps of dE and dI alone, and each stencil
+            fused = mc_estimates(model, payoff, tuning, [V.CORR_DELTA_I], cfg,
+                                 fd_greeks=estimators.GREEKS)
+            bumps = mc_estimates(model, payoff, tuning, [], cfg, fd_greeks=["dE", "dI"])
+            singles = [fd_greek(model, payoff, which, cfg, tuning) for which in estimators.GREEKS]
+            return [(e.value, e.stderr) for e in [*fused.values(), *bumps.values(), *singles]]
+
+        on_the_grid = passes()
+        monkeypatch.setattr(estimators._BlockData, "payoff_at", oracles.per_point_payoff)
+        assert on_the_grid == passes()
+
     def test_digital_bump_noise_dwarfs_weighted_estimator(self, atm_model, uniform_tuning):
         cfg = SimConfig(10_000, seed=48)
         digital = DigitalProduct(100.0, 100.0)
@@ -384,10 +421,6 @@ def counting_draws(monkeypatch):
 
     monkeypatch.setattr(estimators, "_draw_block", counted)
     return calls
-
-
-MODES = list(CorrelationMode)
-COLLAR = FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.0)
 
 
 class TestOnePass:
@@ -509,24 +542,58 @@ class TestOnePass:
 
         assert peak(8) <= 1.5 * peak(1)
 
+    def test_block_memory_stops_growing_at_one_job_group(self, uniform_tuning):
+        # a block keeps one value row per job of a group of at most eight, so a
+        # 32-point sweep peaks no higher than an 8-point one
+        model = make_model(rho=0.3, mode=CorrelationMode.SDE_MIXING)
+        cfg = SimConfig(BLOCK_SIZE, seed=61)
+
+        def peak(grid_size):
+            grid = [0.8 * k / grid_size - 0.4 for k in range(grid_size)]
+            tracemalloc.start()
+            try:
+                residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 1.1 * peak(8)
+
     def test_sizes_must_end_at_the_pass_size(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError, match="largest sample count"):
             mc_price(atm_model, ATM, SimConfig(1000, seed=0), uniform_tuning, sizes=[10, 500])
 
 
+def pair_mean_inputs():
+    """Wide-range normals and every pair of edge values: ±0, subnormals, ±inf, NaN payloads."""
+    rng = np.random.default_rng(67)
+    spread = rng.standard_normal(4096) * np.exp(rng.uniform(-700.0, 700.0, 4096))
+    payload_nans = np.array([0x7FF0000000000123, 0xFFF8000000000456], np.uint64).view(float)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf,
+            math.nan, -math.nan, *payload_nans, 1.0, -3.5]
+    pairs = np.array([x for pair in itertools.product(edge, repeat=2) for x in pair])
+    return spread, pairs
+
+
 class TestPairMeans:
     def test_equals_mean_of_each_pair_bit_for_bit(self):
-        rng = np.random.default_rng(67)
-        spread = rng.standard_normal(4096) * np.exp(rng.uniform(-700.0, 700.0, 4096))
-        payload_nans = np.array([0x7FF0000000000123, 0xFFF8000000000456], np.uint64).view(float)
-        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf,
-                math.nan, -math.nan, *payload_nans, 1.0, -3.5]
-        pairs = np.array([x for pair in itertools.product(edge, repeat=2) for x in pair])
-        for values in (spread, pairs):
+        for values in pair_mean_inputs():
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = values.reshape(-1, 2).mean(axis=1)
                 got = estimators._pair_means(values)
             assert got.tobytes() == expected.tobytes()
+
+    def test_in_place_writer_equals_mean_of_each_pair_bit_for_bit(self):
+        # the pass writes pair means into a slice of a job's value row
+        for values in pair_mean_inputs():
+            rows = np.full((2, len(values) // 2 + 5), 7.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = values.reshape(-1, 2).mean(axis=1)
+                got = estimators._pair_means(values, out=rows[1, 3:-2])
+            assert got.base is rows
+            assert got.tobytes() == expected.tobytes()
+            assert (rows[0] == 7.0).all() and (rows[1, :3] == 7.0).all() and (
+                rows[1, -2:] == 7.0).all()
 
     def test_antithetic_pass_keeps_its_values(self):
         # frozen from the reshape-and-mean pair reduction at n = 65 538 (two

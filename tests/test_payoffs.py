@@ -70,6 +70,25 @@ class TestEvaluate:
         put_put = max(90.0 - fE, 0.0) * max(75.0 - fI, 0.0)
         assert evaluate(collar, fE, fI) == pytest.approx(call_call + put_put, rel=1e-12)
 
+    @pytest.mark.parametrize("shapes", [((4096,), (4096,)), ((4096,), (3, 4096)), ((), ())])
+    def test_product_payoffs_equal_the_operator_formulas_bit_for_bit(self, shapes):
+        # evaluate works in place; the plain expressions are the reference
+        rng = np.random.default_rng(69)
+        edge = [0.0, -0.0, 5e-324, 90.0, 110.0, math.inf, math.nan]
+        fE, fI = (np.where(rng.random(shape) < 0.1, rng.choice(edge, shape),
+                           rng.uniform(0.0, 200.0, shape)) for shape in shapes)
+        call, collar = ProductCall(100.0, 60.0), FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.5)
+        with np.errstate(invalid="ignore"):
+            cases = [
+                (evaluate(call, fE, fI), np.maximum(fE - 100.0, 0.0) * np.maximum(fI - 60.0, 0.0)),
+                (evaluate(collar, fE, fI),
+                 1.5 * (np.maximum(fE - 110.0, 0.0) * np.maximum(fI - 70.0, 0.0)
+                        + np.maximum(90.0 - fE, 0.0) * np.maximum(50.0 - fI, 0.0))),
+            ]
+        for got, expected in cases:
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_separable_call_ramp_matches_product_call(self):
         g = PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0)
         h = PiecewiseLinear((80.0,), (0.0,), 0.0, 1.0)
