@@ -18,6 +18,7 @@ from .model import (
     MarketModel,
     TuningFunction,
     VolatilityCurve,
+    as_real,
 )
 from .payoffs import (
     DigitalProduct,
@@ -74,12 +75,10 @@ def _as_float(raw: dict, key: str, default: float | None = None) -> float:
     A bool, a list, an object or null is refused, as is text that is not a number.
     """
     value = _require(raw, key) if default is None else raw.get(key, default)
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"key {key}: expected a number, got {value!r}")
+    try:
+        return as_real(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key}: expected a number, got {value!r}") from None
 
 
 def as_integer(value, name: str) -> int:
@@ -146,10 +145,10 @@ def _piecewise(raw: dict, key: str) -> PiecewiseLinear:
     slopes = value.get("slopes", [0.0, 0.0])
     try:
         return PiecewiseLinear(
-            tuple(float(x) for x, _ in knots),
-            tuple(float(y) for _, y in knots),
-            float(slopes[0]),
-            float(slopes[1]),
+            tuple(as_real(x) for x, _ in knots),
+            tuple(as_real(y) for _, y in knots),
+            as_real(slopes[0]),
+            as_real(slopes[1]),
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"key {key}: bad piecewise-linear spec ({exc})") from exc

@@ -19,6 +19,13 @@ ELLIPTICITY_FLOOR = 1e-6
 TUNING_INTEGRAL_TOL = 1e-12
 
 
+def as_real(value) -> float:
+    """``float(value)``, refusing a bool, which ``float`` would read as 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 class CorrelationMode(Enum):
     """How the energy-temperature correlation enters the joint law.
 
@@ -78,8 +85,8 @@ class StepFunction:
     @classmethod
     def from_segments(cls, segments, horizon: float) -> "StepFunction":
         """Build from ``[(t_start, value), ...]`` pairs."""
-        ts = tuple(float(t) for t, _ in segments)
-        vs = tuple(float(v) for _, v in segments)
+        ts = tuple(as_real(t) for t, _ in segments)
+        vs = tuple(as_real(v) for _, v in segments)
         return cls(ts, vs, float(horizon))
 
     def values_on_grid(self, t: np.ndarray) -> np.ndarray:

@@ -11,11 +11,15 @@ Each of the six Gaussian accumulators is a fixed linear functional of one
 driver's increments, so a driver's three accumulators are ``dW @ K`` for a
 load matrix K with one column per accumulator. On grids of at most three
 segments the per-segment increments are drawn directly. On finer grids
-(log-Euler with many steps, or many breakpoints) ``diag(sqrt(dt)) K = Q R`` is
-factored once per run and three standard normals per driver are multiplied by
-R: ``Q^T z`` is standard normal, so the joint law is exact and the draw cost
-and block memory do not depend on the step count (Glasserman, Monte Carlo
-Methods in Financial Engineering, 2003, section 2.3).
+(log-Euler with many steps, or many breakpoints) ``diag(sqrt(dt)) K = U S V^T``
+is factored once per run and r standard normals per driver are multiplied by
+``R = S_r V_r^T``, where r is the larger of the two drivers' ranks: the count
+of singular values above ``numpy.linalg.matrix_rank``'s default cut,
+``s[0] * len(dt) * eps``. ``U_r^T z`` is standard normal and the dropped
+singular values are rounding noise, so the joint law is exact, and the draw
+cost and block memory do not depend on the step count (Glasserman, Monte
+Carlo Methods in Financial Engineering, 2003, section 2.3). Constant
+coefficients draw one normal per driver.
 """
 
 from __future__ import annotations
@@ -149,10 +153,14 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
     loadI = np.stack([sigI, kernI, kernE])
     scale = np.sqrt(dt)
     if len(dt) > len(loadE):
-        # R^T R = K^T diag(dt) K: the same covariance from three normals per driver.
-        loadE, loadI = (np.ascontiguousarray(np.linalg.qr((k * scale).T, mode="r").T)
-                        for k in (loadE, loadI))
-        scale = np.ones(len(loadE))
+        # diag(sqrt(dt)) K = U S V^T, so R = S_r V_r^T gives R^T R = K^T diag(dt) K from
+        # r normals per driver, r the larger rank; singular values at or below
+        # numpy.linalg.matrix_rank's default cut, s[0] * len(dt) * eps, are rounding noise.
+        svds = [np.linalg.svd((k * scale).T, full_matrices=False)[1:] for k in (loadE, loadI)]
+        cut = len(dt) * np.finfo(float).eps
+        rank = max(1, *(np.count_nonzero(s > s[0] * cut) for s, _ in svds))
+        loadE, loadI = (np.ascontiguousarray((s[:rank, None] * vt[:rank]).T) for s, vt in svds)
+        scale = np.ones(rank)
     return _Plan(
         f0E=model.energy.f0,
         f0I=model.temperature.f0,

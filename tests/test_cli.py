@@ -357,6 +357,27 @@ payoff.alpha = 1.5""")
         assert main(["price", "--config", path, "--n", "2000"]) == 2
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize("line,message", [
+        ("energy.sigma = [[0.0, true]]", "key energy.sigma: bad volatility curve"),
+        ("temperature.sigma = [[0.0, true]]", "key temperature.sigma: bad volatility curve"),
+        ("tuning = [[0.0, true]]", "key tuning: bad tuning function"),
+        ('payoff.g = {"knots": [[100.0, true]], "slopes": [0.0, 1.0]}',
+         "key payoff.g: bad piecewise-linear spec"),
+        ('payoff.h = {"knots": [[80.0, 0.0]], "slopes": [0.0, true]}',
+         "key payoff.h: bad piecewise-linear spec"),
+    ])
+    def test_bool_in_a_list_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
+        # float() read the bool as 1.0: energy.sigma = [[0.0, true]] priced at sigma_E = 1.0
+        sep = BASE_CONFIG.replace(
+            "payoff.variant = product_call\npayoff.kE = 100.0\npayoff.kI = 100.0",
+            'payoff.variant = separable\n'
+            'payoff.g = {"knots": [[100.0, 0.0]], "slopes": [0.0, 1.0]}\n'
+            'payoff.h = {"knots": [[80.0, 0.0]], "slopes": [0.0, 1.0]}')
+        assert main(["price", "--config", write_config(tmp_path, sep), "--n", "2000"]) == 0
+        path = write_config(tmp_path, sep + line + "\n", "bad.cfg")
+        assert main(["price", "--config", path, "--n", "2000"]) == 2
+        assert capsys.readouterr().err == message + " (expected a number, got True)\n"
+
     def test_exponent_count_is_valid(self, tmp_path):
         out = tmp_path / "a.csv"
         text = BASE_CONFIG.replace("sim.n = 20000", "sim.n = 2e3")

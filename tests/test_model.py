@@ -143,6 +143,12 @@ class TestCurveConstruction:
         with pytest.raises(ValueError):
             VolatilityCurve((0.0, 0.4, 0.4), (0.2, 0.2, 0.2), 1.0)
 
+    @pytest.mark.parametrize("segments", [[(0.0, True)], [(False, 0.2)], [(0.0, np.True_)]])
+    def test_segments_refuse_a_bool(self, segments):
+        # float() read a bool as 1.0 or 0.0
+        with pytest.raises(ValueError, match="expected a number, got"):
+            VolatilityCurve.from_segments(segments, 1.0)
+
     def test_lookup_is_right_continuous(self):
         curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0)
         assert curve.values_on_grid(np.array([0.5])).tolist() == [0.3]

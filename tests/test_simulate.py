@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from quantogreeks import (
     draw_samples,
     sample_block,
 )
+from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, _block_generator,
                                    _build_plan, _draw_block, block_count, iter_sample_blocks,
                                    tile_bounds)
 
 GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _stderr(x):
@@ -115,6 +118,16 @@ class TestLogEuler:
         )
         assert ks_2samp(exact.fE_T, euler.fE_T).statistic < 0.01
 
+    def test_factored_fine_grid_matches_exact_law(self, atm_model, uniform_tuning):
+        # constant coefficients: the 250-step grid draws one normal per driver
+        n = 100_000
+        exact = draw_samples(atm_model, uniform_tuning, SimConfig(n, seed=12))
+        euler = draw_samples(
+            atm_model, uniform_tuning, SimConfig(n, seed=13, scheme=SimScheme.log_euler(250))
+        )
+        for name in ("fE_T", "iE"):
+            assert ks_2samp(getattr(exact, name), getattr(euler, name)).statistic < 0.01, name
+
     @pytest.mark.parametrize("make", [SimScheme.log_euler,
                                       lambda steps: SimScheme("euler", steps)])
     @pytest.mark.parametrize("steps", [2.5, 2.0, True])
@@ -151,19 +164,31 @@ def _driver_loads(model, tuning, t_left):
 class TestFixedRankSampler:
     TUNING = TuningFunction.from_segments([(0.0, 0.5), (0.6, 1.75)], 1.0)
 
-    @pytest.mark.parametrize("sigE_segments", [((0.0, 0.15), (0.37, 0.28)),
-                                               ((0.0, 0.0), (0.5, 0.3))])
-    def test_factor_reproduces_accumulator_covariance(self, sigE_segments):
+    # Constant sigma_E with uniform tuning makes the energy kernel a multiple of
+    # sigma_E, while the piecewise sigma_I column is not: rank 2 on both drivers,
+    # where truncating an unpivoted QR to two rows would drop part of sigma_I.
+    @pytest.mark.parametrize("sigE_segments,tuning,rank", [
+        (((0.0, 0.15), (0.37, 0.28)), TUNING, 3),
+        (((0.0, 0.0), (0.5, 0.3)), TUNING, 3),
+        (((0.0, 0.2),), TuningFunction.uniform(1.0), 2),
+    ], ids=["full-rank", "full-rank-zero-vol", "collinear-leading-columns"])
+    def test_factor_reproduces_accumulator_covariance(self, sigE_segments, tuning, rank):
         m = _piecewise_model(sigE_segments)
         steps = 64
-        plan = _build_plan(m, self.TUNING, SimScheme.log_euler(steps))
+        plan = _build_plan(m, tuning, SimScheme.log_euler(steps))
         dt = np.full(steps, 1.0 / steps)
-        loads = _driver_loads(m, self.TUNING, np.linspace(0.0, 1.0, steps + 1)[:-1])
-        assert np.array_equal(plan.scale, np.ones(3))
+        loads = _driver_loads(m, tuning, np.linspace(0.0, 1.0, steps + 1)[:-1])
+        assert np.array_equal(plan.scale, np.ones(rank))
         for factor, columns in zip((plan.loadE, plan.loadI), loads):
             K = np.column_stack(columns)
             R = factor.T
             np.testing.assert_allclose(R.T @ R, K.T @ (dt[:, None] * K), rtol=1e-12, atol=1e-12)
+
+    def test_factor_draws_one_normal_per_rank(self, atm_model, uniform_tuning):
+        scheme = SimScheme.log_euler(250)
+        assert len(_build_plan(atm_model, uniform_tuning, scheme).scale) == 1
+        collar = build_run(load_config(str(CONFIGS / "correlated_collar.cfg")))
+        assert len(_build_plan(collar.model, collar.tuning, scheme).scale) == 2
 
     def test_rank_deficient_loads_give_finite_draw(self):
         # sigma_E = 0 on the first half zeroes both energy columns there, and
@@ -253,12 +278,15 @@ class TestTiles:
     # (mode, scheme, tuning, sigE). Constant volatility with uniform tuning is
     # a one-segment exact grid, where each accumulator is the product of a
     # one-column increment matrix and its load; sigE = 0 makes the energy
-    # loads zero.
+    # loads zero. On a 16-step grid the same coefficients factor to rank 1:
+    # one normal per driver.
     SETUPS = [*itertools.product(CorrelationMode, [SimScheme.exact(), SimScheme.log_euler(16)],
                                  [TUNING], [0.2]),
-              *itertools.product(CorrelationMode, [SimScheme.exact()], [UNIFORM], [0.2, 0.0])]
+              *itertools.product(CorrelationMode, [SimScheme.exact()], [UNIFORM], [0.2, 0.0]),
+              *itertools.product(CorrelationMode, [SimScheme.log_euler(16)], [UNIFORM], [0.2])]
     SETUP_IDS = [f"{mode.value}-{setup}" for setups in (["exact", "euler:16"],
-                                                          ["one-segment", "one-segment-zero-load"])
+                                                          ["one-segment", "one-segment-zero-load"],
+                                                          ["factored-rank-1"])
                  for mode, setup in itertools.product(CorrelationMode, setups)]
 
     def test_one_row_tail_joins_the_previous_tile(self):
