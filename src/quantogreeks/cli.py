@@ -154,6 +154,8 @@ def _price(args, run: RunConfig, variants):
 def _greeks(args, run: RunConfig, variants):
     _check_config(run.sim)
     if args.all_variants:
+        if variants:
+            raise ValueError("greeks: pass --variant NAME or --all-variants, not both")
         variants = [v for v in WeightVariant if run.model.rho == 0.0 or not WEIGHTS[v].zero_rho]
     elif not variants:
         raise ValueError("greeks: pass --variant NAME or --all-variants")

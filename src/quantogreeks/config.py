@@ -213,12 +213,34 @@ class RunConfig:
         return [f"{k} = {json.dumps(v)}" for k, v in sorted(effective.items())]
 
 
+class _Reads(dict):
+    """A raw configuration that records every key the builders read."""
+
+    def __init__(self, raw: dict):
+        super().__init__(raw)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def build_run(raw: dict) -> RunConfig:
-    model = build_model(raw)
-    return RunConfig(
+    """The run ``raw`` configures; a key the run does not read is refused."""
+    reads = _Reads(raw)
+    model = build_model(reads)
+    run = RunConfig(
         model=model,
-        payoff=build_payoff(raw),
-        tuning=build_tuning(raw, model.horizon),
-        sim=build_sim(raw),
+        payoff=build_payoff(reads),
+        tuning=build_tuning(reads, model.horizon),
+        sim=build_sim(reads),
         raw=dict(raw),
     )
+    unused = sorted(set(raw) - reads.read)
+    if unused:
+        raise ConfigError(f"unused config key(s): {', '.join(unused)}")
+    return run

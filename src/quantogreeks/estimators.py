@@ -242,9 +242,23 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
     local = threading.local()  # each worker's block buffers, reused for every block it runs
 
-    def add_moments(out: list[dict], block_cfg: SimConfig, block: int, ends: list[int]) -> None:
-        draw = _draw_block(plan, block_cfg, block, local.draw)
-        bounds = tile_bounds(len(draw.fE_T), cfg.antithetic)
+    def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
+        if not hasattr(local, "draw"):
+            # One allocation holds the draw fields, the job value rows and a
+            # scratch row. Once it is freed, glibc's dynamic thresholds keep the
+            # smaller tile temporaries on the heap instead of returning them to
+            # the kernel after each block.
+            width = min(BLOCK_SIZE, cfg.n_samples)
+            n_draw = len(fields(SampleDraw)) * width
+            n_rows = min(len(jobs), _GROUP_JOBS) + 1
+            buffer = np.empty(n_draw + n_rows * (width // draws_per_value))
+            local.draw = SampleDraw(*buffer[:n_draw].reshape(-1, width))
+            *local.values, local.scratch = buffer[n_draw:].reshape(n_rows, -1)
+        start = block * BLOCK_SIZE
+        ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
+        out: list[dict] = [{} for _ in jobs]
+        draw = _draw_block(plan, cfg, block, local.draw)
+        bounds = tile_bounds(len(draw.fE_T))
         for first, group, layout in groups:
             for lo, hi in bounds:
                 data = _BlockData(_rows(draw, lo, hi), plan, model, payoff, layout)
@@ -262,29 +276,6 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                     dev = np.subtract(head, total / len(head), out=local.scratch[:len(head)])
                     np.multiply(dev, dev, out=dev)
                     moments[end] = (total, float(dev.sum()), len(head))
-
-    def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
-        if not hasattr(local, "draw"):
-            # One allocation holds the draw fields, the job value rows and a
-            # scratch row. Once it is freed, glibc's dynamic thresholds keep the
-            # smaller tile temporaries on the heap instead of returning them to
-            # the kernel after each block.
-            width = min(BLOCK_SIZE, cfg.n_samples)
-            n_draw = len(fields(SampleDraw)) * width
-            n_rows = min(len(jobs), _GROUP_JOBS) + 1
-            buffer = np.empty(n_draw + n_rows * (width // draws_per_value))
-            local.draw = SampleDraw(*buffer[:n_draw].reshape(-1, width))
-            *local.values, local.scratch = buffer[n_draw:].reshape(n_rows, -1)
-        start = block * BLOCK_SIZE
-        count = min(BLOCK_SIZE, cfg.n_samples - start)
-        ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
-        out: list[dict] = [{} for _ in jobs]
-        # numpy multiplies a one-row draw by the loads with a dot product, not
-        # gemv, so a one-row prefix is drawn on its own to keep its bits.
-        if ends[0] == draws_per_value < count:
-            add_moments(out, replace(cfg, n_samples=start + ends.pop(0)), block,
-                        [draws_per_value])
-        add_moments(out, cfg, block, ends)
         return out
 
     blocks = range(block_count(cfg.n_samples))

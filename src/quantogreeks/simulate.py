@@ -8,17 +8,17 @@ the tiles continue the block's generator, so the tiling leaves every bit as a
 single draw of the block would give it.
 
 Each of the six Gaussian accumulators is a fixed linear functional of one
-driver's increments, so a driver's three accumulators are ``dW @ K`` for a
-load matrix K with one column per accumulator. On grids of at most three
-segments the per-segment increments are drawn directly. On finer grids
-(log-Euler with many steps, or many breakpoints) ``diag(sqrt(dt)) K = U S V^T``
-is factored once per run and r standard normals per driver are multiplied by
-``R = S_r V_r^T``, where r is the larger of the two drivers' ranks: the count
-of singular values above ``numpy.linalg.matrix_rank``'s default cut,
-``s[0] * len(dt) * eps``. ``U_r^T z`` is standard normal and the dropped
-singular values are rounding noise, so the joint law is exact, and the draw
-cost and block memory do not depend on the step count (Glasserman, Monte
-Carlo Methods in Financial Engineering, 2003, section 2.3). Constant
+driver's increments, so a driver's three accumulators are ``z @ R`` for
+standard normals z and a load matrix R with one column per accumulator. On
+grids of at most three segments z holds the per-segment normals and
+``R = diag(sqrt(dt)) K`` for the kernels K. On finer grids (log-Euler with
+many steps, or many breakpoints) ``diag(sqrt(dt)) K = U S V^T`` is factored
+once per run and ``R = S_r V_r^T``, where r is the larger of the two drivers'
+ranks: the count of singular values above ``numpy.linalg.matrix_rank``'s
+default cut, ``s[0] * len(dt) * eps``. ``U_r^T z`` is standard normal and the
+dropped singular values are rounding noise, so the joint law is exact, and
+the draw cost and block memory do not depend on the step count (Glasserman,
+Monte Carlo Methods in Financial Engineering, 2003, section 2.3). Constant
 coefficients draw one normal per driver.
 """
 
@@ -123,17 +123,16 @@ def _check_config(cfg: SimConfig) -> None:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Per-run constants: normal scales and the accumulator loads on them.
+    """Per-run constants: the accumulator loads on each driver's normals.
 
-    A block draws ``len(scale)`` normals per driver and scales them by
-    ``scale``; each row of a load matrix then gives one accumulator.
+    A block draws ``loadE.shape[1]`` normals per driver; row j of a load
+    matrix gives accumulator j as the sum over k of normal k times ``load[j, k]``.
     """
 
     f0E: float
     f0I: float
     rho: float
     mode: CorrelationMode
-    scale: np.ndarray
     loadE: np.ndarray  # rows gE, iE, gI_cross on the energy driver
     loadI: np.ndarray  # rows gI, iI, iE_cross on the independent driver
     driftE: float  # -1/2 int sigma_E^2 on this grid
@@ -149,24 +148,20 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
     # martingale part usable by dropping their weight-kernel contribution.
     kernE = np.where(sigE > 0.0, av / np.where(sigE > 0.0, sigE, 1.0), 0.0)
     kernI = np.where(sigI > 0.0, av / np.where(sigI > 0.0, sigI, 1.0), 0.0)
-    loadE = np.stack([sigE, kernE, sigI])
-    loadI = np.stack([sigI, kernI, kernE])
-    scale = np.sqrt(dt)
+    loadE, loadI = np.array([[sigE, kernE, sigI], [sigI, kernI, kernE]]) * np.sqrt(dt)
     if len(dt) > len(loadE):
         # diag(sqrt(dt)) K = U S V^T, so R = S_r V_r^T gives R^T R = K^T diag(dt) K from
         # r normals per driver, r the larger rank; singular values at or below
         # numpy.linalg.matrix_rank's default cut, s[0] * len(dt) * eps, are rounding noise.
-        svds = [np.linalg.svd((k * scale).T, full_matrices=False)[1:] for k in (loadE, loadI)]
+        svds = [np.linalg.svd(k.T, full_matrices=False)[1:] for k in (loadE, loadI)]
         cut = len(dt) * np.finfo(float).eps
         rank = max(1, *(np.count_nonzero(s > s[0] * cut) for s, _ in svds))
-        loadE, loadI = (np.ascontiguousarray((s[:rank, None] * vt[:rank]).T) for s, vt in svds)
-        scale = np.ones(rank)
+        loadE, loadI = ((s[:rank, None] * vt[:rank]).T for s, vt in svds)
     return _Plan(
         f0E=model.energy.f0,
         f0I=model.temperature.f0,
         rho=model.rho,
         mode=model.correlation_mode,
-        scale=scale,
         loadE=loadE,
         loadI=loadI,
         driftE=-0.5 * float(np.dot(sigE * sigE, dt)),
@@ -196,17 +191,9 @@ def block_count(n_samples: int) -> int:
     return (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def tile_bounds(count: int, antithetic: bool) -> list[tuple[int, int]]:
-    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block.
-
-    A tail of one draw row (one sample, or one antithetic pair) joins the
-    tile before it: numpy multiplies a single row by the loads with a dot
-    product rather than gemv, so a lone row would not keep its bits.
-    """
-    row = 2 if antithetic else 1
+def tile_bounds(count: int) -> list[tuple[int, int]]:
+    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block."""
     edges = [*range(0, count, TILE_SIZE), count]
-    if len(edges) > 2 and count - edges[-2] == row:
-        del edges[-2]
     return list(zip(edges, edges[1:]))
 
 
@@ -222,34 +209,30 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
     ``out`` holds at least the block's sample count; the result is views of
     its leading entries. The block's generator fills the normals one tile at
     a time, so every sample has the bits of a single draw of the block.
-    The normals are scaled one column at a time into C-ordered increments:
-    the same products as broadcasting ``plan.scale`` over each row, without
-    numpy's length-k inner loop per row. A unit scale is multiplied too, as
-    ``np.dot`` would otherwise copy the strided normals once per accumulator.
+    Each accumulator is summed column by column, left to right, with
+    elementwise operations only, so a sample's bits do not depend on how
+    many samples share the tile.
     """
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     if out is None:
         out = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
     draw = _rows(out, 0, count)
     gen = _block_generator(cfg.seed, block)
-    for lo, hi in tile_bounds(count, cfg.antithetic):
+    rank = plan.loadE.shape[1]
+    for lo, hi in tile_bounds(count):
         tile = _rows(draw, lo, hi)
         rows = (hi - lo) // 2 if cfg.antithetic else hi - lo
-        z = gen.standard_normal((rows, len(plan.scale), 2))
-        dwE, dwI = np.empty((2, rows, len(plan.scale)))
-        for k, scale in enumerate(plan.scale):
-            np.multiply(z[:, k, 0], scale, out=dwE[:, k])
-            np.multiply(z[:, k, 1], scale, out=dwI[:, k])
-        for dw, loads, dsts in ((dwE, plan.loadE, (tile.gE, tile.iE, tile.gI_cross)),
-                                (dwI, plan.loadI, (tile.gI, tile.iI, tile.iE_cross))):
+        z = gen.standard_normal((rows, rank, 2))
+        term = np.empty(rows)
+        for d, loads, dsts in ((0, plan.loadE, (tile.gE, tile.iE, tile.gI_cross)),
+                               (1, plan.loadI, (tile.gI, tile.iI, tile.iE_cross))):
             for load, dst in zip(loads, dsts):
-                # np.dot, not matmul: the same bits, but matmul skips BLAS for a
-                # one-column dw (a one-segment grid) and runs 5-10x slower
+                acc = dst[0::2] if cfg.antithetic else dst
+                np.multiply(z[:, 0, d], load[0], out=acc)
+                for k in range(1, rank):
+                    acc += np.multiply(z[:, k, d], load[k], out=term)
                 if cfg.antithetic:
-                    dst[0::2] = np.dot(dw, load)
-                    np.negative(dst[0::2], out=dst[1::2])
-                else:
-                    np.dot(dw, load, out=dst)
+                    np.negative(acc, out=dst[1::2])
         np.add(tile.gE, plan.driftE, out=tile.fE_T)
         np.exp(tile.fE_T, out=tile.fE_T)
         np.multiply(tile.fE_T, plan.f0E, out=tile.fE_T)

@@ -13,7 +13,7 @@ for the engine's payoff grid.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.stats import norm
@@ -158,16 +158,19 @@ def reference_quad_price(model, payoff, nodes=64, halfwidth=10.0):
     return float(total * math.exp(-model.rate * model.horizon))
 
 
+def column_sum(z, load):
+    """``z @ load`` summed column by column, left to right, as the draw sums it."""
+    return reduce(np.add, (z[:, k] * w for k, w in enumerate(load)))
+
+
 def untiled_block(model, tuning, cfg, block):
     """Block ``block`` from one standard_normal call over all of its rows."""
     plan = _build_plan(model, tuning, cfg.scheme)
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     rows = count // 2 if cfg.antithetic else count
-    z = _block_generator(cfg.seed, block).standard_normal((rows, len(plan.scale), 2))
-    dwE = z[:, :, 0] * plan.scale
-    dwI = z[:, :, 1] * plan.scale
-    gE, iE, gI_cross = (dwE @ load for load in plan.loadE)
-    gI, iI, iE_cross = (dwI @ load for load in plan.loadI)
+    z = _block_generator(cfg.seed, block).standard_normal((rows, plan.loadE.shape[1], 2))
+    gE, iE, gI_cross = (column_sum(z[:, :, 0], load) for load in plan.loadE)
+    gI, iI, iE_cross = (column_sum(z[:, :, 1], load) for load in plan.loadI)
     if cfg.antithetic:
         gE, iE, gI_cross, gI, iI, iE_cross = (np.stack([x, -x], axis=1).ravel()
                                                for x in (gE, iE, gI_cross, gI, iI, iE_cross))

@@ -125,6 +125,13 @@ class TestGreeks:
     def test_variant_or_all_required(self, config_path, capsys):
         assert main(["greeks", "--config", config_path]) == 2
 
+    def test_all_variants_with_a_variant_exits_2(self, config_path, capsys):
+        # the --variant list was dropped without a word
+        assert main(["greeks", "--config", config_path, "--all-variants",
+                     "--variant", "IndepDeltaE"]) == 2
+        assert capsys.readouterr().err == ("greeks: pass --variant NAME or --all-variants, "
+                                           "not both\n")
+
 
 class TestSweepRho:
     def test_zero_grid_gives_single_zero_difference_row(self, config_path, tmp_path):
@@ -377,6 +384,15 @@ payoff.alpha = 1.5""")
         path = write_config(tmp_path, sep + line + "\n", "bad.cfg")
         assert main(["price", "--config", path, "--n", "2000"]) == 2
         assert capsys.readouterr().err == message + " (expected a number, got True)\n"
+
+    @pytest.mark.parametrize("line,key", [("sim.antithetc = true", "sim.antithetc"),
+                                          ("payoff.alpha = 3.0", "payoff.alpha")])
+    def test_unread_key_exits_2_naming_the_key(self, tmp_path, capsys, line, key):
+        # a misspelt key ran without antithetic pairs; an alpha on a product call was
+        # echoed into the header and the model hash but never applied
+        path = write_config(tmp_path, BASE_CONFIG + line + "\n")
+        assert main(["price", "--config", path, "--n", "2000"]) == 2
+        assert capsys.readouterr().err == f"unused config key(s): {key}\n"
 
     def test_exponent_count_is_valid(self, tmp_path):
         out = tmp_path / "a.csv"

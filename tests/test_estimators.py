@@ -334,13 +334,14 @@ class TestFiniteDifferences:
         assert abs(fd.value - ref) < 4.0 * fd.stderr
 
     @pytest.mark.parametrize("mode,frozen", [
-        (CorrelationMode.PAYOFF_MIXING, {"dE": 10.655252519458202, "dI": 3.869182876703632,
-                                         "dEdI": 0.3366589728163627}),
-        (CorrelationMode.SDE_MIXING, {"dE": 1.8883200075668856, "dI": 1.9187959558836072,
-                                      "dEdI": 0.3155025868269417}),
+        (CorrelationMode.PAYOFF_MIXING, {"dE": 10.655252519458207, "dI": 3.8691828767036225,
+                                         "dEdI": 0.3366589728134315}),
+        (CorrelationMode.SDE_MIXING, {"dE": 1.8883200075668607, "dI": 1.9187959558836105,
+                                      "dEdI": 0.315502586827337}),
     ])
     def test_collar_bumps_keep_their_values(self, mode, frozen):
-        # frozen from the per-Greek stencils that preceded the shared central difference
+        # frozen from the per-Greek stencils that preceded the shared central difference,
+        # then re-frozen when the draw began summing each accumulator in fixed order
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(65_538, seed=66, antithetic=True)
@@ -508,7 +509,7 @@ class TestOnePass:
         n = BLOCK_SIZE + 2 * TILE_SIZE + 7
         residual_risk(make_model(rho=0.3, mode=mode), ATM, uniform_tuning,
                       [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which=which)
-        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start), False))
+        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(calls) == tiles
 
@@ -597,14 +598,15 @@ class TestPairMeans:
 
     def test_antithetic_pass_keeps_its_values(self):
         # frozen from the reshape-and-mean pair reduction at n = 65 538 (two
-        # blocks); the stderr values from block M2 values merged in block order
+        # blocks); the stderr values from block M2 values merged in block order. Re-frozen
+        # when the draw began summing each accumulator in fixed order.
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(65_538, seed=66, antithetic=True)
         price = mc_price(model, COLLAR, cfg, tuning)
-        assert (price.value, price.stderr) == (124.86897289027878, 1.5933037457376675)
+        assert (price.value, price.stderr) == (124.86897289027883, 1.5933037457376678)
         greek = mc_greek(model, COLLAR, tuning, V.CORR_CROSS_GAMMA_CONDITIONAL, cfg)
-        assert (greek.value, greek.stderr) == (0.33288844799800626, 0.015264841178394445)
+        assert (greek.value, greek.stderr) == (0.3328884479980064, 0.015264841178394448)
 
 
 class TestResidualRisk:

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import kernel_moments, make_model
-from oracles import untiled_block
+from oracles import column_sum, untiled_block
 from quantogreeks import (
     SimConfig,
     SimScheme,
@@ -20,8 +20,7 @@ from quantogreeks import (
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, _block_generator,
-                                   _build_plan, _draw_block, block_count, iter_sample_blocks,
-                                   tile_bounds)
+                                   _build_plan, _draw_block, block_count, iter_sample_blocks)
 
 GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -178,7 +177,7 @@ class TestFixedRankSampler:
         plan = _build_plan(m, tuning, SimScheme.log_euler(steps))
         dt = np.full(steps, 1.0 / steps)
         loads = _driver_loads(m, tuning, np.linspace(0.0, 1.0, steps + 1)[:-1])
-        assert np.array_equal(plan.scale, np.ones(rank))
+        assert plan.loadE.shape[1] == rank
         for factor, columns in zip((plan.loadE, plan.loadI), loads):
             K = np.column_stack(columns)
             R = factor.T
@@ -186,9 +185,9 @@ class TestFixedRankSampler:
 
     def test_factor_draws_one_normal_per_rank(self, atm_model, uniform_tuning):
         scheme = SimScheme.log_euler(250)
-        assert len(_build_plan(atm_model, uniform_tuning, scheme).scale) == 1
+        assert _build_plan(atm_model, uniform_tuning, scheme).loadE.shape[1] == 1
         collar = build_run(load_config(str(CONFIGS / "correlated_collar.cfg")))
-        assert len(_build_plan(collar.model, collar.tuning, scheme).scale) == 2
+        assert _build_plan(collar.model, collar.tuning, scheme).loadE.shape[1] == 2
 
     def test_rank_deficient_loads_give_finite_draw(self):
         # sigma_E = 0 on the first half zeroes both energy columns there, and
@@ -210,13 +209,14 @@ class TestFixedRankSampler:
         else:
             edges = np.linspace(0.0, 1.0, scheme.steps + 1)
         dt = np.diff(edges)
-        columnsE, columnsI = _driver_loads(m, self.TUNING, edges[:-1])
+        loadsE, loadsI = (np.stack(columns) * np.sqrt(dt)
+                          for columns in _driver_loads(m, self.TUNING, edges[:-1]))
 
         z = _block_generator(seed, 0).standard_normal((n, len(dt), 2))
-        dwE = z[:, :, 0] * np.sqrt(dt)
-        dwI = z[:, :, 1] * np.sqrt(dt)
-        expected = dict(zip(("gE", "iE", "gI_cross"), (dwE @ c for c in columnsE)))
-        expected.update(zip(("gI", "iI", "iE_cross"), (dwI @ c for c in columnsI)))
+        expected = dict(zip(("gE", "iE", "gI_cross"),
+                            (column_sum(z[:, :, 0], load) for load in loadsE)))
+        expected.update(zip(("gI", "iI", "iE_cross"),
+                            (column_sum(z[:, :, 1], load) for load in loadsI)))
         draw = sample_block(m, self.TUNING, SimConfig(n, seed=seed, scheme=scheme), 0)
         for name, value in expected.items():
             assert np.array_equal(getattr(draw, name), value), name
@@ -276,32 +276,36 @@ class TestTiles:
              (BLOCK_SIZE + 5, False, 0), (BLOCK_SIZE + 2 * TILE_SIZE + 7, False, 1),
              (BLOCK_SIZE + TILE_SIZE + 2, True, 1)]
     # (mode, scheme, tuning, sigE). Constant volatility with uniform tuning is
-    # a one-segment exact grid, where each accumulator is the product of a
-    # one-column increment matrix and its load; sigE = 0 makes the energy
-    # loads zero. On a 16-step grid the same coefficients factor to rank 1:
-    # one normal per driver.
+    # a one-segment exact grid, where each accumulator is one product of a
+    # normal and its load; sigE = 0 makes the energy loads zero. On a 16-step
+    # grid the same coefficients factor to rank 1: one normal per driver. An
+    # energy break at 0.25 with the tuning's at 0.5 is a three-segment exact
+    # grid of rank 3, the longest column sum.
+    THREE_SEGMENTS = ((0.0, 0.2), (0.25, 0.3))
     SETUPS = [*itertools.product(CorrelationMode, [SimScheme.exact(), SimScheme.log_euler(16)],
                                  [TUNING], [0.2]),
               *itertools.product(CorrelationMode, [SimScheme.exact()], [UNIFORM], [0.2, 0.0]),
-              *itertools.product(CorrelationMode, [SimScheme.log_euler(16)], [UNIFORM], [0.2])]
+              *itertools.product(CorrelationMode, [SimScheme.log_euler(16)], [UNIFORM], [0.2]),
+              *itertools.product(CorrelationMode, [SimScheme.exact()], [TUNING],
+                                 [THREE_SEGMENTS])]
     SETUP_IDS = [f"{mode.value}-{setup}" for setups in (["exact", "euler:16"],
                                                           ["one-segment", "one-segment-zero-load"],
-                                                          ["factored-rank-1"])
+                                                          ["factored-rank-1"], ["three-segment"])
                  for mode, setup in itertools.product(CorrelationMode, setups)]
 
-    def test_one_row_tail_joins_the_previous_tile(self):
-        t = TILE_SIZE
-        assert tile_bounds(2 * t, False) == [(0, t), (t, 2 * t)]
-        assert tile_bounds(2 * t + 1, False) == [(0, t), (t, 2 * t + 1)]
-        assert tile_bounds(2 * t + 2, False) == [(0, t), (t, 2 * t), (2 * t, 2 * t + 2)]
-        assert tile_bounds(2 * t + 2, True) == [(0, t), (t, 2 * t + 2)]
-        assert tile_bounds(1, False) == [(0, 1)] and tile_bounds(2, True) == [(0, 2)]
+    @classmethod
+    def _model(cls, mode, sigE):
+        """The setup's model; ``sigE`` is a constant level or (start, level) segments."""
+        if isinstance(sigE, float):
+            return make_model(mode=mode, sigE=sigE, **cls.MODEL_ARGS)
+        return dataclasses.replace(make_model(mode=mode, **cls.MODEL_ARGS),
+                                   energy_vol=VolatilityCurve.from_segments(sigE, 1.0))
 
     @pytest.mark.parametrize("mode,scheme,tuning,sigE", SETUPS, ids=SETUP_IDS)
     @pytest.mark.parametrize("n,antithetic,block", CASES)
     def test_sample_block_equals_untiled_draw(self, mode, scheme, tuning, sigE, n, antithetic,
                                               block):
-        model = make_model(mode=mode, sigE=sigE, **self.MODEL_ARGS)
+        model = self._model(mode, sigE)
         cfg = SimConfig(n, seed=33, antithetic=antithetic, scheme=scheme)
         _assert_same_bits(sample_block(model, tuning, cfg, block),
                           untiled_block(model, tuning, cfg, block))
@@ -309,7 +313,7 @@ class TestTiles:
     @pytest.mark.parametrize("mode,scheme,tuning,sigE", SETUPS, ids=SETUP_IDS)
     def test_buffered_draw_equals_untiled_draw(self, mode, scheme, tuning, sigE):
         # one set of buffers, reused across configs and blocks as a pass reuses them
-        model = make_model(mode=mode, sigE=sigE, **self.MODEL_ARGS)
+        model = self._model(mode, sigE)
         plan = _build_plan(model, tuning, scheme)
         buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), BLOCK_SIZE), np.nan))
         for n, antithetic, _ in self.CASES:
@@ -318,19 +322,6 @@ class TestTiles:
                 got = _draw_block(plan, cfg, block, buffers)
                 assert np.shares_memory(got.fE_T, buffers.fE_T)
                 _assert_same_bits(got, untiled_block(model, tuning, cfg, block))
-
-    def test_zero_load_gives_positive_zeros(self):
-        # a dot product sums from +0.0, so a zero load gives +0.0 for every drawn
-        # increment, where dw[:, 0] * 0.0 would give -0.0 for the negative ones
-        # (an antithetic mirror is the negation of its drawn row: -0.0)
-        model = make_model(sigE=0.0, **self.MODEL_ARGS)
-        assert len(_build_plan(model, self.UNIFORM, SimScheme.exact()).scale) == 1
-        for antithetic in (False, True):
-            cfg = SimConfig(TILE_SIZE + 2, seed=36, antithetic=antithetic)
-            draw = sample_block(model, self.UNIFORM, cfg, 0)
-            for field in ("gE", "iE", "iE_cross"):
-                drawn = getattr(draw, field)[::2 if antithetic else 1]
-                assert np.all(drawn == 0.0) and not np.signbit(drawn).any(), field
 
     def test_streamed_blocks_share_no_memory(self, atm_model, uniform_tuning):
         first, second = iter_sample_blocks(atm_model, uniform_tuning,
