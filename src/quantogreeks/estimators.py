@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,11 +77,16 @@ class _BlockData:
     of the initial levels whose payoffs the tile's jobs read: (1, 1) for
     ``pay_base`` and the finite-difference bumps. They are evaluated together
     on the first read, so a tile whose jobs only bump the initial levels
-    never computes the base. A weight array that reads no rho is built once
-    per tile and shared by every scenario view.
+    never computes the base.
+
+    The tile keeps one kernel table for ``weight_for``: each Wiener-integral
+    kernel is built at most once per tile and rho. Scenario views (``at``)
+    share the rho-free kernels and the rho-free weight arrays; kernels that
+    read rho start empty in each view and die with it.
     """
 
-    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs", "_weights")
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs", "_weights",
+                 "_kernels")
 
     def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec,
                  layout: tuple):
@@ -93,6 +99,7 @@ class _BlockData:
         self.eI = draw.fI_T / model.temperature.f0
         self._payoffs: dict[tuple[float, float], np.ndarray] | None = None
         self._weights: dict[tuple[str, ...], np.ndarray] = {}  # rho-free weights by kernels
+        self._kernels: tuple[dict, dict] = ({}, {})  # (rho-free, this rho's) kernel arrays
 
     @property
     def pay_base(self) -> np.ndarray:
@@ -106,6 +113,7 @@ class _BlockData:
         """
         view = copy.copy(self)
         view.model, view._payoffs = model, None
+        view._kernels = (self._kernels[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             draw = self.draw
             view.draw = replace(draw, fI_T=_temperature_level(self.plan, model.rho, draw.gI,
@@ -114,15 +122,16 @@ class _BlockData:
         return view
 
     def weight(self, variant: WeightVariant, tuning: TuningFunction) -> np.ndarray:
-        """``weight_for`` on this tile; a rho-free array is built once for the tile and its views.
+        """``weight_for`` on the tile's kernel table; a rho-free array is shared by its views.
 
         A shared array skips ``weight_for``'s zero-rho check, so the engine makes it before drawing.
         """
         spec = WEIGHTS[variant]
         if not spec.rho_free:
-            return weight_for(variant, self.draw, self.model, tuning)
+            return weight_for(variant, self.draw, self.model, tuning, self._kernels)
         if spec.kernels not in self._weights:
-            self._weights[spec.kernels] = weight_for(variant, self.draw, self.model, tuning)
+            self._weights[spec.kernels] = weight_for(variant, self.draw, self.model, tuning,
+                                                     self._kernels)
         return self._weights[spec.kernels]
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
@@ -185,11 +194,13 @@ def _pair_means(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     """Mean of each antithetic pair, into ``out`` if given.
 
     values.reshape(-1, 2).mean(axis=1) bit for bit, without its slow length-2
-    reduce: mean turns a -0.0 pair sum into +0.0, and so does "+ 0.0".
+    reduce: mean turns a -0.0 pair sum into +0.0, and so does "+ 0.0". x * 0.5
+    and x / 2 are the same exact number, so they round alike, and the multiply
+    costs about a third of the divide.
     """
     out = np.add(values[0::2], values[1::2], out=out)
     out += 0.0
-    out /= 2
+    out *= 0.5
     return out
 
 
@@ -464,6 +475,11 @@ def quad_price(model: MarketModel, payoff: PayoffSpec) -> float:
     is split at the energy-leg kinks, so each panel integrates a smooth
     function and 64 fixed nodes per panel converge far below 1e-8. Shares no
     code with the sampling path.
+
+    The nodes are evaluated together as arrays, and their weighted terms are
+    summed left to right. ``conditional_mean`` and ``KinkSolver`` apply
+    libm's exp, log and erfc element by element, so the price has the bits
+    of a node-by-node loop in scalar ``math``.
     """
     _require_valid(model, payoff)
     solver = KinkSolver(model)
@@ -478,10 +494,9 @@ def quad_price(model: MarketModel, payoff: PayoffSpec) -> float:
     z1 = (half * nodes + 0.5 * (splits[1:] + splits[:-1])[:, None]).ravel()
     w1 = (half * weights).ravel() * _norm_pdf(z1)
 
-    total = 0.0
-    for z, w in zip(z1.tolist(), w1.tolist()):
-        fE = solver.energy_price(z)
-        total += w * conditional_mean(payoff, fE, *solver.h_law(z, fE))
+    fE = solver.energy_price(z1)
+    terms = w1 * conditional_mean(payoff, fE, *solver.h_law(z1, fE))
+    total = functools.reduce(operator.add, terms.tolist(), 0.0)  # left to right, node by node
     return total * math.exp(-model.rate * model.horizon)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -137,7 +137,9 @@ def evaluate(p: PayoffSpec, fE, fI_effective) -> np.ndarray:
         down = _times_leg(np.maximum(p.kE_low - fE, 0.0),
                           np.subtract(p.kI_low, fI, out=np.empty(shape)))
         np.add(up, down, out=up)
-        return np.multiply(p.alpha, up, out=up)[()]
+        if p.alpha != 1.0:  # 1.0 * x is x, bit for bit
+            np.multiply(p.alpha, up, out=up)
+        return up[()]
     if isinstance(p, DigitalProduct):
         return ((fE > p.kE) & (fI > p.kI)).astype(float)
     if isinstance(p, Separable):
@@ -145,46 +147,79 @@ def evaluate(p: PayoffSpec, fE, fI_effective) -> np.ndarray:
     raise TypeError(f"unknown payoff spec {type(p).__name__}")
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``f`` of Python floats applied element by element, as an array of floats."""
+    ufunc = np.frompyfunc(f, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
 
 
-def conditional_mean(p: PayoffSpec, fE: float, shift: float, forward: float,
-                     vol: float) -> float:
+# libm's exp, log and erfc through ``math``, one element at a time: numpy's
+# own exp and log may differ from libm in the last bit, and each quadrature
+# node keeps the bits of scalar ``math``.
+_exp, _log, _erfc = (_elementwise(f) for f in (math.exp, math.log, math.erfc))
+
+
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * _erfc(-x / math.sqrt(2.0))
+
+
+def conditional_mean(p: PayoffSpec, fE, shift, forward, vol: float) -> np.ndarray:
     """E[evaluate(p, fE, shift + X)], X lognormal with mean ``forward`` and log-volatility ``vol``.
 
     Each temperature leg is a Black call (or a put by parity) on its strike
     less ``shift``; a strike at or below ``shift`` is always cleared, so its
     call is linear. ``(shift, forward, vol)`` is a ``KinkSolver.h_law``.
+
+    Vectorized over ``fE``, ``shift`` and ``forward``, which broadcast
+    together. Each element has the bits of the scalar formula: every branch
+    is a mask, a formula is evaluated only where its branch is taken, and
+    exp, log and erfc are libm's through ``math``, element by element.
     """
-    def call(k: float) -> float:
-        k -= shift
-        if k <= 0.0:
-            return forward - k
-        d1 = (math.log(forward / k) + 0.5 * vol * vol) / vol
-        return forward * _norm_cdf(d1) - k * _norm_cdf(d1 - vol)
+    fE, shift, forward = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                               for x in (fE, shift, forward)))
+
+    def gated(at, value: Callable) -> np.ndarray:
+        """``value(at)`` where the mask ``at`` holds and 0.0 elsewhere."""
+        out = np.zeros(fE.shape)
+        out[at] = value(at)
+        return out
+
+    def call(k: float, at) -> np.ndarray:
+        k = k - shift[at]
+        fwd = forward[at]
+        out = fwd - k
+        black = ~(k <= 0.0)
+        kb, fb = k[black], fwd[black]
+        d1 = (_log(fb / kb) + 0.5 * vol * vol) / vol
+        out[black] = fb * _norm_cdf(d1) - kb * _norm_cdf(d1 - vol)
+        return out
 
     if isinstance(p, ProductCall):
-        return (fE - p.kE) * call(p.kI) if fE > p.kE else 0.0
+        return gated(fE > p.kE, lambda at: (fE[at] - p.kE) * call(p.kI, at))[()]
     if isinstance(p, FourStrikeCollar):
-        up = (fE - p.kE_high) * call(p.kI_high) if fE > p.kE_high else 0.0
+        up = gated(fE > p.kE_high, lambda at: (fE[at] - p.kE_high) * call(p.kI_high, at))
         # put by parity: E[(k - h)+] = call(k) - (E[h] - k)
-        down = ((p.kE_low - fE) * (call(p.kI_low) - (shift + forward - p.kI_low))
-                if fE < p.kE_low else 0.0)
-        return p.alpha * (up + down)
+        down = gated(fE < p.kE_low, lambda at: (p.kE_low - fE[at]) * (
+            call(p.kI_low, at) - (shift[at] + forward[at] - p.kI_low)))
+        return (p.alpha * (up + down))[()]
     if isinstance(p, DigitalProduct):
-        if not fE > p.kE:
-            return 0.0
-        k = p.kI - shift
-        return 1.0 if k <= 0.0 else _norm_cdf((math.log(forward / k) - 0.5 * vol * vol) / vol)
+        def digital(at):
+            k = p.kI - shift[at]
+            out = np.ones(k.shape)
+            black = ~(k <= 0.0)
+            out[black] = _norm_cdf((_log(forward[at][black] / k[black]) - 0.5 * vol * vol) / vol)
+            return out
+
+        return gated(fE > p.kE, digital)[()]
     if isinstance(p, Separable):
         h = p.h
         slopes = [h.left_slope]
         slopes += [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(h.xs, h.xs[1:], h.ys, h.ys[1:])]
         slopes.append(h.right_slope)
+        every = np.full(fE.shape, True)
         mean = h.ys[0] + h.left_slope * (shift + forward - h.xs[0])
-        mean += sum((s1 - s0) * call(x) for s0, s1, x in zip(slopes, slopes[1:], h.xs))
-        return float(p.g(fE)) * mean
+        mean += sum((s1 - s0) * call(x, every) for s0, s1, x in zip(slopes, slopes[1:], h.xs))
+        return (p.g(fE) * mean)[()]
     raise TypeError(f"unknown payoff spec {type(p).__name__}")
 
 
@@ -222,8 +257,9 @@ class KinkSolver:
             self.s2 = math.sqrt(rho * rho * (self.vI - vEI * vEI / self.vE)
                                 + (1.0 - rho * rho) * self.vI)
 
-    def energy_price(self, z1: float) -> float:
-        return self.model.energy.f0 * math.exp(-0.5 * self.vE + self.sE * z1)
+    def energy_price(self, z1):
+        """Energy price at the energy driver ``z1``, elementwise over an array."""
+        return self.model.energy.f0 * _exp(-0.5 * self.vE + self.sE * z1)
 
     def energy_kink(self, level: float) -> float | None:
         """z1 at which the energy price crosses ``level`` (None when below 0+)."""
@@ -231,13 +267,14 @@ class KinkSolver:
             return None
         return (math.log(level / self.model.energy.f0) + 0.5 * self.vE) / self.sE
 
-    def h_law(self, z1: float, fE: float) -> tuple[float, float, float]:
+    def h_law(self, z1, fE) -> tuple:
         """Law of the temperature argument given z1, whose energy price is ``fE``.
 
         Returns (shift, forward, vol): the argument is shift + X with X
-        lognormal of mean ``forward`` and log-volatility ``vol``.
+        lognormal of mean ``forward`` and log-volatility ``vol``. ``z1`` and
+        ``fE`` may be arrays; then shift or forward is one, and vol a float.
         """
         f0I = self.model.temperature.f0
         if self.model.correlation_mode is CorrelationMode.SDE_MIXING:
-            return 0.0, f0I * math.exp(self.m1 * z1 + 0.5 * (self.s2 * self.s2 - self.vI)), self.s2
+            return 0.0, f0I * _exp(self.m1 * z1 + 0.5 * (self.s2 * self.s2 - self.vI)), self.s2
         return self.model.rho * fE, self.sq1mr2 * f0I, self.sI

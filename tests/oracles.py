@@ -6,7 +6,9 @@ legs factor into one-dimensional integrals with textbook solutions.
 ``reference_quad_price`` is a 2-D Gauss-Legendre price, summed node by node,
 that integrates the temperature driver numerically between its strike
 crossings; the package's ``quad_price`` replaces that inner integral with a
-closed form and must agree with it to rounding. ``untiled_block`` draws a
+closed form and must agree with it to rounding. ``scalar_quad_price`` is
+the package's quadrature evaluated one node at a time in scalar ``math``,
+the reference for its array form. ``untiled_block`` draws a
 sample block in one piece, the reference for the tiled draw, and
 ``per_point_payoff`` evaluates one rescaled payoff at a time, the reference
 for the engine's payoff grid.
@@ -18,10 +20,11 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy.stats import norm
 
-from quantogreeks.estimators import _norm_pdf, _with_coarse
+from quantogreeks.estimators import (_HALFWIDTH, _NODES, _central_difference, _norm_pdf,
+                                     _with_coarse)
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import (DigitalProduct, FourStrikeCollar, KinkSolver, ProductCall,
-                                  energy_kink_levels, evaluate)
+                                  Separable, energy_kink_levels, evaluate)
 from quantogreeks.simulate import BLOCK_SIZE, SampleDraw, _block_generator, _build_plan
 
 
@@ -156,6 +159,70 @@ def reference_quad_price(model, payoff, nodes=64, halfwidth=10.0):
         inner = float(np.dot(evaluate(payoff, np.full_like(z2, fE), h_arg) * _norm_pdf(z2), w2))
         total += float(w1_k) * _norm_pdf(float(z1_k)) * inner
     return float(total * math.exp(-model.rate * model.horizon))
+
+
+def _scalar_norm_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def scalar_conditional_mean(p, fE, shift, forward, vol):
+    """``conditional_mean`` at one node: Python floats, ``math`` and one ``if`` per branch."""
+    def call(k):
+        k -= shift
+        if k <= 0.0:
+            return forward - k
+        d1 = (math.log(forward / k) + 0.5 * vol * vol) / vol
+        return forward * _scalar_norm_cdf(d1) - k * _scalar_norm_cdf(d1 - vol)
+
+    if isinstance(p, ProductCall):
+        return (fE - p.kE) * call(p.kI) if fE > p.kE else 0.0
+    if isinstance(p, FourStrikeCollar):
+        up = (fE - p.kE_high) * call(p.kI_high) if fE > p.kE_high else 0.0
+        down = ((p.kE_low - fE) * (call(p.kI_low) - (shift + forward - p.kI_low))
+                if fE < p.kE_low else 0.0)
+        return p.alpha * (up + down)
+    if isinstance(p, DigitalProduct):
+        if not fE > p.kE:
+            return 0.0
+        k = p.kI - shift
+        return 1.0 if k <= 0.0 else _scalar_norm_cdf((math.log(forward / k) - 0.5 * vol * vol)
+                                                     / vol)
+    assert isinstance(p, Separable)
+    h = p.h
+    slopes = [h.left_slope]
+    slopes += [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(h.xs, h.xs[1:], h.ys, h.ys[1:])]
+    slopes.append(h.right_slope)
+    mean = h.ys[0] + h.left_slope * (shift + forward - h.xs[0])
+    # summed left to right from 0: from Python 3.12, sum() compensates float sums
+    mean += reduce(lambda acc, term: acc + term,
+                   ((s1 - s0) * call(x) for s0, s1, x in zip(slopes, slopes[1:], h.xs)), 0)
+    return float(p.g(fE)) * mean
+
+
+def scalar_quad_price(model, payoff):
+    """``quad_price`` one node at a time: the same nodes, scalar formulas, a running sum."""
+    solver = KinkSolver(model)
+    outer_pts = [z for z in map(solver.energy_kink, energy_kink_levels(payoff)) if z is not None]
+    z1, w1 = _panel_nodes(_with_coarse(outer_pts, _HALFWIDTH), _NODES)
+    f0E, f0I = model.energy.f0, model.temperature.f0
+    total = 0.0
+    for z, w in zip(z1.tolist(), (w1 * _norm_pdf(z1)).tolist()):
+        fE = f0E * math.exp(-0.5 * solver.vE + solver.sE * z)
+        if model.correlation_mode is CorrelationMode.SDE_MIXING:
+            law = (0.0, f0I * math.exp(solver.m1 * z + 0.5 * (solver.s2 * solver.s2 - solver.vI)),
+                   solver.s2)
+        else:
+            law = (model.rho * fE, solver.sq1mr2 * f0I, solver.sI)
+        total += w * scalar_conditional_mean(payoff, fE, *law)
+    return total * math.exp(-model.rate * model.horizon)
+
+
+def scalar_quad_greek(model, payoff, which):
+    """``quad_greek``'s stencil over ``scalar_quad_price``."""
+    f0E, f0I = model.energy.f0, model.temperature.f0
+    return _central_difference(
+        which, lambda sE, sI: scalar_quad_price(model.with_f0(f0E * sE, f0I * sI), payoff),
+        1e-5, f0E, f0I)
 
 
 def column_sum(z, load):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,17 @@ payoff.kI = 100.0
 sim.n = 20000
 sim.seed = 99
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+QUAD_ROWS = {
+    "atm_independent.cfg": ["Quad_dE,4.300035051720386,0.0,,,,",
+                            "Quad_dEdI,0.2914140928567121,0.0,,,,",
+                            "Quad_dI,4.300035051716833,0.0,,,,"],
+    "correlated_collar.cfg": ["Quad_dE,12.753548965434902,0.0,,,,",
+                              "Quad_dEdI,0.37353787026480245,0.0,,,,",
+                              "Quad_dI,5.134779508537689,0.0,,,,"],
+}
 
 
 @pytest.fixture
@@ -111,6 +123,15 @@ class TestGreeks:
         assert "Quad_dE" in rows
         assert rows["IndepDeltaE"]["oracle_value"] != ""
         assert float(rows["IndepDeltaE"]["z_score"]) >= 0.0
+
+    @pytest.mark.parametrize("name", sorted(QUAD_ROWS))
+    def test_quad_rows_keep_their_bytes(self, tmp_path, name):
+        # the quadrature is deterministic: its rows move only if its arithmetic does
+        out = tmp_path / "greeks.csv"
+        assert main(["greeks", "--config", str(CONFIGS / name), "--all-variants",
+                     "--oracle", "quad", "--n", "2000", "--out", str(out)]) == 0
+        assert [line for line in out.read_text().splitlines()
+                if line.startswith("Quad_")] == QUAD_ROWS[name]
 
     def test_fd_oracle_rows(self, config_path, tmp_path):
         out = tmp_path / "greeks.csv"

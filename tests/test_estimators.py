@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +32,14 @@ from quantogreeks import (
     residual_risk,
     validate_model,
 )
-from quantogreeks import estimators
+from quantogreeks import cli, estimators, weights
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
 from quantogreeks.simulate import BLOCK_SIZE, TILE_SIZE, SimScheme, block_count, tile_bounds
 
 ATM = ProductCall(100.0, 100.0)
 V = WeightVariant
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Frozen once from the quadrature oracle (nodes=96, halfwidth=12 agrees to 2e-13);
 # cross-checked against Monte Carlo at N=1e7 below.
@@ -311,6 +313,22 @@ class TestQuadrature:
             ref = oracles.reference_quad_price(model, payoff)
             assert abs(quad_price(model, payoff) - ref) <= 1e-12 * abs(ref), payoff
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
+    def test_array_oracle_equals_the_scalar_loop_bit_for_bit(self, mode, rho):
+        model = make_model(f0I=60.0, sigE=0.25, sigI=0.35, rho=rho, rate=0.03, mode=mode)
+        # a knot at -5 lies at or below the shift (0 under sde_mixing, rho fE otherwise)
+        # at some nodes, so the h leg's call there is the linear branch
+        below_shift = Separable(PiecewiseLinear((90.0, 110.0), (0.0, 10.0), 0.0, 0.5),
+                                PiecewiseLinear((-5.0, 40.0, 60.0, 90.0), (0.5, 1.0, 3.0, 3.5),
+                                                -0.5, 0.2))
+        for payoff in (*PAYOFF_KINDS, below_shift):
+            assert (quad_price(model, payoff).hex()
+                    == oracles.scalar_quad_price(model, payoff).hex()), payoff
+            for which in ("dE", "dI", "dEdI"):
+                assert (quad_greek(model, payoff, which).hex()
+                        == oracles.scalar_quad_greek(model, payoff, which).hex()), (payoff, which)
+
 
 class TestFiniteDifferences:
     def test_linear_leg_is_exact_at_the_fixed_bump(self, atm_model, uniform_tuning):
@@ -512,6 +530,34 @@ class TestOnePass:
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(calls) == tiles
+
+    def test_all_variant_pass_builds_each_kernel_once_per_tile(self, monkeypatch):
+        # the collar's five correlated variants and three finite differences form
+        # one job group; both matrix-inverse weights read E_inv, and the
+        # cross-gamma's compensator integral is shared by every tile of the pass
+        kernel_calls, integrals = [], []
+        build_E_inv = weights._KERNELS["E_inv"]
+        integrate = weights.integrate
+
+        def counted_E_inv(draw, model):
+            kernel_calls.append(len(draw.iE))
+            return build_E_inv(draw, model)
+
+        def counted_integrate(*args):
+            integrals.append(args)
+            return integrate(*args)
+
+        monkeypatch.setitem(weights._KERNELS, "E_inv", counted_E_inv)
+        monkeypatch.setattr(weights, "integrate", counted_integrate)
+        weights._cross_integral.cache_clear()
+        n = BLOCK_SIZE + 2 * TILE_SIZE + 8
+        assert cli.main(["greeks", "--config", str(CONFIGS / "correlated_collar.cfg"),
+                         "--all-variants", "--oracle", "fd", "--n", str(n),
+                         "--out", os.devnull]) == 0
+        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
+                    for start in range(0, n, BLOCK_SIZE))
+        assert tiles == 7 and len(kernel_calls) == tiles and sum(kernel_calls) == n
+        assert len(integrals) == 1
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         calls = counting_draws(monkeypatch)

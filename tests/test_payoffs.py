@@ -33,6 +33,17 @@ class TestEvaluate:
         p = FourStrikeCollar(kE_high=110.0, kI_high=95.0, kE_low=90.0, kI_low=75.0, alpha=1.0)
         assert evaluate(p, 80.0, 70.0) == 50.0
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_collar_equals_alpha_times_its_two_legs_bit_for_bit(self, alpha):
+        # 1.0 * x is x, so the collar may skip that multiply and keep every bit
+        rng = np.random.default_rng(5)
+        fE = np.concatenate([rng.uniform(60.0, 140.0, 500), [90.0, 110.0, 0.0, -0.0, 1e150]])
+        fI = np.concatenate([rng.uniform(40.0, 110.0, 500), [50.0, 70.0, -0.0, 0.0, 1e150]])
+        p = FourStrikeCollar(110.0, 70.0, 90.0, 50.0, alpha)
+        legs = (np.maximum(fE - 110.0, 0.0) * np.maximum(fI - 70.0, 0.0)
+                + np.maximum(90.0 - fE, 0.0) * np.maximum(50.0 - fI, 0.0))
+        assert evaluate(p, fE, fI).tobytes() == (alpha * legs).tobytes()
+
     def test_digital_boundary_is_strict(self):
         p = DigitalProduct(100.0, 80.0)
         assert evaluate(p, 100.0, 90.0) == 0.0

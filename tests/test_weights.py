@@ -124,6 +124,32 @@ class TestCorrelatedCrossGamma:
         assert abs(w.mean() + 2.0 * comp) < 3.0 * se
 
 
+MATRIX_INVERSE = (V.CORR_DELTA_E_MATRIX_INVERSE, V.CORR_CROSS_GAMMA_MATRIX_INVERSE)
+
+
+class TestWeightDomain:
+    # outside these bounds the kernels divide by zero or are nan
+    @pytest.mark.parametrize("variant", MATRIX_INVERSE)
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_unit_rho_rejected(self, uniform_tuning, variant, rho):
+        with pytest.raises(ValueError, match=r"-1 < rho < 1"):
+            weight_for(variant, manual_draw(iE=1.0, iI=1.0), make_model(rho=rho), uniform_tuning)
+
+    @pytest.mark.parametrize("variant", MATRIX_INVERSE)
+    def test_nan_rho_rejected(self, uniform_tuning, variant):
+        with pytest.raises(ValueError, match=r"rho=nan"):
+            weight_for(variant, manual_draw(iE=1.0, iI=1.0), make_model(rho=math.nan),
+                       uniform_tuning)
+
+    @pytest.mark.parametrize("leg", ["f0E", "f0I"])
+    @pytest.mark.parametrize("f0", [0.0, -50.0, math.nan])
+    def test_nonpositive_initial_level_rejected(self, uniform_tuning, leg, f0):
+        model = make_model(rho=0.3, **{leg: f0})
+        for variant in (V.CORR_DELTA_E_CONDITIONAL, V.CORR_DELTA_I, *MATRIX_INVERSE):
+            with pytest.raises(ValueError, match="positive initial levels"):
+                weight_for(variant, manual_draw(iE=1.0, iI=1.0), model, uniform_tuning)
+
+
 class TestZeroRhoReduction:
     def test_every_correlated_variant_reduces_bitwise(self, uniform_tuning):
         m = make_model(rho=0.0)
