@@ -112,9 +112,18 @@ def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
     return comments, meta
 
 
+# Former names of the payoff_mixing weights, kept as spellings while the benchmark's
+# converge command passes IndepCrossGamma; they go once it is repointed.
+_OLD_NAMES = {
+    "IndepDeltaE": WeightVariant.CORR_DELTA_E_CONDITIONAL,
+    "IndepDeltaI": WeightVariant.CORR_DELTA_I,
+    "IndepCrossGamma": WeightVariant.CORR_CROSS_GAMMA_CONDITIONAL,
+}
+
+
 def _parse_variants(names: list[str] | None) -> list[WeightVariant]:
     try:
-        return [WeightVariant(name) for name in names or []]
+        return [_OLD_NAMES.get(name) or WeightVariant(name) for name in names or []]
     except ValueError:
         known = ", ".join(v.value for v in WeightVariant)
         raise ValueError(f"unknown variant in {names}; known: {known}") from None
@@ -156,7 +165,7 @@ def _greeks(args, run: RunConfig, variants):
     if args.all_variants:
         if variants:
             raise ValueError("greeks: pass --variant NAME or --all-variants, not both")
-        variants = [v for v in WeightVariant if run.model.rho == 0.0 or not WEIGHTS[v].zero_rho]
+        variants = [v for v in WeightVariant if WEIGHTS[v].mode is run.model.correlation_mode]
     elif not variants:
         raise ValueError("greeks: pass --variant NAME or --all-variants")
     for variant in variants:
@@ -193,7 +202,7 @@ def _sweep_rho(args, run: RunConfig, variants):
     grid = _parse_grid(args.grid, float, "--grid", "floats")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
-    variant = _sweep_variant(args.greek, _single_variant(variants))
+    variant = _sweep_variant(args.greek, _single_variant(variants), run.model)
     for rho in grid:
         require_rho_supported(variant, replace(run.model, rho=rho))
 
@@ -271,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("greeks", parents=[common], help="weighted Monte Carlo Greeks")
     g.add_argument("--variant", action="append", default=None,
                    help="estimator variant (repeatable)")
-    g.add_argument("--all-variants", action="store_true", help="run the full estimator zoo")
+    g.add_argument("--all-variants", action="store_true", help="run every weight of the model's mode")
     g.add_argument("--oracle", choices=("fd", "quad", "both"), default=None,
                    help="append oracle rows and conformance z-scores")
     g.set_defaults(handler=_greeks)

@@ -43,7 +43,8 @@ from .simulate import (
     block_count,
     tile_bounds,
 )
-from .weights import WEIGHTS, WeightVariant, greek_of, require_rho_supported, weight_for
+from .weights import (WEIGHTS, WeightVariant, greek_of, mode_variant, require_rho_supported,
+                      weight_for)
 
 GREEKS = ("dE", "dI", "dEdI")
 FD_BUMP = 1e-4  # relative bump on the initial futures level of every finite difference
@@ -124,7 +125,7 @@ class _BlockData:
     def weight(self, variant: WeightVariant, tuning: TuningFunction) -> np.ndarray:
         """``weight_for`` on the tile's kernel table; a rho-free array is shared by its views.
 
-        A shared array skips ``weight_for``'s zero-rho check, so the engine makes it before drawing.
+        A shared array skips ``weight_for``'s mode check, so the engine makes it before drawing.
         """
         spec = WEIGHTS[variant]
         if not spec.rho_free:
@@ -520,21 +521,8 @@ def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
 # Residual risk and convergence studies
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CORR_VARIANT = {
-    "dE": WeightVariant.CORR_DELTA_E_CONDITIONAL,
-    "dI": WeightVariant.CORR_DELTA_I,
-    "dEdI": WeightVariant.CORR_CROSS_GAMMA_CONDITIONAL,
-}
-
-_INDEP_VARIANT = {
-    "dE": WeightVariant.INDEP_DELTA_E,
-    "dI": WeightVariant.INDEP_DELTA_I,
-    "dEdI": WeightVariant.INDEP_CROSS_GAMMA,
-}
-
-
-def _sweep_variant(which: str, variant: WeightVariant | None) -> WeightVariant:
-    """The correlated variant a sweep of ``which`` runs: ``variant`` or the default.
+def _sweep_variant(which: str, variant: WeightVariant | None, model: MarketModel) -> WeightVariant:
+    """The variant a sweep of ``which`` runs: ``variant`` or the weight of ``model``'s mode.
 
     A variant of another Greek is refused: its rows would subtract one Greek
     from another.
@@ -542,7 +530,7 @@ def _sweep_variant(which: str, variant: WeightVariant | None) -> WeightVariant:
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
     if variant is None:
-        return _DEFAULT_CORR_VARIANT[which]
+        return mode_variant(which, model.correlation_mode)
     if greek_of(variant) != which:
         raise ValueError(f"{variant.value} estimates {greek_of(variant)}, not {which}")
     return variant
@@ -554,14 +542,15 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
                   threads: int = 1) -> list[dict[str, float]]:
     """Hedging error from ignoring correlation: |corr Greek - rho=0 Greek| per rho.
 
-    The rho = 0 baseline and every grid point are jobs on one pass over the
-    draws, so the rho = 0 row vanishes exactly and each row equals a separate
-    pass at its rho. Rows carry (rho, delta_corr, delta_ind, abs_diff, stderr)
-    with stderr the combined standard error of the difference.
+    Every row runs ``variant``, by default the weight of the model's mode. The
+    rho = 0 baseline and every grid point are jobs on one pass over the draws,
+    so the rho = 0 row vanishes exactly and each row equals a separate pass at
+    its rho. Rows carry (rho, delta_corr, delta_ind, abs_diff, stderr) with
+    stderr the combined standard error of the difference.
     """
-    corr_variant = _sweep_variant(which, variant)
-    base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, _INDEP_VARIANT[which], cfg,
-                           threads=threads, scenarios=[(rho, corr_variant) for rho in rho_grid])
+    variant = _sweep_variant(which, variant, model)
+    base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, variant, cfg,
+                           threads=threads, scenarios=[(rho, variant) for rho in rho_grid])
     return [{
         "rho": float(rho),
         "delta_corr": est.value,

@@ -2,9 +2,9 @@
 
 For lognormal futures the first-variation process cancels against the state in
 the diffusion coefficient, so every weight reduces to a deterministic-kernel
-Wiener integral already carried by the draw. Two correlated constructions
-coexist on purpose; the estimator layer adjudicates them against deterministic
-oracles rather than picking one here.
+Wiener integral already carried by the draw. Each correlation mode has one
+weight per Greek: the weight of the mode's own Malliavin integration by parts.
+At rho = 0 the two modes' weights agree.
 """
 
 from __future__ import annotations
@@ -16,31 +16,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MarketModel, TuningFunction, VolatilityCurve, integrate
+from .model import CorrelationMode, MarketModel, TuningFunction, VolatilityCurve, integrate
 from .simulate import SampleDraw
 
 
 class WeightVariant(Enum):
-    """Estimator zoo. Independent variants assume zero correlation.
+    """One weight per Greek and correlation mode.
 
-    The correlated energy delta and cross-gamma come in two constructions:
-
-    * ``MatrixInverse``    two-integral weight from inverting the triangular
-                           diffusion matrix (cross-gamma carries a
-                           deterministic compensator term)
-    * ``Conditional``      weight obtained by conditioning on the other driver
-                           and applying the one-driver argument to the full
-                           payoff
+    * ``payoff_mixing``: the legs have independent drivers, so each leg's
+      one-driver weight applies to the full payoff (``Conditional``, and
+      ``CorrDeltaI``); the cross-gamma is the plain product.
+    * ``sde_mixing``: the weights invert the triangular diffusion matrix
+      (``MatrixInverse``); the cross-gamma adds a deterministic compensator,
+      since delta(F u) = F delta(u) - <DF, u>.
     """
 
-    INDEP_DELTA_E = "IndepDeltaE"
-    INDEP_DELTA_I = "IndepDeltaI"
-    INDEP_CROSS_GAMMA = "IndepCrossGamma"
-    CORR_DELTA_E_MATRIX_INVERSE = "CorrDeltaE_MatrixInverse"
     CORR_DELTA_E_CONDITIONAL = "CorrDeltaE_Conditional"
     CORR_DELTA_I = "CorrDeltaI"
-    CORR_CROSS_GAMMA_MATRIX_INVERSE = "CorrCrossGamma_MatrixInverse"
     CORR_CROSS_GAMMA_CONDITIONAL = "CorrCrossGamma_Conditional"
+    CORR_DELTA_E_MATRIX_INVERSE = "CorrDeltaE_MatrixInverse"
+    CORR_DELTA_I_MATRIX_INVERSE = "CorrDeltaI_MatrixInverse"
+    CORR_CROSS_GAMMA_MATRIX_INVERSE = "CorrCrossGamma_MatrixInverse"
 
 
 _RHO_FREE = ("E", "I")  # the kernels that read no rho
@@ -57,33 +53,28 @@ _KERNELS = {
 
 
 class _Weight(NamedTuple):
-    """A weight as a product of kernels, with flags.
-
-    ``compensator_sign`` adds (+1) or subtracts (-1) the deterministic
-    compensator; ``zero_rho`` marks a construction that assumes independent
-    legs.
-    """
+    """A weight as a product of kernels, the correlation mode it belongs to, and
+    whether it adds the deterministic compensator."""
 
     kernels: tuple[str, ...]
-    compensator_sign: float = 0.0
-    zero_rho: bool = False
+    mode: CorrelationMode
+    compensator: bool = False
 
     @property
     def rho_free(self) -> bool:
         """The weight array reads no rho: only the E and I kernels and no compensator."""
-        return not self.compensator_sign and all(k in _RHO_FREE for k in self.kernels)
+        return not self.compensator and all(k in _RHO_FREE for k in self.kernels)
 
 
 _V = WeightVariant
+_PAYOFF, _SDE = CorrelationMode.PAYOFF_MIXING, CorrelationMode.SDE_MIXING
 WEIGHTS = {
-    _V.INDEP_DELTA_E: _Weight(("E",), zero_rho=True),
-    _V.INDEP_DELTA_I: _Weight(("I",), zero_rho=True),
-    _V.INDEP_CROSS_GAMMA: _Weight(("E", "I"), zero_rho=True),
-    _V.CORR_DELTA_E_MATRIX_INVERSE: _Weight(("E_inv",)),
-    _V.CORR_DELTA_E_CONDITIONAL: _Weight(("E",)),
-    _V.CORR_DELTA_I: _Weight(("I",)),
-    _V.CORR_CROSS_GAMMA_MATRIX_INVERSE: _Weight(("E_inv", "I_inv"), compensator_sign=-1.0),
-    _V.CORR_CROSS_GAMMA_CONDITIONAL: _Weight(("E", "I")),
+    _V.CORR_DELTA_E_CONDITIONAL: _Weight(("E",), _PAYOFF),
+    _V.CORR_DELTA_I: _Weight(("I",), _PAYOFF),
+    _V.CORR_CROSS_GAMMA_CONDITIONAL: _Weight(("E", "I"), _PAYOFF),
+    _V.CORR_DELTA_E_MATRIX_INVERSE: _Weight(("E_inv",), _SDE),
+    _V.CORR_DELTA_I_MATRIX_INVERSE: _Weight(("I_inv",), _SDE),
+    _V.CORR_CROSS_GAMMA_MATRIX_INVERSE: _Weight(("E_inv", "I_inv"), _SDE, compensator=True),
 }
 
 
@@ -97,10 +88,18 @@ def greek_of(variant: WeightVariant) -> str:
     return "dEdI" if len(kernels) == 2 else "d" + kernels[0][0]
 
 
+def mode_variant(which: str, mode: CorrelationMode) -> WeightVariant:
+    """The weight of ``mode`` that estimates ``which``."""
+    return next(v for v, spec in WEIGHTS.items() if spec.mode is mode and greek_of(v) == which)
+
+
 def require_rho_supported(variant: WeightVariant, model: MarketModel) -> None:
-    """Raise ValueError if ``variant`` assumes independent legs and ``model`` has rho != 0."""
-    if WEIGHTS[variant].zero_rho and model.rho != 0.0:
-        raise ValueError(f"{variant.value} assumes rho = 0 (model has rho={model.rho})")
+    """Raise ValueError unless rho = 0 or ``variant`` belongs to ``model``'s correlation mode."""
+    mode = WEIGHTS[variant].mode
+    if model.rho != 0.0 and mode is not model.correlation_mode:
+        raise ValueError(f"{variant.value} is a {mode.value} weight "
+                         f"(model has correlation_mode = {model.correlation_mode.value}, "
+                         f"rho={model.rho})")
 
 
 @functools.lru_cache(maxsize=16)
@@ -138,10 +137,9 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     """Per-draw weight array of ``variant``; the rest of ``model`` is not validated.
 
     Raises ValueError unless -1 < rho < 1 and both initial levels are
-    positive, where the kernels are finite, and for an independent-legs
-    variant unless rho = 0. The matrix-inverse cross-gamma subtracts the
-    deterministic compensator from the kernel product (``w + (-1.0 * c)`` is
-    ``w - c`` exactly).
+    positive, where the kernels are finite, and unless rho = 0 or ``variant``
+    belongs to ``model``'s correlation mode. The matrix-inverse cross-gamma
+    adds the deterministic compensator to the kernel product.
 
     ``kernels``, when given, is a pair of tables for the kernel arrays of
     ``draw``: the rho-free ones, which any rho may share, then those of
@@ -159,6 +157,6 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     kernels = ({}, {}) if kernels is None else kernels
     first, *rest = (_kernel(k, draw, model, kernels) for k in spec.kernels)
     weight = first * rest[0] if rest else first
-    if spec.compensator_sign:
-        weight = weight + spec.compensator_sign * _compensator(model, tuning)
+    if spec.compensator:
+        weight = weight + _compensator(model, tuning)
     return weight

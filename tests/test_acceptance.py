@@ -9,13 +9,19 @@ import math
 import time
 from pathlib import Path
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 import oracles
 from conftest import make_model
 from quantogreeks import (
     DigitalProduct,
+    FourStrikeCollar,
+    PiecewiseLinear,
     ProductCall,
+    Separable,
     SimConfig,
     TuningFunction,
     WeightVariant,
@@ -29,25 +35,29 @@ from quantogreeks import (
     weight_for,
 )
 from quantogreeks.cli import main
+from quantogreeks.config import build_run, load_config
+from quantogreeks.model import CorrelationMode
+from quantogreeks.weights import WEIGHTS, greek_of
 
 V = WeightVariant
 ATM = ProductCall(100.0, 100.0)
 N_BIG = 1_000_000
 
-REPORT_DIR = Path(__file__).resolve().parent.parent / "build" / "reports"
+ROOT = Path(__file__).resolve().parent.parent
+REPORT_DIR = ROOT / "build" / "reports"
 
-CORR_TO_INDEP = {
-    V.CORR_DELTA_E_MATRIX_INVERSE: V.INDEP_DELTA_E,
-    V.CORR_DELTA_E_CONDITIONAL: V.INDEP_DELTA_E,
-    V.CORR_DELTA_I: V.INDEP_DELTA_I,
-    V.CORR_CROSS_GAMMA_MATRIX_INVERSE: V.INDEP_CROSS_GAMMA,
-    V.CORR_CROSS_GAMMA_CONDITIONAL: V.INDEP_CROSS_GAMMA,
+# each sde_mixing weight and the payoff_mixing weight of the same Greek
+SDE_TO_PAYOFF = {
+    V.CORR_DELTA_E_MATRIX_INVERSE: V.CORR_DELTA_E_CONDITIONAL,
+    V.CORR_DELTA_I_MATRIX_INVERSE: V.CORR_DELTA_I,
+    V.CORR_CROSS_GAMMA_MATRIX_INVERSE: V.CORR_CROSS_GAMMA_CONDITIONAL,
 }
 
-# Frozen after the first conformance run: the variants that agree with the
-# quadrature oracle at nonzero correlation under payoff mixing.
-EXPECTED_CONFORMANT_DELTA_E = {"CorrDeltaE_Conditional"}
-EXPECTED_CONFORMANT_CROSS = {"CorrCrossGamma_Conditional"}
+
+def mode_weights(mode: CorrelationMode) -> list[WeightVariant]:
+    """The weights of ``mode``, one per Greek: what ``greeks --all-variants`` runs."""
+    return [v for v in V if WEIGHTS[v].mode is mode]
+
 
 BASE_CONFIG = """
 energy.f0 = 100.0
@@ -57,6 +67,7 @@ temperature.sigma = [[0.0, 0.2]]
 tau1 = 1.0
 tau2 = 1.0
 rho = {rho}
+correlation_mode = {mode}
 payoff.variant = product_call
 payoff.kE = 100.0
 payoff.kI = 100.0
@@ -79,7 +90,8 @@ def test_c01_independent_closed_form_agreement(atm_model, uniform_tuning):
     start = time.monotonic()
     cfg = SimConfig(N_BIG, seed=101)
     price = mc_price(atm_model, ATM, cfg, uniform_tuning)
-    delta = mc_estimates(atm_model, ATM, uniform_tuning, [V.INDEP_DELTA_E], cfg)["IndepDeltaE"]
+    delta = mc_estimates(atm_model, ATM, uniform_tuning, [V.CORR_DELTA_E_CONDITIONAL],
+                         cfg)["CorrDeltaE_Conditional"]
     elapsed = time.monotonic() - start
 
     price_ref = oracles.product_call_price(100, 100, 0.2, 100, 100, 0.2, 1.0)
@@ -104,7 +116,7 @@ def test_c02_quadrature_oracle_accuracy(atm_model):
 
 
 def test_c03_independent_cross_gamma_vs_quadrature(atm_model, uniform_tuning):
-    est = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_CROSS_GAMMA,
+    est = mc_greek(atm_model, ATM, uniform_tuning, V.CORR_CROSS_GAMMA_CONDITIONAL,
                    SimConfig(N_BIG, seed=203))
     oracle = quad_greek(atm_model, ATM, "dEdI")
     assert abs(est.value - oracle) <= 3.0 * est.stderr
@@ -115,12 +127,12 @@ def test_c03_independent_cross_gamma_vs_quadrature(atm_model, uniform_tuning):
 def test_c04_zero_rho_bitwise_reduction(uniform_tuning):
     m = make_model(rho=0.0)
     draw = draw_samples(m, uniform_tuning, SimConfig(10_000, seed=104))
-    for corr, indep in CORR_TO_INDEP.items():
-        w_corr = weight_for(corr, draw, m, uniform_tuning)
-        w_ind = weight_for(indep, draw, m, uniform_tuning)
-        assert np.array_equal(w_corr, w_ind), corr.value
-    report(4, f"{len(CORR_TO_INDEP)} correlated variants bitwise equal at rho=0 "
-              f"over 10^4 draws")
+    for sde_variant, payoff_variant in SDE_TO_PAYOFF.items():
+        w_sde = weight_for(sde_variant, draw, m, uniform_tuning)
+        w_payoff = weight_for(payoff_variant, draw, m, uniform_tuning)
+        assert np.array_equal(w_sde, w_payoff), sde_variant.value
+    report(4, f"{len(SDE_TO_PAYOFF)} sde_mixing weights bitwise equal to the payoff_mixing "
+              f"weights at rho=0 over 10^4 draws")
 
 
 def test_c05_correlated_delta_I_vs_quadrature(uniform_tuning):
@@ -134,40 +146,31 @@ def test_c05_correlated_delta_I_vs_quadrature(uniform_tuning):
     report(5, "; ".join(lines))
 
 
-def test_c06_conformance_matrix_adjudicates_variants(tmp_path):
+def test_c06_every_listed_variant_conforms_in_both_modes(tmp_path):
     REPORT_DIR.mkdir(parents=True, exist_ok=True)
     summary = []
-    for rho, seed in ((-0.5, 107), (0.3, 108)):
-        cfg = tmp_path / f"conf_{seed}.cfg"
-        cfg.write_text(BASE_CONFIG.format(rho=rho, n=N_BIG, seed=seed))
-        out = REPORT_DIR / f"conformance_rho_{rho}.csv"
-        assert main(["greeks", "--config", str(cfg), "--all-variants",
-                     "--oracle", "quad", "--out", str(out)]) == 0
-        rows = {r["variant"]: r for r in read_rows(out)}
-
-        delta_rows = {k: v for k, v in rows.items() if k.startswith("CorrDeltaE")}
-        cross_rows = {k: v for k, v in rows.items() if k.startswith("CorrCrossGamma")}
-        assert len(delta_rows) == 2 and len(cross_rows) == 2
-        assert all(r["z_score"] != "" for r in {**delta_rows, **cross_rows}.values())
-
-        passing_delta = {k for k, r in delta_rows.items() if float(r["z_score"]) <= 3.0}
-        passing_cross = {k for k, r in cross_rows.items() if float(r["z_score"]) <= 3.0}
-        assert passing_delta, f"no delta_E variant conformant at rho={rho}"
-        assert passing_cross, f"no cross-gamma variant conformant at rho={rho}"
-        assert EXPECTED_CONFORMANT_DELTA_E <= passing_delta
-        assert EXPECTED_CONFORMANT_CROSS <= passing_cross
-        summary.append(f"rho={rho}: deltaE {sorted(passing_delta)}, "
-                       f"cross {sorted(passing_cross)}")
+    for mode in CorrelationMode:
+        for rho, seed in ((-0.5, 107), (0.3, 108)):
+            cfg = tmp_path / f"conf_{mode.value}_{seed}.cfg"
+            cfg.write_text(BASE_CONFIG.format(rho=rho, mode=mode.value, n=N_BIG, seed=seed))
+            out = REPORT_DIR / f"conformance_{mode.value}_rho_{rho}.csv"
+            assert main(["greeks", "--config", str(cfg), "--all-variants",
+                         "--oracle", "quad", "--out", str(out)]) == 0
+            rows = {r["variant"]: r for r in read_rows(out) if r["z_score"] != ""}
+            assert list(rows) == [v.value for v in mode_weights(mode)]
+            z = {k: float(r["z_score"]) for k, r in rows.items()}
+            assert all(v <= 3.0 for v in z.values()), f"{mode.value} rho={rho}: {z}"
+            summary.append(f"{mode.value} rho={rho}: max |z| {max(z.values()):.2f}")
     report(6, f"matrix archived in {REPORT_DIR.name}/; " + " | ".join(summary))
 
 
 def test_c07_weight_zero_mean_and_isometry(atm_model, uniform_tuning):
     draw = draw_samples(atm_model, uniform_tuning, SimConfig(N_BIG, seed=109))
-    for variant in (V.INDEP_DELTA_E, V.INDEP_DELTA_I, V.INDEP_CROSS_GAMMA):
+    for variant in mode_weights(CorrelationMode.PAYOFF_MIXING):
         w = weight_for(variant, draw, atm_model, uniform_tuning)
         assert abs(w.mean()) <= 4.0 * w.std(ddof=1) / math.sqrt(len(w))
 
-    w = weight_for(V.INDEP_DELTA_E, draw, atm_model, uniform_tuning)
+    w = weight_for(V.CORR_DELTA_E_CONDITIONAL, draw, atm_model, uniform_tuning)
     target = 25.0 / 100.0**2  # v_aa / f0E^2
     sample_var = w.var(ddof=1)
     centered = w - w.mean()
@@ -180,8 +183,8 @@ def test_c07_weight_zero_mean_and_isometry(atm_model, uniform_tuning):
 def test_c08_tuning_function_invariance(atm_model):
     uniform = TuningFunction.uniform(1.0)
     step = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
-    a = mc_greek(atm_model, ATM, uniform, V.INDEP_DELTA_E, SimConfig(N_BIG, seed=110))
-    b = mc_greek(atm_model, ATM, step, V.INDEP_DELTA_E, SimConfig(N_BIG, seed=111))
+    a = mc_greek(atm_model, ATM, uniform, V.CORR_DELTA_E_CONDITIONAL, SimConfig(N_BIG, seed=110))
+    b = mc_greek(atm_model, ATM, step, V.CORR_DELTA_E_CONDITIONAL, SimConfig(N_BIG, seed=111))
     gap = abs(a.value - b.value)
     band = 4.0 * math.hypot(a.stderr, b.stderr)
     assert gap <= band
@@ -192,7 +195,7 @@ def test_c08_tuning_function_invariance(atm_model):
 def test_c09_digital_variance_ordering(atm_model, uniform_tuning):
     digital = DigitalProduct(100.0, 100.0)
     cfg = SimConfig(100_000, seed=112)
-    mal = mc_greek(atm_model, digital, uniform_tuning, V.INDEP_DELTA_E, cfg)
+    mal = mc_greek(atm_model, digital, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg)
     fd = fd_greek(atm_model, digital, "dE", cfg, uniform_tuning)
     # same sample count, so comparing stderr compares per-draw variance
     assert mal.stderr < fd.stderr
@@ -205,7 +208,7 @@ def test_c09_digital_variance_ordering(atm_model, uniform_tuning):
 
 def test_c10_byte_identical_reproducibility(tmp_path):
     cfg = tmp_path / "repro.cfg"
-    cfg.write_text(BASE_CONFIG.format(rho=0.3, n=140_000, seed=113))
+    cfg.write_text(BASE_CONFIG.format(rho=0.3, mode="payoff_mixing", n=140_000, seed=113))
     runs = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(["price", "--config", str(cfg), "--out", str(runs[0])]) == 0
     assert main(["price", "--config", str(cfg), "--out", str(runs[1])]) == 0
@@ -220,3 +223,32 @@ def test_c10_byte_identical_reproducibility(tmp_path):
                  "--out", str(g4)]) == 0
     assert g1.read_bytes() == g4.read_bytes()
     report(10, "price and greeks CSV byte-identical across reruns and 1 vs 4 threads")
+
+
+# The payoff kinds of criterion 11 on the collar's model: a two-segment energy
+# volatility and a front-loaded tuning function, so the draw has rank 2.
+CONFORMANCE_PAYOFFS = {
+    "product_call": ProductCall(100.0, 60.0),
+    "digital": DigitalProduct(100.0, 60.0),
+    "separable": Separable(PiecewiseLinear((80.0, 100.0, 120.0), (0.0, 5.0, 20.0), 0.0, 1.0),
+                           PiecewiseLinear((40.0, 60.0, 90.0), (1.0, 3.0, 3.5), -0.5, 0.2)),
+    "collar": FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.6])
+@pytest.mark.parametrize("mode", list(CorrelationMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", list(CONFORMANCE_PAYOFFS))
+def test_c11_each_mode_weight_conforms_for_every_payoff_kind(kind, mode, rho):
+    run = build_run(load_config(str(ROOT / "configs" / "correlated_collar.cfg")))
+    model = dataclasses.replace(run.model, rho=rho, correlation_mode=mode)
+    payoff = CONFORMANCE_PAYOFFS[kind]
+    variants = mode_weights(mode)
+    ests = mc_estimates(model, payoff, run.tuning, variants, SimConfig(N_BIG, seed=5))
+    z = {}
+    for variant in variants:
+        est, oracle = ests[variant.value], quad_greek(model, payoff, greek_of(variant))
+        z[variant.value] = abs(est.value - oracle) / est.stderr
+    assert all(v <= 3.0 for v in z.values()), z
+    report(11, f"{kind} {mode.value} rho={rho}: " + ", ".join(f"{k} |z|={v:.2f}"
+                                                            for k, v in z.items()))

@@ -34,6 +34,12 @@ QUAD_ROWS = {
                               "Quad_dI,5.134779508537689,0.0,,,,"],
 }
 
+MODE_WEIGHTS = {
+    "payoff_mixing": ["CorrDeltaE_Conditional", "CorrDeltaI", "CorrCrossGamma_Conditional"],
+    "sde_mixing": ["CorrDeltaE_MatrixInverse", "CorrDeltaI_MatrixInverse",
+                   "CorrCrossGamma_MatrixInverse"],
+}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -99,30 +105,45 @@ class TestPrice:
 
 
 class TestGreeks:
-    def test_all_variants_at_zero_rho_match_independent_rows(self, config_path, tmp_path):
+    @pytest.mark.parametrize("mode", ["payoff_mixing", "sde_mixing"])
+    def test_all_variants_lists_the_mode_weights(self, tmp_path, mode):
+        path = write_config(tmp_path, BASE_CONFIG + f"correlation_mode = {mode}\n")
         out = tmp_path / "greeks.csv"
-        assert main(["greeks", "--config", config_path, "--all-variants",
+        assert main(["greeks", "--config", path, "--all-variants", "--out", str(out)]) == 0
+        assert [r["variant"] for r in read_rows(out)] == MODE_WEIGHTS[mode]
+
+    def test_all_variants_at_zero_rho_match_independent_rows(self, config_path, tmp_path):
+        # at rho = 0 either mode's weights may run, and the two agree
+        out = tmp_path / "greeks.csv"
+        names = MODE_WEIGHTS["payoff_mixing"] + MODE_WEIGHTS["sde_mixing"]
+        assert main(["greeks", "--config", config_path, *(f"--variant={v}" for v in names),
                      "--out", str(out)]) == 0
         rows = {r["variant"]: r for r in read_rows(out)}
-        pairs = [
-            ("CorrDeltaE_MatrixInverse", "IndepDeltaE"),
-            ("CorrDeltaE_Conditional", "IndepDeltaE"),
-            ("CorrDeltaI", "IndepDeltaI"),
-            ("CorrCrossGamma_MatrixInverse", "IndepCrossGamma"),
-            ("CorrCrossGamma_Conditional", "IndepCrossGamma"),
-        ]
-        for corr, indep in pairs:
-            assert rows[corr]["value"] == rows[indep]["value"]
-            assert rows[corr]["stderr"] == rows[indep]["stderr"]
+        for payoff_row, sde_row in zip(*MODE_WEIGHTS.values()):
+            assert rows[payoff_row]["value"] == rows[sde_row]["value"]
+            assert rows[payoff_row]["stderr"] == rows[sde_row]["stderr"]
+
+    @pytest.mark.parametrize("command,old,new", [
+        (["converge", "--n-grid", "1000,4000"], "IndepCrossGamma", "CorrCrossGamma_Conditional"),
+        (["greeks"], "IndepDeltaE", "CorrDeltaE_Conditional"),
+        (["greeks"], "IndepDeltaI", "CorrDeltaI"),
+    ])
+    def test_former_names_run_their_payoff_mixing_weight(self, config_path, tmp_path, command,
+                                                         old, new):
+        paths = [tmp_path / f"{name}.csv" for name in (old, new)]
+        for name, out in zip((old, new), paths):
+            assert main([*command, "--config", config_path, "--variant", name,
+                         "--out", str(out)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_quad_oracle_adds_rows_and_z_scores(self, config_path, tmp_path):
         out = tmp_path / "greeks.csv"
-        assert main(["greeks", "--config", config_path, "--variant", "IndepDeltaE",
+        assert main(["greeks", "--config", config_path, "--variant", "CorrDeltaE_Conditional",
                      "--oracle", "quad", "--out", str(out)]) == 0
         rows = {r["variant"]: r for r in read_rows(out)}
         assert "Quad_dE" in rows
-        assert rows["IndepDeltaE"]["oracle_value"] != ""
-        assert float(rows["IndepDeltaE"]["z_score"]) >= 0.0
+        assert rows["CorrDeltaE_Conditional"]["oracle_value"] != ""
+        assert float(rows["CorrDeltaE_Conditional"]["z_score"]) >= 0.0
 
     @pytest.mark.parametrize("name", sorted(QUAD_ROWS))
     def test_quad_rows_keep_their_bytes(self, tmp_path, name):
@@ -135,8 +156,8 @@ class TestGreeks:
 
     def test_fd_oracle_rows(self, config_path, tmp_path):
         out = tmp_path / "greeks.csv"
-        assert main(["greeks", "--config", config_path, "--variant", "IndepCrossGamma",
-                     "--oracle", "fd", "--out", str(out)]) == 0
+        assert main(["greeks", "--config", config_path, "--variant",
+                     "CorrCrossGamma_Conditional", "--oracle", "fd", "--out", str(out)]) == 0
         assert "FD_dEdI" in {r["variant"] for r in read_rows(out)}
 
     def test_unknown_variant_exits_2(self, config_path, capsys):
@@ -149,7 +170,7 @@ class TestGreeks:
     def test_all_variants_with_a_variant_exits_2(self, config_path, capsys):
         # the --variant list was dropped without a word
         assert main(["greeks", "--config", config_path, "--all-variants",
-                     "--variant", "IndepDeltaE"]) == 2
+                     "--variant", "CorrDeltaE_Conditional"]) == 2
         assert capsys.readouterr().err == ("greeks: pass --variant NAME or --all-variants, "
                                            "not both\n")
 
@@ -246,7 +267,7 @@ def test_thread_count_below_one_exits_2(config_path, capsys, threads):
     ["sweep-rho", "--grid", "0.3", "--n", "0"],
     ["converge", "--n-grid", "5,6", "--n", "0"],
     ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "CorrCrossGamma_Conditional"],
-    ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "IndepDeltaE"],
+    ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "CorrDeltaE_MatrixInverse"],
 ])
 def test_usage_error_beats_model_validation(tmp_path, usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace(
@@ -256,17 +277,18 @@ def test_usage_error_beats_model_validation(tmp_path, usage_error):
 
 
 @pytest.mark.parametrize("usage_error", [
-    ["greeks", "--variant", "IndepDeltaE"],
-    ["converge", "--n-grid", "1000,2000", "--variant", "IndepDeltaE"],
+    ["greeks", "--variant", "CorrDeltaE_MatrixInverse"],
+    ["converge", "--n-grid", "1000,2000", "--variant", "CorrDeltaE_MatrixInverse"],
 ])
-def test_zero_rho_variant_on_a_correlated_model_beats_model_validation(tmp_path, capsys,
-                                                                       usage_error):
+def test_other_mode_variant_on_a_correlated_model_beats_model_validation(tmp_path, capsys,
+                                                                         usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace("rho = 0.0", "rho = 0.3").replace(
         "energy.sigma = [[0.0, 0.2]]", "energy.sigma = [[0.0, 0.0]]"))
     assert main(["price", "--config", path]) == 3
     capsys.readouterr()
     assert main([*usage_error, "--config", path]) == 2
-    assert capsys.readouterr().err == "IndepDeltaE assumes rho = 0 (model has rho=0.3)\n"
+    assert capsys.readouterr().err == ("CorrDeltaE_MatrixInverse is a sde_mixing weight "
+                                       "(model has correlation_mode = payoff_mixing, rho=0.3)\n")
 
 
 NONFINITE_PAYOFFS = {

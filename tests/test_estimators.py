@@ -77,8 +77,9 @@ class TestMcPrice:
         bumped = mc_price(make_model(rate=0.03), ATM, cfg, uniform_tuning)
         assert bumped.value == flat.value * math.exp(-0.03)
         assert bumped.stderr == flat.stderr * math.exp(-0.03)
-        g_flat = mc_greek(make_model(rate=0.0), ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
-        g_bump = mc_greek(make_model(rate=0.03), ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
+        delta_E = V.CORR_DELTA_E_CONDITIONAL
+        g_flat = mc_greek(make_model(rate=0.0), ATM, uniform_tuning, delta_E, cfg)
+        g_bump = mc_greek(make_model(rate=0.03), ATM, uniform_tuning, delta_E, cfg)
         assert g_bump.value == g_flat.value * math.exp(-0.03)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -101,36 +102,36 @@ class TestMcPrice:
 
 class TestMcGreek:
     def test_independent_delta_E(self, atm_model, uniform_tuning):
-        est = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E,
+        est = mc_greek(atm_model, ATM, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL,
                        SimConfig(400_000, seed=36))
         ref = oracles.product_call_delta_E(100, 100, 0.2, 100, 100, 0.2, 1.0)
         assert abs(est.value - ref) < 3.0 * est.stderr
 
     def test_zero_energy_strike_recovers_temperature_leg_price(self, atm_model, uniform_tuning):
         # g(F) = F makes the price linear in f0E, so delta = price / f0E = call_I price
-        est = mc_greek(atm_model, ProductCall(0.0, 100.0), uniform_tuning, V.INDEP_DELTA_E,
-                       SimConfig(400_000, seed=37))
+        est = mc_greek(atm_model, ProductCall(0.0, 100.0), uniform_tuning,
+                       V.CORR_DELTA_E_CONDITIONAL, SimConfig(400_000, seed=37))
         ref = oracles.black_call(100, 100, 0.2, 1.0)
         assert abs(est.value - ref) < 3.0 * est.stderr
 
     def test_digital_delta_matches_density_formula(self, atm_model, uniform_tuning):
         est = mc_greek(atm_model, DigitalProduct(100.0, 100.0), uniform_tuning,
-                       V.INDEP_DELTA_E, SimConfig(400_000, seed=38))
+                       V.CORR_DELTA_E_CONDITIONAL, SimConfig(400_000, seed=38))
         ref = oracles.digital_product_delta_E(100, 100, 0.2, 100, 100, 0.2, 1.0)
         assert abs(est.value - ref) < 3.0 * est.stderr
 
     def test_shared_pass_matches_single_runs(self, atm_model, uniform_tuning):
         cfg = SimConfig(50_000, seed=39)
         combined = mc_estimates(atm_model, ATM, uniform_tuning,
-                                [V.INDEP_DELTA_E, V.INDEP_CROSS_GAMMA], cfg)
-        for v in (V.INDEP_DELTA_E, V.INDEP_CROSS_GAMMA):
+                                [V.CORR_DELTA_E_CONDITIONAL, V.CORR_CROSS_GAMMA_CONDITIONAL], cfg)
+        for v in (V.CORR_DELTA_E_CONDITIONAL, V.CORR_CROSS_GAMMA_CONDITIONAL):
             single = mc_greek(atm_model, ATM, uniform_tuning, v, cfg)
             assert combined[v.value].value == single.value
 
     def test_threads_do_not_change_results(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=40)
-        one = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E, cfg, threads=1)
-        four = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E, cfg, threads=4)
+        one = mc_greek(atm_model, ATM, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg, threads=1)
+        four = mc_greek(atm_model, ATM, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg, threads=4)
         assert one.value == four.value
         assert one.stderr == four.stderr
 
@@ -189,9 +190,10 @@ class TestEngineValidation:
         # unvalidated, rho = 1 divides by zero and 1.5 takes the root of a negative
         calls = counting_draws(monkeypatch)
         model = make_model(rho=0.3, mode=mode)
+        delta_I, delta_E = weights.mode_variant("dI", mode), weights.mode_variant("dE", mode)
         with pytest.raises(ValueError) as exc:
-            mc_greek(model, ATM, uniform_tuning, V.CORR_DELTA_I, SimConfig(1000, seed=0),
-                     scenarios=[(0.5, V.CORR_DELTA_I), (rho, V.CORR_DELTA_E_MATRIX_INVERSE)])
+            mc_greek(model, ATM, uniform_tuning, delta_I, SimConfig(1000, seed=0),
+                     scenarios=[(0.5, delta_I), (rho, delta_E)])
         assert str(exc.value) == "; ".join(validate_model(dataclasses.replace(model, rho=rho)))
         assert calls == []
 
@@ -213,15 +215,18 @@ class TestEngineValidation:
     # unchecked, these drew block 0 before weight_for refused the variant
     @pytest.mark.parametrize("call", [
         lambda a, cfg: mc_estimates(make_model(rho=0.3), ATM, a,
-                                    [V.CORR_CROSS_GAMMA_CONDITIONAL, V.INDEP_CROSS_GAMMA], cfg),
-        lambda a, cfg: mc_greek(make_model(rho=0.3), ATM, a, V.INDEP_DELTA_I, cfg),
+                                    [V.CORR_CROSS_GAMMA_CONDITIONAL,
+                                     V.CORR_CROSS_GAMMA_MATRIX_INVERSE], cfg),
+        lambda a, cfg: mc_greek(make_model(rho=0.3, mode=CorrelationMode.SDE_MIXING), ATM, a,
+                                V.CORR_DELTA_I, cfg),
         lambda a, cfg: residual_risk(make_model(rho=0.3), ATM, a, [0.3], cfg,
-                                     variant=V.INDEP_DELTA_E, which="dE"),
+                                     variant=V.CORR_DELTA_E_MATRIX_INVERSE, which="dE"),
     ], ids=["mc_estimates", "mc_greek", "residual_risk_scenario"])
-    def test_zero_rho_variants_are_refused_before_drawing(self, monkeypatch, uniform_tuning,
-                                                          call):
+    def test_other_mode_variants_are_refused_before_drawing(self, monkeypatch, uniform_tuning,
+                                                            call):
         calls = counting_draws(monkeypatch)
-        with pytest.raises(ValueError, match=r"^Indep\w+ assumes rho = 0 \(model has rho=0.3\)$"):
+        message = r"^\w+ is a \w+ weight \(model has correlation_mode = \w+, rho=0.3\)$"
+        with pytest.raises(ValueError, match=message):
             call(uniform_tuning, SimConfig(1000, seed=0))
         assert calls == []
 
@@ -342,7 +347,7 @@ class TestFiniteDifferences:
     def test_matches_weighted_estimator_on_smooth_payoff(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=46)
         fd = fd_greek(atm_model, ATM, "dE", cfg, uniform_tuning)
-        mal = mc_greek(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E, cfg)
+        mal = mc_greek(atm_model, ATM, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg)
         assert abs(fd.value - mal.value) < 3.0 * math.hypot(fd.stderr, mal.stderr)
 
     def test_cross_stencil_matches_oracle(self, atm_model, uniform_tuning):
@@ -385,7 +390,7 @@ class TestFiniteDifferences:
 
         def passes():
             # every grid shape: all points, the bumps of dE and dI alone, and each stencil
-            fused = mc_estimates(model, payoff, tuning, [V.CORR_DELTA_I], cfg,
+            fused = mc_estimates(model, payoff, tuning, [weights.mode_variant("dI", mode)], cfg,
                                  fd_greeks=estimators.GREEKS)
             bumps = mc_estimates(model, payoff, tuning, [], cfg, fd_greeks=["dE", "dI"])
             singles = [fd_greek(model, payoff, which, cfg, tuning) for which in estimators.GREEKS]
@@ -399,7 +404,7 @@ class TestFiniteDifferences:
         cfg = SimConfig(10_000, seed=48)
         digital = DigitalProduct(100.0, 100.0)
         fd = fd_greek(atm_model, digital, "dE", cfg, uniform_tuning)
-        mal = mc_greek(atm_model, digital, uniform_tuning, V.INDEP_DELTA_E, cfg)
+        mal = mc_greek(atm_model, digital, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg)
         assert fd.stderr > mal.stderr
 
 
@@ -407,7 +412,7 @@ class TestOracleTriangle:
     @pytest.mark.slow
     @pytest.mark.parametrize("payoff,seed", [(ATM, 61), (DigitalProduct(100.0, 100.0), 62)])
     def test_every_greek_agrees_with_quadrature(self, atm_model, uniform_tuning, payoff, seed):
-        variants = [V.INDEP_DELTA_E, V.INDEP_DELTA_I, V.INDEP_CROSS_GAMMA]
+        variants = [V.CORR_DELTA_E_CONDITIONAL, V.CORR_DELTA_I, V.CORR_CROSS_GAMMA_CONDITIONAL]
         ests = mc_estimates(atm_model, payoff, uniform_tuning, variants,
                             SimConfig(1_000_000, seed=seed))
         for variant, which in zip(variants, ("dE", "dI", "dEdI")):
@@ -416,13 +421,13 @@ class TestOracleTriangle:
             assert abs(est.value - oracle) < 3.0 * est.stderr, (payoff, which)
 
 
-def per_rho_rows(model, payoff, tuning, grid, cfg, indep, corr, threads):
+def per_rho_rows(model, payoff, tuning, grid, cfg, variant, threads):
     """Residual-risk rows from one pass per correlation: the reference the batch must match."""
-    base = mc_greek(dataclasses.replace(model, rho=0.0), payoff, tuning, indep, cfg,
+    base = mc_greek(dataclasses.replace(model, rho=0.0), payoff, tuning, variant, cfg,
                     threads=threads)
     rows = []
     for rho in grid:
-        est = mc_greek(dataclasses.replace(model, rho=rho), payoff, tuning, corr, cfg,
+        est = mc_greek(dataclasses.replace(model, rho=rho), payoff, tuning, variant, cfg,
                        threads=threads)
         rows.append({"rho": rho, "delta_corr": est.value, "delta_ind": base.value,
                      "abs_diff": abs(est.value - base.value),
@@ -445,27 +450,27 @@ def counting_draws(monkeypatch):
 class TestOnePass:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("variant", [V.CORR_CROSS_GAMMA_CONDITIONAL,
-                                         V.CORR_CROSS_GAMMA_MATRIX_INVERSE])
-    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads, variant):
+    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads):
+        # the default variant is the mode's cross-gamma weight, baseline included
         model = make_model(rho=0.3, sigI=0.3, mode=mode)
         grid = [-0.5, 0.0, 0.25, 0.6]
         cfg = SimConfig(70_000, seed=56, antithetic=True)
-        rows = residual_risk(model, ATM, uniform_tuning, grid, cfg, variant=variant,
-                             which="dEdI", threads=threads)
+        rows = residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI",
+                             threads=threads)
         assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg,
-                                    V.INDEP_CROSS_GAMMA, variant, threads)
+                                    weights.mode_variant("dEdI", mode), threads)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("variant,antithetic,grid", [
+    @pytest.mark.parametrize("which,antithetic,grid", [
         (None, False, [1, 1000, 65_536, 65_537, 70_000, 200_001]),
-        (V.CORR_DELTA_I, False, [1, 65_536, 65_537, 200_001]),
-        (V.CORR_CROSS_GAMMA_MATRIX_INVERSE, True, [2, 65_536, 65_538, 131_074]),
+        ("dI", False, [1, 65_536, 65_537, 200_001]),
+        ("dEdI", True, [2, 65_536, 65_538, 131_074]),
     ])
-    def test_converge_rows_equal_separate_passes(self, mode, variant, antithetic, grid):
+    def test_converge_rows_equal_separate_passes(self, mode, which, antithetic, grid):
         # n = 1 and 65_537 (2 and 65_538 antithetic) leave one row in their last
         # block. Zero strikes keep every payoff nonzero, and at seed 64 a last-bit
         # error in that row's weight integrals reaches the one-row estimate.
+        variant = which and weights.mode_variant(which, mode)
         model = make_model(rho=0.4, mode=mode)
         payoff = ProductCall(0.0, 0.0)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
@@ -483,11 +488,12 @@ class TestOnePass:
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(70_000, seed=58, antithetic=True)
-        fused = mc_estimates(model, COLLAR, tuning, [V.CORR_DELTA_I], cfg,
+        delta_I = weights.mode_variant("dI", mode)
+        fused = mc_estimates(model, COLLAR, tuning, [delta_I], cfg,
                              fd_greeks=["dE", "dI", "dEdI"])
-        assert fused["CorrDeltaI"] == dataclasses.replace(
-            mc_greek(model, COLLAR, tuning, V.CORR_DELTA_I, cfg),
-            seconds=fused["CorrDeltaI"].seconds)
+        assert fused[delta_I.value] == dataclasses.replace(
+            mc_greek(model, COLLAR, tuning, delta_I, cfg),
+            seconds=fused[delta_I.value].seconds)
         for which in ("dE", "dI", "dEdI"):
             single = fd_greek(model, COLLAR, which, cfg, tuning)
             assert fused[f"FD_{which}"] == dataclasses.replace(
@@ -510,12 +516,11 @@ class TestOnePass:
         assert ({k: (e.value, e.stderr) for k, e in threaded.items()}
                 == {k: (e.value, e.stderr) for k, e in serial.items()})
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("which", ["dI", "dEdI"])
     def test_sweep_builds_the_rho_free_weight_once_per_tile(self, monkeypatch, uniform_tuning,
-                                                            which, mode):
+                                                            which):
         # the rho = 0 baseline and all four scenarios read one iI (dI) or iE * iI (dEdI)
-        # array per tile
+        # array per tile: only payoff_mixing weights read no rho
         calls = []
         weight_for = estimators.weight_for
 
@@ -525,16 +530,16 @@ class TestOnePass:
 
         monkeypatch.setattr(estimators, "weight_for", counted)
         n = BLOCK_SIZE + 2 * TILE_SIZE + 7
-        residual_risk(make_model(rho=0.3, mode=mode), ATM, uniform_tuning,
+        residual_risk(make_model(rho=0.3), ATM, uniform_tuning,
                       [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which=which)
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(calls) == tiles
 
-    def test_all_variant_pass_builds_each_kernel_once_per_tile(self, monkeypatch):
-        # the collar's five correlated variants and three finite differences form
-        # one job group; both matrix-inverse weights read E_inv, and the
-        # cross-gamma's compensator integral is shared by every tile of the pass
+    def test_all_variant_pass_builds_each_kernel_once_per_tile(self, monkeypatch, tmp_path):
+        # on an sde_mixing copy of the collar, its three weights and three finite
+        # differences form one job group; the delta and the cross-gamma read E_inv,
+        # and the cross-gamma's compensator integral is shared by every tile of the pass
         kernel_calls, integrals = [], []
         build_E_inv = weights._KERNELS["E_inv"]
         integrate = weights.integrate
@@ -550,8 +555,11 @@ class TestOnePass:
         monkeypatch.setitem(weights._KERNELS, "E_inv", counted_E_inv)
         monkeypatch.setattr(weights, "integrate", counted_integrate)
         weights._cross_integral.cache_clear()
+        config = tmp_path / "collar_sde.cfg"
+        config.write_text((CONFIGS / "correlated_collar.cfg").read_text().replace(
+            "correlation_mode = payoff_mixing", "correlation_mode = sde_mixing"))
         n = BLOCK_SIZE + 2 * TILE_SIZE + 8
-        assert cli.main(["greeks", "--config", str(CONFIGS / "correlated_collar.cfg"),
+        assert cli.main(["greeks", "--config", str(config),
                          "--all-variants", "--oracle", "fd", "--n", str(n),
                          "--out", os.devnull]) == 0
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
@@ -568,7 +576,7 @@ class TestOnePass:
     def test_converge_draws_each_block_of_the_largest_size_once(self, monkeypatch,
                                                                 uniform_tuning):
         calls = counting_draws(monkeypatch)
-        convergence_table(make_model(), ATM, uniform_tuning, V.INDEP_CROSS_GAMMA,
+        convergence_table(make_model(), ATM, uniform_tuning, V.CORR_CROSS_GAMMA_CONDITIONAL,
                           SimConfig(200_001, seed=60), [70_000, 131_072, 200_001])
         assert sorted(calls) == list(range(block_count(200_001)))
 
@@ -693,7 +701,7 @@ class TestConvergenceTable:
         assert rows[1]["stderr"] < rows[0]["stderr"]
 
     def test_singleton_grid(self, atm_model, uniform_tuning):
-        rows = convergence_table(atm_model, ATM, uniform_tuning, V.INDEP_DELTA_E,
+        rows = convergence_table(atm_model, ATM, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL,
                                  SimConfig(5_000, seed=52), [5_000])
         assert len(rows) == 1
 
@@ -720,6 +728,7 @@ class TestTuningInvariance:
     def test_front_loaded_step_gives_same_delta(self, atm_model):
         uniform = TuningFunction.uniform(1.0)
         step = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
-        a = mc_greek(atm_model, ATM, uniform, V.INDEP_DELTA_E, SimConfig(400_000, seed=53))
-        b = mc_greek(atm_model, ATM, step, V.INDEP_DELTA_E, SimConfig(400_000, seed=54))
+        delta_E = V.CORR_DELTA_E_CONDITIONAL
+        a = mc_greek(atm_model, ATM, uniform, delta_E, SimConfig(400_000, seed=53))
+        b = mc_greek(atm_model, ATM, step, delta_E, SimConfig(400_000, seed=54))
         assert abs(a.value - b.value) < 4.0 * math.hypot(a.stderr, b.stderr)

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import make_model
-from quantogreeks import SimConfig, WeightVariant, draw_samples, greek_of, weight_for
+from quantogreeks import SimConfig, WeightVariant, draw_samples, greek_of, weight_for, weights
+from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import SampleDraw
 
 V = WeightVariant
+SDE = CorrelationMode.SDE_MIXING
 
-CORR_TO_INDEP = {
-    V.CORR_DELTA_E_MATRIX_INVERSE: V.INDEP_DELTA_E,
-    V.CORR_DELTA_E_CONDITIONAL: V.INDEP_DELTA_E,
-    V.CORR_DELTA_I: V.INDEP_DELTA_I,
-    V.CORR_CROSS_GAMMA_MATRIX_INVERSE: V.INDEP_CROSS_GAMMA,
-    V.CORR_CROSS_GAMMA_CONDITIONAL: V.INDEP_CROSS_GAMMA,
+# each sde_mixing weight and the payoff_mixing weight of the same Greek
+SDE_TO_PAYOFF = {
+    V.CORR_DELTA_E_MATRIX_INVERSE: V.CORR_DELTA_E_CONDITIONAL,
+    V.CORR_DELTA_I_MATRIX_INVERSE: V.CORR_DELTA_I,
+    V.CORR_CROSS_GAMMA_MATRIX_INVERSE: V.CORR_CROSS_GAMMA_CONDITIONAL,
 }
 
 
@@ -37,42 +38,48 @@ class TestIndependentWeights:
     def test_delta_E_constant_vol_formula(self, atm_model, uniform_tuning):
         # sigma=0.2, a=1/T, T=1: iE = W(T)/(sigma T) and the weight is W / (f0 sigma T)
         draw = manual_draw(iE=0.5 / (0.2 * 1.0))
-        w = weight_for(V.INDEP_DELTA_E, draw, atm_model, uniform_tuning)
+        w = weight_for(V.CORR_DELTA_E_CONDITIONAL, draw, atm_model, uniform_tuning)
         assert w[0] == pytest.approx(0.025, rel=1e-12)
 
     def test_delta_E_zero_driver(self, atm_model, uniform_tuning):
-        assert weight_for(V.INDEP_DELTA_E, manual_draw(), atm_model, uniform_tuning)[0] == 0.0
+        assert weight_for(V.CORR_DELTA_E_CONDITIONAL, manual_draw(), atm_model,
+                          uniform_tuning)[0] == 0.0
 
     def test_delta_I_formula(self, uniform_tuning):
         m = make_model(f0I=50.0, sigI=0.4)
         draw = manual_draw(iI=-1.0 / 0.4)
-        w = weight_for(V.INDEP_DELTA_I, draw, m, uniform_tuning)
+        w = weight_for(V.CORR_DELTA_I, draw, m, uniform_tuning)
         assert w[0] == pytest.approx(-0.05, rel=1e-12)
 
     def test_cross_gamma_is_the_product(self, uniform_tuning):
         m = make_model(f0I=50.0, sigI=0.4)
         draw = manual_draw(iE=2.5, iI=-2.5)
-        w = weight_for(V.INDEP_CROSS_GAMMA, draw, m, uniform_tuning)
+        w = weight_for(V.CORR_CROSS_GAMMA_CONDITIONAL, draw, m, uniform_tuning)
         assert w[0] == pytest.approx(0.025 * -0.05, rel=1e-12)
 
     def test_sample_means_vanish(self, atm_model, uniform_tuning):
         draw = draw_samples(atm_model, uniform_tuning, SimConfig(1_000_000, seed=21))
-        for variant in (V.INDEP_DELTA_E, V.INDEP_DELTA_I, V.INDEP_CROSS_GAMMA):
+        for variant in (V.CORR_DELTA_E_CONDITIONAL, V.CORR_DELTA_I,
+                        V.CORR_CROSS_GAMMA_CONDITIONAL):
             w = weight_for(variant, draw, atm_model, uniform_tuning)
             assert abs(w.mean()) < 3.0 * w.std(ddof=1) / math.sqrt(len(w))
 
-    def test_nonzero_rho_rejected(self, uniform_tuning):
-        m = make_model(rho=0.4)
-        message = r"^IndepDeltaE assumes rho = 0 \(model has rho=0\.4\)$"
-        with pytest.raises(ValueError, match=message):
-            weight_for(V.INDEP_DELTA_E, manual_draw(), m, uniform_tuning)
+    @pytest.mark.parametrize("sde_variant,payoff_variant", SDE_TO_PAYOFF.items())
+    def test_other_mode_rejected(self, uniform_tuning, sde_variant, payoff_variant):
+        # at rho != 0 a weight runs only under its own correlation mode
+        for variant, model_mode in ((payoff_variant, "sde_mixing"), (sde_variant, "payoff_mixing")):
+            m = make_model(rho=0.4, mode=CorrelationMode(model_mode))
+            message = (rf"^{variant.value} is a \w+ weight \(model has "
+                       rf"correlation_mode = {model_mode}, rho=0\.4\)$")
+            with pytest.raises(ValueError, match=message):
+                weight_for(variant, manual_draw(), m, uniform_tuning)
 
 
 class TestCorrelatedDeltaE:
     def test_matrix_inverse_two_integral_form(self, uniform_tuning):
         # constant sigma, a = 1/T: weight = [W_E/sig - rho W~_I/(sig sqrt(1-rho^2))] / (f0 T)
         rho, sig = 0.6, 0.2
-        m = make_model(rho=rho)
+        m = make_model(rho=rho, mode=SDE)
         wE, wI = 0.5, -0.8
         draw = manual_draw(iE=wE / sig, iE_cross=wI / sig)
         w = weight_for(V.CORR_DELTA_E_MATRIX_INVERSE, draw, m, uniform_tuning)
@@ -93,17 +100,24 @@ class TestCorrelatedDeltaI:
         w = weight_for(V.CORR_DELTA_I, draw, m, uniform_tuning)
         assert w[0] == pytest.approx(0.05, rel=1e-12)
 
+    def test_matrix_inverse_rescales_by_the_independent_share(self, uniform_tuning):
+        # the same draw under sde_mixing: iI / (fI(0) sqrt(1 - rho^2)) = 0.05 / 0.8
+        m = make_model(f0I=50.0, sigI=0.4, rho=0.6, mode=SDE)
+        w = weight_for(V.CORR_DELTA_I_MATRIX_INVERSE, manual_draw(iI=1.0 / 0.4), m,
+                       uniform_tuning)
+        assert w[0] == pytest.approx(0.0625, rel=1e-12)
+
 
 class TestCorrelatedCrossGamma:
     def test_compensator_value(self, uniform_tuning):
-        m = make_model(f0E=100.0, f0I=50.0, sigE=0.2, sigI=0.4, rho=0.5)
+        m = make_model(f0E=100.0, f0I=50.0, sigE=0.2, sigI=0.4, rho=0.5, mode=SDE)
         w = weight_for(V.CORR_CROSS_GAMMA_MATRIX_INVERSE, manual_draw(), m, uniform_tuning)
         # zero integrals leave only the deterministic term: rho/(f0E f0I sigE sigI (1-rho^2) T)
-        assert w[0] == pytest.approx(-0.5 / 300.0, rel=1e-12)
+        assert w[0] == pytest.approx(0.5 / 300.0, rel=1e-12)
 
     @pytest.mark.parametrize("sigE", [0.0, -0.2])
     def test_compensator_requires_positive_volatility(self, uniform_tuning, sigE):
-        m = make_model(sigE=sigE, rho=0.5)
+        m = make_model(sigE=sigE, rho=0.5, mode=SDE)
         with pytest.raises(ValueError, match="positive volatility"):
             weight_for(V.CORR_CROSS_GAMMA_MATRIX_INVERSE, manual_draw(), m, uniform_tuning)
 
@@ -114,17 +128,18 @@ class TestCorrelatedCrossGamma:
         assert w[0] == pytest.approx(0.02 * 0.03)
 
     def test_mean_matches_gaussian_covariance_algebra(self, uniform_tuning):
-        # the two integral factors have covariance -compensator, so the full
-        # weight (product minus compensator) has expectation -2 * compensator
-        m = make_model(rho=0.5)
+        # the two integral factors have covariance -compensator, rho v_aa /
+        # ((1-rho^2) f0E f0I), so the full weight (product plus compensator) has
+        # expectation zero, like every weight
+        m = make_model(rho=0.5, mode=SDE)
         draw = draw_samples(m, uniform_tuning, SimConfig(1_000_000, seed=22))
         w = weight_for(V.CORR_CROSS_GAMMA_MATRIX_INVERSE, draw, m, uniform_tuning)
-        comp = 0.5 * 25.0 / (0.75 * 1e4)  # rho v_aa / ((1-rho^2) f0E f0I)
         se = w.std(ddof=1) / math.sqrt(len(w))
-        assert abs(w.mean() + 2.0 * comp) < 3.0 * se
+        assert abs(w.mean()) < 3.0 * se
 
 
-MATRIX_INVERSE = (V.CORR_DELTA_E_MATRIX_INVERSE, V.CORR_CROSS_GAMMA_MATRIX_INVERSE)
+MATRIX_INVERSE = (V.CORR_DELTA_E_MATRIX_INVERSE, V.CORR_DELTA_I_MATRIX_INVERSE,
+                  V.CORR_CROSS_GAMMA_MATRIX_INVERSE)
 
 
 class TestWeightDomain:
@@ -151,17 +166,23 @@ class TestWeightDomain:
 
 
 class TestZeroRhoReduction:
-    def test_every_correlated_variant_reduces_bitwise(self, uniform_tuning):
-        m = make_model(rho=0.0)
+    @pytest.mark.parametrize("mode", list(CorrelationMode))
+    def test_the_two_modes_agree_bitwise(self, uniform_tuning, mode):
+        # at rho = 0: E_inv -> E, I_inv -> I and the compensator -> 0, up to the sign of a zero
+        m = make_model(rho=0.0, mode=mode)
         draw = draw_samples(m, uniform_tuning, SimConfig(10_000, seed=23))
-        for corr, indep in CORR_TO_INDEP.items():
-            w_corr = weight_for(corr, draw, m, uniform_tuning)
-            w_ind = weight_for(indep, draw, m, uniform_tuning)
-            assert np.array_equal(w_corr, w_ind), corr
+        for sde_variant, payoff_variant in SDE_TO_PAYOFF.items():
+            w_sde = weight_for(sde_variant, draw, m, uniform_tuning)
+            w_payoff = weight_for(payoff_variant, draw, m, uniform_tuning)
+            assert np.array_equal(w_sde, w_payoff), sde_variant
 
     def test_greek_labels(self):
-        assert greek_of(V.INDEP_DELTA_E) == "dE"
         assert all(greek_of(v) == "dE" for v in DELTA_E_VARIANTS)
-        assert greek_of(V.INDEP_DELTA_I) == greek_of(V.CORR_DELTA_I) == "dI"
-        assert greek_of(V.INDEP_CROSS_GAMMA) == "dEdI"
+        assert greek_of(V.CORR_DELTA_I_MATRIX_INVERSE) == greek_of(V.CORR_DELTA_I) == "dI"
         assert all(greek_of(v) == "dEdI" for v in CROSS_GAMMA_VARIANTS)
+
+    def test_one_weight_per_greek_and_mode(self):
+        for mode in CorrelationMode:
+            rows = [v for v in V if weights.WEIGHTS[v].mode is mode]
+            assert [greek_of(v) for v in rows] == ["dE", "dI", "dEdI"]
+            assert [weights.mode_variant(g, mode) for g in ("dE", "dI", "dEdI")] == rows
