@@ -15,7 +15,6 @@ the energy driver.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -82,12 +81,12 @@ class _BlockData:
 
     The tile keeps one kernel table for ``weight_for``: each Wiener-integral
     kernel is built at most once per tile and rho. Scenario views (``at``)
-    share the rho-free kernels and the rho-free weight arrays; kernels that
-    read rho start empty in each view and die with it.
+    share the draw, the rho-free kernels, weight arrays and unbumped levels;
+    kernels that read rho start empty in each view and die with it.
     """
 
     __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs", "_weights",
-                 "_kernels")
+                 "_kernels", "_levels")
 
     def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec,
                  layout: tuple):
@@ -101,25 +100,27 @@ class _BlockData:
         self._payoffs: dict[tuple[float, float], np.ndarray] | None = None
         self._weights: dict[tuple[str, ...], np.ndarray] = {}  # rho-free weights by kernels
         self._kernels: tuple[dict, dict] = ({}, {})  # (rho-free, this rho's) kernel arrays
+        self._levels: dict[str, np.ndarray] = {}  # rho-free unbumped levels by leg
 
     @property
     def pay_base(self) -> np.ndarray:
         return self.payoff_at(1.0, 1.0)
 
     def at(self, model: MarketModel) -> "_BlockData":
-        """This block under ``model``: the pass's model with another rho.
+        """This tile under ``model``: the pass's model with another rho.
 
-        Under sde_mixing the temperature level moves with rho and is rebuilt
-        from the drawn accumulators; the view shares every other array.
+        Under sde_mixing the temperature level moves with rho, so the view
+        rebuilds ``eI`` from the drawn accumulators; it never reads its
+        draw's ``fI_T``. The view shares every other array.
         """
-        view = copy.copy(self)
-        view.model, view._payoffs = model, None
+        view = _BlockData.__new__(_BlockData)
+        view.draw, view.plan, view.model, view.payoff = self.draw, self.plan, model, self.payoff
+        view.eE, view.eI, view._layout, view._payoffs = self.eE, self.eI, self._layout, None
+        view._weights, view._levels = self._weights, self._levels
         view._kernels = (self._kernels[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
-            draw = self.draw
-            view.draw = replace(draw, fI_T=_temperature_level(self.plan, model.rho, draw.gI,
-                                                              draw.gI_cross))
-            view.eI = view.draw.fI_T / model.temperature.f0
+            view.eI = _temperature_level(self.plan, model.rho, self.draw.gI, self.draw.gI_cross)
+            view.eI /= model.temperature.f0
         return view
 
     def weight(self, variant: WeightVariant, tuning: TuningFunction) -> np.ndarray:
@@ -141,6 +142,17 @@ class _BlockData:
             self._payoffs = self._payoff_grid()
         return self._payoffs[scale_E, scale_I]
 
+    def _level(self, leg: str, scale: float | np.ndarray) -> np.ndarray:
+        """(f0 * scale) * e of ``leg``, kept for views if it reads no rho on a base-only tile."""
+        m = self.model
+        f0, unit = (m.energy.f0, self.eE) if leg == "E" else (m.temperature.f0, self.eI)
+        if self._layout[1] != _BASE_ROWS or (leg == "I" and
+                                             m.correlation_mode is CorrelationMode.SDE_MIXING):
+            return (f0 * scale) * unit
+        if leg not in self._levels:
+            self._levels[leg] = (f0 * scale) * unit
+        return self._levels[leg]
+
     def _payoff_grid(self) -> dict[tuple[float, float], np.ndarray]:
         """The payoff at every point: one ``evaluate`` per energy scale, over its temperature rows.
 
@@ -149,12 +161,12 @@ class _BlockData:
         """
         m = self.model
         scales_I, by_energy = self._layout
-        fI = (m.temperature.f0 * scales_I) * self.eI
+        fI = self._level("I", scales_I)
         if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
             fI = math.sqrt(1.0 - m.rho * m.rho) * fI
         grid = {}
         for scale_E, rows, keys in by_energy:
-            fE = (m.energy.f0 * scale_E) * self.eE
+            fE = self._level("E", scale_E)
             h_arg = fI[rows]
             if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
                 h_arg = m.rho * fE + h_arg
@@ -180,7 +192,8 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
     return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
 
 
-_Job = Callable[[_BlockData], np.ndarray]
+_BASE_ROWS = _grid_layout({(1.0, 1.0)})[1]  # the energy rows of the base point alone
+_Job = Callable[[_BlockData, np.ndarray | None], np.ndarray]
 
 
 def _require_valid(model: MarketModel, payoff: PayoffSpec,
@@ -223,13 +236,14 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
     each tile is evaluated once for the whole group (its payoffs at every
     point the group reads, its rho-free weights) and dropped, and each job
-    writes its values, pair means when antithetic, into its own row. Each row
-    then reduces to its count, sum and sum of squared deviations from its
-    own mean (two passes, no BLAS). These are merged in block-index order
-    (Chan, Golub & LeVeque), so every estimate has the bits of a separate
-    pass of n draws at any thread count and any BLAS thread count.
-    ``seconds`` is the wall time of the whole pass. Nothing is drawn for an
-    invalid input.
+    writes its values, pair means when antithetic, into its own row: without
+    pairs a job gets its slice of the row as ``out`` and returns it, or
+    returns an array that is copied there. Each row then reduces to its
+    count, sum and sum of squared deviations from its own mean (two passes,
+    no BLAS). These are merged in block-index order (Chan, Golub &
+    LeVeque), so every estimate has the bits of a separate pass of n draws
+    at any thread count and any BLAS thread count. ``seconds`` is the wall
+    time of the whole pass. Nothing is drawn for an invalid input.
     """
     base = ((1.0, 1.0),)
     jobs = ([(label, job, base) for label, job in jobs]
@@ -275,11 +289,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
             for lo, hi in bounds:
                 data = _BlockData(_rows(draw, lo, hi), plan, model, payoff, layout)
                 for row, (_, job, _) in zip(local.values, group):
-                    values = job(data)
                     dst = row[lo // draws_per_value:hi // draws_per_value]
                     if cfg.antithetic:
-                        _pair_means(values, out=dst)
-                    else:
+                        _pair_means(job(data, None), out=dst)
+                    elif (values := job(data, dst)) is not dst:
                         dst[:] = values
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:
@@ -321,17 +334,17 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     return estimates
 
 
-def _price_job(data: _BlockData) -> np.ndarray:
+def _price_job(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
     return data.pay_base
 
 
 def _variant_job(variant: WeightVariant, tuning: TuningFunction,
                  scenario: MarketModel | None = None) -> _Job:
-    """Job for ``variant``; with ``scenario``, on each block's view under that model."""
-    def job(data: _BlockData) -> np.ndarray:
+    """Job for ``variant``; with ``scenario``, on each tile's view under that model."""
+    def job(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
         if scenario is not None:
             data = data.at(scenario)
-        return data.pay_base * data.weight(variant, tuning)
+        return np.multiply(data.pay_base, data.weight(variant, tuning), out=out)
 
     return job
 
@@ -353,8 +366,8 @@ def _central_difference(which: str, price_at: Callable, step: float, f0E: float,
 def _fd_job(which: str) -> _Job:
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
-    return lambda data: _central_difference(which, data.payoff_at, FD_BUMP,
-                                            data.model.energy.f0, data.model.temperature.f0)
+    return lambda data, out: _central_difference(which, data.payoff_at, FD_BUMP,
+                                                 data.model.energy.f0, data.model.temperature.f0)
 
 
 def _bump_points(which: str) -> tuple[tuple[float, float], ...]:

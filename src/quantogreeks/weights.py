@@ -39,6 +39,14 @@ class WeightVariant(Enum):
     CORR_CROSS_GAMMA_MATRIX_INVERSE = "CorrCrossGamma_MatrixInverse"
 
 
+def _energy_inverse(d: SampleDraw, m: MarketModel) -> np.ndarray:
+    """(iE - rho / sqrt(1 - rho^2) * iE_cross) / fE(0), built in one array."""
+    kernel = m.rho / math.sqrt(1.0 - m.rho * m.rho) * d.iE_cross
+    np.subtract(d.iE, kernel, out=kernel)
+    kernel /= m.energy.f0
+    return kernel
+
+
 _RHO_FREE = ("E", "I")  # the kernels that read no rho
 _KERNELS = {
     # one delta weight per leg: a Wiener integral divided by the initial level
@@ -46,8 +54,7 @@ _KERNELS = {
     "I": lambda d, m: d.iI / m.temperature.f0,
     # inverse of the triangular diffusion matrix: the energy kernel corrected
     # on the independent driver, and the independent-driver kernel rescaled
-    "E_inv": lambda d, m: ((d.iE - m.rho / math.sqrt(1.0 - m.rho * m.rho) * d.iE_cross)
-                           / m.energy.f0),
+    "E_inv": _energy_inverse,
     "I_inv": lambda d, m: d.iI / (m.temperature.f0 * math.sqrt(1.0 - m.rho * m.rho)),
 }
 
@@ -157,6 +164,6 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     kernels = ({}, {}) if kernels is None else kernels
     first, *rest = (_kernel(k, draw, model, kernels) for k in spec.kernels)
     weight = first * rest[0] if rest else first
-    if spec.compensator:
-        weight = weight + _compensator(model, tuning)
+    if spec.compensator:  # only a product has one, so this adds into a fresh array
+        weight += _compensator(model, tuning)
     return weight

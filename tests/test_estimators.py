@@ -31,6 +31,7 @@ from quantogreeks import (
     quad_price,
     residual_risk,
     validate_model,
+    weight_for,
 )
 from quantogreeks import cli, estimators, weights
 from quantogreeks.model import CorrelationMode
@@ -448,17 +449,37 @@ def counting_draws(monkeypatch):
 
 
 class TestOnePass:
+    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
-    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads):
-        # the default variant is the mode's cross-gamma weight, baseline included
+    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads, antithetic):
+        # the default variant is the mode's cross-gamma weight, baseline included;
+        # without pairs each job multiplies straight into its value row
         model = make_model(rho=0.3, sigI=0.3, mode=mode)
         grid = [-0.5, 0.0, 0.25, 0.6]
-        cfg = SimConfig(70_000, seed=56, antithetic=True)
+        cfg = SimConfig(70_000, seed=56, antithetic=antithetic)
         rows = residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI",
                              threads=threads)
         assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg,
                                     weights.mode_variant("dEdI", mode), threads)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_hold_payoff_times_weight(self, uniform_tuning, mode):
+        # one block without pairs, where each job multiplies into its value row: the
+        # base and the scenario are each the mean of a fresh draw's payoff times weight
+        model = make_model(rho=0.0, sigI=0.3, rate=0.05, mode=mode)
+        cfg = SimConfig(TILE_SIZE + 5, seed=71)
+        variant = weights.mode_variant("dEdI", mode)
+        ests = mc_greek(model, ATM, uniform_tuning, variant, cfg, scenarios=[(0.4, variant)])
+        for rho, est in zip([0.0, 0.4], ests):
+            m = dataclasses.replace(model, rho=rho)
+            draw = draw_samples(m, uniform_tuning, cfg)
+            data = estimators._BlockData(draw, None, m, ATM,
+                                         estimators._grid_layout({(1.0, 1.0)}))
+            values = (oracles.per_point_payoff(data, 1.0, 1.0)
+                      * weight_for(variant, draw, m, uniform_tuning))
+            discount = math.exp(-m.rate * m.horizon)
+            assert est.value == float(values.sum()) / cfg.n_samples * discount, rho
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("which,antithetic,grid", [
@@ -566,6 +587,52 @@ class TestOnePass:
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(kernel_calls) == tiles and sum(kernel_calls) == n
         assert len(integrals) == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_views_share_the_tile_and_build_only_their_rho_arrays(self, uniform_tuning, mode):
+        # a sweep's tile is at rho = 0; a view at another rho shares the draw, eE,
+        # the rho-free weights and kernels and the unbumped levels by identity
+        model = make_model(rho=0.0, sigI=0.3, mode=mode)
+        cfg = SimConfig(TILE_SIZE, seed=69)
+        plan = estimators._build_plan(model, uniform_tuning, cfg.scheme)
+        draw = estimators._draw_block(plan, cfg, 0)
+        tile = estimators._BlockData(draw, plan, model, ATM,
+                                     estimators._grid_layout({(1.0, 1.0)}))
+        tile.pay_base
+        weight = tile.weight(V.CORR_CROSS_GAMMA_CONDITIONAL, uniform_tuning)
+        view = tile.at(dataclasses.replace(model, rho=0.4))
+        view.pay_base
+        assert view.draw is draw and view.eE is tile.eE
+        assert view.weight(V.CORR_CROSS_GAMMA_CONDITIONAL, uniform_tuning) is weight
+        assert view._kernels[0] is tile._kernels[0] and not view._kernels[1]
+        shared = ["E"] if mode is CorrelationMode.SDE_MIXING else ["E", "I"]
+        assert sorted(tile._levels) == shared
+        for leg in shared:
+            assert view._level(leg, 1.0) is tile._levels[leg]
+        if mode is CorrelationMode.SDE_MIXING:
+            level = estimators._temperature_level(plan, 0.4, draw.gI, draw.gI_cross)
+            assert view.eI.tobytes() == (level / model.temperature.f0).tobytes()
+        else:
+            assert view.eI is tile.eI
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_greeks_tile_keeps_no_level(self, uniform_tuning, mode):
+        # the layout of greeks --oracle fd: the base and every bump of the three stencils;
+        # views read the base alone, so such a tile keeps no level past its grid
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
+        cfg = SimConfig(TILE_SIZE, seed=70, antithetic=True)
+        points = {(1.0, 1.0), *(p for which in estimators.GREEKS
+                                for p in estimators._bump_points(which))}
+        tile = estimators._BlockData(draw_samples(model, uniform_tuning, cfg),
+                                     estimators._build_plan(model, uniform_tuning, cfg.scheme),
+                                     model, COLLAR, estimators._grid_layout(points))
+        tile.payoff_at(1.0 + estimators.FD_BUMP, 1.0)
+        assert tile._payoffs and not tile._levels
+        view = tile.at(dataclasses.replace(model, rho=-0.2))
+        for point in points:
+            assert (view.payoff_at(*point).tobytes()
+                    == oracles.per_point_payoff(view, *point).tobytes()), point
+        assert not tile._levels
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         calls = counting_draws(monkeypatch)
