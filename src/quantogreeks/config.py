@@ -66,15 +66,15 @@ def load_config(path: str) -> dict[str, object]:
 def _require(raw: dict, key: str):
     if key not in raw:
         raise ConfigError(f"missing key: {key}")
-    return raw[key]
+    return raw.pop(key)
 
 
 def _as_float(raw: dict, key: str, default: float | None = None) -> float:
-    """``raw[key]`` as a float; a key without a ``default`` is required.
+    """``raw[key]``, popped, as a float; a key without a ``default`` is required.
 
     A bool, a list, an object or null is refused, as is text that is not a number.
     """
-    value = _require(raw, key) if default is None else raw.get(key, default)
+    value = _require(raw, key) if default is None else raw.pop(key, default)
     try:
         return as_real(value)
     except (TypeError, ValueError):
@@ -100,14 +100,14 @@ def _curve(raw: dict, key: str, horizon: float) -> VolatilityCurve:
         raise ConfigError(f"key {key}: bad volatility curve ({exc})") from exc
 
 
-def build_model(raw: dict) -> MarketModel:
+def _build_model(raw: dict) -> MarketModel:
     tau1 = _as_float(raw, "tau1")
     tau2 = _as_float(raw, "tau2")
     if not (math.isfinite(tau2) and tau2 > 0.0):
         raise ConfigError(f"key tau2: expected a positive finite horizon, got {tau2!r}")
     rho = _as_float(raw, "rho")
     rate = _as_float(raw, "rate", 0.0)
-    mode_text = raw.get("correlation_mode", CorrelationMode.PAYOFF_MIXING.value)
+    mode_text = raw.pop("correlation_mode", CorrelationMode.PAYOFF_MIXING.value)
     try:
         mode = CorrelationMode(mode_text)
     except ValueError:
@@ -126,8 +126,8 @@ def build_model(raw: dict) -> MarketModel:
     )
 
 
-def build_tuning(raw: dict, horizon: float) -> TuningFunction:
-    value = raw.get("tuning", "uniform")
+def _build_tuning(raw: dict, horizon: float) -> TuningFunction:
+    value = raw.pop("tuning", "uniform")
     if value == "uniform":
         return TuningFunction.uniform(horizon)
     try:
@@ -154,7 +154,7 @@ def _piecewise(raw: dict, key: str) -> PiecewiseLinear:
         raise ConfigError(f"key {key}: bad piecewise-linear spec ({exc})") from exc
 
 
-def build_payoff(raw: dict) -> PayoffSpec:
+def _build_payoff(raw: dict) -> PayoffSpec:
     variant = _require(raw, "payoff.variant")
     if variant == "product_call":
         return ProductCall(_as_float(raw, "payoff.kE"), _as_float(raw, "payoff.kI"))
@@ -176,18 +176,18 @@ def build_payoff(raw: dict) -> PayoffSpec:
     )
 
 
-def build_sim(raw: dict) -> SimConfig:
-    scheme_text = raw.get("sim.scheme", "exact")
+def _build_sim(raw: dict) -> SimConfig:
+    scheme_text = raw.pop("sim.scheme", "exact")
     try:
         scheme = SimScheme.parse(str(scheme_text))
     except ValueError as exc:
         raise ConfigError(f"key sim.scheme: {exc}") from exc
-    antithetic = raw.get("sim.antithetic", False)
+    antithetic = raw.pop("sim.antithetic", False)
     if not isinstance(antithetic, bool):
         raise ConfigError(f"key sim.antithetic: expected true/false, got {antithetic!r}")
     return SimConfig(
-        n_samples=as_integer(raw.get("sim.n", 100_000), "key sim.n"),
-        seed=as_integer(raw.get("sim.seed", 0), "key sim.seed"),
+        n_samples=as_integer(raw.pop("sim.n", 100_000), "key sim.n"),
+        seed=as_integer(raw.pop("sim.seed", 0), "key sim.seed"),
         antithetic=antithetic,
         scheme=scheme,
     )
@@ -213,34 +213,17 @@ class RunConfig:
         return [f"{k} = {json.dumps(v)}" for k, v in sorted(effective.items())]
 
 
-class _Reads(dict):
-    """A raw configuration that records every key the builders read."""
-
-    def __init__(self, raw: dict):
-        super().__init__(raw)
-        self.read: set[str] = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
 def build_run(raw: dict) -> RunConfig:
     """The run ``raw`` configures; a key the run does not read is refused."""
-    reads = _Reads(raw)
-    model = build_model(reads)
+    unread = dict(raw)  # each builder pops the keys it reads
+    model = _build_model(unread)
     run = RunConfig(
         model=model,
-        payoff=build_payoff(reads),
-        tuning=build_tuning(reads, model.horizon),
-        sim=build_sim(reads),
+        payoff=_build_payoff(unread),
+        tuning=_build_tuning(unread, model.horizon),
+        sim=_build_sim(unread),
         raw=dict(raw),
     )
-    unused = sorted(set(raw) - reads.read)
-    if unused:
-        raise ConfigError(f"unused config key(s): {', '.join(unused)}")
+    if unread:
+        raise ConfigError(f"unused config key(s): {', '.join(sorted(unread))}")
     return run

@@ -192,8 +192,11 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
     return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
 
 
-_BASE_ROWS = _grid_layout({(1.0, 1.0)})[1]  # the energy rows of the base point alone
-_Job = Callable[[_BlockData, np.ndarray | None], np.ndarray]
+_BASE = ((1.0, 1.0),)  # the point of ``pay_base``
+_BASE_ROWS = _grid_layout(set(_BASE))[1]  # the energy rows of the base point alone
+# (label, run(data, out), the points whose payoffs it reads, the scenario model it reads or None)
+_Job = tuple[str, Callable[[_BlockData, np.ndarray | None], np.ndarray], tuple,
+             MarketModel | None]
 
 
 def _require_valid(model: MarketModel, payoff: PayoffSpec,
@@ -222,16 +225,16 @@ _GROUP_JOBS = 8  # jobs a block evaluates together, each into its own row of val
 
 
 def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
-             cfg: SimConfig, jobs: list[tuple[str, _Job]], threads: int = 1,
-             sizes: Sequence[int] | None = None,
-             fd_greeks: Sequence[str] = ()) -> list[list[GreekEstimate]]:
+             cfg: SimConfig, jobs: list[_Job], threads: int = 1,
+             sizes: Sequence[int] | None = None) -> list[list[GreekEstimate]]:
     """Run all labelled jobs over one shared stream of ``cfg.n_samples`` draws.
 
-    Every job in ``jobs`` reads ``pay_base``. After them come the central
-    differences "FD_dE", ... of ``fd_greeks``, which read the bumped payoffs.
-    Returns, per job, one estimate of the discounted values per sample count
-    n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
-    draws; a block that n ends inside is also reduced over its prefix.
+    Each job names the payoff points it reads and its scenario model: it
+    runs on each tile's view under that model (``_BlockData.at``), or on the
+    tile itself if None. Returns, per job, one estimate of the discounted
+    values per sample count n in ``sizes`` (default and largest:
+    ``cfg.n_samples``), over the first n draws; a block that n ends inside is
+    also reduced over its prefix.
 
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
     each tile is evaluated once for the whole group (its payoffs at every
@@ -245,10 +248,6 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     at any thread count and any BLAS thread count. ``seconds`` is the wall
     time of the whole pass. Nothing is drawn for an invalid input.
     """
-    base = ((1.0, 1.0),)
-    jobs = ([(label, job, base) for label, job in jobs]
-            + [(f"FD_{which}", _fd_job(which), _bump_points(which))
-               for which in dict.fromkeys(fd_greeks)])
     sizes = [cfg.n_samples] if sizes is None else list(sizes)
     if not sizes or max(sizes) != cfg.n_samples:
         raise ValueError(f"the largest sample count must be cfg.n_samples = {cfg.n_samples}, "
@@ -258,13 +257,16 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _require_valid(model, payoff, tuning)
+    for scenario in dict.fromkeys(s for *_, s in jobs if s is not None):
+        _require_valid(scenario, payoff)
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
     groups = []
     for first in range(0, len(jobs), _GROUP_JOBS):
         group = jobs[first:first + _GROUP_JOBS]
-        groups.append((first, group, _grid_layout({p for _, _, points in group for p in points})))
+        points = {p for _, _, job_points, _ in group for p in job_points}
+        groups.append((first, group, _grid_layout(points)))
 
     local = threading.local()  # each worker's block buffers, reused for every block it runs
 
@@ -288,11 +290,12 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         for first, group, layout in groups:
             for lo, hi in bounds:
                 data = _BlockData(_rows(draw, lo, hi), plan, model, payoff, layout)
-                for row, (_, job, _) in zip(local.values, group):
+                for row, (_, run, _, scenario) in zip(local.values, group):
                     dst = row[lo // draws_per_value:hi // draws_per_value]
+                    view = data if scenario is None else data.at(scenario)
                     if cfg.antithetic:
-                        _pair_means(job(data, None), out=dst)
-                    elif (values := job(data, dst)) is not dst:
+                        _pair_means(run(view, None), out=dst)
+                    elif (values := run(view, dst)) is not dst:
                         dst[:] = values
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:
@@ -313,7 +316,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
     discount = math.exp(-model.rate * model.horizon)
     estimates = []
-    for j, (label, _, _) in enumerate(jobs):
+    for j, (label, *_) in enumerate(jobs):
         per_size = []
         for n in sizes:
             total = m2 = 0.0
@@ -334,19 +337,16 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     return estimates
 
 
-def _price_job(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
-    return data.pay_base
+_PRICE_JOB: _Job = ("Price", lambda data, out: data.pay_base, _BASE, None)
 
 
 def _variant_job(variant: WeightVariant, tuning: TuningFunction,
                  scenario: MarketModel | None = None) -> _Job:
     """Job for ``variant``; with ``scenario``, on each tile's view under that model."""
-    def job(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
-        if scenario is not None:
-            data = data.at(scenario)
+    def run(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
         return np.multiply(data.pay_base, data.weight(variant, tuning), out=out)
 
-    return job
+    return variant.value, run, _BASE, scenario
 
 
 def _central_difference(which: str, price_at: Callable, step: float, f0E: float, f0I: float):
@@ -366,8 +366,9 @@ def _central_difference(which: str, price_at: Callable, step: float, f0E: float,
 def _fd_job(which: str) -> _Job:
     if which not in GREEKS:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
-    return lambda data, out: _central_difference(which, data.payoff_at, FD_BUMP,
-                                                 data.model.energy.f0, data.model.temperature.f0)
+    return (f"FD_{which}", lambda data, out: _central_difference(
+        which, data.payoff_at, FD_BUMP, data.model.energy.f0, data.model.temperature.f0),
+        _bump_points(which), None)
 
 
 def _bump_points(which: str) -> tuple[tuple[float, float], ...]:
@@ -388,7 +389,7 @@ def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
     a separate pass of n draws bit for bit.
     """
     tuning = tuning or TuningFunction.uniform(model.horizon)
-    [ests] = _mc_pass(model, payoff, tuning, cfg, [("Price", _price_job)], threads, sizes)
+    [ests] = _mc_pass(model, payoff, tuning, cfg, [_PRICE_JOB], threads, sizes)
     return ests if sizes is not None else ests[0]
 
 
@@ -405,12 +406,11 @@ def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     each scenario equals a separate pass at its rho bit for bit.
     """
     require_rho_supported(variant, model)
-    jobs = [(variant.value, _variant_job(variant, tuning))]
+    jobs = [_variant_job(variant, tuning)]
     for rho, v in scenarios or ():
         scenario = replace(model, rho=float(rho))
-        _require_valid(scenario, payoff)  # nothing is drawn for an invalid scenario either
         require_rho_supported(v, scenario)
-        jobs.append((v.value, _variant_job(v, tuning, scenario)))
+        jobs.append(_variant_job(v, tuning, scenario))
     per_job = [ests if sizes is not None else ests[0]
                for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads, sizes)]
     return per_job if scenarios is not None else per_job[0]
@@ -427,10 +427,10 @@ def mc_estimates(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     """
     for variant in variants:
         require_rho_supported(variant, model)  # before anything is drawn
-    jobs = {variant.value: _variant_job(variant, tuning) for variant in variants}
+    jobs = ([_variant_job(variant, tuning) for variant in dict.fromkeys(variants)]
+            + [_fd_job(which) for which in dict.fromkeys(fd_greeks)])
     return {ests[0].variant: ests[0]
-            for ests in _mc_pass(model, payoff, tuning, cfg, list(jobs.items()), threads,
-                                 fd_greeks=fd_greeks)}
+            for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads)}
 
 
 def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
@@ -444,7 +444,7 @@ def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
     difference down to rare boundary crossings; expect a noisy estimate.
     """
     tuning = tuning or TuningFunction.uniform(model.horizon)
-    [[est]] = _mc_pass(model, payoff, tuning, cfg, [], threads, fd_greeks=[which])
+    [[est]] = _mc_pass(model, payoff, tuning, cfg, [_fd_job(which)], threads)
     return est
 
 

@@ -94,6 +94,8 @@ def _numbers(p) -> list[float]:
 
 def validate_payoff(p: PayoffSpec) -> list[str]:
     """Return non-finite-number and strike-consistency violations (empty list when acceptable)."""
+    if not isinstance(p, PayoffSpec):  # before vars(), which a str or an int does not have
+        return [f"unknown payoff spec {type(p).__name__}"]
     bad: list[str] = []
     if not np.isfinite(_numbers(p)).all():
         bad.append("payoff strikes, alpha, knots and slopes must be finite, not NaN or infinity")

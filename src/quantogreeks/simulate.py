@@ -248,11 +248,12 @@ def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray, gI_cross: np.nda
     that depends on rho; a scenario at another rho recomputes it from the same
     ``gI`` and ``gI_cross``.
     """
-    if plan.mode is CorrelationMode.SDE_MIXING:
-        stoch_I = rho * gI_cross + float(np.sqrt(1.0 - rho * rho)) * gI
+    if plan.mode is CorrelationMode.SDE_MIXING:  # in place: one temporary, the same bits
+        level = np.multiply(gI_cross, rho, out=out)
+        level += float(np.sqrt(1.0 - rho * rho)) * gI
+        level += plan.driftI
     else:
-        stoch_I = gI
-    level = np.add(stoch_I, plan.driftI, out=out)
+        level = np.add(gI, plan.driftI, out=out)
     np.exp(level, out=level)
     level *= plan.f0I
     return level
@@ -276,13 +277,8 @@ def iter_sample_blocks(model: MarketModel, tuning: TuningFunction,
         yield _draw_block(plan, cfg, block)
 
 
-def _concatenate(blocks: list[SampleDraw]) -> SampleDraw:
-    if len(blocks) == 1:
-        return blocks[0]
-    fields_cat = [np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(SampleDraw)]
-    return SampleDraw(*fields_cat)
-
-
 def draw_samples(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) -> SampleDraw:
     """All requested samples as one batch, regardless of scheme."""
-    return _concatenate(list(iter_sample_blocks(model, tuning, cfg)))
+    blocks = list(iter_sample_blocks(model, tuning, cfg))
+    return SampleDraw(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                        for f in fields(SampleDraw)))

@@ -448,6 +448,51 @@ payoff.alpha = 1.5""")
         assert capsys.readouterr().err.startswith("--n-grid")
 
 
+    @pytest.mark.parametrize("line,message", [
+        ("no equals sign", "line {n}: expected 'key = value', got 'no equals sign'"),
+        ("= 5", "line {n}: empty key"),
+        ("correlation_mode = both",
+         "key correlation_mode: expected one of ['payoff_mixing', 'sde_mixing'], got 'both'"),
+        ("payoff.variant = straddle",
+         "key payoff.variant: expected one of product_call, four_strike_collar, "
+         "digital_product, separable; got 'straddle'"),
+        ("sim.scheme = sobol",
+         "key sim.scheme: unknown scheme 'sobol'; expected 'exact' or 'euler:STEPS'"),
+        ("sim.antithetic = 1", "key sim.antithetic: expected true/false, got 1"),
+    ])
+    def test_bad_line_or_choice_exits_2_naming_it(self, tmp_path, capsys, line, message):
+        text = BASE_CONFIG + line + "\n"
+        assert main(["price", "--config", write_config(tmp_path, text), "--n", "2000"]) == 2
+        n = len(text.splitlines())
+        assert capsys.readouterr().err == message.format(n=n) + "\n"
+
+    @pytest.mark.parametrize("value", ["[[100.0, 0.0]]", '{"slopes": [0.0, 1.0]}', "2.0"])
+    def test_leg_that_is_not_a_knots_object_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                                   value):
+        text = BASE_CONFIG.replace(
+            "payoff.variant = product_call\npayoff.kE = 100.0\npayoff.kI = 100.0",
+            f'payoff.variant = separable\npayoff.g = {value}\n'
+            'payoff.h = {"knots": [[80.0, 0.0]], "slopes": [0.0, 1.0]}')
+        assert main(["price", "--config", write_config(tmp_path, text), "--n", "2000"]) == 2
+        assert capsys.readouterr().err == (
+            'key payoff.g: expected an object like {"knots": [[x, y], ...], '
+            '"slopes": [left, right]}\n')
+
+    def test_bare_number_volatility_is_a_constant_curve(self, tmp_path):
+        # only the echo of the key and the hash of the echo differ
+        outs = []
+        for sigma in ("[[0.0, 0.2]]", "0.2"):
+            text = BASE_CONFIG.replace("energy.sigma = [[0.0, 0.2]]", f"energy.sigma = {sigma}")
+            outs.append(tmp_path / f"{len(outs)}.csv")
+            assert main(["greeks", "--config", write_config(tmp_path, text), "--all-variants",
+                         "--oracle", "both", "--n", "2000", "--out", str(outs[-1])]) == 0
+        curve, bare = (open(out).read().splitlines() for out in outs)
+        assert "# energy.sigma = 0.2" in bare and len(curve) == len(bare)
+        echo = ("# model_hash = ", "# energy.sigma = ")
+        assert ([l for l in curve if not l.startswith(echo)]
+                == [l for l in bare if not l.startswith(echo)])
+
+
 @pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])
 def test_unwritable_out_exits_2_naming_the_path(config_path, tmp_path, capsys, out):
     path = str(tmp_path / out)

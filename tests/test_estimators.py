@@ -55,6 +55,13 @@ PAYOFF_KINDS = [
 ]
 
 
+@dataclasses.dataclass(frozen=True)
+class NotAPayoff:
+    """A frozen dataclass of finite numbers that is no payoff spec."""
+
+    k: float
+
+
 class TestMcPrice:
     def test_zero_strikes_price_product_of_forwards(self, atm_model, uniform_tuning):
         est = mc_price(atm_model, ProductCall(0.0, 0.0), SimConfig(200_000, seed=31),
@@ -235,6 +242,39 @@ class TestEngineValidation:
     def test_usage_errors_come_before_validation(self, uniform_tuning, entry):
         with pytest.raises(ValueError, match="n_samples"):
             ENTRY_POINTS[entry](make_model(rho=1.5), ATM, uniform_tuning, SimConfig(0, seed=0))
+
+    def test_usage_errors_come_before_scenario_validation(self, monkeypatch, uniform_tuning):
+        # the scenario's rho error used to come first, unlike an invalid pass model's
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match="^n_samples must be >= 1"):
+            mc_greek(make_model(rho=0.3), ATM, uniform_tuning, V.CORR_DELTA_I,
+                     SimConfig(0, seed=0), scenarios=[(1.5, V.CORR_DELTA_I)])
+        assert calls == []
+
+    # unchecked, a dataclass that is not a payoff drew block 0 before evaluate raised a
+    # TypeError, quad_price raised one too, and a str raised one from vars()
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("payoff", [NotAPayoff(100.0), "product_call"],
+                             ids=["dataclass", "str"])
+    def test_unknown_payoff_type_fails_validation(self, monkeypatch, atm_model, uniform_tuning,
+                                                  entry, payoff):
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            ENTRY_POINTS[entry](atm_model, payoff, uniform_tuning, SimConfig(1000, seed=0))
+        assert str(exc.value) == f"unknown payoff spec {type(payoff).__name__}"
+        assert calls == []
+
+    @pytest.mark.parametrize("call", [
+        lambda m, a, cfg: fd_greek(m, ATM, "dX", cfg, a),
+        lambda m, a, cfg: mc_estimates(m, ATM, a, [V.CORR_DELTA_I], cfg, fd_greeks=["dX"]),
+        lambda m, a, cfg: residual_risk(m, ATM, a, [0.3], cfg, which="dX"),
+    ], ids=["fd_greek", "mc_estimates", "residual_risk"])
+    def test_unknown_sensitivity_is_refused_before_drawing(self, monkeypatch, atm_model,
+                                                           uniform_tuning, call):
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match=r"^unknown sensitivity 'dX'; expected one of"):
+            call(atm_model, uniform_tuning, SimConfig(1000, seed=0))
+        assert calls == []
 
 
 class TestQuadrature:

@@ -31,6 +31,20 @@ class TestValidateModel:
         doubled = TuningFunction((0.0,), (2.0,), 1.0)  # integrates to 2
         assert any("unit-integral" in v for v in validate_model(atm_model, doubled))
 
+    def test_nan_rate_flagged(self):
+        assert validate_model(make_model(rate=float("nan"))) == [
+            "risk-free rate must be finite, got nan"]
+
+    def test_temperature_delivery_end_must_be_the_horizon(self):
+        m = make_model()
+        m = dataclasses.replace(m, temperature=dataclasses.replace(m.temperature,
+                                                                   delivery_end=2.0))
+        assert validate_model(m) == ["temperature: delivery end 2.0 differs from model horizon 1.0"]
+
+    def test_tuning_horizon_must_be_the_horizon(self, atm_model):
+        assert validate_model(atm_model, TuningFunction.uniform(2.0)) == [
+            "tuning function horizon 2.0 differs from model horizon 1.0"]
+
     def test_collects_all_violations_without_raising(self):
         bad = validate_model(make_model(f0E=-5.0, rho=1.0))
         assert len(bad) >= 2

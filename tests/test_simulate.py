@@ -356,3 +356,12 @@ class TestReproducibility:
             draw_samples(atm_model, uniform_tuning, SimConfig(0, seed=0))
         with pytest.raises(ValueError):
             sample_block(atm_model, uniform_tuning, SimConfig(10, seed=0), 5)
+
+    def test_unknown_scheme_kind_rejected(self, atm_model, uniform_tuning):
+        cfg = SimConfig(10, seed=0, scheme=SimScheme("bogus", 0))
+        with pytest.raises(ValueError, match="^unknown scheme kind 'bogus'$"):
+            sample_block(atm_model, uniform_tuning, cfg, 0)
+
+    def test_tuning_horizon_must_match_the_model(self, atm_model):
+        with pytest.raises(ValueError, match="^tuning function horizon must match"):
+            sample_block(atm_model, TuningFunction.uniform(2.0), SimConfig(10, seed=0), 0)

@@ -64,6 +64,11 @@ class TestIndependentWeights:
             w = weight_for(variant, draw, atm_model, uniform_tuning)
             assert abs(w.mean()) < 3.0 * w.std(ddof=1) / math.sqrt(len(w))
 
+    @pytest.mark.parametrize("variant", ["CorrDeltaI", 3, None])
+    def test_non_variant_rejected(self, atm_model, uniform_tuning, variant):
+        with pytest.raises(ValueError, match=f"^unknown weight variant {variant!r}$"):
+            weight_for(variant, manual_draw(), atm_model, uniform_tuning)
+
     @pytest.mark.parametrize("sde_variant,payoff_variant", SDE_TO_PAYOFF.items())
     def test_other_mode_rejected(self, uniform_tuning, sde_variant, payoff_variant):
         # at rho != 0 a weight runs only under its own correlation mode
