@@ -2,12 +2,13 @@
 
 The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
-result is bit-identical for any thread count. Each worker draws a block into
-buffers it reuses for the whole pass and runs the block's jobs tile by tile,
-up to eight jobs together, each writing its own row of values. Correlation
-scenarios, finite-difference bumps and sample-size prefixes are jobs on that
-one stream, so each command draws once; the bumped payoffs of a tile are one
-grid, evaluated once for all of its finite differences. The quadrature
+result is bit-identical for any thread count. Each worker draws the fields
+its jobs read of a block into buffers it reuses for the whole pass and runs
+the block's jobs tile by tile, up to eight jobs together, each writing its own
+row of values. Correlation scenarios, finite-difference bumps and sample-size
+prefixes are jobs on that one stream, so each command draws once; the bumped
+payoffs of a tile are one grid, evaluated once for all of its finite
+differences. The quadrature
 oracle shares no sampling code with the Monte Carlo path: it integrates a
 closed-form mean over the temperature driver against Gauss-Legendre nodes in
 the energy driver.
@@ -161,14 +162,17 @@ class _BlockData:
         """
         m = self.model
         scales_I, by_energy = self._layout
+        # at rho = 0, of either sign, the mix is fI exactly: 1.0 * fI is fI, and a zero
+        # plus a level is the level, none being -0.0
+        mixing = m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0
         fI = self._level("I", scales_I)
-        if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
+        if mixing:
             fI = math.sqrt(1.0 - m.rho * m.rho) * fI
         grid = {}
         for scale_E, rows, keys in by_energy:
             fE = self._level("E", scale_E)
             h_arg = fI[rows]
-            if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
+            if mixing:
                 h_arg = m.rho * fE + h_arg
             grid.update(zip(keys, evaluate(self.payoff, fE, h_arg).reshape(len(keys), -1)))
         return grid
@@ -194,9 +198,10 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
 
 _BASE = ((1.0, 1.0),)  # the point of ``pay_base``
 _BASE_ROWS = _grid_layout(set(_BASE))[1]  # the energy rows of the base point alone
-# (label, run(data, out), the points whose payoffs it reads, the scenario model it reads or None)
+# (label, run(data, out), the points whose payoffs it reads, the scenario model it reads or
+# None, the draw fields it reads besides the levels)
 _Job = tuple[str, Callable[[_BlockData, np.ndarray | None], np.ndarray], tuple,
-             MarketModel | None]
+             MarketModel | None, tuple[str, ...]]
 
 
 def _require_valid(model: MarketModel, payoff: PayoffSpec,
@@ -229,12 +234,16 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
              sizes: Sequence[int] | None = None) -> list[list[GreekEstimate]]:
     """Run all labelled jobs over one shared stream of ``cfg.n_samples`` draws.
 
-    Each job names the payoff points it reads and its scenario model: it
-    runs on each tile's view under that model (``_BlockData.at``), or on the
-    tile itself if None. Returns, per job, one estimate of the discounted
-    values per sample count n in ``sizes`` (default and largest:
-    ``cfg.n_samples``), over the first n draws; a block that n ends inside is
-    also reduced over its prefix.
+    Each job names the payoff points it reads, its scenario model and the
+    draw fields it reads: it runs on each tile's view under that model
+    (``_BlockData.at``), or on the tile itself if None. The worker's draw
+    buffer holds the two levels, the fields the jobs read and, under
+    sde_mixing, ``gI`` and ``gI_cross``, from which views rebuild the
+    temperature level; every other field is None and is not drawn.
+
+    Returns, per job, one estimate of the discounted values per sample count
+    n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
+    draws; a block that n ends inside is also reduced over its prefix.
 
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
     each tile is evaluated once for the whole group (its payoffs at every
@@ -257,30 +266,35 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _require_valid(model, payoff, tuning)
-    for scenario in dict.fromkeys(s for *_, s in jobs if s is not None):
+    for scenario in dict.fromkeys(job[3] for job in jobs if job[3] is not None):
         _require_valid(scenario, payoff)
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
+    drawn = {"fE_T", "fI_T", *(name for *_, reads in jobs for name in reads)}
+    if model.correlation_mode is CorrelationMode.SDE_MIXING:
+        drawn |= {"gI", "gI_cross"}
+    held = [f.name for f in fields(SampleDraw) if f.name in drawn]
     groups = []
     for first in range(0, len(jobs), _GROUP_JOBS):
         group = jobs[first:first + _GROUP_JOBS]
-        points = {p for _, _, job_points, _ in group for p in job_points}
+        points = {p for _, _, job_points, *_ in group for p in job_points}
         groups.append((first, group, _grid_layout(points)))
 
     local = threading.local()  # each worker's block buffers, reused for every block it runs
 
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
         if not hasattr(local, "draw"):
-            # One allocation holds the draw fields, the job value rows and a
+            # One allocation holds the drawn fields, the job value rows and a
             # scratch row. Once it is freed, glibc's dynamic thresholds keep the
             # smaller tile temporaries on the heap instead of returning them to
             # the kernel after each block.
             width = min(BLOCK_SIZE, cfg.n_samples)
-            n_draw = len(fields(SampleDraw)) * width
+            n_draw = len(held) * width
             n_rows = min(len(jobs), _GROUP_JOBS) + 1
             buffer = np.empty(n_draw + n_rows * (width // draws_per_value))
-            local.draw = SampleDraw(*buffer[:n_draw].reshape(-1, width))
+            local.draw = SampleDraw(**{f.name: None for f in fields(SampleDraw)}
+                                    | dict(zip(held, buffer[:n_draw].reshape(-1, width))))
             *local.values, local.scratch = buffer[n_draw:].reshape(n_rows, -1)
         start = block * BLOCK_SIZE
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
@@ -290,7 +304,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         for first, group, layout in groups:
             for lo, hi in bounds:
                 data = _BlockData(_rows(draw, lo, hi), plan, model, payoff, layout)
-                for row, (_, run, _, scenario) in zip(local.values, group):
+                for row, (_, run, _, scenario, _) in zip(local.values, group):
                     dst = row[lo // draws_per_value:hi // draws_per_value]
                     view = data if scenario is None else data.at(scenario)
                     if cfg.antithetic:
@@ -337,7 +351,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     return estimates
 
 
-_PRICE_JOB: _Job = ("Price", lambda data, out: data.pay_base, _BASE, None)
+_PRICE_JOB: _Job = ("Price", lambda data, out: data.pay_base, _BASE, None, ())
 
 
 def _variant_job(variant: WeightVariant, tuning: TuningFunction,
@@ -346,7 +360,7 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
     def run(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
         return np.multiply(data.pay_base, data.weight(variant, tuning), out=out)
 
-    return variant.value, run, _BASE, scenario
+    return variant.value, run, _BASE, scenario, WEIGHTS[variant].reads
 
 
 def _central_difference(which: str, price_at: Callable, step: float, f0E: float, f0I: float):
@@ -368,7 +382,7 @@ def _fd_job(which: str) -> _Job:
         raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
     return (f"FD_{which}", lambda data, out: _central_difference(
         which, data.payoff_at, FD_BUMP, data.model.energy.f0, data.model.temperature.f0),
-        _bump_points(which), None)
+        _bump_points(which), None, ())
 
 
 def _bump_points(which: str) -> tuple[tuple[float, float], ...]:

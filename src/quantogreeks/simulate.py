@@ -5,7 +5,9 @@ keyed by the seed, so sample i never depends on how many samples are requested
 or on how the blocks are scheduled across threads. A block is drawn in tiles
 of ``TILE_SIZE`` samples, into buffers a caller may reuse from block to block;
 the tiles continue the block's generator, so the tiling leaves every bit as a
-single draw of the block would give it.
+single draw of the block would give it. A Monte Carlo pass draws into a
+private buffer that holds only the fields its jobs read: the others are
+None, and are neither summed nor stored.
 
 Each of the six Gaussian accumulators is a fixed linear functional of one
 driver's increments, so a driver's three accumulators are ``z @ R`` for
@@ -96,6 +98,10 @@ class SampleDraw:
     iE, iI          weight integrals: int a/sigma_E dW_E and int a/sigma_I dW~_I
     iE_cross        int a/sigma_E dW~_I (energy weight kernel on the independent driver)
     gI_cross        int sigma_I dW_E (temperature vol on the energy driver)
+
+    The public draw functions form every field. A Monte Carlo pass's private
+    draw may hold None in any field but the two levels, so that a read of a
+    field the pass did not draw fails instead of reading stale memory.
     """
 
     fE_T: np.ndarray
@@ -198,8 +204,9 @@ def tile_bounds(count: int) -> list[tuple[int, int]]:
 
 
 def _rows(draw: SampleDraw, lo: int, hi: int) -> SampleDraw:
-    """Views of samples [lo, hi) of every field."""
-    return SampleDraw(*(getattr(draw, f.name)[lo:hi] for f in fields(SampleDraw)))
+    """Views of samples [lo, hi) of every field; a None field stays None."""
+    return SampleDraw(*(None if (a := getattr(draw, f.name)) is None else a[lo:hi]
+                        for f in fields(SampleDraw)))
 
 
 def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
@@ -212,6 +219,12 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
     Each accumulator is summed column by column, left to right, with
     elementwise operations only, so a sample's bits do not depend on how
     many samples share the tile.
+
+    An accumulator whose field in ``out`` is None is not formed. If ``gE``
+    is None, or ``gI`` under payoff_mixing, that driver is summed into its
+    level's field and turned into the level in place: the same operations in
+    the same order, so the same bits. Under sde_mixing the level reads
+    ``gI`` and ``gI_cross`` themselves.
     """
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     if out is None:
@@ -224,19 +237,24 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
         rows = (hi - lo) // 2 if cfg.antithetic else hi - lo
         z = gen.standard_normal((rows, rank, 2))
         term = np.empty(rows)
-        for d, loads, dsts in ((0, plan.loadE, (tile.gE, tile.iE, tile.gI_cross)),
-                               (1, plan.loadI, (tile.gI, tile.iI, tile.iE_cross))):
+        gE = tile.fE_T if tile.gE is None else tile.gE
+        gI = (tile.fI_T if tile.gI is None and plan.mode is CorrelationMode.PAYOFF_MIXING
+              else tile.gI)
+        for d, loads, dsts in ((0, plan.loadE, (gE, tile.iE, tile.gI_cross)),
+                               (1, plan.loadI, (gI, tile.iI, tile.iE_cross))):
             for load, dst in zip(loads, dsts):
+                if dst is None:
+                    continue
                 acc = dst[0::2] if cfg.antithetic else dst
                 np.multiply(z[:, 0, d], load[0], out=acc)
                 for k in range(1, rank):
                     acc += np.multiply(z[:, k, d], load[k], out=term)
                 if cfg.antithetic:
                     np.negative(acc, out=dst[1::2])
-        np.add(tile.gE, plan.driftE, out=tile.fE_T)
+        np.add(gE, plan.driftE, out=tile.fE_T)
         np.exp(tile.fE_T, out=tile.fE_T)
         np.multiply(tile.fE_T, plan.f0E, out=tile.fE_T)
-        _temperature_level(plan, plan.rho, tile.gI, tile.gI_cross, out=tile.fI_T)
+        _temperature_level(plan, plan.rho, gI, tile.gI_cross, out=tile.fI_T)
     return draw
 
 
@@ -246,9 +264,11 @@ def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray, gI_cross: np.nda
 
     Only sde_mixing mixes the drivers here, so this is the one draw quantity
     that depends on rho; a scenario at another rho recomputes it from the same
-    ``gI`` and ``gI_cross``.
+    ``gI`` and ``gI_cross``. At rho = 0, of either sign, the mix is skipped:
+    ``sqrt(1 - rho^2)`` is 1.0 and ``rho * gI_cross`` a zero, so the mix is
+    ``gI`` up to the sign of a zero, which adding the drift and exp erase.
     """
-    if plan.mode is CorrelationMode.SDE_MIXING:  # in place: one temporary, the same bits
+    if plan.mode is CorrelationMode.SDE_MIXING and rho != 0.0:  # in place: one temporary
         level = np.multiply(gI_cross, rho, out=out)
         level += float(np.sqrt(1.0 - rho * rho)) * gI
         level += plan.driftI

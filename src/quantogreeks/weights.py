@@ -57,6 +57,8 @@ _KERNELS = {
     "E_inv": _energy_inverse,
     "I_inv": lambda d, m: d.iI / (m.temperature.f0 * math.sqrt(1.0 - m.rho * m.rho)),
 }
+# the draw fields each kernel reads; a draw may leave every other weight field None
+_READS = {"E": ("iE",), "I": ("iI",), "E_inv": ("iE", "iE_cross"), "I_inv": ("iI",)}
 
 
 class _Weight(NamedTuple):
@@ -71,6 +73,11 @@ class _Weight(NamedTuple):
     def rho_free(self) -> bool:
         """The weight array reads no rho: only the E and I kernels and no compensator."""
         return not self.compensator and all(k in _RHO_FREE for k in self.kernels)
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The ``SampleDraw`` fields the weight array reads, in kernel order."""
+        return tuple(dict.fromkeys(f for k in self.kernels for f in _READS[k]))
 
 
 _V = WeightVariant

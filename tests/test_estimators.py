@@ -30,10 +30,12 @@ from quantogreeks import (
     quad_greek,
     quad_price,
     residual_risk,
+    sample_block,
     validate_model,
     weight_for,
 )
 from quantogreeks import cli, estimators, weights
+from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
 from quantogreeks.simulate import BLOCK_SIZE, TILE_SIZE, SimScheme, block_count, tile_bounds
@@ -441,6 +443,28 @@ class TestFiniteDifferences:
         monkeypatch.setattr(estimators._BlockData, "payoff_at", oracles.per_point_payoff)
         assert on_the_grid == passes()
 
+    @pytest.mark.parametrize("points", ["base", "grid"])
+    @pytest.mark.parametrize("rho", [0.0, -0.0])
+    @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
+    def test_zero_rho_payoff_grid_skips_the_mix_bit_for_bit(self, payoff, rho, points):
+        # payoff_mixing at rho = 0 evaluates fI itself; the oracle evaluates the explicit mix
+        # rho * fE + sqrt(1 - rho^2) * fI. On a tile at rho = 0 and on a view at rho = 0 of
+        # a tile at rho = 0.4
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(TILE_SIZE + 6, seed=73)
+        read = {(1.0, 1.0)}
+        if points == "grid":
+            read |= {p for which in estimators.GREEKS for p in estimators._bump_points(which)}
+        draw, layout = draw_samples(model, tuning, cfg), estimators._grid_layout(read)
+        tile = estimators._BlockData(draw, None, model, payoff, layout)
+        other = estimators._BlockData(draw, None, dataclasses.replace(model, rho=0.4), payoff,
+                                      layout)
+        for data in (tile, other.at(model)):
+            for point in read:
+                assert (data.payoff_at(*point).tobytes()
+                        == oracles.per_point_payoff(data, *point).tobytes()), point
+
     def test_digital_bump_noise_dwarfs_weighted_estimator(self, atm_model, uniform_tuning):
         cfg = SimConfig(10_000, seed=48)
         digital = DigitalProduct(100.0, 100.0)
@@ -474,6 +498,21 @@ def per_rho_rows(model, payoff, tuning, grid, cfg, variant, threads):
                      "abs_diff": abs(est.value - base.value),
                      "stderr": math.hypot(est.stderr, base.stderr)})
     return rows
+
+
+def captured_draws(monkeypatch):
+    """Each block's draw, as the pass drew it: a copy of each field, None where it holds none."""
+    draws = {}
+    draw_block = estimators._draw_block
+
+    def captured(plan, cfg, block, out=None):
+        draw = draw_block(plan, cfg, block, out)
+        draws[block] = plan, {f.name: None if (a := getattr(draw, f.name)) is None else a.copy()
+                              for f in dataclasses.fields(draw)}
+        return draw
+
+    monkeypatch.setattr(estimators, "_draw_block", captured)
+    return draws
 
 
 def counting_draws(monkeypatch):
@@ -735,6 +774,61 @@ def pair_mean_inputs():
             math.nan, -math.nan, *payload_nans, 1.0, -3.5]
     pairs = np.array([x for pair in itertools.product(edge, repeat=2) for x in pair])
     return spread, pairs
+
+
+PAYOFF_WEIGHTS = [v for v in V if weights.WEIGHTS[v].mode is CorrelationMode.PAYOFF_MIXING]
+
+
+class TestReadSet:
+    COLLAR_RUN = build_run(load_config(CONFIGS / "correlated_collar.cfg"))
+    # (model under a mode, tuning, scheme, rank of the plan)
+    PLANS = {
+        "rank-1": (lambda mode: make_model(rho=0.3, sigI=0.3, mode=mode),
+                   TuningFunction.uniform(1.0), SimScheme.exact(), 1),
+        "collar-rank-2": (lambda mode: dataclasses.replace(TestReadSet.COLLAR_RUN.model,
+                                                           correlation_mode=mode),
+                          COLLAR_RUN.tuning, SimScheme.exact(), 2),
+        "euler:40": (lambda mode: make_model(rho=0.3, sigI=0.3, mode=mode),
+                     TuningFunction.uniform(1.0), SimScheme.log_euler(40), 1),
+    }
+    LEVELS = {"fE_T", "fI_T"}
+    DRIVERS = {"gI", "gI_cross"}  # sde_mixing views rebuild the temperature level from these
+    # (mode, pass(model, tuning, cfg), the fields the pass draws)
+    PASSES = {
+        "price": (CorrelationMode.PAYOFF_MIXING,
+                  lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS),
+        "payoff-weights": (CorrelationMode.PAYOFF_MIXING,
+                           lambda m, a, cfg: mc_estimates(m, COLLAR, a, PAYOFF_WEIGHTS, cfg,
+                                                          fd_greeks=["dEdI"]),
+                           LEVELS | {"iE", "iI"}),
+        "sde-price": (CorrelationMode.SDE_MIXING,
+                      lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS | DRIVERS),
+        "sde-weights": (CorrelationMode.SDE_MIXING,
+                        lambda m, a, cfg: mc_greek(
+                            m, COLLAR, a, V.CORR_CROSS_GAMMA_MATRIX_INVERSE, cfg,
+                            scenarios=[(-0.2, V.CORR_DELTA_I_MATRIX_INVERSE)]),
+                        LEVELS | DRIVERS | {"iE", "iI", "iE_cross"}),
+    }
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("plan_id", PLANS)
+    @pytest.mark.parametrize("pass_id", PASSES)
+    def test_pass_draws_its_fields_with_the_bits_of_sample_block(self, monkeypatch, pass_id,
+                                                                 plan_id, antithetic):
+        mode, run, held = self.PASSES[pass_id]
+        model_at, tuning, scheme, rank = self.PLANS[plan_id]
+        model = model_at(mode)
+        cfg = SimConfig(BLOCK_SIZE + TILE_SIZE + 6, seed=72, antithetic=antithetic,
+                        scheme=scheme)
+        draws = captured_draws(monkeypatch)
+        run(model, tuning, cfg)
+        assert sorted(draws) == [0, 1]
+        for block, (plan, drawn) in draws.items():
+            assert plan.loadE.shape[1] == rank
+            assert {name for name, values in drawn.items() if values is not None} == held
+            full = sample_block(model, tuning, cfg, block)
+            for name in held:
+                assert drawn[name].tobytes() == getattr(full, name).tobytes(), (block, name)
 
 
 class TestPairMeans:

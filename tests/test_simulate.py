@@ -20,7 +20,8 @@ from quantogreeks import (
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, _block_generator,
-                                   _build_plan, _draw_block, block_count, iter_sample_blocks)
+                                   _build_plan, _draw_block, _temperature_level, block_count,
+                                   iter_sample_blocks)
 
 GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -84,6 +85,23 @@ class TestSdeMixing:
         draw = draw_samples(m, uniform_tuning, SimConfig(500_000, seed=6))
         corr = np.corrcoef(np.log(draw.fE_T), np.log(draw.fI_T))[0, 1]
         assert corr == pytest.approx(0.0, abs=0.01)
+
+
+    @pytest.mark.parametrize("driftI", [None, 0.0, -0.0], ids=["drawn", "zero", "minus-zero"])
+    @pytest.mark.parametrize("rho", [0.0, -0.0])
+    def test_zero_rho_level_skips_the_mix_bit_for_bit(self, uniform_tuning, rho, driftI):
+        # gI + driftI instead of rho * gI_cross + sqrt(1 - rho^2) * gI + driftI: the sign
+        # of a zero driver is all that may differ, and the drift or exp erases it
+        model = make_model(rho=rho, sigI=0.4, mode=CorrelationMode.SDE_MIXING)
+        plan = _build_plan(model, uniform_tuning, SimScheme.exact())
+        if driftI is not None:
+            plan = dataclasses.replace(plan, driftI=driftI)
+        draw = draw_samples(model, uniform_tuning, SimConfig(1000, seed=36))
+        gI = draw.gI.copy()
+        gI[:2] = (0.0, -0.0)
+        full = np.exp(rho * draw.gI_cross + float(np.sqrt(1.0 - rho * rho)) * gI
+                      + plan.driftI) * plan.f0I
+        assert _temperature_level(plan, rho, gI, draw.gI_cross).tobytes() == full.tobytes()
 
 
 class TestLogEuler:

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_model
-from quantogreeks import SimConfig, WeightVariant, draw_samples, greek_of, weight_for, weights
+from quantogreeks import (SimConfig, TuningFunction, WeightVariant, draw_samples, greek_of,
+                          weight_for, weights)
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import SampleDraw
 
@@ -191,3 +193,22 @@ class TestZeroRhoReduction:
             rows = [v for v in V if weights.WEIGHTS[v].mode is mode]
             assert [greek_of(v) for v in rows] == ["dE", "dI", "dEdI"]
             assert [weights.mode_variant(g, mode) for g in ("dE", "dI", "dEdI")] == rows
+
+
+class TestReadSet:
+    # every variant at rho = 0 in both modes; at rho = 0.3 only a mode's own weights run
+    CASES = [(v, mode, rho) for v in V for mode in CorrelationMode for rho in (0.0, 0.3)
+             if rho == 0.0 or weights.WEIGHTS[v].mode is mode]
+
+    @pytest.mark.parametrize("variant,mode,rho", CASES,
+                             ids=[f"{v.value}-{m.value}-{r}" for v, m, r in CASES])
+    def test_weight_reads_only_its_declared_fields(self, variant, mode, rho):
+        # a pass draws only the fields its weights declare and leaves the others None
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
+        draw = draw_samples(model, tuning, SimConfig(1000, seed=24))
+        reads = {"fE_T", "fI_T", *weights.WEIGHTS[variant].reads}
+        sparse = SampleDraw(*(getattr(draw, f.name) if f.name in reads else None
+                              for f in dataclasses.fields(SampleDraw)))
+        assert (weight_for(variant, sparse, model, tuning).tobytes()
+                == weight_for(variant, draw, model, tuning).tobytes())
