@@ -238,8 +238,9 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     draw fields it reads: it runs on each tile's view under that model
     (``_BlockData.at``), or on the tile itself if None. The worker's draw
     buffer holds the two levels, the fields the jobs read and, under
-    sde_mixing, ``gI`` and ``gI_cross``, from which views rebuild the
-    temperature level; every other field is None and is not drawn.
+    sde_mixing at rho != 0 or with a scenario job, ``gI`` and ``gI_cross``,
+    which the temperature level mixes and from which views rebuild it; every
+    other field is None and is not drawn.
 
     Returns, per job, one estimate of the discounted values per sample count
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
@@ -272,7 +273,8 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
     drawn = {"fE_T", "fI_T", *(name for *_, reads in jobs for name in reads)}
-    if model.correlation_mode is CorrelationMode.SDE_MIXING:
+    if model.correlation_mode is CorrelationMode.SDE_MIXING and (
+            model.rho != 0.0 or any(job[3] is not None for job in jobs)):
         drawn |= {"gI", "gI_cross"}
     held = [f.name for f in fields(SampleDraw) if f.name in drawn]
     groups = []

@@ -18,11 +18,46 @@ from .model import CorrelationMode, MarketModel, integrate
 
 
 @dataclass(frozen=True)
+class Leg:
+    """A payoff factor: max(x - k, 0) ("call"), max(k - x, 0) ("put") or 1{x > k} ("step")."""
+
+    kind: str
+    k: float
+    kinks = property(lambda leg: (leg.k,))
+
+    def __call__(self, x, out=None) -> np.ndarray:
+        """The leg at ``x``, into ``out`` if given; a step without ``out`` is boolean."""
+        if self.kind == "step":
+            return np.greater(x, self.k, out=out)
+        a, b = (x, self.k) if self.kind == "call" else (self.k, x)
+        return np.maximum(np.subtract(a, b, out=out), 0.0, out=out)
+
+    def mean(self, shift: np.ndarray, forward: np.ndarray, vol: float) -> np.ndarray:
+        """E[leg(shift + X)], X lognormal with mean ``forward`` and log-volatility ``vol``.
+
+        A Black call on k - shift, a put by parity or N(d2); a strike at or below
+        ``shift`` is always cleared, so its call is linear and its step 1.
+        """
+        k = self.k - shift
+        out = np.ones(k.shape) if self.kind == "step" else forward - k
+        black = ~(k <= 0.0)
+        kb, fb = k[black], forward[black]
+        if self.kind == "step":
+            out[black] = _norm_cdf((_log(fb / kb) - 0.5 * vol * vol) / vol)
+            return out
+        d1 = (_log(fb / kb) + 0.5 * vol * vol) / vol
+        out[black] = fb * _norm_cdf(d1) - kb * _norm_cdf(d1 - vol)
+        # put by parity: E[(k - h)+] = call(k) - (E[h] - k)
+        return out if self.kind == "call" else out - (shift + forward - self.k)
+
+
+@dataclass(frozen=True)
 class ProductCall:
     """max(fE - kE, 0) * max(fI - kI, 0)."""
 
     kE: float
     kI: float
+    terms = property(lambda p: ((Leg("call", p.kE), Leg("call", p.kI)),))
 
 
 @dataclass(frozen=True)
@@ -38,6 +73,8 @@ class FourStrikeCollar:
     kE_low: float
     kI_low: float
     alpha: float = 1.0
+    terms = property(lambda p: ((Leg("call", p.kE_high), Leg("call", p.kI_high)),
+                                (Leg("put", p.kE_low), Leg("put", p.kI_low))))
 
 
 @dataclass(frozen=True)
@@ -46,6 +83,7 @@ class DigitalProduct:
 
     kE: float
     kI: float
+    terms = property(lambda p: ((Leg("step", p.kE), Leg("step", p.kI)),))
 
 
 @dataclass(frozen=True)
@@ -60,6 +98,7 @@ class PiecewiseLinear:
     ys: tuple[float, ...]
     left_slope: float = 0.0
     right_slope: float = 0.0
+    kinks = property(lambda f: f.xs)
 
     def __post_init__(self):
         if len(self.xs) == 0 or len(self.xs) != len(self.ys):
@@ -67,12 +106,22 @@ class PiecewiseLinear:
         if any(x1 <= x0 for x0, x1 in zip(self.xs, self.xs[1:])):
             raise ValueError("knots must be strictly increasing")
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.interp(x, self.xs, self.ys)
         y = np.where(x < self.xs[0], self.ys[0] + self.left_slope * (x - self.xs[0]), y)
         y = np.where(x > self.xs[-1], self.ys[-1] + self.right_slope * (x - self.xs[-1]), y)
-        return y
+        return y if out is None else np.positive(y, out=out)  # +y is y: a copy into out
+
+    def mean(self, shift: np.ndarray, forward: np.ndarray, vol: float) -> np.ndarray:
+        """E[self(shift + X)] as in ``Leg.mean``: the left line plus a call per change of slope."""
+        xs, ys = self.xs, self.ys
+        slopes = [self.left_slope, *((y1 - y0) / (x1 - x0) for x0, x1, y0, y1
+                                     in zip(xs, xs[1:], ys, ys[1:])), self.right_slope]
+        mean = ys[0] + self.left_slope * (shift + forward - xs[0])
+        mean += sum((s1 - s0) * Leg("call", x).mean(shift, forward, vol)
+                    for s0, s1, x in zip(slopes, slopes[1:], xs))
+        return mean
 
 
 @dataclass(frozen=True)
@@ -81,6 +130,7 @@ class Separable:
 
     g: PiecewiseLinear
     h: PiecewiseLinear
+    terms = property(lambda p: ((p.g, p.h),))
 
 
 PayoffSpec = Union[ProductCall, FourStrikeCollar, DigitalProduct, Separable]
@@ -114,39 +164,33 @@ def validate_payoff(p: PayoffSpec) -> list[str]:
     return bad
 
 
-def _times_leg(energy_leg: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """energy_leg * max(diff, 0), in place in ``diff``, a fresh array."""
-    np.maximum(diff, 0.0, out=diff)
-    return np.multiply(energy_leg, diff, out=diff)
+def _terms(p: PayoffSpec) -> tuple:
+    """The (energy leg, temperature leg) terms: a payoff is alpha times the sum of their products."""
+    if not isinstance(p, PayoffSpec):
+        raise TypeError(f"unknown payoff spec {type(p).__name__}")
+    return p.terms
 
 
 def evaluate(p: PayoffSpec, fE, fI_effective) -> np.ndarray:
     """Payoff value; vectorized over price arrays that broadcast together.
 
-    The product payoffs work in place in fresh arrays of the broadcast shape:
-    the same operations on the same operands, so the same bits, with fewer
-    temporaries. ``[()]`` turns a 0-d result into a scalar, as operators do.
+    Each term's temperature leg writes into a fresh array of the broadcast
+    shape and its energy leg multiplies into it in place: the operator
+    formulas' operations on the same operands in the same order, so the same
+    bits, with fewer temporaries. ``[()]`` turns a 0-d result into a scalar.
     """
     fE = np.asarray(fE, dtype=float)
     fI = np.asarray(fI_effective, dtype=float)
     shape = np.broadcast_shapes(fE.shape, fI.shape)
-    if isinstance(p, ProductCall):
-        return _times_leg(np.maximum(fE - p.kE, 0.0),
-                          np.subtract(fI, p.kI, out=np.empty(shape)))[()]
-    if isinstance(p, FourStrikeCollar):
-        up = _times_leg(np.maximum(fE - p.kE_high, 0.0),
-                        np.subtract(fI, p.kI_high, out=np.empty(shape)))
-        down = _times_leg(np.maximum(p.kE_low - fE, 0.0),
-                          np.subtract(p.kI_low, fI, out=np.empty(shape)))
-        np.add(up, down, out=up)
-        if p.alpha != 1.0:  # 1.0 * x is x, bit for bit
-            np.multiply(p.alpha, up, out=up)
-        return up[()]
-    if isinstance(p, DigitalProduct):
-        return ((fE > p.kE) & (fI > p.kI)).astype(float)
-    if isinstance(p, Separable):
-        return p.g(fE) * p.h(fI)
-    raise TypeError(f"unknown payoff spec {type(p).__name__}")
+    total = None
+    for g, h in _terms(p):
+        # g(fE) before the fresh array, the formula's order: in the other order glibc gives
+        # the heap back to the kernel after each call, and the next call faults it back in
+        term = np.multiply(g(fE), t := h(fI, out=np.empty(shape)), out=t)
+        total = term if total is None else np.add(total, term, out=total)
+    if getattr(p, "alpha", 1.0) != 1.0:  # 1.0 * x is x, bit for bit
+        np.multiply(p.alpha, total, out=total)
+    return total[()]
 
 
 def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -168,9 +212,9 @@ def _norm_cdf(x: np.ndarray) -> np.ndarray:
 def conditional_mean(p: PayoffSpec, fE, shift, forward, vol: float) -> np.ndarray:
     """E[evaluate(p, fE, shift + X)], X lognormal with mean ``forward`` and log-volatility ``vol``.
 
-    Each temperature leg is a Black call (or a put by parity) on its strike
-    less ``shift``; a strike at or below ``shift`` is always cleared, so its
-    call is linear. ``(shift, forward, vol)`` is a ``KinkSolver.h_law``.
+    Each term is its energy leg times its temperature leg's ``mean``, filled
+    only where the energy leg is non-zero. ``(shift, forward, vol)`` is a
+    ``KinkSolver.h_law``.
 
     Vectorized over ``fE``, ``shift`` and ``forward``, which broadcast
     together. Each element has the bits of the scalar formula: every branch
@@ -179,61 +223,21 @@ def conditional_mean(p: PayoffSpec, fE, shift, forward, vol: float) -> np.ndarra
     """
     fE, shift, forward = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                                for x in (fE, shift, forward)))
-
-    def gated(at, value: Callable) -> np.ndarray:
-        """``value(at)`` where the mask ``at`` holds and 0.0 elsewhere."""
-        out = np.zeros(fE.shape)
-        out[at] = value(at)
-        return out
-
-    def call(k: float, at) -> np.ndarray:
-        k = k - shift[at]
-        fwd = forward[at]
-        out = fwd - k
-        black = ~(k <= 0.0)
-        kb, fb = k[black], fwd[black]
-        d1 = (_log(fb / kb) + 0.5 * vol * vol) / vol
-        out[black] = fb * _norm_cdf(d1) - kb * _norm_cdf(d1 - vol)
-        return out
-
-    if isinstance(p, ProductCall):
-        return gated(fE > p.kE, lambda at: (fE[at] - p.kE) * call(p.kI, at))[()]
-    if isinstance(p, FourStrikeCollar):
-        up = gated(fE > p.kE_high, lambda at: (fE[at] - p.kE_high) * call(p.kI_high, at))
-        # put by parity: E[(k - h)+] = call(k) - (E[h] - k)
-        down = gated(fE < p.kE_low, lambda at: (p.kE_low - fE[at]) * (
-            call(p.kI_low, at) - (shift[at] + forward[at] - p.kI_low)))
-        return (p.alpha * (up + down))[()]
-    if isinstance(p, DigitalProduct):
-        def digital(at):
-            k = p.kI - shift[at]
-            out = np.ones(k.shape)
-            black = ~(k <= 0.0)
-            out[black] = _norm_cdf((_log(forward[at][black] / k[black]) - 0.5 * vol * vol) / vol)
-            return out
-
-        return gated(fE > p.kE, digital)[()]
-    if isinstance(p, Separable):
-        h = p.h
-        slopes = [h.left_slope]
-        slopes += [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(h.xs, h.xs[1:], h.ys, h.ys[1:])]
-        slopes.append(h.right_slope)
-        every = np.full(fE.shape, True)
-        mean = h.ys[0] + h.left_slope * (shift + forward - h.xs[0])
-        mean += sum((s1 - s0) * call(x, every) for s0, s1, x in zip(slopes, slopes[1:], h.xs))
-        return (p.g(fE) * mean)[()]
-    raise TypeError(f"unknown payoff spec {type(p).__name__}")
+    total = None
+    for g, h in _terms(p):
+        energy = g(fE)
+        at = energy != 0.0
+        term = np.zeros(fE.shape)
+        term[at] = energy[at] * h.mean(shift[at], forward[at], vol)
+        total = term if total is None else np.add(total, term, out=total)
+    if getattr(p, "alpha", 1.0) != 1.0:
+        np.multiply(p.alpha, total, out=total)
+    return total[()]
 
 
 def energy_kink_levels(p: PayoffSpec) -> tuple[float, ...]:
-    """Energy-price levels where the payoff's energy leg is non-smooth."""
-    if isinstance(p, (ProductCall, DigitalProduct)):
-        return (p.kE,)
-    if isinstance(p, FourStrikeCollar):
-        return (p.kE_low, p.kE_high)
-    if isinstance(p, Separable):
-        return p.g.xs
-    raise TypeError(f"unknown payoff spec {type(p).__name__}")
+    """Energy-price levels where the payoff's energy leg is non-smooth, in increasing order."""
+    return tuple(sorted(x for g, _ in _terms(p) for x in g.kinks))
 
 
 class KinkSolver:

@@ -221,10 +221,10 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
     many samples share the tile.
 
     An accumulator whose field in ``out`` is None is not formed. If ``gE``
-    is None, or ``gI`` under payoff_mixing, that driver is summed into its
-    level's field and turned into the level in place: the same operations in
-    the same order, so the same bits. Under sde_mixing the level reads
-    ``gI`` and ``gI_cross`` themselves.
+    or ``gI`` is None, that driver is summed into its level's field and
+    turned into the level in place: the same operations in the same order,
+    so the same bits. Under sde_mixing at rho != 0 the level mixes ``gI``
+    and ``gI_cross``, so ``out`` must hold both.
     """
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     if out is None:
@@ -238,8 +238,7 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
         z = gen.standard_normal((rows, rank, 2))
         term = np.empty(rows)
         gE = tile.fE_T if tile.gE is None else tile.gE
-        gI = (tile.fI_T if tile.gI is None and plan.mode is CorrelationMode.PAYOFF_MIXING
-              else tile.gI)
+        gI = tile.fI_T if tile.gI is None else tile.gI
         for d, loads, dsts in ((0, plan.loadE, (gE, tile.iE, tile.gI_cross)),
                                (1, plan.loadI, (gI, tile.iI, tile.iE_cross))):
             for load, dst in zip(loads, dsts):

@@ -830,6 +830,35 @@ class TestReadSet:
             for name in held:
                 assert drawn[name].tobytes() == getattr(full, name).tobytes(), (block, name)
 
+    # (pass(model, tuning, cfg), the fields it draws) of an sde_mixing pass at rho = 0
+    ZERO_RHO_PASSES = {
+        "price": (lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS),
+        "scenario": (lambda m, a, cfg: mc_greek(m, COLLAR, a, V.CORR_DELTA_I_MATRIX_INVERSE, cfg,
+                                                scenarios=[(-0.2, V.CORR_DELTA_I_MATRIX_INVERSE)]),
+                     LEVELS | DRIVERS | {"iI"}),
+    }
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("plan_id", PLANS)
+    @pytest.mark.parametrize("pass_id", ZERO_RHO_PASSES)
+    def test_sde_pass_at_zero_rho_holds_the_drivers_only_for_scenarios(
+            self, monkeypatch, pass_id, plan_id, antithetic):
+        # at rho = 0 the level is gI plus its drift, summed straight into fI_T; only a
+        # scenario view rebuilds it from gI and gI_cross
+        run, held = self.ZERO_RHO_PASSES[pass_id]
+        model_at, tuning, scheme, _ = self.PLANS[plan_id]
+        model = dataclasses.replace(model_at(CorrelationMode.SDE_MIXING), rho=0.0)
+        cfg = SimConfig(BLOCK_SIZE + TILE_SIZE + 6, seed=72, antithetic=antithetic,
+                        scheme=scheme)
+        draws = captured_draws(monkeypatch)
+        run(model, tuning, cfg)
+        assert sorted(draws) == [0, 1]
+        for block, (_, drawn) in draws.items():
+            assert {name for name, values in drawn.items() if values is not None} == held
+            full = sample_block(model, tuning, cfg, block)
+            for name in held:
+                assert drawn[name].tobytes() == getattr(full, name).tobytes(), (block, name)
+
 
 class TestPairMeans:
     def test_equals_mean_of_each_pair_bit_for_bit(self):

@@ -89,16 +89,28 @@ class TestEvaluate:
         fE, fI = (np.where(rng.random(shape) < 0.1, rng.choice(edge, shape),
                            rng.uniform(0.0, 200.0, shape)) for shape in shapes)
         call, collar = ProductCall(100.0, 60.0), FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.5)
+        digital = DigitalProduct(110.0, 90.0)
         with np.errstate(invalid="ignore"):
             cases = [
                 (evaluate(call, fE, fI), np.maximum(fE - 100.0, 0.0) * np.maximum(fI - 60.0, 0.0)),
                 (evaluate(collar, fE, fI),
                  1.5 * (np.maximum(fE - 110.0, 0.0) * np.maximum(fI - 70.0, 0.0)
                         + np.maximum(90.0 - fE, 0.0) * np.maximum(50.0 - fI, 0.0))),
+                (evaluate(digital, fE, fI), ((fE > 110.0) & (fI > 90.0)).astype(float)),
+                (evaluate(SEPARABLE, fE, fI), SEPARABLE.g(fE) * SEPARABLE.h(fI)),
             ]
         for got, expected in cases:
             assert type(got) is type(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("function", [
+        lambda p: evaluate(p, 100.0, 90.0),
+        lambda p: conditional_mean(p, 100.0, 0.0, 90.0, 0.2),
+        energy_kink_levels,
+    ])
+    def test_non_payoff_is_an_unknown_payoff_spec(self, function):
+        with pytest.raises(TypeError, match="^unknown payoff spec str$"):
+            function("product_call")
 
     def test_separable_call_ramp_matches_product_call(self):
         g = PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0)
