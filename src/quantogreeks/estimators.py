@@ -8,10 +8,11 @@ the block's jobs tile by tile, up to eight jobs together, each writing its own
 row of values. Correlation scenarios, finite-difference bumps and sample-size
 prefixes are jobs on that one stream, so each command draws once; the bumped
 payoffs of a tile are one grid, evaluated once for all of its finite
-differences. The quadrature
-oracle shares no sampling code with the Monte Carlo path: it integrates a
-closed-form mean over the temperature driver against Gauss-Legendre nodes in
-the energy driver.
+differences, and only on the tile's live samples: those where some payoff
+term can be non-zero at a point of the grid. Every other sample's value is
+0.0. The quadrature oracle shares no sampling code with the Monte Carlo path:
+it integrates a closed-form mean over the temperature driver against
+Gauss-Legendre nodes in the energy driver.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import CorrelationMode, MarketModel, TuningFunction, validate_model
-from .payoffs import (KinkSolver, PayoffSpec, conditional_mean, energy_kink_levels, evaluate,
-                      validate_payoff)
+from .payoffs import (KinkSolver, Leg, PayoffSpec, conditional_mean, energy_kink_levels,
+                      evaluate, validate_payoff)
 from .simulate import (
     BLOCK_SIZE,
     SampleDraw,
+    TILE_SIZE,
     SimConfig,
     _build_plan,
     _check_config,
@@ -196,6 +198,23 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
     return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
 
 
+def _live_samples(data: _BlockData) -> np.ndarray:
+    """Indices of the tile's samples where some payoff term can be non-zero at a layout point.
+
+    Each level is monotone in its scale, rounding included, so the levels at the extreme
+    scales bound every point's; under payoff_mixing at rho < 0 the mix's energy corners swap.
+    """
+    m = data.model
+    scales_I, by_energy = data._layout
+    fE = [data._level("E", by_energy[k][0]) for k in (0, -1)]
+    fI = [data._level("I", scale) for scale in (np.min(scales_I), np.max(scales_I))]
+    if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
+        mix = math.sqrt(1.0 - m.rho * m.rho)
+        fI = [m.rho * e + mix * i for e, i in zip(fE if m.rho > 0.0 else fE[::-1], fI)]
+    return np.flatnonzero(functools.reduce(operator.or_, (g.live(*fE) & h.live(*fI)
+                                                          for g, h in data.payoff.terms)))
+
+
 _BASE = ((1.0, 1.0),)  # the point of ``pay_base``
 _BASE_ROWS = _grid_layout(set(_BASE))[1]  # the energy rows of the base point alone
 # (label, run(data, out), the points whose payoffs it reads, the scenario model it reads or
@@ -248,10 +267,12 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
     each tile is evaluated once for the whole group (its payoffs at every
-    point the group reads, its rho-free weights) and dropped, and each job
-    writes its values, pair means when antithetic, into its own row: without
-    pairs a job gets its slice of the row as ``out`` and returns it, or
-    returns an array that is copied there. Each row then reduces to its
+    point the group reads, its rho-free weights; on its live samples if the
+    points are bumps, no job reads a scenario and every leg is a ``Leg``)
+    and dropped, and each job writes its values, pair means when antithetic,
+    into its own row, 0.0 for a sample that is not live: on a whole tile
+    without pairs a job gets its slice of the row as ``out`` and returns it,
+    or returns an array that is copied there. Each row then reduces to its
     count, sum and sum of squared deviations from its own mean (two passes,
     no BLAS). These are merged in block-index order (Chan, Golub &
     LeVeque), so every estimate has the bits of a separate pass of n draws
@@ -281,37 +302,50 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     for first in range(0, len(jobs), _GROUP_JOBS):
         group = jobs[first:first + _GROUP_JOBS]
         points = {p for _, _, job_points, *_ in group for p in job_points}
-        groups.append((first, group, _grid_layout(points)))
+        compress = (points != set(_BASE) and all(job[3] is None for job in group)
+                    and all(isinstance(leg, Leg) for term in payoff.terms for leg in term))
+        groups.append((first, group, _grid_layout(points), compress))
 
     local = threading.local()  # each worker's block buffers, reused for every block it runs
 
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
         if not hasattr(local, "draw"):
             # One allocation holds the drawn fields, the job value rows and a
-            # scratch row. Once it is freed, glibc's dynamic thresholds keep the
-            # smaller tile temporaries on the heap instead of returning them to
-            # the kernel after each block.
+            # scratch row, which also takes an antithetic tile's live values.
+            # Once it is freed, glibc's dynamic thresholds keep the smaller tile
+            # temporaries on the heap instead of returning them to the kernel
+            # after each block.
             width = min(BLOCK_SIZE, cfg.n_samples)
-            n_draw = len(held) * width
-            n_rows = min(len(jobs), _GROUP_JOBS) + 1
-            buffer = np.empty(n_draw + n_rows * (width // draws_per_value))
+            n_draw, row = len(held) * width, width // draws_per_value
+            n_values = min(len(jobs), _GROUP_JOBS) * row
+            buffer = np.empty(n_draw + n_values + max(row, min(TILE_SIZE, width)))
             local.draw = SampleDraw(**{f.name: None for f in fields(SampleDraw)}
                                     | dict(zip(held, buffer[:n_draw].reshape(-1, width))))
-            *local.values, local.scratch = buffer[n_draw:].reshape(n_rows, -1)
+            local.values = buffer[n_draw:n_draw + n_values].reshape(-1, row)
+            local.scratch = buffer[n_draw + n_values:]
         start = block * BLOCK_SIZE
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
         out: list[dict] = [{} for _ in jobs]
         draw = _draw_block(plan, cfg, block, local.draw)
         bounds = tile_bounds(len(draw.fE_T))
-        for first, group, layout in groups:
+        for first, group, layout, compress in groups:
             for lo, hi in bounds:
-                data = _BlockData(_rows(draw, lo, hi), plan, model, payoff, layout)
+                data = _BlockData(_rows(draw, slice(lo, hi)), plan, model, payoff, layout)
+                live = _live_samples(data) if compress else None
+                if live is not None:
+                    data = _BlockData(_rows(data.draw, live), plan, model, payoff, layout)
                 for row, (_, run, _, scenario, _) in zip(local.values, group):
                     dst = row[lo // draws_per_value:hi // draws_per_value]
                     view = data if scenario is None else data.at(scenario)
+                    values = run(view, None if cfg.antithetic or live is not None else dst)
+                    if live is not None:  # every other sample's value is 0.0
+                        whole = local.scratch[:hi - lo] if cfg.antithetic else dst
+                        whole[:] = 0.0
+                        whole[live] = values
+                        values = whole
                     if cfg.antithetic:
-                        _pair_means(run(view, None), out=dst)
-                    elif (values := run(view, dst)) is not dst:
+                        _pair_means(values, out=dst)
+                    elif values is not dst:
                         dst[:] = values
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:

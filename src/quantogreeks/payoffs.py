@@ -8,8 +8,9 @@ through the model's correlation mode, keeping this module mode-agnostic.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -31,6 +32,10 @@ class Leg:
             return np.greater(x, self.k, out=out)
         a, b = (x, self.k) if self.kind == "call" else (self.k, x)
         return np.maximum(np.subtract(a, b, out=out), 0.0, out=out)
+
+    def live(self, lo, hi) -> np.ndarray:
+        """Where the leg can be non-zero at some x in [lo, hi]; a NaN bound counts as live."""
+        return ~np.greater_equal(lo, self.k) if self.kind == "put" else ~np.less_equal(hi, self.k)
 
     def mean(self, shift: np.ndarray, forward: np.ndarray, vol: float) -> np.ndarray:
         """E[leg(shift + X)], X lognormal with mean ``forward`` and log-volatility ``vol``.
@@ -57,7 +62,7 @@ class ProductCall:
 
     kE: float
     kI: float
-    terms = property(lambda p: ((Leg("call", p.kE), Leg("call", p.kI)),))
+    terms = functools.cached_property(lambda p: ((Leg("call", p.kE), Leg("call", p.kI)),))
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class FourStrikeCollar:
     kE_low: float
     kI_low: float
     alpha: float = 1.0
-    terms = property(lambda p: ((Leg("call", p.kE_high), Leg("call", p.kI_high)),
-                                (Leg("put", p.kE_low), Leg("put", p.kI_low))))
+    terms = functools.cached_property(lambda p: ((Leg("call", p.kE_high), Leg("call", p.kI_high)),
+                                                 (Leg("put", p.kE_low), Leg("put", p.kI_low))))
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class DigitalProduct:
 
     kE: float
     kI: float
-    terms = property(lambda p: ((Leg("step", p.kE), Leg("step", p.kI)),))
+    terms = functools.cached_property(lambda p: ((Leg("step", p.kE), Leg("step", p.kI)),))
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ class Separable:
 
     g: PiecewiseLinear
     h: PiecewiseLinear
-    terms = property(lambda p: ((p.g, p.h),))
+    terms = functools.cached_property(lambda p: ((p.g, p.h),))
 
 
 PayoffSpec = Union[ProductCall, FourStrikeCollar, DigitalProduct, Separable]
@@ -138,13 +143,13 @@ PayoffSpec = Union[ProductCall, FourStrikeCollar, DigitalProduct, Separable]
 
 def _numbers(p) -> list[float]:
     """Every number of a payoff or of one of its legs: strikes, alpha, knots and slopes."""
-    return [x for v in vars(p).values()
+    return [x for v in (getattr(p, f.name) for f in fields(p))
             for x in (_numbers(v) if isinstance(v, PiecewiseLinear) else np.ravel(v))]
 
 
 def validate_payoff(p: PayoffSpec) -> list[str]:
     """Return non-finite-number and strike-consistency violations (empty list when acceptable)."""
-    if not isinstance(p, PayoffSpec):  # before vars(), which a str or an int does not have
+    if not isinstance(p, PayoffSpec):  # before fields(), which a str or an int does not have
         return [f"unknown payoff spec {type(p).__name__}"]
     bad: list[str] = []
     if not np.isfinite(_numbers(p)).all():

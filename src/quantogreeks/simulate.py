@@ -203,9 +203,9 @@ def tile_bounds(count: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _rows(draw: SampleDraw, lo: int, hi: int) -> SampleDraw:
-    """Views of samples [lo, hi) of every field; a None field stays None."""
-    return SampleDraw(*(None if (a := getattr(draw, f.name)) is None else a[lo:hi]
+def _rows(draw: SampleDraw, index: slice | np.ndarray) -> SampleDraw:
+    """Samples ``index`` of every field, views of a slice or copies at indices; None stays None."""
+    return SampleDraw(*(None if (a := getattr(draw, f.name)) is None else a[index]
                         for f in fields(SampleDraw)))
 
 
@@ -229,11 +229,11 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     if out is None:
         out = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
-    draw = _rows(out, 0, count)
+    draw = _rows(out, slice(count))
     gen = _block_generator(cfg.seed, block)
     rank = plan.loadE.shape[1]
     for lo, hi in tile_bounds(count):
-        tile = _rows(draw, lo, hi)
+        tile = _rows(draw, slice(lo, hi))
         rows = (hi - lo) // 2 if cfg.antithetic else hi - lo
         z = gen.standard_normal((rows, rank, 2))
         term = np.empty(rows)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_model
@@ -38,7 +40,8 @@ from quantogreeks import cli, estimators, weights
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
-from quantogreeks.simulate import BLOCK_SIZE, TILE_SIZE, SimScheme, block_count, tile_bounds
+from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, SimScheme, block_count,
+                                   tile_bounds)
 
 ATM = ProductCall(100.0, 100.0)
 V = WeightVariant
@@ -473,6 +476,80 @@ class TestFiniteDifferences:
         assert fd.stderr > mal.stderr
 
 
+class TestLiveSamples:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
+    def test_pass_on_live_samples_equals_the_pass_on_every_sample(self, monkeypatch, payoff,
+                                                                   mode, rho, antithetic):
+        # a group of the mode's three weights and the three finite differences reads bump
+        # points, so its tiles run on their live samples, unless the legs are a separable
+        # payoff's piecewise lines; a partial block and a partial tile end the pass
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=74, antithetic=antithetic)
+        variants = [weights.mode_variant(which, mode) for which in estimators.GREEKS]
+        live_samples = estimators._live_samples
+        kept = []
+
+        def counted(data):
+            kept.append((len(live := live_samples(data)), len(data.eE)))
+            return live
+
+        def estimates():
+            ests = mc_estimates(model, payoff, tuning, variants, cfg,
+                                fd_greeks=estimators.GREEKS)
+            return {label: (e.value, e.stderr) for label, e in ests.items()}
+
+        monkeypatch.setattr(estimators, "_live_samples", counted)
+        on_live = estimates()
+        monkeypatch.setattr(estimators, "_live_samples", lambda data: np.arange(len(data.eE)))
+        assert on_live == estimates()
+        if isinstance(payoff, Separable):
+            assert not kept
+        else:
+            assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_samples_left_out_pay_zero_at_every_grid_point(self, data):
+        # calls, puts and steps on both levels; sample levels at 0.0, at a strike and its
+        # bumps, and just around the level or mix where a temperature leg kinks
+        mode = data.draw(st.sampled_from(MODES))
+        rho = data.draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.95, 0.95))
+        f0E, f0I = data.draw(st.floats(1.0, 200.0)), data.draw(st.floats(1.0, 200.0))
+        kE = sorted(data.draw(st.lists(st.floats(0.0, 200.0), min_size=2, max_size=2)))
+        kI = sorted(data.draw(st.lists(st.floats(0.0, 200.0), min_size=2, max_size=2)))
+        payoff = data.draw(st.sampled_from([
+            ProductCall(kE[0], kI[0]), DigitalProduct(kE[1], kI[1]),
+            FourStrikeCollar(kE[1], kI[1], kE[0], kI[0], data.draw(st.floats(0.5, 2.0)))]))
+        points = {p for which in data.draw(st.sets(st.sampled_from(estimators.GREEKS),
+                                                   min_size=1))
+                  for p in estimators._bump_points(which)}
+        if data.draw(st.booleans()):
+            points.add((1.0, 1.0))
+        mixing = mode is CorrelationMode.PAYOFF_MIXING and rho != 0.0
+        bump = estimators.FD_BUMP
+
+        def level(strikes, fE=0.0):
+            k = data.draw(st.sampled_from(strikes))
+            if mixing and fE:  # the fI whose mix with fE is k
+                k = max(0.0, (k - rho * fE) / math.sqrt(1.0 - rho * rho))
+            return data.draw(st.floats(0.0, 400.0) | st.sampled_from(
+                [0.0, k, k * (1.0 - bump), k * (1.0 + bump), k / (1.0 - bump), k / (1.0 + bump)])
+                | st.floats(-3.0, 3.0).map(lambda u: k * (1.0 + u * bump)))
+
+        fE = [level(kE) for _ in range(12)]
+        fI = [level(kI, e) for e in fE]
+        draw = SampleDraw(np.array(fE), np.array(fI), *[None] * 6)
+        model = make_model(f0E=f0E, f0I=f0I, rho=rho, mode=mode)
+        tile = estimators._BlockData(draw, None, model, payoff, estimators._grid_layout(points))
+        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile))
+        for point in points:
+            assert (tile.payoff_at(*point)[dead] == 0.0).all(), point
+
+
 class TestOracleTriangle:
     @pytest.mark.slow
     @pytest.mark.parametrize("payoff,seed", [(ATM, 61), (DigitalProduct(100.0, 100.0), 62)])
@@ -601,20 +678,22 @@ class TestOnePass:
 
     def test_workers_keep_their_own_block_buffers(self):
         # more workers than cores, switching often: a buffer shared between
-        # workers would mix one block's draws or values into another's
+        # workers would mix one block's draws or values into another's, and with
+        # pairs the scratch row that a tile's live values are scattered into
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
-        cfg = SimConfig(6 * BLOCK_SIZE + 3, seed=62)
-        args = (model, COLLAR, tuning, [V.CORR_DELTA_I, V.CORR_CROSS_GAMMA_CONDITIONAL], cfg)
-        serial = mc_estimates(*args, fd_greeks=["dE"])
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = mc_estimates(*args, threads=6, fd_greeks=["dE"])
-        finally:
-            sys.setswitchinterval(interval)
-        assert ({k: (e.value, e.stderr) for k, e in threaded.items()}
-                == {k: (e.value, e.stderr) for k, e in serial.items()})
+        for cfg in (SimConfig(6 * BLOCK_SIZE + 3, seed=62),
+                    SimConfig(6 * BLOCK_SIZE + 4, seed=62, antithetic=True)):
+            args = (model, COLLAR, tuning, [V.CORR_DELTA_I, V.CORR_CROSS_GAMMA_CONDITIONAL], cfg)
+            serial = mc_estimates(*args, fd_greeks=["dE"])
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = mc_estimates(*args, threads=6, fd_greeks=["dE"])
+            finally:
+                sys.setswitchinterval(interval)
+            assert ({k: (e.value, e.stderr) for k, e in threaded.items()}
+                    == {k: (e.value, e.stderr) for k, e in serial.items()})
 
     @pytest.mark.parametrize("which", ["dI", "dEdI"])
     def test_sweep_builds_the_rho_free_weight_once_per_tile(self, monkeypatch, uniform_tuning,
@@ -639,7 +718,9 @@ class TestOnePass:
     def test_all_variant_pass_builds_each_kernel_once_per_tile(self, monkeypatch, tmp_path):
         # on an sde_mixing copy of the collar, its three weights and three finite
         # differences form one job group; the delta and the cross-gamma read E_inv,
-        # and the cross-gamma's compensator integral is shared by every tile of the pass
+        # and the cross-gamma's compensator integral is shared by every tile of the pass.
+        # The group reads bump points, so each tile runs on its live samples: those
+        # where a leg pair can be non-zero at the extreme bumps of both levels
         kernel_calls, integrals = [], []
         build_E_inv = weights._KERNELS["E_inv"]
         integrate = weights.integrate
@@ -664,7 +745,17 @@ class TestOnePass:
                          "--out", os.devnull]) == 0
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
                     for start in range(0, n, BLOCK_SIZE))
-        assert tiles == 7 and len(kernel_calls) == tiles and sum(kernel_calls) == n
+        run = build_run(load_config(config))
+        draw = draw_samples(run.model, run.tuning, dataclasses.replace(run.sim, n_samples=n))
+        p, f0E, f0I = run.payoff, run.model.energy.f0, run.model.temperature.f0
+        bump = estimators.FD_BUMP
+        fE = [(f0E * scale) * (draw.fE_T / f0E) for scale in (1.0 - bump, 1.0 + bump)]
+        fI = [(f0I * scale) * (draw.fI_T / f0I) for scale in (1.0 - bump, 1.0 + bump)]
+        live = ((fE[1] > p.kE_high) & (fI[1] > p.kI_high)) | ((fE[0] < p.kE_low)
+                                                              & (fI[0] < p.kI_low))
+        assert 0 < np.count_nonzero(live) < n // 2
+        assert tiles == 7 and len(kernel_calls) == tiles
+        assert sum(kernel_calls) == np.count_nonzero(live)
         assert len(integrals) == 1
 
     @pytest.mark.parametrize("mode", MODES)

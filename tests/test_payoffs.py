@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from quantogreeks import (
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import (
     KinkSolver,
+    Leg,
     conditional_mean,
     energy_kink_levels,
     validate_payoff,
@@ -111,6 +113,23 @@ class TestEvaluate:
     def test_non_payoff_is_an_unknown_payoff_spec(self, function):
         with pytest.raises(TypeError, match="^unknown payoff spec str$"):
             function("product_call")
+
+    @pytest.mark.parametrize("p", [
+        ProductCall(100.0, 80.0), FourStrikeCollar(110.0, 70.0, 90.0, 50.0),
+        DigitalProduct(100.0, 80.0),
+        Separable(PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0), PiecewiseLinear((80.0,), (1.0,))),
+    ], ids=lambda p: type(p).__name__)
+    def test_terms_are_built_once_and_leave_equality_and_hash_alone(self, p):
+        fresh = dataclasses.replace(p)
+        assert p.terms is p.terms
+        assert p == fresh and hash(p) == hash(fresh) and validate_payoff(p) == []
+
+    def test_leg_is_live_where_it_can_be_non_zero_and_at_a_nan_bound(self):
+        lo, hi = np.array([50.0, 90.0, 100.0, 100.0, np.nan]), np.array([90.0, 100.0, 100.0,
+                                                                           110.0, np.nan])
+        assert Leg("call", 100.0).live(lo, hi).tolist() == [False, False, False, True, True]
+        assert Leg("step", 100.0).live(lo, hi).tolist() == [False, False, False, True, True]
+        assert Leg("put", 100.0).live(lo, hi).tolist() == [True, True, False, False, True]
 
     def test_separable_call_ramp_matches_product_call(self):
         g = PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0)
