@@ -8,9 +8,13 @@ the block's jobs tile by tile, up to eight jobs together, each writing its own
 row of values. Correlation scenarios, finite-difference bumps and sample-size
 prefixes are jobs on that one stream, so each command draws once; the bumped
 payoffs of a tile are one grid, evaluated once for all of its finite
-differences, and only on the tile's live samples: those where some payoff
-term can be non-zero at a point of the grid. Every other sample's value is
-0.0. The quadrature oracle shares no sampling code with the Monte Carlo path:
+differences, and each term's energy leg is evaluated once per tile for all of
+its correlation scenarios. A group of bump jobs runs each tile on its live
+samples only, those where some payoff term can be non-zero at a point of the
+grid; a group of sde_mixing scenarios on those where some energy leg can be
+non-zero, a set no scenario moves. Every other sample's value is 0.0. Groups
+of payoff_mixing scenarios or of the base point alone run every sample. The
+quadrature oracle shares no sampling code with the Monte Carlo path:
 it integrates a closed-form mean over the temperature driver against
 Gauss-Legendre nodes in the energy driver.
 """
@@ -84,12 +88,12 @@ class _BlockData:
 
     The tile keeps one kernel table for ``weight_for``: each Wiener-integral
     kernel is built at most once per tile and rho. Scenario views (``at``)
-    share the draw, the rho-free kernels, weight arrays and unbumped levels;
-    kernels that read rho start empty in each view and die with it.
+    share the draw, the rho-free kernels, weight arrays, unbumped levels and
+    energy legs; kernels that read rho start empty in each view and die with it.
     """
 
     __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs", "_weights",
-                 "_kernels", "_levels")
+                 "_kernels", "_levels", "_energy")
 
     def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec,
                  layout: tuple):
@@ -104,6 +108,7 @@ class _BlockData:
         self._weights: dict[tuple[str, ...], np.ndarray] = {}  # rho-free weights by kernels
         self._kernels: tuple[dict, dict] = ({}, {})  # (rho-free, this rho's) kernel arrays
         self._levels: dict[str, np.ndarray] = {}  # rho-free unbumped levels by leg
+        self._energy: dict[float, list] = {}  # each term's energy leg by energy scale
 
     @property
     def pay_base(self) -> np.ndarray:
@@ -119,7 +124,7 @@ class _BlockData:
         view = _BlockData.__new__(_BlockData)
         view.draw, view.plan, view.model, view.payoff = self.draw, self.plan, model, self.payoff
         view.eE, view.eI, view._layout, view._payoffs = self.eE, self.eI, self._layout, None
-        view._weights, view._levels = self._weights, self._levels
+        view._weights, view._levels, view._energy = self._weights, self._levels, self._energy
         view._kernels = (self._kernels[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             view.eI = _temperature_level(self.plan, model.rho, self.draw.gI, self.draw.gI_cross)
@@ -160,7 +165,9 @@ class _BlockData:
         """The payoff at every point: one ``evaluate`` per energy scale, over its temperature rows.
 
         Each entry has the bits of evaluating that point alone: the broadcasts
-        repeat the same elementwise operations in the same order.
+        repeat the same elementwise operations in the same order. The energy
+        level reads no rho in either mode, so each scale's energy legs are
+        evaluated once per tile, for the tile and all of its views.
         """
         m = self.model
         scales_I, by_energy = self._layout
@@ -176,7 +183,8 @@ class _BlockData:
             h_arg = fI[rows]
             if mixing:
                 h_arg = m.rho * fE + h_arg
-            grid.update(zip(keys, evaluate(self.payoff, fE, h_arg).reshape(len(keys), -1)))
+            pay = evaluate(self.payoff, fE, h_arg, _energy=self._energy.setdefault(scale_E, []))
+            grid.update(zip(keys, pay.reshape(len(keys), -1)))
         return grid
 
 
@@ -198,21 +206,25 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
     return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
 
 
-def _live_samples(data: _BlockData) -> np.ndarray:
+def _live_samples(data: _BlockData, energy_only: bool) -> np.ndarray:
     """Indices of the tile's samples where some payoff term can be non-zero at a layout point.
 
     Each level is monotone in its scale, rounding included, so the levels at the extreme
     scales bound every point's; under payoff_mixing at rho < 0 the mix's energy corners swap.
+    With ``energy_only`` the energy legs alone decide. The energy level reads no rho in
+    either mode, so that set holds for every correlation-scenario view of the tile.
     """
     m = data.model
     scales_I, by_energy = data._layout
     fE = [data._level("E", by_energy[k][0]) for k in (0, -1)]
-    fI = [data._level("I", scale) for scale in (np.min(scales_I), np.max(scales_I))]
-    if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
-        mix = math.sqrt(1.0 - m.rho * m.rho)
-        fI = [m.rho * e + mix * i for e, i in zip(fE if m.rho > 0.0 else fE[::-1], fI)]
-    return np.flatnonzero(functools.reduce(operator.or_, (g.live(*fE) & h.live(*fI)
-                                                          for g, h in data.payoff.terms)))
+    live = [g.live(*fE) for g, _ in data.payoff.terms]
+    if not energy_only:
+        fI = [data._level("I", scale) for scale in (np.min(scales_I), np.max(scales_I))]
+        if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
+            mix = math.sqrt(1.0 - m.rho * m.rho)
+            fI = [m.rho * e + mix * i for e, i in zip(fE if m.rho > 0.0 else fE[::-1], fI)]
+        live = [e & h.live(*fI) for e, (_, h) in zip(live, data.payoff.terms)]
+    return np.flatnonzero(functools.reduce(operator.or_, live))
 
 
 _BASE = ((1.0, 1.0),)  # the point of ``pay_base``
@@ -267,14 +279,19 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
     each tile is evaluated once for the whole group (its payoffs at every
-    point the group reads, its rho-free weights; on its live samples if the
-    points are bumps, no job reads a scenario and every leg is a ``Leg``)
-    and dropped, and each job writes its values, pair means when antithetic,
-    into its own row, 0.0 for a sample that is not live: on a whole tile
-    without pairs a job gets its slice of the row as ``out`` and returns it,
-    or returns an array that is copied there. Each row then reduces to its
-    count, sum and sum of squared deviations from its own mean (two passes,
-    no BLAS). These are merged in block-index order (Chan, Golub &
+    point the group reads, its rho-free weights and energy legs) and
+    dropped. If every leg is a ``Leg``, a group runs each tile on its live
+    samples only (``_live_samples``): with a scenario job under sde_mixing,
+    where some energy leg can be non-zero, a set that holds for every view;
+    with bump points and no scenario job, where some term can be non-zero at
+    a point. Groups of payoff_mixing scenarios or of the base point alone run
+    every sample: one payoff and one multiply per sample do not pay for the
+    gathers and scatters. Each job writes its values, pair means when
+    antithetic, into its own row, 0.0 for a sample that is not live: on a
+    whole tile without pairs a job gets its slice of the row as ``out`` and
+    returns it, or returns an array that is copied there. Each row then
+    reduces to its count, sum and sum of squared deviations from its own mean
+    (two passes, no BLAS). These are merged in block-index order (Chan, Golub &
     LeVeque), so every estimate has the bits of a separate pass of n draws
     at any thread count and any BLAS thread count. ``seconds`` is the wall
     time of the whole pass. Nothing is drawn for an invalid input.
@@ -294,17 +311,22 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
     drawn = {"fE_T", "fI_T", *(name for *_, reads in jobs for name in reads)}
-    if model.correlation_mode is CorrelationMode.SDE_MIXING and (
-            model.rho != 0.0 or any(job[3] is not None for job in jobs)):
+    sde = model.correlation_mode is CorrelationMode.SDE_MIXING
+    if sde and (model.rho != 0.0 or any(job[3] is not None for job in jobs)):
         drawn |= {"gI", "gI_cross"}
     held = [f.name for f in fields(SampleDraw) if f.name in drawn]
+    legs = all(isinstance(leg, Leg) for term in payoff.terms for leg in term)
     groups = []
     for first in range(0, len(jobs), _GROUP_JOBS):
         group = jobs[first:first + _GROUP_JOBS]
         points = {p for _, _, job_points, *_ in group for p in job_points}
-        compress = (points != set(_BASE) and all(job[3] is None for job in group)
-                    and all(isinstance(leg, Leg) for term in payoff.terms for leg in term))
-        groups.append((first, group, _grid_layout(points), compress))
+        scenarios = any(job[3] is not None for job in group)
+        energy_only = None  # _live_samples's argument, or None to run every sample
+        if legs and scenarios and sde:
+            energy_only = True
+        elif legs and not scenarios and points != set(_BASE):
+            energy_only = False
+        groups.append((first, group, _grid_layout(points), energy_only))
 
     local = threading.local()  # each worker's block buffers, reused for every block it runs
 
@@ -328,10 +350,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         out: list[dict] = [{} for _ in jobs]
         draw = _draw_block(plan, cfg, block, local.draw)
         bounds = tile_bounds(len(draw.fE_T))
-        for first, group, layout, compress in groups:
+        for first, group, layout, energy_only in groups:
             for lo, hi in bounds:
                 data = _BlockData(_rows(draw, slice(lo, hi)), plan, model, payoff, layout)
-                live = _live_samples(data) if compress else None
+                live = None if energy_only is None else _live_samples(data, energy_only)
                 if live is not None:
                     data = _BlockData(_rows(data.draw, live), plan, model, payoff, layout)
                 for row, (_, run, _, scenario, _) in zip(local.values, group):

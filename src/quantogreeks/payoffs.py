@@ -176,22 +176,31 @@ def _terms(p: PayoffSpec) -> tuple:
     return p.terms
 
 
-def evaluate(p: PayoffSpec, fE, fI_effective) -> np.ndarray:
+def evaluate(p: PayoffSpec, fE, fI_effective, *, _energy: list | None = None) -> np.ndarray:
     """Payoff value; vectorized over price arrays that broadcast together.
 
     Each term's temperature leg writes into a fresh array of the broadcast
     shape and its energy leg multiplies into it in place: the operator
     formulas' operations on the same operands in the same order, so the same
     bits, with fewer temporaries. ``[()]`` turns a 0-d result into a scalar.
+
+    ``_energy`` is the engine's: a list of each term's energy leg at ``fE``,
+    filled by the first call that gets it empty and read by later calls at
+    the same ``fE``, so that a tile evaluates its energy legs once for all
+    of its correlation-scenario views.
     """
     fE = np.asarray(fE, dtype=float)
     fI = np.asarray(fI_effective, dtype=float)
     shape = np.broadcast_shapes(fE.shape, fI.shape)
+    terms = _terms(p)
+    energy = [] if _energy is None else _energy
+    if not energy:
+        # the energy legs before the first fresh array: in the other order glibc gives the
+        # heap back to the kernel after each call, and the next call faults it back in
+        energy.extend(g(fE) for g, _ in terms)
     total = None
-    for g, h in _terms(p):
-        # g(fE) before the fresh array, the formula's order: in the other order glibc gives
-        # the heap back to the kernel after each call, and the next call faults it back in
-        term = np.multiply(g(fE), t := h(fI, out=np.empty(shape)), out=t)
+    for e, (_, h) in zip(energy, terms):
+        term = np.multiply(e, t := h(fI, out=np.empty(shape)), out=t)
         total = term if total is None else np.add(total, term, out=total)
     if getattr(p, "alpha", 1.0) != 1.0:  # 1.0 * x is x, bit for bit
         np.multiply(p.alpha, total, out=total)

@@ -36,7 +36,7 @@ from quantogreeks import (
     validate_model,
     weight_for,
 )
-from quantogreeks import cli, estimators, weights
+from quantogreeks import cli, estimators, payoffs, weights
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
@@ -493,8 +493,9 @@ class TestLiveSamples:
         live_samples = estimators._live_samples
         kept = []
 
-        def counted(data):
-            kept.append((len(live := live_samples(data)), len(data.eE)))
+        def counted(data, energy_only):
+            assert not energy_only
+            kept.append((len(live := live_samples(data, energy_only)), len(data.eE)))
             return live
 
         def estimates():
@@ -504,12 +505,104 @@ class TestLiveSamples:
 
         monkeypatch.setattr(estimators, "_live_samples", counted)
         on_live = estimates()
-        monkeypatch.setattr(estimators, "_live_samples", lambda data: np.arange(len(data.eE)))
+        monkeypatch.setattr(estimators, "_live_samples",
+                            lambda data, energy_only: np.arange(len(data.eE)))
         assert on_live == estimates()
         if isinstance(payoff, Separable):
             assert not kept
         else:
             assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
+    @pytest.mark.parametrize("payoff", PAYOFF_KINDS[:3], ids=lambda p: type(p).__name__)
+    def test_scenario_pass_on_energy_live_samples_equals_the_pass_on_every_sample(
+            self, monkeypatch, payoff, rho, antithetic):
+        # an sde_mixing group with scenario jobs runs each tile on the samples where an
+        # energy leg can be non-zero, one set for every view; scenarios of both signs, each
+        # Greek's weight, prefix sizes that end inside a block and a partial tile
+        mode = CorrelationMode.SDE_MIXING
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=75, antithetic=antithetic)
+        sizes = [TILE_SIZE + 6, BLOCK_SIZE + 10, cfg.n_samples]
+        variant = weights.mode_variant("dEdI", mode)
+        scenarios = [(-0.5, variant), (0.4, weights.mode_variant("dE", mode)),
+                     (0.7, weights.mode_variant("dI", mode)), (-0.2, variant)]
+        live_samples = estimators._live_samples
+        kept = []
+
+        def counted(data, energy_only):
+            assert energy_only
+            kept.append((len(live := live_samples(data, energy_only)), len(data.eE)))
+            return live
+
+        def estimates():
+            return [[(e.value, e.stderr, e.n) for e in ests] for ests in
+                    mc_greek(model, payoff, tuning, variant, cfg, sizes=sizes,
+                             scenarios=scenarios)]
+
+        monkeypatch.setattr(estimators, "_live_samples", counted)
+        on_live = estimates()
+        monkeypatch.setattr(estimators, "_live_samples",
+                            lambda data, energy_only: np.arange(len(data.eE)))
+        assert on_live == estimates()
+        assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+
+    @pytest.mark.parametrize("mode,payoff", [(CorrelationMode.PAYOFF_MIXING, PAYOFF_KINDS[0]),
+                                             (CorrelationMode.PAYOFF_MIXING, COLLAR),
+                                             (CorrelationMode.SDE_MIXING, PAYOFF_KINDS[3])],
+                             ids=["payoff-call", "payoff-collar", "sde-separable"])
+    def test_scenario_groups_that_run_every_sample_never_call_the_live_test(
+            self, monkeypatch, mode, payoff):
+        # a payoff_mixing scenario reads one payoff and one multiply per sample, which do
+        # not pay for the gathers; a separable payoff's piecewise lines have no live bound
+        def refused(data, energy_only):
+            raise AssertionError("the live test ran")
+
+        monkeypatch.setattr(estimators, "_live_samples", refused)
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
+        variant = weights.mode_variant("dEdI", mode)
+        mc_greek(model, payoff, TuningFunction.uniform(1.0), variant,
+                 SimConfig(TILE_SIZE + 4, seed=76), scenarios=[(-0.5, variant), (0.4, variant)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_samples_the_energy_test_leaves_out_pay_zero_under_every_scenario(self, data):
+        # in both modes, at every layout point and under scenarios anywhere in (-1, 1): the
+        # energy level reads no rho, and an energy leg of 0.0 zeroes its term
+        mode = data.draw(st.sampled_from(MODES))
+        rho = data.draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.95, 0.95))
+        f0E, f0I = data.draw(st.floats(1.0, 200.0)), data.draw(st.floats(1.0, 200.0))
+        kE = sorted(data.draw(st.lists(st.floats(0.0, 200.0), min_size=2, max_size=2)))
+        kI = sorted(data.draw(st.lists(st.floats(0.0, 200.0), min_size=2, max_size=2)))
+        payoff = data.draw(st.sampled_from([
+            ProductCall(kE[0], kI[0]), DigitalProduct(kE[1], kI[1]),
+            FourStrikeCollar(kE[1], kI[1], kE[0], kI[0], data.draw(st.floats(0.5, 2.0)))]))
+        points = {p for which in data.draw(st.sets(st.sampled_from(estimators.GREEKS)))
+                  for p in estimators._bump_points(which)}
+        if not points or data.draw(st.booleans()):
+            points.add((1.0, 1.0))
+        bump = estimators.FD_BUMP
+        k = data.draw(st.sampled_from(kE))
+        fE = data.draw(st.lists(st.floats(0.0, 400.0) | st.sampled_from(
+            [0.0, k, k * (1.0 - bump), k * (1.0 + bump), k / (1.0 - bump), k / (1.0 + bump)])
+            | st.floats(-3.0, 3.0).map(lambda u: k * (1.0 + u * bump)), min_size=12, max_size=12))
+        normals = st.lists(st.floats(-6.0, 6.0), min_size=12, max_size=12)
+        fI, gI, gI_cross = (data.draw(st.lists(st.floats(0.0, 400.0), min_size=12, max_size=12)),
+                            data.draw(normals), data.draw(normals))
+        draw = SampleDraw(np.array(fE), np.array(fI), None, np.array(gI), None, None, None,
+                          np.array(gI_cross))
+        model = make_model(f0E=f0E, f0I=f0I, sigI=0.4, rho=rho, mode=mode)
+        plan = estimators._build_plan(model, TuningFunction.uniform(1.0), SimScheme.exact())
+        tile = estimators._BlockData(draw, plan, model, payoff, estimators._grid_layout(points))
+        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile, True))
+        scenario_rhos = data.draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True,
+                                                     exclude_max=True), min_size=1, max_size=4))
+        for scenario in scenario_rhos:
+            view = tile.at(dataclasses.replace(model, rho=scenario))
+            for point in points:
+                assert (view.payoff_at(*point)[dead] == 0.0).all(), (scenario, point)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -545,7 +638,7 @@ class TestLiveSamples:
         draw = SampleDraw(np.array(fE), np.array(fI), *[None] * 6)
         model = make_model(f0E=f0E, f0I=f0I, rho=rho, mode=mode)
         tile = estimators._BlockData(draw, None, model, payoff, estimators._grid_layout(points))
-        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile))
+        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile, False))
         for point in points:
             assert (tile.payoff_at(*point)[dead] == 0.0).all(), point
 
@@ -833,6 +926,27 @@ class TestOnePass:
                 tracemalloc.stop()
 
         assert peak(8) <= 1.5 * peak(1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("payoff", [ATM, COLLAR], ids=lambda p: type(p).__name__)
+    def test_sweep_tile_evaluates_each_energy_leg_once(self, monkeypatch, uniform_tuning,
+                                                       payoff, mode):
+        # the baseline and four scenarios read one tile: the energy level reads no rho, so
+        # every view shares each term's energy leg at the one energy scale; the ATM call's
+        # two legs are equal, so legs are told apart by identity
+        energy = [g for g, _ in payoff.terms]
+        calls = []
+        leg_call = payoffs.Leg.__call__
+
+        def counted(leg, x, out=None):
+            calls.extend(k for k, g in enumerate(energy) if g is leg)
+            return leg_call(leg, x, out)
+
+        monkeypatch.setattr(payoffs.Leg, "__call__", counted)
+        model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
+        residual_risk(model, payoff, uniform_tuning, [-0.5, -0.25, 0.25, 0.5],
+                      SimConfig(TILE_SIZE, seed=77), which="dEdI")
+        assert sorted(calls) == list(range(len(energy)))
 
     def test_block_memory_stops_growing_at_one_job_group(self, uniform_tuning):
         # a block keeps one value row per job of a group of at most eight, so a

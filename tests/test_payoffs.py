@@ -105,6 +105,30 @@ class TestEvaluate:
             assert type(got) is type(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
+    @pytest.mark.parametrize("shape", [(4096,), (3, 4096), (2, 1), ()])
+    def test_shared_energy_legs_give_evaluate_bit_for_bit(self, shape):
+        # a tile fills one list of energy legs on its first evaluate and its views read it
+        # over other temperature arguments of the grid's shapes: each call has the bits of
+        # a call alone, and none writes into the shared legs
+        rng = np.random.default_rng(70)
+        edge = [0.0, -0.0, 5e-324, 90.0, 110.0, math.inf, math.nan]
+        fE = np.where(rng.random(shape[-1:]) < 0.1, rng.choice(edge, shape[-1:]),
+                      rng.uniform(0.0, 200.0, shape[-1:])) if shape else np.float64(110.0)
+        payoffs = [ProductCall(100.0, 60.0), FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.5),
+                   DigitalProduct(110.0, 90.0), SEPARABLE]
+        with np.errstate(invalid="ignore"):
+            for p in payoffs:
+                energy = []
+                for k in range(3):
+                    fI = rng.uniform(0.0, 200.0, shape)
+                    got, alone = evaluate(p, fE, fI, _energy=energy), evaluate(p, fE, fI)
+                    assert type(got) is type(alone), p
+                    assert np.asarray(got).tobytes() == np.asarray(alone).tobytes(), p
+                    if k == 0:
+                        assert len(energy) == len(p.terms)
+                        before = [np.asarray(e).tobytes() for e in energy]
+                assert [np.asarray(e).tobytes() for e in energy] == before, p
+
     @pytest.mark.parametrize("function", [
         lambda p: evaluate(p, 100.0, 90.0),
         lambda p: conditional_mean(p, 100.0, 0.0, 90.0, 0.2),
