@@ -7,8 +7,25 @@ and on a 40-step log-Euler grid, at 20,000 samples and seed 3: 36 commands
 through ``cli.main`` in-process. Two more run the ``sweep-rho`` command on an
 ``sde_mixing`` copy of the collar without pairs, plain and antithetic: two
 terms, one with a put energy leg, whose scenario views run on the samples
-where an energy leg is live. ``test_golden.py`` re-runs the matrix and names
-every command whose digest moved.
+where an energy leg is live.
+
+Eleven more run at 140,000 samples, three 65,536-sample blocks, so that a
+second worker thread takes a block of its own. Each pins a code path:
+
+- the factored draw of ``price --scheme euler:250``;
+- the two-segment collar's ``CorrDeltaI`` weight, and every collar variant
+  with both oracles and pair means;
+- the ``sde_mixing`` ``dEdI`` sweep of the ATM call, and the energy-live
+  antithetic ``sde_mixing`` sweep of the collar;
+- the ``sde_mixing`` price at rho = 0, which holds no driver field;
+- block-prefix ``converge``, whose rows end inside a block;
+- the sparse finite-difference grid of the collar's cross-gamma;
+- the rho < 0 corner swap of the collar's finite differences
+  (``collar_neg.cfg``, rho = -0.4), with and without pairs;
+- step legs on live samples (``digital.cfg``, a digital product).
+
+``test_golden.py`` re-runs the matrix at one and two worker threads and
+names every command whose digest moved.
 
 Regenerate only with a change that moves CSV bytes on purpose, and name the
 commands that moved and why in its change log entry::
@@ -30,53 +47,84 @@ TESTS = Path(__file__).resolve().parent
 CONFIGS = TESTS.parent / "configs"
 MANIFEST = TESTS / "golden.json"
 
+ATM, COLLAR = "atm_independent.cfg", "correlated_collar.cfg"
+SDE_COPY = "atm_sde.cfg"  # atm_independent.cfg under sde_mixing
+COLLAR_SDE_COPY = "collar_sde.cfg"  # correlated_collar.cfg under sde_mixing, without pairs
+
 COMMANDS = (
     ("price",),
     ("greeks", "--all-variants", "--oracle", "both"),
     ("sweep-rho", "--greek", "dEdI", "--grid=-0.5,0.25,0.5"),
-    ("converge", "--n-grid", "2,65538,100000"),  # draws its grid's counts, so takes no --n
+    ("converge", "--n-grid", "2,65538,100000"),
 )
 SAMPLING = ((), ("--antithetic",), ("--scheme", "euler:40"))
-SDE_COPY = "atm_sde.cfg"  # atm_independent.cfg under sde_mixing
-COLLAR_SDE_COPY = "collar_sde.cfg"  # correlated_collar.cfg under sde_mixing, without pairs
+BLOCKS = (
+    (ATM, ("price", "--scheme", "euler:250")),
+    (COLLAR, ("greeks", "--variant", "CorrDeltaI")),
+    (COLLAR, ("greeks", "--all-variants", "--oracle", "both", "--antithetic")),
+    (SDE_COPY, COMMANDS[2]),
+    (COLLAR_SDE_COPY, (*COMMANDS[2], "--antithetic")),
+    (SDE_COPY, ("price", "--antithetic")),
+    (ATM, ("converge", "--n-grid", "1,65537,100000,200000",
+           "--variant", "CorrCrossGamma_Conditional")),
+    (COLLAR, ("greeks", "--variant", "CorrCrossGamma_Conditional", "--oracle", "fd")),
+    ("collar_neg.cfg", ("greeks", "--all-variants", "--oracle", "fd")),
+    ("collar_neg.cfg", ("greeks", "--all-variants", "--oracle", "fd", "--antithetic")),
+    ("digital.cfg", ("greeks", "--all-variants", "--oracle", "fd")),
+)
 
 
-def config_paths(directory: Path) -> list[Path]:
-    """The matrix's configurations, writing the ``sde_mixing`` copies into ``directory``.
+def _copy(source: str, directory: Path, name: str, *edits: tuple[str, str]) -> Path:
+    """Write ``source`` with each (old, new) line edit to ``directory / name``."""
+    text = (CONFIGS / source).read_text()
+    for old, new in edits:
+        if old not in text:
+            raise ValueError(f"{source} has no line {old!r} for {name}")
+        text = text.replace(old, new)
+    (directory / name).write_text(text)
+    return directory / name
 
-    The collar's ``sde_mixing`` copy is last; only the sweep runs on it.
-    """
-    atm, collar = CONFIGS / "atm_independent.cfg", CONFIGS / "correlated_collar.cfg"
-    sde, collar_sde = directory / SDE_COPY, directory / COLLAR_SDE_COPY
-    sde.write_text(atm.read_text().replace("rho = 0.0\n",
-                                           "rho = 0.0\ncorrelation_mode = sde_mixing\n"))
-    collar_sde.write_text(collar.read_text()
-                          .replace("= payoff_mixing\n", "= sde_mixing\n")
-                          .replace("sim.antithetic = true\n", "sim.antithetic = false\n"))
-    return [atm, sde, collar, collar_sde]
+
+def config_paths(directory: Path) -> dict[str, Path]:
+    """Each configuration by file name, writing the edited copies into ``directory``."""
+    unpaired = ("sim.antithetic = true\n", "sim.antithetic = false\n")
+    return {
+        ATM: CONFIGS / ATM,
+        SDE_COPY: _copy(ATM, directory, SDE_COPY,
+                        ("rho = 0.0\n", "rho = 0.0\ncorrelation_mode = sde_mixing\n")),
+        COLLAR: CONFIGS / COLLAR,
+        COLLAR_SDE_COPY: _copy(COLLAR, directory, COLLAR_SDE_COPY,
+                               ("= payoff_mixing\n", "= sde_mixing\n"), unpaired),
+        "collar_neg.cfg": _copy(COLLAR, directory, "collar_neg.cfg",
+                                ("rho = 0.3\n", "rho = -0.4\n"), unpaired),
+        "digital.cfg": _copy(ATM, directory, "digital.cfg",
+                             ("= product_call\n", "= digital_product\n")),
+    }
 
 
 def matrix(directory: Path) -> dict[str, list[str]]:
     """Each command's name (its command line with the configuration's file name) and argv."""
+    paths = config_paths(directory)
+    runs = [(config, (*command, *sampling), 20000) for config in (ATM, SDE_COPY, COLLAR)
+            for command in COMMANDS for sampling in SAMPLING]
+    runs += [(COLLAR_SDE_COPY, (*COMMANDS[2], *sampling), 20000) for sampling in SAMPLING[:2]]
+    runs += [(config, command, 140000) for config, command in BLOCKS]
     commands = {}
-    *configs, collar_sde = config_paths(directory)
-    runs = [(config, command, sampling) for config in configs for command in COMMANDS
-            for sampling in SAMPLING]
-    runs += [(collar_sde, COMMANDS[2], sampling) for sampling in SAMPLING[:2]]
-    for config, command, sampling in runs:
-        n = () if command[0] == "converge" else ("--n", "20000")
-        args = [*command[1:], *sampling, *n, "--seed", "3"]
-        name = " ".join([command[0], "--config", config.name, *args])
-        commands[name] = [command[0], "--config", str(config), *args]
+    for config, (command, *args), n in runs:
+        if command != "converge":  # converge draws its grid's counts, so takes no --n
+            args += ["--n", str(n)]
+        args += ["--seed", "3"]
+        commands[" ".join([command, "--config", config, *args])] = [
+            command, "--config", str(paths[config]), *args]
     return commands
 
 
-def digests(directory: Path) -> dict[str, str]:
-    """SHA-256 of each command's CSV output, or its exit status if it fails."""
+def digests(directory: Path, threads: int = 1) -> dict[str, str]:
+    """SHA-256 of each command's CSV output at ``threads`` workers, or its exit status."""
     result = {}
     out = directory / "out.csv"
     for name, argv in matrix(directory).items():
-        status = main([*argv, "--out", str(out)])
+        status = main([*argv, "--threads", str(threads), "--out", str(out)])
         result[name] = (hashlib.sha256(out.read_bytes()).hexdigest() if status == 0
                         else f"exit {status}")
     return result
