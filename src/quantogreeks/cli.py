@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 configuration/usage error, 3 model validation
 failure. CSV output embeds the effective configuration and seed as comment
 lines; identical configuration and seed produce byte-identical CSV for any
-thread count. Wall-clock timings go to the ``seconds`` column only with
-``--timing`` (and always to JSON output), keeping the default CSV
-deterministic.
+thread count. Wall-clock timings go to the ``seconds`` column of ``price``
+and ``greeks`` only with ``--timing`` (and always to their JSON output),
+keeping the default CSV deterministic; ``sweep-rho`` and ``converge`` rows
+carry no timing.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def _parse_grid(text: str, convert, flag: str, what: str) -> list:
 
 
 # Each command parses its own arguments, including the sample counts it will
-# draw (raising ValueError on a usage error), and returns its CSV header plus
-# the computation to run once the model has passed validation.
+# draw (raising ValueError on a usage error), and returns its CSV header, the
+# computation to run once the model has passed validation, and the run it echoes.
 
 
 def _price(args, run: RunConfig, variants):
@@ -157,7 +158,7 @@ def _price(args, run: RunConfig, variants):
         est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
         return [_estimate_row(est, args.timing)]
 
-    return CSV_HEADER, compute
+    return CSV_HEADER, compute, run
 
 
 def _greeks(args, run: RunConfig, variants):
@@ -194,7 +195,7 @@ def _greeks(args, run: RunConfig, variants):
         ]
         return rows + oracle_rows
 
-    return CSV_HEADER, compute
+    return CSV_HEADER, compute, run
 
 
 def _sweep_rho(args, run: RunConfig, variants):
@@ -210,7 +211,7 @@ def _sweep_rho(args, run: RunConfig, variants):
         return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
                              variant=variant, which=args.greek, threads=args.threads)
 
-    return ("rho", "delta_corr", "delta_ind", "abs_diff", "stderr"), compute
+    return ("rho", "delta_corr", "delta_ind", "abs_diff", "stderr"), compute, run
 
 
 def _converge(args, run: RunConfig, variants):
@@ -225,13 +226,13 @@ def _converge(args, run: RunConfig, variants):
     variant = _single_variant(variants)
     if variant is not None:
         require_rho_supported(variant, run.model)
+    run = replace(run, sim=replace(run.sim, n_samples=sizes[-1]))  # echo what is drawn
 
     def compute():
-        return convergence_table(run.model, run.payoff, run.tuning, variant,
-                                 replace(run.sim, n_samples=sizes[-1]), sizes,
+        return convergence_table(run.model, run.payoff, run.tuning, variant, run.sim, sizes,
                                  threads=args.threads)
 
-    return ("n", "value", "stderr"), compute
+    return ("n", "value", "stderr"), compute, run
 
 
 def _run_command(args) -> int:
@@ -245,7 +246,7 @@ def _run_command(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads: must be >= 1, got {args.threads}")
     variants = _parse_variants(getattr(args, "variant", None))
-    header, compute = args.handler(args, run, variants)
+    header, compute, run = args.handler(args, run, variants)
     bad = validate_model(run.model, run.tuning) + validate_payoff(run.payoff)
     if bad:
         print("\n".join(bad), file=sys.stderr)
@@ -268,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--timing", action="store_true",
-                        help="fill the seconds column in CSV (breaks byte-reproducibility)")
+                        help="fill the seconds column of price and greeks CSV (breaks "
+                             "byte-reproducibility); sweep-rho and converge carry no timing")
 
     parser = argparse.ArgumentParser(prog="quantogreeks",
                                      description="Quanto option pricing and hedge sensitivities")

@@ -468,21 +468,20 @@ def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
 def mc_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
              variant: WeightVariant, cfg: SimConfig, threads: int = 1,
              sizes: Sequence[int] | None = None,
-             scenarios: Sequence[tuple[float, WeightVariant]] | None = None
-             ) -> GreekEstimate | list:
+             scenarios: Sequence[float] | None = None) -> GreekEstimate | list:
     """Weighted Monte Carlo Greek: mean of discounted payoff * weight.
 
-    ``sizes`` works as in ``mc_price``. ``scenarios`` lists (rho, variant)
-    pairs to estimate on the same draws with the model's correlation set to
-    rho; the result is then a list, the estimate of ``variant`` first, and
-    each scenario equals a separate pass at its rho bit for bit.
+    ``sizes`` works as in ``mc_price``. ``scenarios`` lists correlations at
+    which to estimate ``variant`` on the same draws with the model's rho set
+    to each; the result is then a list, the estimate at the model's rho
+    first, and each scenario equals a separate pass at its rho bit for bit.
     """
     require_rho_supported(variant, model)
     jobs = [_variant_job(variant, tuning)]
-    for rho, v in scenarios or ():
+    for rho in scenarios or ():
         scenario = replace(model, rho=float(rho))
-        require_rho_supported(v, scenario)
-        jobs.append(_variant_job(v, tuning, scenario))
+        require_rho_supported(variant, scenario)
+        jobs.append(_variant_job(variant, tuning, scenario))
     per_job = [ests if sizes is not None else ests[0]
                for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads, sizes)]
     return per_job if scenarios is not None else per_job[0]
@@ -635,7 +634,7 @@ def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction
     """
     variant = _sweep_variant(which, variant, model)
     base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, variant, cfg,
-                           threads=threads, scenarios=[(rho, variant) for rho in rho_grid])
+                           threads=threads, scenarios=rho_grid)
     return [{
         "rho": float(rho),
         "delta_corr": est.value,

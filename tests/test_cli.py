@@ -232,6 +232,15 @@ class TestConverge:
     def test_non_monotone_grid_exits_2(self, config_path):
         assert main(["converge", "--config", config_path, "--n-grid", "1e4,1e4"]) == 2
 
+    def test_echoes_the_largest_count_it_draws(self, config_path, tmp_path):
+        # the echo read "# sim.n = 20000", the config's count, and model_hash hashed it
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--config", config_path, "--n-grid", "1000,2000",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# sim.n = 2000\n" in text
+        assert "# sim.n = 20000\n" not in text
+
     @pytest.mark.parametrize("n", ["0", "6"])
     def test_sample_count_flag_exits_2(self, config_path, capsys, n):
         # converge draws its --n-grid counts; --n would only be echoed

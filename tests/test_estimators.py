@@ -203,11 +203,12 @@ class TestEngineValidation:
         # unvalidated, rho = 1 divides by zero and 1.5 takes the root of a negative
         calls = counting_draws(monkeypatch)
         model = make_model(rho=0.3, mode=mode)
-        delta_I, delta_E = weights.mode_variant("dI", mode), weights.mode_variant("dE", mode)
-        with pytest.raises(ValueError) as exc:
-            mc_greek(model, ATM, uniform_tuning, delta_I, SimConfig(1000, seed=0),
-                     scenarios=[(0.5, delta_I), (rho, delta_E)])
-        assert str(exc.value) == "; ".join(validate_model(dataclasses.replace(model, rho=rho)))
+        for which in ("dI", "dE"):
+            with pytest.raises(ValueError) as exc:
+                mc_greek(model, ATM, uniform_tuning, weights.mode_variant(which, mode),
+                         SimConfig(1000, seed=0), scenarios=[0.5, rho])
+            assert str(exc.value) == "; ".join(
+                validate_model(dataclasses.replace(model, rho=rho)))
         assert calls == []
 
     # unchecked, a fractional size reported a row at n = 10, 1000.0 and a
@@ -253,7 +254,7 @@ class TestEngineValidation:
         calls = counting_draws(monkeypatch)
         with pytest.raises(ValueError, match="^n_samples must be >= 1"):
             mc_greek(make_model(rho=0.3), ATM, uniform_tuning, V.CORR_DELTA_I,
-                     SimConfig(0, seed=0), scenarios=[(1.5, V.CORR_DELTA_I)])
+                     SimConfig(0, seed=0), scenarios=[1.5])
         assert calls == []
 
     # unchecked, a dataclass that is not a payoff drew block 0 before evaluate raised a
@@ -519,16 +520,13 @@ class TestLiveSamples:
     def test_scenario_pass_on_energy_live_samples_equals_the_pass_on_every_sample(
             self, monkeypatch, payoff, rho, antithetic):
         # an sde_mixing group with scenario jobs runs each tile on the samples where an
-        # energy leg can be non-zero, one set for every view; scenarios of both signs, each
-        # Greek's weight, prefix sizes that end inside a block and a partial tile
+        # energy leg can be non-zero, one set for every view; scenarios of both signs, one
+        # pass per Greek's weight, prefix sizes that end inside a block and a partial tile
         mode = CorrelationMode.SDE_MIXING
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=75, antithetic=antithetic)
         sizes = [TILE_SIZE + 6, BLOCK_SIZE + 10, cfg.n_samples]
-        variant = weights.mode_variant("dEdI", mode)
-        scenarios = [(-0.5, variant), (0.4, weights.mode_variant("dE", mode)),
-                     (0.7, weights.mode_variant("dI", mode)), (-0.2, variant)]
         live_samples = estimators._live_samples
         kept = []
 
@@ -538,16 +536,16 @@ class TestLiveSamples:
             return live
 
         def estimates():
-            return [[(e.value, e.stderr, e.n) for e in ests] for ests in
-                    mc_greek(model, payoff, tuning, variant, cfg, sizes=sizes,
-                             scenarios=scenarios)]
+            return [[(e.value, e.stderr, e.n) for e in ests] for which in estimators.GREEKS
+                    for ests in mc_greek(model, payoff, tuning, weights.mode_variant(which, mode),
+                                         cfg, sizes=sizes, scenarios=[-0.5, 0.4, 0.7, -0.2])]
 
         monkeypatch.setattr(estimators, "_live_samples", counted)
         on_live = estimates()
         monkeypatch.setattr(estimators, "_live_samples",
                             lambda data, energy_only: np.arange(len(data.eE)))
         assert on_live == estimates()
-        assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+        assert len(kept) == 3 * 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
 
     @pytest.mark.parametrize("mode,payoff", [(CorrelationMode.PAYOFF_MIXING, PAYOFF_KINDS[0]),
                                              (CorrelationMode.PAYOFF_MIXING, COLLAR),
@@ -564,7 +562,7 @@ class TestLiveSamples:
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
         variant = weights.mode_variant("dEdI", mode)
         mc_greek(model, payoff, TuningFunction.uniform(1.0), variant,
-                 SimConfig(TILE_SIZE + 4, seed=76), scenarios=[(-0.5, variant), (0.4, variant)])
+                 SimConfig(TILE_SIZE + 4, seed=76), scenarios=[-0.5, 0.4])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -719,7 +717,7 @@ class TestOnePass:
         model = make_model(rho=0.0, sigI=0.3, rate=0.05, mode=mode)
         cfg = SimConfig(TILE_SIZE + 5, seed=71)
         variant = weights.mode_variant("dEdI", mode)
-        ests = mc_greek(model, ATM, uniform_tuning, variant, cfg, scenarios=[(0.4, variant)])
+        ests = mc_greek(model, ATM, uniform_tuning, variant, cfg, scenarios=[0.4])
         for rho, est in zip([0.0, 0.4], ests):
             m = dataclasses.replace(model, rho=rho)
             draw = draw_samples(m, uniform_tuning, cfg)
@@ -1011,7 +1009,7 @@ class TestReadSet:
         "sde-weights": (CorrelationMode.SDE_MIXING,
                         lambda m, a, cfg: mc_greek(
                             m, COLLAR, a, V.CORR_CROSS_GAMMA_MATRIX_INVERSE, cfg,
-                            scenarios=[(-0.2, V.CORR_DELTA_I_MATRIX_INVERSE)]),
+                            scenarios=[-0.2]),
                         LEVELS | DRIVERS | {"iE", "iI", "iE_cross"}),
     }
 
@@ -1039,7 +1037,7 @@ class TestReadSet:
     ZERO_RHO_PASSES = {
         "price": (lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS),
         "scenario": (lambda m, a, cfg: mc_greek(m, COLLAR, a, V.CORR_DELTA_I_MATRIX_INVERSE, cfg,
-                                                scenarios=[(-0.2, V.CORR_DELTA_I_MATRIX_INVERSE)]),
+                                                scenarios=[-0.2]),
                      LEVELS | DRIVERS | {"iI"}),
     }
 
