@@ -102,7 +102,9 @@ def _load_run(args) -> RunConfig:
 
 def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
     echo = run.echo_lines()
-    digest = hashlib.sha256("\n".join(echo).encode()).hexdigest()[:16]
+    # the built run, not its spelling: energy.sigma = 0.2 and [[0.0, 0.2]] hash alike
+    built = repr((run.model, run.payoff, run.tuning, run.sim))
+    digest = hashlib.sha256(built.encode()).hexdigest()[:16]
     comments = [f"command = {command}", f"model_hash = {digest}", *echo]
     meta = {
         "command": command,

@@ -314,6 +314,32 @@ NONFINITE_PAYOFFS = {
 }
 
 
+@pytest.mark.parametrize("line,message", [
+    ("rho = 1.0", "correlation rho must lie in (-1, 1), got 1.0"),
+    ("tau1 = 0.0", "energy: delivery window must satisfy 0 < start <= end, got [0.0, 1.0]\n"
+     "temperature: delivery window must satisfy 0 < start <= end, got [0.0, 1.0]"),
+    ("payoff.kE_low = -5.0", "collar strikes must be nonnegative"),
+    ("payoff.kI_low = 110.0", "temperature strikes out of order: kI_low=110.0 > kI_high=100.0"),
+])
+def test_invalid_model_or_collar_exits_3_naming_it(tmp_path, capsys, line, message):
+    collar = BASE_CONFIG.replace("product_call", "four_strike_collar") + (
+        "payoff.kE_low = 90.0\npayoff.kI_low = 75.0\n")
+    assert main(["price", "--config", write_config(tmp_path, collar + line + "\n"),
+                 "--n", "2000"]) == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("argv,status,stream,text", [
+    (["sweep-rho", "--grid", "0.3", "--greek", "gamma"], 2, "err", "invalid choice: 'gamma'"),
+    (["--help"], 0, "out", "usage: quantogreeks"),
+])
+def test_argument_parser_exit_status_is_returned(config_path, capsys, argv, status, stream,
+                                                 text):
+    # argparse raises SystemExit; main returns its status instead
+    assert main([*argv, "--config", config_path]) == status
+    assert text in getattr(capsys.readouterr(), stream)
+
+
 @pytest.mark.parametrize("kind", sorted(NONFINITE_PAYOFFS))
 def test_nonfinite_payoff_number_fails_validation(tmp_path, capsys, kind):
     # NaN and Infinity are JSON numbers to the config parser; they priced as nan or 0.0
@@ -405,6 +431,12 @@ payoff.alpha = 1.5""")
         ("payoff.kE = true", "key payoff.kE: expected a number, got True"),
         ("payoff.kI_low = [50]", "key payoff.kI_low: expected a number, got [50]"),
         ("energy.sigma = true", "key energy.sigma: expected a number or segments, got True"),
+        ("energy.sigma = []", "key energy.sigma: bad volatility curve "
+         "(step function: need one value per segment start)"),
+        ("temperature.sigma = [[0.0, NaN]]", "key temperature.sigma: bad volatility curve "
+         "(step function: non-finite entry)"),
+        ("tuning = [[0.0, 0.5], [1.0, 1.0]]", "key tuning: bad tuning function "
+         "(step function: last segment starts at or beyond the horizon)"),
     ])
     def test_non_number_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
         # a list or null crashed with a TypeError (exit 1), a bool priced as 1.0 or 0.0,
@@ -488,7 +520,7 @@ payoff.alpha = 1.5""")
             '"slopes": [left, right]}\n')
 
     def test_bare_number_volatility_is_a_constant_curve(self, tmp_path):
-        # only the echo of the key and the hash of the echo differ
+        # only the echo of the key differs: the hash is of the built curve
         outs = []
         for sigma in ("[[0.0, 0.2]]", "0.2"):
             text = BASE_CONFIG.replace("energy.sigma = [[0.0, 0.2]]", f"energy.sigma = {sigma}")
@@ -497,9 +529,34 @@ payoff.alpha = 1.5""")
                          "--oracle", "both", "--n", "2000", "--out", str(outs[-1])]) == 0
         curve, bare = (open(out).read().splitlines() for out in outs)
         assert "# energy.sigma = 0.2" in bare and len(curve) == len(bare)
-        echo = ("# model_hash = ", "# energy.sigma = ")
+        echo = "# energy.sigma = "
         assert ([l for l in curve if not l.startswith(echo)]
                 == [l for l in bare if not l.startswith(echo)])
+
+    @pytest.mark.parametrize("line,other,same", [
+        ("energy.sigma = 0.2", "energy.sigma = [[0.0, 0.2]]", True),
+        ("", "rate = 0.0", True),
+        ("sim.n = 1e5", "sim.n = 100000", True),
+        ("rho = 0.3", "rho = 0.0", False),
+    ])
+    def test_model_hash_is_of_the_run_not_its_spelling(self, tmp_path, line, other, same):
+        # it hashed the echo, so an omitted rate and rate = 0.0 hashed differently
+        hashes = []
+        for text in (line, other):
+            out = tmp_path / "price.json"
+            path = write_config(tmp_path, BASE_CONFIG + text + "\n")
+            assert main(["price", "--config", path, "--format", "json", "--out", str(out)]) == 0
+            hashes.append(json.loads(out.read_text())["model_hash"])
+        assert (hashes[0] == hashes[1]) is same
+
+    def test_empty_knots_exit_2_naming_the_key(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace(
+            "payoff.variant = product_call\npayoff.kE = 100.0\npayoff.kI = 100.0",
+            'payoff.variant = separable\npayoff.g = {"knots": [], "slopes": [0.0, 1.0]}\n'
+            'payoff.h = {"knots": [[80.0, 0.0]], "slopes": [0.0, 1.0]}')
+        assert main(["price", "--config", write_config(tmp_path, text), "--n", "2000"]) == 2
+        assert capsys.readouterr().err == (
+            "key payoff.g: bad piecewise-linear spec (need one y per knot)\n")
 
 
 @pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])

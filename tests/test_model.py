@@ -41,6 +41,12 @@ class TestValidateModel:
                                                                    delivery_end=2.0))
         assert validate_model(m) == ["temperature: delivery end 2.0 differs from model horizon 1.0"]
 
+    def test_volatility_horizon_must_be_the_horizon(self):
+        # the CLI builds every curve on tau2, so only the library reaches this
+        m = dataclasses.replace(make_model(), energy_vol=VolatilityCurve.constant(0.2, 2.0))
+        assert validate_model(m) == [
+            "energy: volatility curve horizon 2.0 differs from model horizon 1.0"]
+
     def test_tuning_horizon_must_be_the_horizon(self, atm_model):
         assert validate_model(atm_model, TuningFunction.uniform(2.0)) == [
             "tuning function horizon 2.0 differs from model horizon 1.0"]
@@ -156,6 +162,12 @@ class TestCurveConstruction:
     def test_segments_must_increase(self):
         with pytest.raises(ValueError):
             VolatilityCurve((0.0, 0.4, 0.4), (0.2, 0.2, 0.2), 1.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, float("inf")])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # the CLI refuses such a tau2 before it builds a curve, so only the library reaches this
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            VolatilityCurve((0.0,), (0.2,), horizon)
 
     @pytest.mark.parametrize("segments", [[(0.0, True)], [(False, 0.2)], [(0.0, np.True_)]])
     def test_segments_refuse_a_bool(self, segments):

@@ -9,8 +9,9 @@ through ``cli.main`` in-process. Two more run the ``sweep-rho`` command on an
 terms, one with a put energy leg, whose scenario views run on the samples
 where an energy leg is live.
 
-Eleven more run at 140,000 samples, three 65,536-sample blocks, so that a
-second worker thread takes a block of its own. Each pins a code path:
+Fourteen more run over several 65,536-sample blocks, so that a second worker
+thread takes blocks of its own: 140,000 samples (three blocks) unless the
+command says otherwise. Each pins a code path:
 
 - the factored draw of ``price --scheme euler:250``;
 - the two-segment collar's ``CorrDeltaI`` weight, and every collar variant
@@ -18,7 +19,13 @@ second worker thread takes a block of its own. Each pins a code path:
 - the ``sde_mixing`` ``dEdI`` sweep of the ATM call, and the energy-live
   antithetic ``sde_mixing`` sweep of the collar;
 - the ``sde_mixing`` price at rho = 0, which holds no driver field;
-- block-prefix ``converge``, whose rows end inside a block;
+- block-prefix ``converge`` of the cross-gamma and of the price, whose rows
+  end inside a block;
+- the block-order merge of the moments: the price at 400,000 samples (seven
+  blocks), plain on the ATM call and antithetic on its ``sde_mixing`` copy,
+  and the price ``converge`` move if two workers' blocks merge in another
+  order, where the three-block prices and the cross-gamma ``converge`` keep
+  their bytes;
 - the sparse finite-difference grid of the collar's cross-gamma;
 - the rho < 0 corner swap of the collar's finite differences
   (``collar_neg.cfg``, rho = -0.4), with and without pairs;
@@ -71,6 +78,9 @@ BLOCKS = (
     ("collar_neg.cfg", ("greeks", "--all-variants", "--oracle", "fd")),
     ("collar_neg.cfg", ("greeks", "--all-variants", "--oracle", "fd", "--antithetic")),
     ("digital.cfg", ("greeks", "--all-variants", "--oracle", "fd")),
+    (ATM, ("price", "--n", "400000")),
+    (SDE_COPY, ("price", "--antithetic", "--n", "400000")),
+    (ATM, ("converge", "--n-grid", "1,65537,100000,200000")),
 )
 
 
@@ -111,7 +121,7 @@ def matrix(directory: Path) -> dict[str, list[str]]:
     runs += [(config, command, 140000) for config, command in BLOCKS]
     commands = {}
     for config, (command, *args), n in runs:
-        if command != "converge":  # converge draws its grid's counts, so takes no --n
+        if command != "converge" and "--n" not in args:  # converge draws its grid's counts
             args += ["--n", str(n)]
         args += ["--seed", "3"]
         commands[" ".join([command, "--config", config, *args])] = [
