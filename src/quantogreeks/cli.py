@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from .config import ConfigError, RunConfig, as_integer, build_run, load_config
 from .estimators import (
+    GREEKS,
     GreekEstimate,
     _sweep_variant,
     convergence_table,
@@ -291,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep-rho", parents=[common], help="residual-risk table over a rho grid")
     s.add_argument("--grid", required=True, help="comma-separated correlations in (-1, 1)")
-    s.add_argument("--greek", choices=("dE", "dI", "dEdI"), default="dE")
+    s.add_argument("--greek", choices=GREEKS, default="dE")
     s.add_argument("--variant", action="append", default=None,
                    help="correlated variant for the sweep (one)")
     s.set_defaults(handler=_sweep_rho)

@@ -86,13 +86,13 @@ class _BlockData:
     on the first read, so a tile whose jobs only bump the initial levels
     never computes the base.
 
-    The tile keeps one kernel table for ``weight_for``: each Wiener-integral
-    kernel is built at most once per tile and rho. Scenario views (``at``)
-    share the draw, the rho-free kernels, weight arrays, unbumped levels and
-    energy legs; kernels that read rho start empty in each view and die with it.
+    The tile keeps ``weight_for``'s pair of tables: each Wiener-integral kernel
+    and rho-free weight is built at most once per tile and rho. Scenario views
+    (``at``) share the draw, the rho-free table, unbumped levels and energy legs;
+    the table of arrays that read rho starts empty in each view and dies with it.
     """
 
-    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs", "_weights",
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs",
                  "_kernels", "_levels", "_energy")
 
     def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec,
@@ -105,8 +105,7 @@ class _BlockData:
         self.eE = draw.fE_T / model.energy.f0
         self.eI = draw.fI_T / model.temperature.f0
         self._payoffs: dict[tuple[float, float], np.ndarray] | None = None
-        self._weights: dict[tuple[str, ...], np.ndarray] = {}  # rho-free weights by kernels
-        self._kernels: tuple[dict, dict] = ({}, {})  # (rho-free, this rho's) kernel arrays
+        self._kernels: tuple[dict, dict] = ({}, {})  # weight_for's (rho-free, this rho's) arrays
         self._levels: dict[str, np.ndarray] = {}  # rho-free unbumped levels by leg
         self._energy: dict[float, list] = {}  # each term's energy leg by energy scale
 
@@ -124,25 +123,12 @@ class _BlockData:
         view = _BlockData.__new__(_BlockData)
         view.draw, view.plan, view.model, view.payoff = self.draw, self.plan, model, self.payoff
         view.eE, view.eI, view._layout, view._payoffs = self.eE, self.eI, self._layout, None
-        view._weights, view._levels, view._energy = self._weights, self._levels, self._energy
+        view._levels, view._energy = self._levels, self._energy
         view._kernels = (self._kernels[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             view.eI = _temperature_level(self.plan, model.rho, self.draw.gI, self.draw.gI_cross)
             view.eI /= model.temperature.f0
         return view
-
-    def weight(self, variant: WeightVariant, tuning: TuningFunction) -> np.ndarray:
-        """``weight_for`` on the tile's kernel table; a rho-free array is shared by its views.
-
-        A shared array skips ``weight_for``'s mode check, so the engine makes it before drawing.
-        """
-        spec = WEIGHTS[variant]
-        if not spec.rho_free:
-            return weight_for(variant, self.draw, self.model, tuning, self._kernels)
-        if spec.kernels not in self._weights:
-            self._weights[spec.kernels] = weight_for(variant, self.draw, self.model, tuning,
-                                                     self._kernels)
-        return self._weights[spec.kernels]
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
         """Payoff with the initial levels rescaled to a point of the layout; draws stay fixed."""
@@ -294,7 +280,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     (two passes, no BLAS). These are merged in block-index order (Chan, Golub &
     LeVeque), so every estimate has the bits of a separate pass of n draws
     at any thread count and any BLAS thread count. ``seconds`` is the wall
-    time of the whole pass. Nothing is drawn for an invalid input.
+    time of the whole pass. Nothing is drawn for an invalid input or for no job.
     """
     sizes = [cfg.n_samples] if sizes is None else list(sizes)
     if not sizes or max(sizes) != cfg.n_samples:
@@ -307,6 +293,8 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     _require_valid(model, payoff, tuning)
     for scenario in dict.fromkeys(job[3] for job in jobs if job[3] is not None):
         _require_valid(scenario, payoff)
+    if not jobs:
+        return []
     t0 = time.perf_counter()
     plan = _build_plan(model, tuning, cfg.scheme)
     draws_per_value = 2 if cfg.antithetic else 1
@@ -416,39 +404,44 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
                  scenario: MarketModel | None = None) -> _Job:
     """Job for ``variant``; with ``scenario``, on each tile's view under that model."""
     def run(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
-        return np.multiply(data.pay_base, data.weight(variant, tuning), out=out)
+        weight = weight_for(variant, data.draw, data.model, tuning, data._kernels)
+        return np.multiply(data.pay_base, weight, out=out)
 
     return variant.value, run, _BASE, scenario, WEIGHTS[variant].reads
+
+
+def _require_greek(which: str) -> None:
+    if which not in GREEKS:
+        raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
+
+
+def _bump_points(which: str, step: float = FD_BUMP) -> tuple[tuple[float, float], ...]:
+    """The (scale_E, scale_I) points where the relative ``step`` stencil of ``which`` reads."""
+    up, dn = 1.0 + step, 1.0 - step
+    return {"dE": ((up, 1.0), (dn, 1.0)),
+            "dI": ((1.0, up), (1.0, dn)),
+            "dEdI": ((up, up), (up, dn), (dn, up), (dn, dn))}[which]
 
 
 def _central_difference(which: str, price_at: Callable, step: float, f0E: float, f0I: float):
     """Central difference in a relative ``step`` of both initial levels f0E and f0I.
 
-    ``price_at(scale_E, scale_I)`` is the price, an array or a float, with both levels rescaled.
+    ``price_at(scale_E, scale_I)`` is the price, an array or a float, with both levels
+    rescaled; it is read at the ``_bump_points`` in their order.
     """
-    up, dn = 1.0 + step, 1.0 - step
-    if which == "dE":
-        return (price_at(up, 1.0) - price_at(dn, 1.0)) / (2.0 * step * f0E)
-    if which == "dI":
-        return (price_at(1.0, up) - price_at(1.0, dn)) / (2.0 * step * f0I)
-    pp, pm, mp, mm = price_at(up, up), price_at(up, dn), price_at(dn, up), price_at(dn, dn)
-    return (pp - pm - mp + mm) / (4.0 * step * step * f0E * f0I)
+    prices = [price_at(*point) for point in _bump_points(which, step)]
+    if which == "dEdI":
+        pp, pm, mp, mm = prices
+        return (pp - pm - mp + mm) / (4.0 * step * step * f0E * f0I)
+    up, dn = prices
+    return (up - dn) / (2.0 * step * (f0E if which == "dE" else f0I))
 
 
 def _fd_job(which: str) -> _Job:
-    if which not in GREEKS:
-        raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
+    _require_greek(which)
     return (f"FD_{which}", lambda data, out: _central_difference(
         which, data.payoff_at, FD_BUMP, data.model.energy.f0, data.model.temperature.f0),
         _bump_points(which), None, ())
-
-
-def _bump_points(which: str) -> tuple[tuple[float, float], ...]:
-    """The (scale_E, scale_I) points where the ``FD_BUMP`` stencil of ``which`` reads the payoff."""
-    up, dn = 1.0 + FD_BUMP, 1.0 - FD_BUMP
-    return {"dE": ((up, 1.0), (dn, 1.0)),
-            "dI": ((1.0, up), (1.0, dn)),
-            "dEdI": ((up, up), (up, dn), (dn, up), (dn, dn))}[which]
 
 
 def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
@@ -592,8 +585,7 @@ def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
     price is deterministic and accurate to rounding, so this resolves the
     derivative to roughly 1e-6 relative accuracy.
     """
-    if which not in GREEKS:
-        raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
+    _require_greek(which)
     _require_valid(model, payoff)  # report the model as given, not a bumped copy
     f0E, f0I = model.energy.f0, model.temperature.f0
     return _central_difference(
@@ -611,8 +603,7 @@ def _sweep_variant(which: str, variant: WeightVariant | None, model: MarketModel
     A variant of another Greek is refused: its rows would subtract one Greek
     from another.
     """
-    if which not in GREEKS:
-        raise ValueError(f"unknown sensitivity {which!r}; expected one of {GREEKS}")
+    _require_greek(which)
     if variant is None:
         return mode_variant(which, model.correlation_mode)
     if greek_of(variant) != which:

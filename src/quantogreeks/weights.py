@@ -155,10 +155,10 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     belongs to ``model``'s correlation mode. The matrix-inverse cross-gamma
     adds the deterministic compensator to the kernel product.
 
-    ``kernels``, when given, is a pair of tables for the kernel arrays of
-    ``draw``: the rho-free ones, which any rho may share, then those of
-    ``model``'s rho. A kernel missing from its table is built and stored, so
-    a caller forming several weights of one draw builds each kernel once.
+    ``kernels``, when given, is a pair of tables for the arrays of ``draw``:
+    the rho-free ones, which any rho may share, then those of ``model``'s
+    rho. A kernel or rho-free weight (keyed by its kernels) missing from its
+    table is built and stored, so each is built once; every call is checked.
     """
     spec = WEIGHTS.get(variant)
     if spec is None:
@@ -169,8 +169,12 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
                          f"got rho={rho}, fE(0)={f0E}, fI(0)={f0I}")
     require_rho_supported(variant, model)
     kernels = ({}, {}) if kernels is None else kernels
+    if spec.kernels in kernels[0]:  # a rho-free weight built before
+        return kernels[0][spec.kernels]
     first, *rest = (_kernel(k, draw, model, kernels) for k in spec.kernels)
     weight = first * rest[0] if rest else first
     if spec.compensator:  # only a product has one, so this adds into a fresh array
         weight += _compensator(model, tuning)
+    elif spec.rho_free:
+        kernels[0][spec.kernels] = weight
     return weight

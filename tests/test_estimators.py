@@ -282,6 +282,15 @@ class TestEngineValidation:
             call(atm_model, uniform_tuning, SimConfig(1000, seed=0))
         assert calls == []
 
+    def test_a_pass_with_no_jobs_validates_and_draws_nothing(self, monkeypatch, atm_model,
+                                                             uniform_tuning):
+        # it drew all million samples before returning {}
+        calls = counting_draws(monkeypatch)
+        assert mc_estimates(atm_model, ATM, uniform_tuning, [], SimConfig(1_000_000, seed=1)) == {}
+        with pytest.raises(ValueError, match="rho"):
+            mc_estimates(make_model(rho=1.5), ATM, uniform_tuning, [], SimConfig(1000, seed=1))
+        assert calls == []
+
 
 class TestQuadrature:
     def test_zero_strikes_integrate_to_forward_product(self, atm_model):
@@ -696,14 +705,18 @@ def counting_draws(monkeypatch):
 
 
 class TestOnePass:
+    # ten points and the baseline are 11 jobs: a second group whose rows must reduce
+    # into their own jobs' moments
+    @pytest.mark.parametrize("grid", [[-0.5, 0.0, 0.25, 0.6],
+                                      [-0.9, -0.7, -0.5, -0.3, -0.1, 0.0, 0.2, 0.4, 0.6, 0.8]],
+                             ids=["4rho", "10rho"])
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
-    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads, antithetic):
+    def test_sweep_equals_per_rho_passes(self, uniform_tuning, mode, threads, antithetic, grid):
         # the default variant is the mode's cross-gamma weight, baseline included;
         # without pairs each job multiplies straight into its value row
         model = make_model(rho=0.3, sigI=0.3, mode=mode)
-        grid = [-0.5, 0.0, 0.25, 0.6]
         cfg = SimConfig(70_000, seed=56, antithetic=antithetic)
         rows = residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI",
                              threads=threads)
@@ -790,13 +803,14 @@ class TestOnePass:
     def test_sweep_builds_the_rho_free_weight_once_per_tile(self, monkeypatch, uniform_tuning,
                                                             which):
         # the rho = 0 baseline and all four scenarios read one iI (dI) or iE * iI (dEdI)
-        # array per tile: only payoff_mixing weights read no rho
-        calls = []
+        # array per tile: only payoff_mixing weights read no rho. Every job calls
+        # weight_for, so each view runs its checks, and all get the tile's one array
+        weights_returned = []
         weight_for = estimators.weight_for
 
         def counted(variant, *args):
-            calls.append(variant)
-            return weight_for(variant, *args)
+            weights_returned.append(weight_for(variant, *args))
+            return weights_returned[-1]
 
         monkeypatch.setattr(estimators, "weight_for", counted)
         n = BLOCK_SIZE + 2 * TILE_SIZE + 7
@@ -804,7 +818,8 @@ class TestOnePass:
                       [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which=which)
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
                     for start in range(0, n, BLOCK_SIZE))
-        assert tiles == 7 and len(calls) == tiles
+        assert tiles == 7 and len(weights_returned) == 5 * tiles
+        assert len({id(w) for w in weights_returned}) == tiles
 
     def test_all_variant_pass_builds_each_kernel_once_per_tile(self, monkeypatch, tmp_path):
         # on an sde_mixing copy of the collar, its three weights and three finite
@@ -852,7 +867,8 @@ class TestOnePass:
     @pytest.mark.parametrize("mode", MODES)
     def test_views_share_the_tile_and_build_only_their_rho_arrays(self, uniform_tuning, mode):
         # a sweep's tile is at rho = 0; a view at another rho shares the draw, eE,
-        # the rho-free weights and kernels and the unbumped levels by identity
+        # the rho-free weights and kernels and the unbumped levels by identity. A
+        # payoff_mixing weight reads no rho, but an sde_mixing view at rho != 0 refuses it
         model = make_model(rho=0.0, sigI=0.3, mode=mode)
         cfg = SimConfig(TILE_SIZE, seed=69)
         plan = estimators._build_plan(model, uniform_tuning, cfg.scheme)
@@ -860,11 +876,16 @@ class TestOnePass:
         tile = estimators._BlockData(draw, plan, model, ATM,
                                      estimators._grid_layout({(1.0, 1.0)}))
         tile.pay_base
-        weight = tile.weight(V.CORR_CROSS_GAMMA_CONDITIONAL, uniform_tuning)
+        gamma = V.CORR_CROSS_GAMMA_CONDITIONAL
+        weight = weight_for(gamma, draw, model, uniform_tuning, tile._kernels)
         view = tile.at(dataclasses.replace(model, rho=0.4))
         view.pay_base
         assert view.draw is draw and view.eE is tile.eE
-        assert view.weight(V.CORR_CROSS_GAMMA_CONDITIONAL, uniform_tuning) is weight
+        if mode is CorrelationMode.SDE_MIXING:
+            with pytest.raises(ValueError, match="^CorrCrossGamma_Conditional is a payoff_mixing"):
+                weight_for(gamma, draw, view.model, uniform_tuning, view._kernels)
+        else:
+            assert weight_for(gamma, draw, view.model, uniform_tuning, view._kernels) is weight
         assert view._kernels[0] is tile._kernels[0] and not view._kernels[1]
         shared = ["E"] if mode is CorrelationMode.SDE_MIXING else ["E", "I"]
         assert sorted(tile._levels) == shared

@@ -9,7 +9,7 @@ through ``cli.main`` in-process. Two more run the ``sweep-rho`` command on an
 terms, one with a put energy leg, whose scenario views run on the samples
 where an energy leg is live.
 
-Fourteen more run over several 65,536-sample blocks, so that a second worker
+Sixteen more run over several 65,536-sample blocks, so that a second worker
 thread takes blocks of its own: 140,000 samples (three blocks) unless the
 command says otherwise. Each pins a code path:
 
@@ -30,6 +30,9 @@ command says otherwise. Each pins a code path:
 - the rho < 0 corner swap of the collar's finite differences
   (``collar_neg.cfg``, rho = -0.4), with and without pairs;
 - step legs on live samples (``digital.cfg``, a digital product).
+- the rows of a second job group: a ten-point ``dEdI`` sweep, 11 jobs with
+  its baseline, on the energy-live ``sde_mixing`` views of the ATM call, and
+  antithetic on every sample of ``atm_independent.cfg``.
 
 ``test_golden.py`` re-runs the matrix at one and two worker threads and
 names every command whose digest moved.
@@ -65,6 +68,8 @@ COMMANDS = (
     ("converge", "--n-grid", "2,65538,100000"),
 )
 SAMPLING = ((), ("--antithetic",), ("--scheme", "euler:40"))
+# ten scenarios and the rho = 0 baseline: 11 jobs, so a block runs two job groups
+TEN_RHO = "--grid=-0.9,-0.7,-0.5,-0.3,-0.1,0.1,0.3,0.5,0.7,0.9"
 BLOCKS = (
     (ATM, ("price", "--scheme", "euler:250")),
     (COLLAR, ("greeks", "--variant", "CorrDeltaI")),
@@ -81,6 +86,8 @@ BLOCKS = (
     (ATM, ("price", "--n", "400000")),
     (SDE_COPY, ("price", "--antithetic", "--n", "400000")),
     (ATM, ("converge", "--n-grid", "1,65537,100000,200000")),
+    (SDE_COPY, ("sweep-rho", "--greek", "dEdI", TEN_RHO)),
+    (ATM, ("sweep-rho", "--greek", "dEdI", TEN_RHO, "--antithetic")),
 )
 
 
