@@ -39,8 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
-CSV_HEADER = ("variant", "value", "stderr", "n", "seconds", "oracle_value", "z_score")
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -50,14 +48,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _report(comment_lines: list[str], header: tuple[str, ...], rows: list[dict], fmt: str,
-            meta: dict) -> str:
+def _report(comment_lines: list[str], rows: list[dict], fmt: str, meta: dict) -> str:
+    """The JSON or CSV report; a CSV header is the keys of the rows, in their order."""
     if fmt == "json":
         return json.dumps({**meta, "results": rows}, indent=2, sort_keys=True) + "\n"
     lines = [f"# {line}" for line in comment_lines]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
+    lines.append(",".join(rows[0]))
+    lines += [",".join(_fmt(value) for value in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -102,18 +99,14 @@ def _load_run(args) -> RunConfig:
 
 
 def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
-    echo = run.echo_lines()
+    config = run.effective()
     # the built run, not its spelling: energy.sigma = 0.2 and [[0.0, 0.2]] hash alike
     built = repr((run.model, run.payoff, run.tuning, run.sim))
     digest = hashlib.sha256(built.encode()).hexdigest()[:16]
-    comments = [f"command = {command}", f"model_hash = {digest}", *echo]
-    meta = {
-        "command": command,
-        "model_hash": digest,
-        "seed": run.sim.seed,
-        "config": {line.split(" = ")[0]: json.loads(line.split(" = ", 1)[1]) for line in echo},
-    }
-    return comments, meta
+    comments = [f"command = {command}", f"model_hash = {digest}",
+                *(f"{key} = {json.dumps(value)}" for key, value in config.items())]
+    return comments, {"command": command, "model_hash": digest, "seed": run.sim.seed,
+                      "config": config}
 
 
 # Former names of the payoff_mixing weights, kept as spellings while the benchmark's
@@ -150,8 +143,8 @@ def _parse_grid(text: str, convert, flag: str, what: str) -> list:
 
 
 # Each command parses its own arguments, including the sample counts it will
-# draw (raising ValueError on a usage error), and returns its CSV header, the
-# computation to run once the model has passed validation, and the run it echoes.
+# draw (raising ValueError on a usage error), and returns the computation of its
+# report rows, run once the model has passed validation, and the run it echoes.
 
 
 def _price(args, run: RunConfig, variants):
@@ -161,7 +154,7 @@ def _price(args, run: RunConfig, variants):
         est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
         return [_estimate_row(est, args.timing)]
 
-    return CSV_HEADER, compute, run
+    return compute, run
 
 
 def _greeks(args, run: RunConfig, variants):
@@ -180,25 +173,16 @@ def _greeks(args, run: RunConfig, variants):
         fd_greeks = greeks if args.oracle in ("fd", "both") else []
         estimates = mc_estimates(run.model, run.payoff, run.tuning, variants, run.sim,
                                  threads=args.threads, fd_greeks=fd_greeks)
-        oracle_values: dict[str, float] = {}
-        oracle_rows: list[dict] = []
-        if args.oracle in ("quad", "both"):
-            for which in greeks:
-                value = quad_greek(run.model, run.payoff, which)
-                oracle_values[which] = value
-                oracle_rows.append({
-                    "variant": f"Quad_{which}", "value": value, "stderr": 0.0,
-                    "n": None, "seconds": None, "oracle_value": None, "z_score": None,
-                })
-        oracle_rows += [_estimate_row(estimates[f"FD_{which}"], args.timing)
-                        for which in fd_greeks]
-        rows = [
-            _estimate_row(estimates[v.value], args.timing, oracle_values.get(greek_of(v)))
-            for v in variants
-        ]
-        return rows + oracle_rows
+        quad = {which: quad_greek(run.model, run.payoff, which)
+                for which in greeks if args.oracle in ("quad", "both")}
+        rows = [_estimate_row(estimates[v.value], args.timing, quad.get(greek_of(v)))
+                for v in variants]
+        rows += [_estimate_row(GreekEstimate(value, 0.0, None, f"Quad_{which}", None),
+                               timing=False) for which, value in quad.items()]
+        return rows + [_estimate_row(estimates[f"FD_{which}"], args.timing)
+                       for which in fd_greeks]
 
-    return CSV_HEADER, compute, run
+    return compute, run
 
 
 def _sweep_rho(args, run: RunConfig, variants):
@@ -214,7 +198,7 @@ def _sweep_rho(args, run: RunConfig, variants):
         return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
                              variant=variant, which=args.greek, threads=args.threads)
 
-    return ("rho", "delta_corr", "delta_ind", "abs_diff", "stderr"), compute, run
+    return compute, run
 
 
 def _converge(args, run: RunConfig, variants):
@@ -235,7 +219,7 @@ def _converge(args, run: RunConfig, variants):
         return convergence_table(run.model, run.payoff, run.tuning, variant, run.sim, sizes,
                                  threads=args.threads)
 
-    return ("n", "value", "stderr"), compute, run
+    return compute, run
 
 
 def _run_command(args) -> int:
@@ -249,7 +233,7 @@ def _run_command(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads: must be >= 1, got {args.threads}")
     variants = _parse_variants(getattr(args, "variant", None))
-    header, compute, run = args.handler(args, run, variants)
+    compute, run = args.handler(args, run, variants)
     bad = validate_model(run.model, run.tuning) + validate_payoff(run.payoff)
     if bad:
         print("\n".join(bad), file=sys.stderr)
@@ -257,7 +241,7 @@ def _run_command(args) -> int:
     args.timing = args.timing or args.format == "json"  # JSON always carries timings
     comments, meta = _meta(run, args.command)
     with _output(args.out) as fh:
-        fh.write(_report(comments, header, compute(), args.format, meta))
+        fh.write(_report(comments, compute(), args.format, meta))
     return EXIT_OK
 
 
@@ -265,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the key=value run configuration")
     common.add_argument("--n", type=int, default=None, help="override sample count")
-    common.add_argument("--seed", type=int, default=None, help="override the 64-bit seed")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the seed, an integer in [0, 2**128)")
     common.add_argument("--antithetic", action="store_true", help="enable antithetic pairing")
     common.add_argument("--scheme", default=None, help="sampling scheme: exact | euler:STEPS")
     common.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")

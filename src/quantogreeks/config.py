@@ -195,7 +195,7 @@ def _build_sim(raw: dict) -> SimConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command run needs, plus a canonical echo for provenance."""
+    """Everything one command run needs, plus the raw keys it echoes for provenance."""
 
     model: MarketModel
     payoff: PayoffSpec
@@ -203,14 +203,11 @@ class RunConfig:
     sim: SimConfig
     raw: dict = field(default_factory=dict)
 
-    def echo_lines(self) -> list[str]:
-        """Canonical, sorted re-emission of the effective configuration."""
-        effective = dict(self.raw)
-        effective["sim.n"] = self.sim.n_samples
-        effective["sim.seed"] = self.sim.seed
-        effective["sim.antithetic"] = self.sim.antithetic
-        effective["sim.scheme"] = self.sim.scheme.label()
-        return [f"{k} = {json.dumps(v)}" for k, v in sorted(effective.items())]
+    def effective(self) -> dict[str, object]:
+        """The effective configuration sorted by key: the raw keys, with sampling as run."""
+        return dict(sorted({**self.raw, "sim.n": self.sim.n_samples, "sim.seed": self.sim.seed,
+                            "sim.antithetic": self.sim.antithetic,
+                            "sim.scheme": self.sim.scheme.label()}.items()))
 
 
 def build_run(raw: dict) -> RunConfig:

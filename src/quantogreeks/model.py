@@ -185,6 +185,11 @@ def _check_leg(bad: list[str], name: str, spec: FuturesSpec, vol: VolatilityCurv
             )
 
 
+def rho_violation(rho: float) -> str | None:
+    """The validation message for a correlation outside (-1, 1), NaN included, or None."""
+    return None if abs(rho) < 1.0 else f"correlation rho must lie in (-1, 1), got {rho}"
+
+
 def validate_model(model: MarketModel, tuning: TuningFunction | None = None) -> list[str]:
     """Return every model invariant violation (empty list when acceptable).
 
@@ -197,8 +202,8 @@ def validate_model(model: MarketModel, tuning: TuningFunction | None = None) -> 
     horizon = model.horizon
     _check_leg(bad, "energy", model.energy, model.energy_vol, horizon)
     _check_leg(bad, "temperature", model.temperature, model.temperature_vol, horizon)
-    if not (math.isfinite(model.rho) and abs(model.rho) < 1.0):
-        bad.append(f"correlation rho must lie in (-1, 1), got {model.rho}")
+    if rho_bad := rho_violation(model.rho):
+        bad.append(rho_bad)
     if not math.isfinite(model.rate):
         bad.append(f"risk-free rate must be finite, got {model.rate}")
     if tuning is not None:

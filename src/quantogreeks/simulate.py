@@ -31,12 +31,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import CorrelationMode, MarketModel, TuningFunction, union_grid
+from .model import CorrelationMode, MarketModel, TuningFunction, rho_violation, union_grid
 
 BLOCK_SIZE = 1 << 16  # samples per block: the unit of the random stream and of the reductions
 TILE_SIZE = 1 << 14  # samples per tile: a block is drawn and evaluated this many at a time
-
-_KEY_MASK = (1 << 128) - 1
 
 
 def _require_int(value, name: str) -> None:
@@ -117,6 +115,8 @@ class SampleDraw:
 def _check_config(cfg: SimConfig) -> None:
     _require_int(cfg.n_samples, "n_samples")
     _require_int(cfg.seed, "seed")
+    if not 0 <= cfg.seed < 1 << 128:  # the Philox key; a seed outside would alias one inside
+        raise ValueError(f"seed must lie in [0, 2**128), got {cfg.seed}")
     if cfg.n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {cfg.n_samples}")
     if cfg.scheme.kind not in ("exact", "euler"):
@@ -176,6 +176,14 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
 
 
 def _build_plan(model: MarketModel, tuning: TuningFunction, scheme: SimScheme) -> _Plan:
+    """The run's constants; under sde_mixing a rho outside (-1, 1) is refused.
+
+    Only sde_mixing mixes rho into the draw, through ``sqrt(1 - rho^2)``; the
+    public draws do not validate the model otherwise, so that degenerate
+    volatilities can still be drawn.
+    """
+    if model.correlation_mode is CorrelationMode.SDE_MIXING and (bad := rho_violation(model.rho)):
+        raise ValueError(bad)
     horizon = model.horizon
     if tuning.horizon != horizon:
         raise ValueError("tuning function horizon must match the model horizon")
@@ -189,7 +197,7 @@ def _build_plan(model: MarketModel, tuning: TuningFunction, scheme: SimScheme) -
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=seed & _KEY_MASK, counter=block << 128)
+    bitgen = np.random.Philox(key=seed, counter=block << 128)
     return np.random.Generator(bitgen)
 
 

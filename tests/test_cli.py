@@ -419,6 +419,14 @@ payoff.alpha = 1.5""")
         assert main(["price", "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err.startswith(f"key {key}: expected an integer")
 
+    @pytest.mark.parametrize("line,args", [("sim.seed = 99", ["--seed", "-1"]),
+                                           (f"sim.seed = {2 ** 128}", [])])
+    def test_seed_outside_the_philox_key_range_exits_2(self, tmp_path, capsys, line, args):
+        # the key was the seed modulo 2**128, so -1 ran the stream of 2**128 - 1
+        text = BASE_CONFIG.replace("sim.seed = 99", line)
+        assert main(["price", "--config", write_config(tmp_path, text), *args]) == 2
+        assert capsys.readouterr().err.startswith("seed must lie in [0, 2**128), got ")
+
     @pytest.mark.parametrize("line,message", [
         ("rate = [1, 2]", "key rate: expected a number, got [1, 2]"),
         ('rate = "abc"', "key rate: expected a number, got 'abc'"),

@@ -226,6 +226,21 @@ class TestEngineValidation:
             mc_price(atm_model, ATM, cfg, uniform_tuning, sizes=sizes)
         assert calls == []
 
+    # unchecked, Philox was keyed by the seed modulo 2**128: -1 drew the bits of
+    # 2**128 - 1, and 5 those of 5 + 2**128
+    @pytest.mark.parametrize("entry", MONTE_CARLO)
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seeds_outside_the_philox_key_range_are_refused(self, monkeypatch, atm_model,
+                                                            uniform_tuning, entry, seed):
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*128\), got {seed}$"):
+            ENTRY_POINTS[entry](atm_model, ATM, uniform_tuning, SimConfig(1000, seed=seed))
+        assert calls == []
+
+    def test_the_largest_seed_runs(self, atm_model, uniform_tuning):
+        est = mc_price(atm_model, ATM, SimConfig(1000, seed=2 ** 128 - 1), uniform_tuning)
+        assert est.n == 1000 and math.isfinite(est.value) and est.stderr > 0.0
+
     # unchecked, these drew block 0 before weight_for refused the variant
     @pytest.mark.parametrize("call", [
         lambda a, cfg: mc_estimates(make_model(rho=0.3), ATM, a,
@@ -722,6 +737,31 @@ class TestOnePass:
                              threads=threads)
         assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg,
                                     weights.mode_variant("dEdI", mode), threads)
+
+    def test_job_grouping_never_moves_a_bit(self, monkeypatch, uniform_tuning):
+        # one job per group, and groups of three with a shorter last one, give the bits
+        # of the default grouping: the collar's three weights and three finite differences
+        # need the bump layout and live samples of their own group, not the first's
+        collar = build_run(load_config(CONFIGS / "correlated_collar.cfg"))
+        variants = [v for v in V if weights.WEIGHTS[v].mode is collar.model.correlation_mode]
+        grid = [-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9]
+
+        def results():
+            ests = mc_estimates(collar.model, collar.payoff, collar.tuning, variants,
+                                SimConfig(140_000, seed=3, antithetic=True),
+                                fd_greeks=["dE", "dI", "dEdI"])
+            sweeps = [residual_risk(make_model(rho=0.3, sigI=0.3, mode=mode), ATM,
+                                    uniform_tuning, grid, SimConfig(70_000, seed=56),
+                                    which="dEdI") for mode in MODES]
+            table = convergence_table(make_model(rho=0.4), ATM, uniform_tuning, V.CORR_DELTA_I,
+                                      SimConfig(200_001, seed=64), [1, 65_537, 100_000, 200_001])
+            return [(e.variant, e.value, e.stderr, e.n) for e in ests.values()], sweeps, table
+
+        expected = results()
+        assert len(expected[0]) == 6
+        for group_jobs in (1, 3):
+            monkeypatch.setattr(estimators, "_GROUP_JOBS", group_jobs)
+            assert results() == expected, group_jobs
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rows_hold_payoff_times_weight(self, uniform_tuning, mode):

@@ -16,6 +16,7 @@ from quantogreeks import (
     VolatilityCurve,
     draw_samples,
     sample_block,
+    validate_model,
 )
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
@@ -79,6 +80,20 @@ class TestSdeMixing:
         assert abs(draw.fI_T.mean() - 100.0) < 4.0 * _stderr(draw.fI_T)
         corr = np.corrcoef(np.log(draw.fE_T), np.log(draw.fI_T))[0, 1]
         assert corr == pytest.approx(0.6, abs=0.01)
+
+    # unchecked, rho = 1.5 or NaN drew fI_T = nan with only a RuntimeWarning from the sqrt
+    @pytest.mark.parametrize("draw", [
+        lambda m, a, cfg: sample_block(m, a, cfg, 0),
+        lambda m, a, cfg: next(iter_sample_blocks(m, a, cfg)),
+        draw_samples,
+    ], ids=["sample_block", "iter_sample_blocks", "draw_samples"])
+    @pytest.mark.parametrize("rho", [1.5, -1.0, float("nan")])
+    def test_draws_refuse_a_correlation_outside_the_open_interval(self, uniform_tuning, draw,
+                                                                  rho):
+        model = make_model(rho=rho, mode=CorrelationMode.SDE_MIXING)
+        with pytest.raises(ValueError) as exc:
+            draw(model, uniform_tuning, SimConfig(1000, seed=0))
+        assert str(exc.value) == "; ".join(validate_model(model))
 
     def test_payoff_mixing_keeps_legs_independent(self, uniform_tuning):
         m = make_model(rho=0.6, sigI=0.4)

@@ -1,4 +1,4 @@
-"""Write ``tests/golden.json``: the SHA-256 of the CSV output of a fixed matrix of CLI commands.
+"""Write ``tests/golden.json``: the SHA-256 of the output of a fixed matrix of CLI commands.
 
 The matrix runs four commands (``price``, ``greeks --all-variants --oracle
 both``, ``sweep-rho`` and ``converge``) on ``atm_independent.cfg``, its
@@ -34,10 +34,16 @@ command says otherwise. Each pins a code path:
   its baseline, on the energy-live ``sde_mixing`` views of the ATM call, and
   antithetic on every sample of ``atm_independent.cfg``.
 
+Five more run with ``--format json`` at 20,000 samples: ``price``,
+``greeks --all-variants --oracle both``, ``sweep-rho`` and ``converge`` on
+``atm_independent.cfg``, and ``greeks --all-variants --oracle both`` on the
+collar. A JSON report always carries wall-clock ``seconds``, so each is
+hashed with every ``seconds`` value set to null.
+
 ``test_golden.py`` re-runs the matrix at one and two worker threads and
 names every command whose digest moved.
 
-Regenerate only with a change that moves CSV bytes on purpose, and name the
+Regenerate only with a change that moves report bytes on purpose, and name the
 commands that moved and why in its change log entry::
 
     PYTHONPATH=src python tests/write_golden.py
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -89,6 +96,8 @@ BLOCKS = (
     (SDE_COPY, ("sweep-rho", "--greek", "dEdI", TEN_RHO)),
     (ATM, ("sweep-rho", "--greek", "dEdI", TEN_RHO, "--antithetic")),
 )
+JSON = (*((ATM, command) for command in COMMANDS), (COLLAR, COMMANDS[1]))
+SECONDS = re.compile(rb'"seconds": [^,\n]+')  # a JSON report's wall-clock timings
 
 
 def _copy(source: str, directory: Path, name: str, *edits: tuple[str, str]) -> Path:
@@ -126,6 +135,7 @@ def matrix(directory: Path) -> dict[str, list[str]]:
             for command in COMMANDS for sampling in SAMPLING]
     runs += [(COLLAR_SDE_COPY, (*COMMANDS[2], *sampling), 20000) for sampling in SAMPLING[:2]]
     runs += [(config, command, 140000) for config, command in BLOCKS]
+    runs += [(config, (*command, "--format", "json"), 20000) for config, command in JSON]
     commands = {}
     for config, (command, *args), n in runs:
         if command != "converge" and "--n" not in args:  # converge draws its grid's counts
@@ -137,13 +147,16 @@ def matrix(directory: Path) -> dict[str, list[str]]:
 
 
 def digests(directory: Path, threads: int = 1) -> dict[str, str]:
-    """SHA-256 of each command's CSV output at ``threads`` workers, or its exit status."""
+    """SHA-256 of each command's output at ``threads`` workers, or its exit status.
+
+    A JSON report is hashed with every ``seconds`` value set to null.
+    """
     result = {}
     out = directory / "out.csv"
     for name, argv in matrix(directory).items():
         status = main([*argv, "--threads", str(threads), "--out", str(out)])
-        result[name] = (hashlib.sha256(out.read_bytes()).hexdigest() if status == 0
-                        else f"exit {status}")
+        result[name] = (hashlib.sha256(SECONDS.sub(b'"seconds": null', out.read_bytes()))
+                        .hexdigest() if status == 0 else f"exit {status}")
     return result
 
 
