@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, as_integer, build_run, load_config
+from .config import ConfigError, RunConfig, as_integer, build_run, load_config, parse_value
 from .estimators import (
     GREEKS,
     GreekEstimate,
@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .model import validate_model
 from .payoffs import validate_payoff
-from .simulate import SimScheme, _check_config
+from .simulate import _check_config
 from .weights import WEIGHTS, WeightVariant, greek_of, require_rho_supported
 
 EXIT_OK = 0
@@ -84,18 +84,14 @@ def _estimate_row(est: GreekEstimate, timing: bool, oracle_value: float | None =
 
 
 def _load_run(args) -> RunConfig:
+    """The configured run; each sampling flag given overrides its ``sim.*`` key."""
     raw = load_config(args.config)
-    run = build_run(raw)
-    sim = run.sim
-    if args.n is not None:
-        sim = replace(sim, n_samples=args.n)
-    if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
+    for key, text in (("sim.n", args.n), ("sim.seed", args.seed), ("sim.scheme", args.scheme)):
+        if text is not None:
+            raw[key] = parse_value(text)
     if args.antithetic:
-        sim = replace(sim, antithetic=True)
-    if args.scheme is not None:
-        sim = replace(sim, scheme=SimScheme.parse(args.scheme))
-    return replace(run, sim=sim)
+        raw["sim.antithetic"] = True
+    return build_run(raw)
 
 
 def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
@@ -204,7 +200,7 @@ def _sweep_rho(args, run: RunConfig, variants):
 def _converge(args, run: RunConfig, variants):
     if args.n is not None:
         raise ValueError("--n: converge draws the --n-grid sample counts; drop --n")
-    sizes = _parse_grid(args.n_grid, lambda tok: as_integer(float(tok), "--n-grid"),
+    sizes = _parse_grid(args.n_grid, lambda tok: as_integer(parse_value(tok), "--n-grid"),
                         "--n-grid", "counts")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")
@@ -248,11 +244,10 @@ def _run_command(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the key=value run configuration")
-    common.add_argument("--n", type=int, default=None, help="override sample count")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the seed, an integer in [0, 2**128)")
-    common.add_argument("--antithetic", action="store_true", help="enable antithetic pairing")
-    common.add_argument("--scheme", default=None, help="sampling scheme: exact | euler:STEPS")
+    common.add_argument("--n", help="override sim.n, the sample count")
+    common.add_argument("--seed", help="override sim.seed, an integer in [0, 2**128)")
+    common.add_argument("--antithetic", action="store_true", help="set sim.antithetic = true")
+    common.add_argument("--scheme", help="override sim.scheme: exact | euler:STEPS")
     common.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")

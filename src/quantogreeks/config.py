@@ -35,6 +35,15 @@ class ConfigError(Exception):
     """Malformed or incomplete run configuration."""
 
 
+def parse_value(text: str):
+    """A config line's or sampling flag's value: JSON where it parses, else the text unquoted."""
+    text = text.strip()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text.strip("\"'")
+
+
 def parse_config_text(text: str) -> dict[str, object]:
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -45,13 +54,9 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = stripped.split("=", 1)
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        try:
-            raw[key] = json.loads(value)
-        except json.JSONDecodeError:
-            raw[key] = value.strip("\"'")
+        raw[key] = parse_value(value)
     return raw
 
 

@@ -26,7 +26,6 @@ import math
 import operator
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -368,6 +367,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
 
     blocks = range(block_count(cfg.n_samples))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # pulls in logging: not at import
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_block, blocks))
     else:

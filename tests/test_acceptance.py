@@ -81,7 +81,7 @@ def report(criterion: int, text: str) -> None:
 
 
 def read_rows(path):
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quantogreeks.cli
 from quantogreeks import mc_price, quad_price
 from quantogreeks.cli import main
 from quantogreeks.config import build_run, parse_config_text
@@ -55,7 +59,7 @@ def write_config(tmp_path, text, name="alt.cfg"):
 
 
 def read_rows(path):
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
@@ -84,7 +88,7 @@ class TestPrice:
     def test_csv_embeds_config_echo_and_seed(self, config_path, tmp_path):
         out = tmp_path / "price.csv"
         main(["price", "--config", config_path, "--out", str(out)])
-        text = open(out).read()
+        text = out.read_text()
         assert "# sim.seed = 99" in text
         assert "# rho = 0.0" in text
         assert "# model_hash = " in text
@@ -92,7 +96,7 @@ class TestPrice:
     def test_json_format_carries_metadata(self, config_path, tmp_path):
         out = tmp_path / "price.json"
         main(["price", "--config", config_path, "--out", str(out), "--format", "json"])
-        doc = json.loads(open(out).read())
+        doc = json.loads(out.read_text())
         assert doc["seed"] == 99
         assert doc["config"]["rho"] == 0.0
         assert doc["results"][0]["variant"] == "Price"
@@ -358,7 +362,7 @@ class TestReproducibility:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["price", "--config", config_path, "--out", str(a)])
         main(["price", "--config", config_path, "--out", str(b)])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -366,13 +370,13 @@ class TestReproducibility:
               "--threads", "1", "--n", "140000"])
         main(["greeks", "--config", config_path, "--all-variants", "--out", str(b),
               "--threads", "4", "--n", "140000"])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_flag_overrides_enter_the_echo(self, config_path, tmp_path):
         out = tmp_path / "a.csv"
         main(["price", "--config", config_path, "--out", str(out), "--seed", "123",
               "--n", "1000"])
-        text = open(out).read()
+        text = out.read_text()
         assert "# sim.seed = 123" in text
         assert "# sim.n = 1000" in text
 
@@ -382,13 +386,42 @@ class TestSchemeAndFlags:
         out = tmp_path / "a.csv"
         assert main(["price", "--config", config_path, "--scheme", "euler:16",
                      "--n", "10000", "--out", str(out)]) == 0
-        assert "# sim.scheme = \"euler:16\"" in open(out).read()
+        assert "# sim.scheme = \"euler:16\"" in out.read_text()
 
     @pytest.mark.parametrize("scheme", ["sobol", "euler:abc", "euler:1.5", "euler:"])
     def test_bad_scheme_exits_2(self, config_path, capsys, scheme):
         assert main(["price", "--config", config_path, "--scheme", scheme]) == 2
-        assert capsys.readouterr().err == (f"unknown scheme {scheme!r}; "
+        assert capsys.readouterr().err == (f"key sim.scheme: unknown scheme {scheme!r}; "
                                            "expected 'exact' or 'euler:STEPS'\n")
+
+    @pytest.mark.parametrize("flags,line", [
+        (["--n", "30000"], "sim.n = 30000"),
+        (["--n", "3e4"], "sim.n = 3e4"),
+        (["--seed", "5.0"], "sim.seed = 5"),
+        (["--antithetic"], "sim.antithetic = true"),
+        (["--scheme", "euler:40"], 'sim.scheme = "euler:40"'),
+    ])
+    def test_flag_gives_the_bytes_of_its_config_key(self, tmp_path, flags, line):
+        # argparse read --n and --seed as int, so --n 3e4 and --seed 5.0 exited 2
+        key = line.split(" = ")[0]
+        base = "".join(l for l in BASE_CONFIG.splitlines(keepends=True) if not l.startswith(key))
+        outs = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main(["price", "--config", write_config(tmp_path, base), *flags,
+                     "--out", str(outs[0])]) == 0
+        assert main(["price", "--config", write_config(tmp_path, base + line + "\n", "key.cfg"),
+                     "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "1.5"], "key sim.n: expected an integer, got 1.5"),
+        (["--n", "true"], "key sim.n: expected an integer, got True"),
+        (["--n", "1_000"], "key sim.n: expected an integer, got '1_000'"),
+        (["--seed", "020"], "key sim.seed: expected an integer, got '020'"),
+        (["--seed", "+5"], "key sim.seed: expected an integer, got '+5'"),
+    ])
+    def test_bad_flag_exits_2_as_its_config_key_does(self, config_path, capsys, flags, message):
+        assert main(["price", "--config", config_path, *flags]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["price", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -420,7 +453,8 @@ payoff.alpha = 1.5""")
         assert capsys.readouterr().err.startswith(f"key {key}: expected an integer")
 
     @pytest.mark.parametrize("line,args", [("sim.seed = 99", ["--seed", "-1"]),
-                                           (f"sim.seed = {2 ** 128}", [])])
+                                           (f"sim.seed = {2 ** 128}", []),
+                                           ("sim.seed = 99", ["--seed", "1e40"])])
     def test_seed_outside_the_philox_key_range_exits_2(self, tmp_path, capsys, line, args):
         # the key was the seed modulo 2**128, so -1 ran the stream of 2**128 - 1
         text = BASE_CONFIG.replace("sim.seed = 99", line)
@@ -535,7 +569,7 @@ payoff.alpha = 1.5""")
             outs.append(tmp_path / f"{len(outs)}.csv")
             assert main(["greeks", "--config", write_config(tmp_path, text), "--all-variants",
                          "--oracle", "both", "--n", "2000", "--out", str(outs[-1])]) == 0
-        curve, bare = (open(out).read().splitlines() for out in outs)
+        curve, bare = (out.read_text().splitlines() for out in outs)
         assert "# energy.sigma = 0.2" in bare and len(curve) == len(bare)
         echo = "# energy.sigma = "
         assert ([l for l in curve if not l.startswith(echo)]
@@ -565,6 +599,15 @@ payoff.alpha = 1.5""")
         assert main(["price", "--config", write_config(tmp_path, text), "--n", "2000"]) == 2
         assert capsys.readouterr().err == (
             "key payoff.g: bad piecewise-linear spec (need one y per knot)\n")
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # concurrent.futures pulls in logging, a cost of every start that one thread never uses
+    code = "import sys, quantogreeks.cli; assert 'concurrent.futures' not in sys.modules"
+    src = Path(quantogreeks.cli.__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                   check=True, timeout=60)
 
 
 @pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])
