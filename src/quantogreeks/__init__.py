@@ -2,7 +2,6 @@
 
 from .model import (
     CorrelationMode,
-    FuturesSpec,
     MarketModel,
     StepFunction,
     TuningFunction,

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -59,11 +60,15 @@ def _report(comment_lines: list[str], rows: list[dict], fmt: str, meta: dict) ->
 
 
 def _output(path: str | None):
-    """stdout, or ``path`` opened for writing; an unwritable path is a usage error."""
+    """stdout, or ``path`` opened to append; an unwritable path is a usage error.
+
+    Appending checks the path without emptying it: a run stopped before its report
+    leaves an earlier report whole.
+    """
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, "a", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"--out: cannot write {path}: {exc.strerror or exc}") from None
 
@@ -237,7 +242,10 @@ def _run_command(args) -> int:
     args.timing = args.timing or args.format == "json"  # JSON always carries timings
     comments, meta = _meta(run, args.command)
     with _output(args.out) as fh:
-        fh.write(_report(comments, compute(), args.format, meta))
+        report = _report(comments, compute(), args.format, meta)
+        if args.out is not None and os.path.isfile(args.out):  # not a device such as /dev/null
+            fh.truncate(0)
+        fh.write(report)
     return EXIT_OK
 
 

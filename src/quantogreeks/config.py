@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .model import (
     CorrelationMode,
-    FuturesSpec,
     MarketModel,
     TuningFunction,
     VolatilityCurve,
@@ -106,7 +105,6 @@ def _curve(raw: dict, key: str, horizon: float) -> VolatilityCurve:
 
 
 def _build_model(raw: dict) -> MarketModel:
-    tau1 = _as_float(raw, "tau1")
     tau2 = _as_float(raw, "tau2")
     if not (math.isfinite(tau2) and tau2 > 0.0):
         raise ConfigError(f"key tau2: expected a positive finite horizon, got {tau2!r}")
@@ -121,10 +119,11 @@ def _build_model(raw: dict) -> MarketModel:
             f"{[m.value for m in CorrelationMode]}, got {mode_text!r}"
         ) from None
     return MarketModel(
-        energy=FuturesSpec(_as_float(raw, "energy.f0"), tau1, tau2),
+        energy_f0=_as_float(raw, "energy.f0"),
         energy_vol=_curve(raw, "energy.sigma", tau2),
-        temperature=FuturesSpec(_as_float(raw, "temperature.f0"), tau1, tau2),
+        temperature_f0=_as_float(raw, "temperature.f0"),
         temperature_vol=_curve(raw, "temperature.sigma", tau2),
+        horizon=tau2,
         rho=rho,
         rate=rate,
         correlation_mode=mode,
@@ -181,12 +180,21 @@ def _build_payoff(raw: dict) -> PayoffSpec:
     )
 
 
+def _scheme(text: str) -> SimScheme:
+    """``exact``, or ``euler:STEPS`` with STEPS a whole number as ``sim.n`` reads one."""
+    if text == "exact":
+        return SimScheme.exact()
+    kind, _, steps = text.partition(":")
+    if kind == "euler" and steps == steps.strip():  # parse_value would read " 5" as 5
+        try:
+            return SimScheme.log_euler(as_integer(parse_value(steps), "STEPS"))
+        except ConfigError:
+            pass
+    raise ConfigError(f"key sim.scheme: unknown scheme {text!r}; expected 'exact' or 'euler:STEPS'")
+
+
 def _build_sim(raw: dict) -> SimConfig:
-    scheme_text = raw.pop("sim.scheme", "exact")
-    try:
-        scheme = SimScheme.parse(str(scheme_text))
-    except ValueError as exc:
-        raise ConfigError(f"key sim.scheme: {exc}") from exc
+    scheme = _scheme(str(raw.pop("sim.scheme", "exact")))
     antithetic = raw.pop("sim.antithetic", False)
     if not isinstance(antithetic, bool):
         raise ConfigError(f"key sim.antithetic: expected true/false, got {antithetic!r}")

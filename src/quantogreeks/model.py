@@ -1,4 +1,4 @@
-"""Market model primitives: futures legs, step volatility curves, weight tuning functions.
+"""Market model primitives: the two-leg model, step volatility curves, weight tuning functions.
 
 Both futures are driftless lognormal diffusions under the pricing measure.
 Volatility curves and tuning functions are the same piecewise-constant
@@ -9,7 +9,7 @@ finite sum, ``integrate``, over the union of the functions' grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -130,51 +130,23 @@ def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
 
 
 @dataclass(frozen=True)
-class FuturesSpec:
-    """Initial futures level plus the delivery window it settles against.
-
-    The delivery window [delivery_start, delivery_end] is carried as contract
-    metadata; the dynamics only see the fixing horizon delivery_end.
-    """
-
-    f0: float
-    delivery_start: float
-    delivery_end: float
-
-
-@dataclass(frozen=True)
 class MarketModel:
-    """Two-leg futures market: energy and temperature-index legs plus correlation."""
+    """Two-leg futures market: each leg's level and volatility curve on one fixing horizon."""
 
-    energy: FuturesSpec
+    energy_f0: float
     energy_vol: VolatilityCurve
-    temperature: FuturesSpec
+    temperature_f0: float
     temperature_vol: VolatilityCurve
+    horizon: float
     rho: float
     rate: float = 0.0
     correlation_mode: CorrelationMode = CorrelationMode.PAYOFF_MIXING
 
-    @property
-    def horizon(self) -> float:
-        return self.energy.delivery_end
 
-    def with_f0(self, energy: float, temperature: float) -> "MarketModel":
-        """Copy with both initial futures levels replaced (the quadrature oracle's bumps)."""
-        return replace(self, energy=replace(self.energy, f0=float(energy)),
-                       temperature=replace(self.temperature, f0=float(temperature)))
-
-
-def _check_leg(bad: list[str], name: str, spec: FuturesSpec, vol: VolatilityCurve,
+def _check_leg(bad: list[str], name: str, f0: float, vol: VolatilityCurve,
                horizon: float) -> None:
-    if not (math.isfinite(spec.f0) and spec.f0 > 0.0):
-        bad.append(f"{name}: initial futures level must be positive, got {spec.f0}")
-    if not (0.0 < spec.delivery_start <= spec.delivery_end):
-        bad.append(
-            f"{name}: delivery window must satisfy 0 < start <= end, got "
-            f"[{spec.delivery_start}, {spec.delivery_end}]"
-        )
-    if spec.delivery_end != horizon:
-        bad.append(f"{name}: delivery end {spec.delivery_end} differs from model horizon {horizon}")
+    if not (math.isfinite(f0) and f0 > 0.0):
+        bad.append(f"{name}: initial futures level must be positive, got {f0}")
     if vol.horizon != horizon:
         bad.append(f"{name}: volatility curve horizon {vol.horizon} differs from model horizon {horizon}")
     for t0, sig in zip(vol.times, vol.values):
@@ -200,8 +172,8 @@ def validate_model(model: MarketModel, tuning: TuningFunction | None = None) -> 
     """
     bad: list[str] = []
     horizon = model.horizon
-    _check_leg(bad, "energy", model.energy, model.energy_vol, horizon)
-    _check_leg(bad, "temperature", model.temperature, model.temperature_vol, horizon)
+    _check_leg(bad, "energy", model.energy_f0, model.energy_vol, horizon)
+    _check_leg(bad, "temperature", model.temperature_f0, model.temperature_vol, horizon)
     if rho_bad := rho_violation(model.rho):
         bad.append(rho_bad)
     if not math.isfinite(model.rate):

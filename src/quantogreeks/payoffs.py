@@ -118,6 +118,21 @@ class PiecewiseLinear:
         y = np.where(x > self.xs[-1], self.ys[-1] + self.right_slope * (x - self.xs[-1]), y)
         return y if out is None else np.positive(y, out=out)  # +y is y: a copy into out
 
+    def live(self, lo, hi) -> np.ndarray:
+        """Where the line can be non-zero at some x in [lo, hi]; a NaN bound counts as live.
+
+        The line is exactly 0.0 between two zero knots, and past an end knot of 0 with an
+        end slope of 0 while x minus the end knot is finite (0 * inf is NaN).
+        """
+        xs = (-math.inf, *self.xs, math.inf)
+        ys = (self.left_slope, *self.ys, self.right_slope)  # a flat end: a knot at infinity
+        finite = np.isfinite(np.subtract(lo, xs[1])) & np.isfinite(np.subtract(hi, xs[-2]))
+        dead = np.zeros_like(finite)
+        for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
+            if ya == yb == 0.0:
+                dead |= np.greater_equal(lo, a) & np.less_equal(hi, b)
+        return ~(dead & finite)
+
     def mean(self, shift: np.ndarray, forward: np.ndarray, vol: float) -> np.ndarray:
         """E[self(shift + X)] as in ``Leg.mean``: the left line plus a call per change of slope."""
         xs, ys = self.xs, self.ys
@@ -279,13 +294,13 @@ class KinkSolver:
 
     def energy_price(self, z1):
         """Energy price at the energy driver ``z1``, elementwise over an array."""
-        return self.model.energy.f0 * _exp(-0.5 * self.vE + self.sE * z1)
+        return self.model.energy_f0 * _exp(-0.5 * self.vE + self.sE * z1)
 
     def energy_kink(self, level: float) -> float | None:
         """z1 at which the energy price crosses ``level`` (None when below 0+)."""
         if level <= 0.0:
             return None
-        return (math.log(level / self.model.energy.f0) + 0.5 * self.vE) / self.sE
+        return (math.log(level / self.model.energy_f0) + 0.5 * self.vE) / self.sE
 
     def h_law(self, z1, fE) -> tuple:
         """Law of the temperature argument given z1, whose energy price is ``fE``.
@@ -294,7 +309,7 @@ class KinkSolver:
         lognormal of mean ``forward`` and log-volatility ``vol``. ``z1`` and
         ``fE`` may be arrays; then shift or forward is one, and vol a float.
         """
-        f0I = self.model.temperature.f0
+        f0I = self.model.temperature_f0
         if self.model.correlation_mode is CorrelationMode.SDE_MIXING:
             return 0.0, f0I * _exp(self.m1 * z1 + 0.5 * (self.s2 * self.s2 - self.vI)), self.s2
         return self.model.rho * fE, self.sq1mr2 * f0I, self.sI

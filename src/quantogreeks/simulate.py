@@ -60,18 +60,6 @@ class SimScheme:
     def log_euler(cls, steps: int) -> "SimScheme":
         return cls("euler", steps)
 
-    @classmethod
-    def parse(cls, text: str) -> "SimScheme":
-        """Parse ``exact`` or ``euler:STEPS``."""
-        if text == "exact":
-            return cls.exact()
-        if text.startswith("euler:"):
-            try:
-                return cls.log_euler(int(text.split(":", 1)[1]))
-            except ValueError:  # not an integer step count
-                pass
-        raise ValueError(f"unknown scheme {text!r}; expected 'exact' or 'euler:STEPS'")
-
     def label(self) -> str:
         return "exact" if self.kind == "exact" else f"euler:{self.steps}"
 
@@ -164,8 +152,8 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
         rank = max(1, *(np.count_nonzero(s > s[0] * cut) for s, _ in svds))
         loadE, loadI = ((s[:rank, None] * vt[:rank]).T for s, vt in svds)
     return _Plan(
-        f0E=model.energy.f0,
-        f0I=model.temperature.f0,
+        f0E=model.energy_f0,
+        f0I=model.temperature_f0,
         rho=model.rho,
         mode=model.correlation_mode,
         loadE=loadE,

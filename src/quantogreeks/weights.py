@@ -43,19 +43,19 @@ def _energy_inverse(d: SampleDraw, m: MarketModel) -> np.ndarray:
     """(iE - rho / sqrt(1 - rho^2) * iE_cross) / fE(0), built in one array."""
     kernel = m.rho / math.sqrt(1.0 - m.rho * m.rho) * d.iE_cross
     np.subtract(d.iE, kernel, out=kernel)
-    kernel /= m.energy.f0
+    kernel /= m.energy_f0
     return kernel
 
 
 _RHO_FREE = ("E", "I")  # the kernels that read no rho
 _KERNELS = {
     # one delta weight per leg: a Wiener integral divided by the initial level
-    "E": lambda d, m: d.iE / m.energy.f0,
-    "I": lambda d, m: d.iI / m.temperature.f0,
+    "E": lambda d, m: d.iE / m.energy_f0,
+    "I": lambda d, m: d.iI / m.temperature_f0,
     # inverse of the triangular diffusion matrix: the energy kernel corrected
     # on the independent driver, and the independent-driver kernel rescaled
     "E_inv": _energy_inverse,
-    "I_inv": lambda d, m: d.iI / (m.temperature.f0 * math.sqrt(1.0 - m.rho * m.rho)),
+    "I_inv": lambda d, m: d.iI / (m.temperature_f0 * math.sqrt(1.0 - m.rho * m.rho)),
 }
 # the draw fields each kernel reads; a draw may leave every other weight field None
 _READS = {"E": ("iE",), "I": ("iI",), "E_inv": ("iE", "iE_cross"), "I_inv": ("iI",)}
@@ -129,7 +129,7 @@ def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
     """
     rho = model.rho
     cross = _cross_integral(model.energy_vol, model.temperature_vol, tuning)
-    return rho * cross / ((1.0 - rho * rho) * model.energy.f0 * model.temperature.f0)
+    return rho * cross / ((1.0 - rho * rho) * model.energy_f0 * model.temperature_f0)
 
 
 def _kernel(name: str, draw: SampleDraw, model: MarketModel,
@@ -159,7 +159,7 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     spec = WEIGHTS.get(variant)
     if spec is None:
         raise ValueError(f"unknown weight variant {variant!r}")
-    rho, f0E, f0I = model.rho, model.energy.f0, model.temperature.f0
+    rho, f0E, f0I = model.rho, model.energy_f0, model.temperature_f0
     if not (-1.0 < rho < 1.0 and f0E > 0.0 and f0I > 0.0):
         raise ValueError(f"weights need -1 < rho < 1 and positive initial levels, "
                          f"got rho={rho}, fE(0)={f0E}, fI(0)={f0I}")

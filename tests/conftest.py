@@ -1,16 +1,17 @@
 import pytest
 
-from quantogreeks import FuturesSpec, MarketModel, TuningFunction, VolatilityCurve, integrate
+from quantogreeks import MarketModel, TuningFunction, VolatilityCurve, integrate
 from quantogreeks.model import CorrelationMode
 
 
 def make_model(f0E=100.0, f0I=100.0, sigE=0.2, sigI=0.2, rho=0.0, horizon=1.0,
                rate=0.0, mode=CorrelationMode.PAYOFF_MIXING):
     return MarketModel(
-        energy=FuturesSpec(f0E, horizon, horizon),
+        energy_f0=f0E,
         energy_vol=VolatilityCurve.constant(sigE, horizon),
-        temperature=FuturesSpec(f0I, horizon, horizon),
+        temperature_f0=f0I,
         temperature_vol=VolatilityCurve.constant(sigI, horizon),
+        horizon=horizon,
         rho=rho,
         rate=rate,
         correlation_mode=mode,

@@ -14,6 +14,7 @@ sample block in one piece, the reference for the tiled draw, and
 for the engine's payoff grid.
 """
 
+import dataclasses
 import math
 from functools import lru_cache, reduce
 
@@ -109,7 +110,7 @@ def _h_kinks(solver, levels, z1):
     if model.correlation_mode is CorrelationMode.SDE_MIXING:
         for level in levels:
             if level > 0.0:
-                out.append((math.log(level / model.temperature.f0) + 0.5 * solver.vI
+                out.append((math.log(level / model.temperature_f0) + 0.5 * solver.vI
                             - solver.m1 * z1) / solver.s2)
     else:
         fE = solver.energy_price(z1)
@@ -119,7 +120,7 @@ def _h_kinks(solver, levels, z1):
             # only when the strike sits above rho*fE.
             if resid > 0.0:
                 target = resid / solver.sq1mr2
-                out.append((math.log(target / model.temperature.f0) + 0.5 * solver.vI)
+                out.append((math.log(target / model.temperature_f0) + 0.5 * solver.vI)
                            / solver.sI)
     return sorted(out)
 
@@ -146,7 +147,7 @@ def reference_quad_price(model, payoff, nodes=64, halfwidth=10.0):
     z1, w1 = _panel_nodes(_with_coarse(outer_pts, halfwidth), nodes)
 
     total = 0.0
-    f0I = model.temperature.f0
+    f0I = model.temperature_f0
     rho = model.rho
     for z1_k, w1_k in zip(z1, w1):
         fE = solver.energy_price(z1_k)
@@ -204,7 +205,7 @@ def scalar_quad_price(model, payoff):
     solver = KinkSolver(model)
     outer_pts = [z for z in map(solver.energy_kink, energy_kink_levels(payoff)) if z is not None]
     z1, w1 = _panel_nodes(_with_coarse(outer_pts, _HALFWIDTH), _NODES)
-    f0E, f0I = model.energy.f0, model.temperature.f0
+    f0E, f0I = model.energy_f0, model.temperature_f0
     total = 0.0
     for z, w in zip(z1.tolist(), (w1 * _norm_pdf(z1)).tolist()):
         fE = f0E * math.exp(-0.5 * solver.vE + solver.sE * z)
@@ -219,9 +220,10 @@ def scalar_quad_price(model, payoff):
 
 def scalar_quad_greek(model, payoff, which):
     """``quad_greek``'s stencil over ``scalar_quad_price``."""
-    f0E, f0I = model.energy.f0, model.temperature.f0
+    f0E, f0I = model.energy_f0, model.temperature_f0
     return _central_difference(
-        which, lambda sE, sI: scalar_quad_price(model.with_f0(f0E * sE, f0I * sI), payoff),
+        which, lambda sE, sI: scalar_quad_price(
+            dataclasses.replace(model, energy_f0=f0E * sE, temperature_f0=f0I * sI), payoff),
         QUAD_STEP, f0E, f0I)
 
 
@@ -257,8 +259,8 @@ def per_point_payoff(data, scale_E, scale_I):
     evaluates all of a tile's points together, one ``evaluate`` per energy scale.
     """
     m = data.model
-    fE = (m.energy.f0 * scale_E) * data.eE
-    fI = (m.temperature.f0 * scale_I) * data.eI
+    fE = (m.energy_f0 * scale_E) * data.eE
+    fI = (m.temperature_f0 * scale_I) * data.eI
     if m.correlation_mode is CorrelationMode.PAYOFF_MIXING:
         h_arg = m.rho * fE + math.sqrt(1.0 - m.rho * m.rho) * fI
     else:

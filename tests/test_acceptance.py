@@ -64,7 +64,6 @@ energy.f0 = 100.0
 energy.sigma = [[0.0, 0.2]]
 temperature.f0 = 100.0
 temperature.sigma = [[0.0, 0.2]]
-tau1 = 1.0
 tau2 = 1.0
 rho = {rho}
 correlation_mode = {mode}

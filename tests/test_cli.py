@@ -22,7 +22,6 @@ energy.f0 = 100.0
 energy.sigma = [[0.0, 0.2]]
 temperature.f0 = 100.0
 temperature.sigma = [[0.0, 0.2]]
-tau1 = 1.0
 tau2 = 1.0
 rho = 0.0
 payoff.variant = product_call
@@ -336,8 +335,6 @@ NONFINITE_PAYOFFS = {
 
 @pytest.mark.parametrize("line,message", [
     ("rho = 1.0", "correlation rho must lie in (-1, 1), got 1.0"),
-    ("tau1 = 0.0", "energy: delivery window must satisfy 0 < start <= end, got [0.0, 1.0]\n"
-     "temperature: delivery window must satisfy 0 < start <= end, got [0.0, 1.0]"),
     ("payoff.kE_low = -5.0", "collar strikes must be nonnegative"),
     ("payoff.kI_low = 110.0", "temperature strikes out of order: kI_low=110.0 > kI_high=100.0"),
 ])
@@ -409,6 +406,21 @@ class TestSchemeAndFlags:
         assert main(["price", "--config", config_path, "--scheme", scheme]) == 2
         assert capsys.readouterr().err == (f"key sim.scheme: unknown scheme {scheme!r}; "
                                            "expected 'exact' or 'euler:STEPS'\n")
+
+    @pytest.mark.parametrize("scheme,label", [("euler:1e2", "euler:100"), ("euler:1_0", None),
+                                              ("euler:+5", None), ("euler:05", None),
+                                              ("euler: 5", None)])
+    def test_euler_steps_follow_the_sample_count_rule(self, config_path, tmp_path, capsys,
+                                                      scheme, label):
+        # int() read 1_0, +5, 05 and " 5" as step counts but refused 1e2, which --n reads
+        out = tmp_path / "a.csv"
+        status = main(["price", "--config", config_path, "--scheme", scheme, "--n", "2000",
+                       "--out", str(out)])
+        if label is None:
+            assert status == 2 and capsys.readouterr().err == (
+                f"key sim.scheme: unknown scheme {scheme!r}; expected 'exact' or 'euler:STEPS'\n")
+        else:
+            assert status == 0 and f'# sim.scheme = "{label}"\n' in out.read_text()
 
     @pytest.mark.parametrize("flags,line", [
         (["--n", "30000"], "sim.n = 30000"),
@@ -483,7 +495,6 @@ payoff.alpha = 1.5""")
         ('payoff.alpha = {"a": 1}', "key payoff.alpha: expected a number, got {'a': 1}"),
         ("energy.f0 = true", "key energy.f0: expected a number, got True"),
         ("temperature.f0 = null", "key temperature.f0: expected a number, got None"),
-        ("tau1 = true", "key tau1: expected a number, got True"),
         ("tau2 = Infinity", "key tau2: expected a positive finite horizon, got inf"),
         ("rho = false", "key rho: expected a number, got False"),
         ("payoff.kE = true", "key payoff.kE: expected a number, got True"),
@@ -528,10 +539,12 @@ payoff.alpha = 1.5""")
         assert capsys.readouterr().err == message + " (expected a number, got True)\n"
 
     @pytest.mark.parametrize("line,key", [("sim.antithetc = true", "sim.antithetc"),
-                                          ("payoff.alpha = 3.0", "payoff.alpha")])
+                                          ("payoff.alpha = 3.0", "payoff.alpha"),
+                                          ("tau1 = 1.0", "tau1")])
     def test_unread_key_exits_2_naming_the_key(self, tmp_path, capsys, line, key):
         # a misspelt key ran without antithetic pairs; an alpha on a product call was
-        # echoed into the header and the model hash but never applied
+        # echoed into the header and the model hash but never applied; no dynamics
+        # read a delivery window start, so tau1 is not a key
         path = write_config(tmp_path, BASE_CONFIG + line + "\n")
         assert main(["price", "--config", path, "--n", "2000"]) == 2
         assert capsys.readouterr().err == f"unused config key(s): {key}\n"
@@ -632,3 +645,20 @@ def test_unwritable_out_exits_2_naming_the_path(config_path, tmp_path, capsys, o
     assert main(["price", "--config", config_path, "--out", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"--out: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_an_interrupted_run_leaves_the_out_file_whole(config_path, tmp_path, monkeypatch):
+    # the file was opened with "w" before sampling, so a Ctrl-C emptied an earlier report
+    out = tmp_path / "report.csv"
+    out.write_text("previous report\n" * 1000)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(quantogreeks.cli, "mc_price", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["price", "--config", config_path, "--out", str(out)])
+    assert out.read_text() == "previous report\n" * 1000
+    monkeypatch.undo()
+    assert main(["price", "--config", config_path, "--out", str(out)]) == 0
+    assert out.read_text().startswith("# command = price\n") and "previous" not in out.read_text()

@@ -509,8 +509,8 @@ class TestLiveSamples:
     def test_pass_on_live_samples_equals_the_pass_on_every_sample(self, monkeypatch, payoff,
                                                                    mode, rho, antithetic):
         # a group of the mode's three weights and the three finite differences reads bump
-        # points, so its tiles run on their live samples, unless the legs are a separable
-        # payoff's piecewise lines; a partial block and a partial tile end the pass
+        # points, so its tiles run on their live samples, a separable payoff's piecewise
+        # lines included; a partial block and a partial tile end the pass
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=74, antithetic=antithetic)
@@ -533,14 +533,11 @@ class TestLiveSamples:
         monkeypatch.setattr(estimators, "_live_samples",
                             lambda data, energy_only: np.arange(len(data.eE)))
         assert on_live == estimates()
-        if isinstance(payoff, Separable):
-            assert not kept
-        else:
-            assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+        assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
-    @pytest.mark.parametrize("payoff", PAYOFF_KINDS[:3], ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
     def test_scenario_pass_on_energy_live_samples_equals_the_pass_on_every_sample(
             self, monkeypatch, payoff, rho, antithetic):
         # an sde_mixing group with scenario jobs runs each tile on the samples where an
@@ -572,13 +569,12 @@ class TestLiveSamples:
         assert len(kept) == 3 * 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
 
     @pytest.mark.parametrize("mode,payoff", [(CorrelationMode.PAYOFF_MIXING, PAYOFF_KINDS[0]),
-                                             (CorrelationMode.PAYOFF_MIXING, COLLAR),
-                                             (CorrelationMode.SDE_MIXING, PAYOFF_KINDS[3])],
-                             ids=["payoff-call", "payoff-collar", "sde-separable"])
+                                             (CorrelationMode.PAYOFF_MIXING, COLLAR)],
+                             ids=["payoff-call", "payoff-collar"])
     def test_scenario_groups_that_run_every_sample_never_call_the_live_test(
             self, monkeypatch, mode, payoff):
         # a payoff_mixing scenario reads one payoff and one multiply per sample, which do
-        # not pay for the gathers; a separable payoff's piecewise lines have no live bound
+        # not pay for the gathers
         def refused(data, energy_only):
             raise AssertionError("the live test ran")
 
@@ -893,7 +889,7 @@ class TestOnePass:
                     for start in range(0, n, BLOCK_SIZE))
         run = build_run(load_config(config))
         draw = draw_samples(run.model, run.tuning, dataclasses.replace(run.sim, n_samples=n))
-        p, f0E, f0I = run.payoff, run.model.energy.f0, run.model.temperature.f0
+        p, f0E, f0I = run.payoff, run.model.energy_f0, run.model.temperature_f0
         bump = estimators.FD_BUMP
         fE = [(f0E * scale) * (draw.fE_T / f0E) for scale in (1.0 - bump, 1.0 + bump)]
         fI = [(f0I * scale) * (draw.fI_T / f0I) for scale in (1.0 - bump, 1.0 + bump)]
@@ -933,7 +929,7 @@ class TestOnePass:
             assert view._level(leg, 1.0) is tile._levels[leg]
         if mode is CorrelationMode.SDE_MIXING:
             level = estimators._temperature_level(plan, 0.4, draw.gI, draw.gI_cross)
-            assert view.eI.tobytes() == (level / model.temperature.f0).tobytes()
+            assert view.eI.tobytes() == (level / model.temperature_f0).tobytes()
         else:
             assert view.eI is tile.eI
 

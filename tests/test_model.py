@@ -35,12 +35,6 @@ class TestValidateModel:
         assert validate_model(make_model(rate=float("nan"))) == [
             "risk-free rate must be finite, got nan"]
 
-    def test_temperature_delivery_end_must_be_the_horizon(self):
-        m = make_model()
-        m = dataclasses.replace(m, temperature=dataclasses.replace(m.temperature,
-                                                                   delivery_end=2.0))
-        assert validate_model(m) == ["temperature: delivery end 2.0 differs from model horizon 1.0"]
-
     def test_volatility_horizon_must_be_the_horizon(self):
         # the CLI builds every curve on tau2, so only the library reaches this
         m = dataclasses.replace(make_model(), energy_vol=VolatilityCurve.constant(0.2, 2.0))
