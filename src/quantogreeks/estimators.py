@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import CorrelationMode, MarketModel, TuningFunction, validate_model
-from .payoffs import (KinkSolver, PayoffSpec, conditional_mean, energy_kink_levels,
+from .payoffs import (KinkSolver, Leg, PayoffSpec, conditional_mean, energy_kink_levels,
                       evaluate, validate_payoff)
 from .simulate import (
     BLOCK_SIZE,
@@ -267,11 +267,11 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
     each tile is evaluated once for the whole group (its payoffs at every
     point the group reads, its rho-free weights and energy legs) and
-    dropped. A group runs each tile on its live samples only
-    (``_live_samples``): with a scenario job under sde_mixing, where some
-    energy leg can be non-zero, a set that holds for every view; with bump
-    points and no scenario job, where some term can be non-zero at a point.
-    Groups of payoff_mixing scenarios or of the base point alone run
+    dropped. If every leg is a ``Leg``, a group runs each tile on its live
+    samples only (``_live_samples``): with a scenario job under sde_mixing,
+    where some energy leg can be non-zero, a set that holds for every view;
+    with bump points and no scenario job, where some term can be non-zero at
+    a point. Groups of payoff_mixing scenarios or of the base point alone run
     every sample: one payoff and one multiply per sample do not pay for the
     gathers and scatters. Each job writes its values, pair means when
     antithetic, into its own row, 0.0 for a sample that is not live: on a
@@ -304,15 +304,16 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     if sde and (model.rho != 0.0 or any(job[3] is not None for job in jobs)):
         drawn |= {"gI", "gI_cross"}
     held = [f.name for f in fields(SampleDraw) if f.name in drawn]
+    legs = all(isinstance(leg, Leg) for term in payoff.terms for leg in term)
     groups = []
     for first in range(0, len(jobs), _GROUP_JOBS):
         group = jobs[first:first + _GROUP_JOBS]
         points = {p for _, _, job_points, *_ in group for p in job_points}
         scenarios = any(job[3] is not None for job in group)
         energy_only = None  # _live_samples's argument, or None to run every sample
-        if scenarios and sde:
+        if legs and scenarios and sde:
             energy_only = True
-        elif not scenarios and points != set(_BASE):
+        elif legs and not scenarios and points != set(_BASE):
             energy_only = False
         groups.append((first, group, _grid_layout(points), energy_only))
 

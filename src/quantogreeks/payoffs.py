@@ -118,21 +118,6 @@ class PiecewiseLinear:
         y = np.where(x > self.xs[-1], self.ys[-1] + self.right_slope * (x - self.xs[-1]), y)
         return y if out is None else np.positive(y, out=out)  # +y is y: a copy into out
 
-    def live(self, lo, hi) -> np.ndarray:
-        """Where the line can be non-zero at some x in [lo, hi]; a NaN bound counts as live.
-
-        The line is exactly 0.0 between two zero knots, and past an end knot of 0 with an
-        end slope of 0 while x minus the end knot is finite (0 * inf is NaN).
-        """
-        xs = (-math.inf, *self.xs, math.inf)
-        ys = (self.left_slope, *self.ys, self.right_slope)  # a flat end: a knot at infinity
-        finite = np.isfinite(np.subtract(lo, xs[1])) & np.isfinite(np.subtract(hi, xs[-2]))
-        dead = np.zeros_like(finite)
-        for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
-            if ya == yb == 0.0:
-                dead |= np.greater_equal(lo, a) & np.less_equal(hi, b)
-        return ~(dead & finite)
-
     def mean(self, shift: np.ndarray, forward: np.ndarray, vol: float) -> np.ndarray:
         """E[self(shift + X)] as in ``Leg.mean``: the left line plus a call per change of slope."""
         xs, ys = self.xs, self.ys

@@ -509,8 +509,8 @@ class TestLiveSamples:
     def test_pass_on_live_samples_equals_the_pass_on_every_sample(self, monkeypatch, payoff,
                                                                    mode, rho, antithetic):
         # a group of the mode's three weights and the three finite differences reads bump
-        # points, so its tiles run on their live samples, a separable payoff's piecewise
-        # lines included; a partial block and a partial tile end the pass
+        # points, so its tiles run on their live samples, unless the legs are a separable
+        # payoff's piecewise lines; a partial block and a partial tile end the pass
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=74, antithetic=antithetic)
@@ -533,11 +533,14 @@ class TestLiveSamples:
         monkeypatch.setattr(estimators, "_live_samples",
                             lambda data, energy_only: np.arange(len(data.eE)))
         assert on_live == estimates()
-        assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+        if isinstance(payoff, Separable):
+            assert not kept
+        else:
+            assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
-    @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("payoff", PAYOFF_KINDS[:3], ids=lambda p: type(p).__name__)
     def test_scenario_pass_on_energy_live_samples_equals_the_pass_on_every_sample(
             self, monkeypatch, payoff, rho, antithetic):
         # an sde_mixing group with scenario jobs runs each tile on the samples where an
@@ -569,12 +572,13 @@ class TestLiveSamples:
         assert len(kept) == 3 * 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
 
     @pytest.mark.parametrize("mode,payoff", [(CorrelationMode.PAYOFF_MIXING, PAYOFF_KINDS[0]),
-                                             (CorrelationMode.PAYOFF_MIXING, COLLAR)],
-                             ids=["payoff-call", "payoff-collar"])
+                                             (CorrelationMode.PAYOFF_MIXING, COLLAR),
+                                             (CorrelationMode.SDE_MIXING, PAYOFF_KINDS[3])],
+                             ids=["payoff-call", "payoff-collar", "sde-separable"])
     def test_scenario_groups_that_run_every_sample_never_call_the_live_test(
             self, monkeypatch, mode, payoff):
         # a payoff_mixing scenario reads one payoff and one multiply per sample, which do
-        # not pay for the gathers
+        # not pay for the gathers; a separable payoff's piecewise lines have no live bound
         def refused(data, energy_only):
             raise AssertionError("the live test ran")
 

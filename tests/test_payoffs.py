@@ -177,33 +177,6 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinear((1.0, 1.0), (0.0, 0.0))
 
-    def test_a_line_is_dead_only_between_zero_knots_or_past_a_flat_zero_end(self):
-        f = PiecewiseLinear((80.0, 100.0, 120.0), (0.0, 0.0, 20.0), 0.0, 1.0)
-        lo = np.array([-1e9, 80.0, 85.0, 95.0, -math.inf, math.nan, 70.0])
-        hi = np.array([80.0, 100.0, 95.0, 101.0, 50.0, 90.0, math.nan])
-        assert f.live(lo, hi).tolist() == [False, False, False, True, True, True, True]
-        g = PiecewiseLinear((100.0,), (0.0,), 1.0, 0.0)
-        assert g.live(np.array([100.0, 99.0, 150.0]), np.array([1e9, 150.0, math.inf])).tolist() \
-            == [False, True, True]
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_a_line_is_exactly_zero_wherever_it_is_not_live(self, data):
-        # zero knots and flat ends drawn often; bounds at the knots, between and beyond
-        # them, and infinite, where a flat end is 0 * inf, NaN
-        xs = sorted(data.draw(st.sets(st.floats(-1e3, 1e3), min_size=1, max_size=5)))
-        ys = data.draw(st.lists(st.just(0.0) | st.floats(-10.0, 10.0), min_size=len(xs),
-                                max_size=len(xs)))
-        slope = st.just(0.0) | st.floats(-5.0, 5.0)
-        f = PiecewiseLinear(tuple(xs), tuple(ys), data.draw(slope), data.draw(slope))
-        bound = (st.sampled_from(xs) | st.floats(-1e12, 1e12)
-                 | st.sampled_from([-math.inf, math.inf]))
-        lo, hi = sorted(data.draw(st.lists(bound, min_size=2, max_size=2)))
-        if not f.live(lo, hi):
-            x = np.array([lo, *np.linspace(lo, hi, 33), *(k for k in xs if lo <= k <= hi), hi])
-            assert (f(x) == 0.0).all(), (f, lo, hi)
-        assert f.live(math.nan, hi) and f.live(lo, math.nan)
-
 
 class TestValidatePayoff:
     def test_negative_strike_flagged(self):
