@@ -21,7 +21,6 @@ from .payoffs import (
 from .simulate import (
     SampleDraw,
     SimConfig,
-    SimScheme,
     draw_samples,
     sample_block,
 )

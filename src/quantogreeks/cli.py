@@ -33,7 +33,6 @@ from .estimators import (
 )
 from .model import validate_model
 from .payoffs import validate_payoff
-from .simulate import _check_config
 from .weights import WEIGHTS, WeightVariant, greek_of, require_rho_supported
 
 EXIT_OK = 0
@@ -90,6 +89,8 @@ def _estimate_row(est: GreekEstimate, timing: bool, oracle_value: float | None =
 
 def _load_run(args) -> RunConfig:
     """The configured run; each sampling flag given overrides its ``sim.*`` key."""
+    if args.command == "converge" and args.n is not None:  # refused before sim.n reads it
+        raise ValueError("--n: converge draws the --n-grid sample counts; drop --n")
     raw = load_config(args.config)
     for key, text in (("sim.n", args.n), ("sim.seed", args.seed), ("sim.scheme", args.scheme)):
         if text is not None:
@@ -149,8 +150,6 @@ def _parse_grid(text: str, convert, flag: str) -> list:
 
 
 def _price(args, run: RunConfig, variants):
-    _check_config(run.sim)
-
     def compute():
         est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
         return [_estimate_row(est, args.timing)]
@@ -159,7 +158,6 @@ def _price(args, run: RunConfig, variants):
 
 
 def _greeks(args, run: RunConfig, variants):
-    _check_config(run.sim)
     if args.all_variants:
         if variants:
             raise ValueError("greeks: pass --variant NAME or --all-variants, not both")
@@ -187,7 +185,6 @@ def _greeks(args, run: RunConfig, variants):
 
 
 def _sweep_rho(args, run: RunConfig, variants):
-    _check_config(run.sim)
     grid = _parse_grid(args.grid, float, "--grid")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
@@ -203,18 +200,18 @@ def _sweep_rho(args, run: RunConfig, variants):
 
 
 def _converge(args, run: RunConfig, variants):
-    if args.n is not None:
-        raise ValueError("--n: converge draws the --n-grid sample counts; drop --n")
     sizes = _parse_grid(args.n_grid, lambda tok: as_integer(parse_value(tok), "--n-grid"),
                         "--n-grid")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"--n-grid: must be strictly increasing, got {sizes}")
-    for n in sizes:
-        _check_config(replace(run.sim, n_samples=n))
+    try:
+        sims = [replace(run.sim, n_samples=n) for n in sizes]
+    except ValueError as exc:
+        raise ValueError(f"--n-grid: {exc}") from None
     variant = _single_variant(variants)
     if variant is not None:
         require_rho_supported(variant, run.model)
-    run = replace(run, sim=replace(run.sim, n_samples=sizes[-1]))  # echo what is drawn
+    run = replace(run, sim=sims[-1])  # echo what is drawn
 
     def compute():
         return convergence_table(run.model, run.payoff, run.tuning, variant, run.sim, sizes,

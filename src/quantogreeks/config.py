@@ -27,7 +27,7 @@ from .payoffs import (
     ProductCall,
     Separable,
 )
-from .simulate import SimConfig, SimScheme
+from .simulate import SimConfig
 
 
 class ConfigError(Exception):
@@ -180,30 +180,32 @@ def _build_payoff(raw: dict) -> PayoffSpec:
     )
 
 
-def _scheme(text: str) -> SimScheme:
-    """``exact``, or ``euler:STEPS`` with STEPS a whole number as ``sim.n`` reads one."""
+def _scheme(text: str) -> int:
+    """0 for ``exact``; STEPS >= 1 for ``euler:STEPS``, a whole number as ``sim.n`` reads one."""
     if text == "exact":
-        return SimScheme.exact()
+        return 0
     kind, _, steps = text.partition(":")
     if kind == "euler" and steps == steps.strip():  # parse_value would read " 5" as 5
         try:
-            return SimScheme.log_euler(as_integer(parse_value(steps), "STEPS"))
+            if (count := as_integer(parse_value(steps), "STEPS")) >= 1:
+                return count
         except ConfigError:
             pass
     raise ConfigError(f"key sim.scheme: unknown scheme {text!r}; expected 'exact' or 'euler:STEPS'")
 
 
 def _build_sim(raw: dict) -> SimConfig:
-    scheme = _scheme(str(raw.pop("sim.scheme", "exact")))
+    euler_steps = _scheme(str(raw.pop("sim.scheme", "exact")))
     antithetic = raw.pop("sim.antithetic", False)
     if not isinstance(antithetic, bool):
         raise ConfigError(f"key sim.antithetic: expected true/false, got {antithetic!r}")
-    return SimConfig(
-        n_samples=as_integer(raw.pop("sim.n", 100_000), "key sim.n"),
-        seed=as_integer(raw.pop("sim.seed", 0), "key sim.seed"),
-        antithetic=antithetic,
-        scheme=scheme,
-    )
+    n_samples = as_integer(raw.pop("sim.n", 100_000), "key sim.n")
+    seed = as_integer(raw.pop("sim.seed", 0), "key sim.seed")
+    try:
+        return SimConfig(n_samples, seed, antithetic, euler_steps)
+    except ValueError as exc:  # with the types and steps read, only a seed or count is left
+        key = "sim.seed" if str(exc).startswith("seed") else "sim.n"
+        raise ConfigError(f"key {key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,8 @@ class RunConfig:
         """The effective configuration sorted by key: the raw keys, with sampling as run."""
         return dict(sorted({**self.raw, "sim.n": self.sim.n_samples, "sim.seed": self.sim.seed,
                             "sim.antithetic": self.sim.antithetic,
-                            "sim.scheme": self.sim.scheme.label()}.items()))
+                            "sim.scheme": f"euler:{steps}" if (steps := self.sim.euler_steps)
+                            else "exact"}.items()))
 
 
 def build_run(raw: dict) -> RunConfig:

@@ -41,7 +41,6 @@ from .simulate import (
     TILE_SIZE,
     SimConfig,
     _build_plan,
-    _check_config,
     _draw_block,
     _Plan,
     _rows,
@@ -288,7 +287,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         raise ValueError(f"the largest sample count must be cfg.n_samples = {cfg.n_samples}, "
                          f"got {sizes}")
     for n in sizes:
-        _check_config(replace(cfg, n_samples=n))
+        replace(cfg, n_samples=n)  # SimConfig refuses an invalid count
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _require_valid(model, payoff, tuning)
@@ -297,7 +296,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     if not jobs:
         return []
     t0 = time.perf_counter()
-    plan = _build_plan(model, tuning, cfg.scheme)
+    plan = _build_plan(model, tuning, cfg.euler_steps)
     draws_per_value = 2 if cfg.antithetic else 1
     drawn = {"fE_T", "fI_T", *(name for *_, reads in jobs for name in reads)}
     sde = model.correlation_mode is CorrelationMode.SDE_MIXING

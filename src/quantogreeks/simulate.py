@@ -1,5 +1,9 @@
 """Joint sampling of terminal futures values and the stochastic integrals behind hedge weights.
 
+A ``SimConfig`` refuses an invalid count, seed or step count when it is
+built, so every draw takes its settings as checked. Its ``euler_steps`` is
+the scheme: 0 draws the exact terminal law, N >= 1 log-Euler on N uniform steps.
+
 Draws are generated in fixed-size blocks from a counter-based Philox stream
 keyed by the seed, so sample i never depends on how many samples are requested
 or on how the blocks are scheduled across threads. A block is drawn in tiles
@@ -26,7 +30,7 @@ coefficients draw one normal per driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -37,39 +41,31 @@ BLOCK_SIZE = 1 << 16  # samples per block: the unit of the random stream and of 
 TILE_SIZE = 1 << 14  # samples per tile: a block is drawn and evaluated this many at a time
 
 
-def _require_int(value, name: str) -> None:
-    if type(value) is not int:  # a bool or a float, even a whole one, is refused
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SimScheme:
-    """Sampling scheme: exact terminal law, or log-Euler paths on a uniform grid."""
-
-    kind: str  # "exact" | "euler"
-    steps: int = 0
-
-    def __post_init__(self):
-        _require_int(self.steps, "scheme steps")
-
-    @classmethod
-    def exact(cls) -> "SimScheme":
-        return cls("exact", 0)
-
-    @classmethod
-    def log_euler(cls, steps: int) -> "SimScheme":
-        return cls("euler", steps)
-
-    def label(self) -> str:
-        return "exact" if self.kind == "exact" else f"euler:{self.steps}"
-
-
 @dataclass(frozen=True)
 class SimConfig:
+    """Sampling settings, checked when built; ``dataclasses.replace`` checks again.
+
+    A count, seed or step count must be an int: a bool or a float, even a
+    whole one, is refused.
+    """
+
     n_samples: int
     seed: int
     antithetic: bool = False
-    scheme: SimScheme = field(default_factory=SimScheme.exact)
+    euler_steps: int = 0
+
+    def __post_init__(self):
+        for name in ("n_samples", "seed", "euler_steps"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 1 << 128:  # the Philox key; a seed outside would alias one inside
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.euler_steps < 0:
+            raise ValueError(f"euler_steps must be >= 0, got {self.euler_steps}")
+        if self.antithetic and self.n_samples % 2 != 0:
+            raise ValueError("antithetic sampling pairs draws, so n_samples must be even")
 
 
 @dataclass(frozen=True)
@@ -98,21 +94,6 @@ class SampleDraw:
     iI: np.ndarray
     iE_cross: np.ndarray
     gI_cross: np.ndarray
-
-
-def _check_config(cfg: SimConfig) -> None:
-    _require_int(cfg.n_samples, "n_samples")
-    _require_int(cfg.seed, "seed")
-    if not 0 <= cfg.seed < 1 << 128:  # the Philox key; a seed outside would alias one inside
-        raise ValueError(f"seed must lie in [0, 2**128), got {cfg.seed}")
-    if cfg.n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {cfg.n_samples}")
-    if cfg.scheme.kind not in ("exact", "euler"):
-        raise ValueError(f"unknown scheme kind {cfg.scheme.kind!r}")
-    if cfg.scheme.kind == "euler" and cfg.scheme.steps < 1:
-        raise ValueError(f"log-Euler scheme needs steps >= 1, got {cfg.scheme.steps}")
-    if cfg.antithetic and cfg.n_samples % 2 != 0:
-        raise ValueError("antithetic sampling pairs draws, so n_samples must be even")
 
 
 @dataclass(frozen=True)
@@ -163,7 +144,7 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
     )
 
 
-def _build_plan(model: MarketModel, tuning: TuningFunction, scheme: SimScheme) -> _Plan:
+def _build_plan(model: MarketModel, tuning: TuningFunction, euler_steps: int) -> _Plan:
     """The run's constants; under sde_mixing a rho outside (-1, 1) is refused.
 
     Only sde_mixing mixes rho into the draw, through ``sqrt(1 - rho^2)``; the
@@ -175,12 +156,12 @@ def _build_plan(model: MarketModel, tuning: TuningFunction, scheme: SimScheme) -
     horizon = model.horizon
     if tuning.horizon != horizon:
         raise ValueError("tuning function horizon must match the model horizon")
-    if scheme.kind == "exact":
+    if euler_steps:
+        edges = np.linspace(0.0, horizon, euler_steps + 1)
+        dt = np.full(euler_steps, horizon / euler_steps)
+    else:
         edges = np.array(union_grid(horizon, model.energy_vol, model.temperature_vol, tuning))
         dt = np.diff(edges)
-    else:
-        edges = np.linspace(0.0, horizon, scheme.steps + 1)
-        dt = np.full(scheme.steps, horizon / scheme.steps)
     return _coefficients(model, tuning, edges[:-1], dt)
 
 
@@ -277,17 +258,15 @@ def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray, gI_cross: np.nda
 def sample_block(model: MarketModel, tuning: TuningFunction, cfg: SimConfig,
                  block: int) -> SampleDraw:
     """Draw one block of samples; pure in (model, tuning, cfg, block)."""
-    _check_config(cfg)
     if not 0 <= block < block_count(cfg.n_samples):
         raise ValueError(f"block {block} out of range")
-    return _draw_block(_build_plan(model, tuning, cfg.scheme), cfg, block)
+    return _draw_block(_build_plan(model, tuning, cfg.euler_steps), cfg, block)
 
 
 def iter_sample_blocks(model: MarketModel, tuning: TuningFunction,
                        cfg: SimConfig) -> Iterator[SampleDraw]:
     """Stream the sample blocks in index order."""
-    _check_config(cfg)
-    plan = _build_plan(model, tuning, cfg.scheme)
+    plan = _build_plan(model, tuning, cfg.euler_steps)
     for block in range(block_count(cfg.n_samples)):
         yield _draw_block(plan, cfg, block)
 

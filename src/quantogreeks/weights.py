@@ -48,17 +48,16 @@ def _energy_inverse(d: SampleDraw, m: MarketModel) -> np.ndarray:
 
 
 _RHO_FREE = ("E", "I")  # the kernels that read no rho
+# each kernel's (draw fields it reads, builder); a draw may leave every other weight field None
 _KERNELS = {
     # one delta weight per leg: a Wiener integral divided by the initial level
-    "E": lambda d, m: d.iE / m.energy_f0,
-    "I": lambda d, m: d.iI / m.temperature_f0,
+    "E": (("iE",), lambda d, m: d.iE / m.energy_f0),
+    "I": (("iI",), lambda d, m: d.iI / m.temperature_f0),
     # inverse of the triangular diffusion matrix: the energy kernel corrected
     # on the independent driver, and the independent-driver kernel rescaled
-    "E_inv": _energy_inverse,
-    "I_inv": lambda d, m: d.iI / (m.temperature_f0 * math.sqrt(1.0 - m.rho * m.rho)),
+    "E_inv": (("iE", "iE_cross"), _energy_inverse),
+    "I_inv": (("iI",), lambda d, m: d.iI / (m.temperature_f0 * math.sqrt(1.0 - m.rho * m.rho))),
 }
-# the draw fields each kernel reads; a draw may leave every other weight field None
-_READS = {"E": ("iE",), "I": ("iI",), "E_inv": ("iE", "iE_cross"), "I_inv": ("iI",)}
 
 
 class _Weight(NamedTuple):
@@ -78,7 +77,7 @@ class _Weight(NamedTuple):
     @property
     def reads(self) -> tuple[str, ...]:
         """The ``SampleDraw`` fields the weight array reads, in kernel order."""
-        return tuple(dict.fromkeys(f for k in self.kernels for f in _READS[k]))
+        return tuple(dict.fromkeys(f for k in self.kernels for f in _KERNELS[k][0]))
 
 
 _V = WeightVariant
@@ -137,7 +136,7 @@ def _kernel(name: str, draw: SampleDraw, model: MarketModel,
     """Kernel array ``name``, read from its table of ``tables`` or built and stored there."""
     table = tables[name not in _RHO_FREE]
     if name not in table:
-        table[name] = _KERNELS[name](draw, model)
+        table[name] = _KERNELS[name][1](draw, model)
     return table[name]
 
 

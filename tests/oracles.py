@@ -234,7 +234,7 @@ def column_sum(z, load):
 
 def untiled_block(model, tuning, cfg, block):
     """Block ``block`` from one standard_normal call over all of its rows."""
-    plan = _build_plan(model, tuning, cfg.scheme)
+    plan = _build_plan(model, tuning, cfg.euler_steps)
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     rows = count // 2 if cfg.antithetic else count
     z = _block_generator(cfg.seed, block).standard_normal((rows, plan.loadE.shape[1], 2))

@@ -446,6 +446,12 @@ class TestSchemeAndFlags:
         (["--n", "1_000"], "key sim.n: expected an integer, got '1_000'"),
         (["--seed", "020"], "key sim.seed: expected an integer, got '020'"),
         (["--seed", "+5"], "key sim.seed: expected an integer, got '+5'"),
+        (["--scheme", "euler:0"],
+         "key sim.scheme: unknown scheme 'euler:0'; expected 'exact' or 'euler:STEPS'"),
+        (["--seed", "-1"], "key sim.seed: seed must lie in [0, 2**128), got -1"),
+        (["--n", "0"], "key sim.n: n_samples must be >= 1, got 0"),
+        (["--n", "3", "--antithetic"],
+         "key sim.n: antithetic sampling pairs draws, so n_samples must be even"),
     ])
     def test_bad_flag_exits_2_as_its_config_key_does(self, config_path, capsys, flags, message):
         assert main(["price", "--config", config_path, *flags]) == 2
@@ -487,7 +493,8 @@ payoff.alpha = 1.5""")
         # the key was the seed modulo 2**128, so -1 ran the stream of 2**128 - 1
         text = BASE_CONFIG.replace("sim.seed = 99", line)
         assert main(["price", "--config", write_config(tmp_path, text), *args]) == 2
-        assert capsys.readouterr().err.startswith("seed must lie in [0, 2**128), got ")
+        assert capsys.readouterr().err.startswith(
+            "key sim.seed: seed must lie in [0, 2**128), got ")
 
     @pytest.mark.parametrize("line,message", [
         ("rate = [1, 2]", "key rate: expected a number, got [1, 2]"),
@@ -558,6 +565,25 @@ payoff.alpha = 1.5""")
     def test_fractional_grid_count_exits_2_naming_the_flag(self, config_path, capsys):
         assert main(["converge", "--config", config_path, "--n-grid", "1000.7,2000.9"]) == 2
         assert capsys.readouterr().err.startswith("--n-grid")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n-grid", "0,5"], "--n-grid: n_samples must be >= 1, got 0"),
+        (["--antithetic", "--n-grid", "3,5"],
+         "--n-grid: antithetic sampling pairs draws, so n_samples must be even"),
+    ])
+    def test_invalid_grid_count_exits_2_naming_the_flag(self, config_path, capsys, flags,
+                                                        message):
+        assert main(["converge", "--config", config_path, *flags]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("command", [["price"], ["converge", "--n-grid", "1000,2000"]])
+    def test_odd_count_with_pairs_exits_2_for_every_command(self, tmp_path, capsys, command):
+        # converge draws its grid's counts, not sim.n, but an invalid sim.* key is
+        # refused by every command
+        text = BASE_CONFIG.replace("sim.n = 20000", "sim.n = 20001") + "sim.antithetic = true\n"
+        assert main([*command, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "key sim.n: antithetic sampling pairs draws, so n_samples must be even\n")
 
 
     @pytest.mark.parametrize("line,message", [

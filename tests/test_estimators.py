@@ -36,11 +36,11 @@ from quantogreeks import (
     validate_model,
     weight_for,
 )
-from quantogreeks import cli, estimators, payoffs, weights
+from quantogreeks import cli, estimators, payoffs, simulate, weights
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
-from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, SimScheme, block_count,
+from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, block_count,
                                    tile_bounds)
 
 ATM = ProductCall(100.0, 100.0)
@@ -213,17 +213,41 @@ class TestEngineValidation:
 
     # unchecked, a fractional size reported a row at n = 10, 1000.0 and a
     # fractional seed raised bare TypeErrors, and True ran as n = 1
-    @pytest.mark.parametrize("cfg,sizes,field", [
-        (SimConfig(1000, 0), [10.7, 1000], "n_samples"),
-        (SimConfig(1000.0, 0), None, "n_samples"),
-        (SimConfig(True, 0), None, "n_samples"),
-        (SimConfig(1000, 0.5), None, "seed"),
+    @pytest.mark.parametrize("n_samples,seed,sizes,field", [
+        (1000, 0, [10.7, 1000], "n_samples"),
+        (1000.0, 0, None, "n_samples"),
+        (True, 0, None, "n_samples"),
+        (1000, 0.5, None, "seed"),
     ])
     def test_sample_counts_and_seeds_must_be_integers(self, monkeypatch, atm_model,
-                                                       uniform_tuning, cfg, sizes, field):
+                                                       uniform_tuning, n_samples, seed, sizes,
+                                                       field):
         calls = counting_draws(monkeypatch)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            mc_price(atm_model, ATM, cfg, uniform_tuning, sizes=sizes)
+            mc_price(atm_model, ATM, SimConfig(n_samples, seed), uniform_tuning, sizes=sizes)
+        assert calls == []
+
+    # a SimConfig checks itself when it is built, so no draw can start from an invalid one
+    @pytest.mark.parametrize("build", [
+        lambda values: SimConfig(**{"n_samples": 1000, "seed": 0, **values}),
+        lambda values: dataclasses.replace(SimConfig(1000, seed=0), **values),
+    ], ids=["built", "replaced"])
+    @pytest.mark.parametrize("values,field", [
+        ({"n_samples": 0}, "n_samples"), ({"n_samples": 1000.0}, "n_samples"),
+        ({"n_samples": True}, "n_samples"), ({"seed": -1}, "seed"),
+        ({"seed": 2 ** 128}, "seed"), ({"seed": 0.5}, "seed"),
+        ({"euler_steps": -1}, "euler_steps"), ({"euler_steps": 2.5}, "euler_steps"),
+        ({"n_samples": 1001, "antithetic": True}, "n_samples"),
+    ], ids=["n-0", "n-float", "n-bool", "seed-negative", "seed-2**128", "seed-float",
+            "steps-negative", "steps-float", "n-odd-pairs"])
+    def test_a_sim_config_cannot_be_built_invalid(self, monkeypatch, atm_model, uniform_tuning,
+                                                  build, values, field):
+        calls = counting_draws(monkeypatch)
+        monkeypatch.setattr(simulate, "_draw_block", lambda plan, cfg, block: calls.append(block))
+        with pytest.raises(ValueError, match=rf"\b{field} must"):
+            mc_price(atm_model, ATM, build(values), uniform_tuning)
+        with pytest.raises(ValueError, match=rf"\b{field} must"):
+            sample_block(atm_model, uniform_tuning, build(values), 0)
         assert calls == []
 
     # unchecked, Philox was keyed by the seed modulo 2**128: -1 drew the bits of
@@ -616,7 +640,7 @@ class TestLiveSamples:
         draw = SampleDraw(np.array(fE), np.array(fI), None, np.array(gI), None, None, None,
                           np.array(gI_cross))
         model = make_model(f0E=f0E, f0I=f0I, sigI=0.4, rho=rho, mode=mode)
-        plan = estimators._build_plan(model, TuningFunction.uniform(1.0), SimScheme.exact())
+        plan = estimators._build_plan(model, TuningFunction.uniform(1.0), 0)
         tile = estimators._BlockData(draw, plan, model, payoff, estimators._grid_layout(points))
         dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile, True))
         scenario_rhos = data.draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True,
@@ -797,9 +821,9 @@ class TestOnePass:
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
         rows = convergence_table(model, payoff, tuning, variant,
                                  SimConfig(grid[-1], seed=64, antithetic=antithetic,
-                                           scheme=SimScheme.log_euler(16)), grid)
+                                           euler_steps=16), grid)
         for n, row in zip(grid, rows):
-            cfg = SimConfig(n, seed=64, antithetic=antithetic, scheme=SimScheme.log_euler(16))
+            cfg = SimConfig(n, seed=64, antithetic=antithetic, euler_steps=16)
             est = (mc_price(model, payoff, cfg, tuning) if variant is None
                    else mc_greek(model, payoff, tuning, variant, cfg))
             assert row == {"n": n, "value": est.value, "stderr": est.stderr}
@@ -868,7 +892,7 @@ class TestOnePass:
         # The group reads bump points, so each tile runs on its live samples: those
         # where a leg pair can be non-zero at the extreme bumps of both levels
         kernel_calls, integrals = [], []
-        build_E_inv = weights._KERNELS["E_inv"]
+        reads, build_E_inv = weights._KERNELS["E_inv"]
         integrate = weights.integrate
 
         def counted_E_inv(draw, model):
@@ -879,7 +903,7 @@ class TestOnePass:
             integrals.append(args)
             return integrate(*args)
 
-        monkeypatch.setitem(weights._KERNELS, "E_inv", counted_E_inv)
+        monkeypatch.setitem(weights._KERNELS, "E_inv", (reads, counted_E_inv))
         monkeypatch.setattr(weights, "integrate", counted_integrate)
         weights._cross_integral.cache_clear()
         config = tmp_path / "collar_sde.cfg"
@@ -911,7 +935,7 @@ class TestOnePass:
         # payoff_mixing weight reads no rho, but an sde_mixing view at rho != 0 refuses it
         model = make_model(rho=0.0, sigI=0.3, mode=mode)
         cfg = SimConfig(TILE_SIZE, seed=69)
-        plan = estimators._build_plan(model, uniform_tuning, cfg.scheme)
+        plan = estimators._build_plan(model, uniform_tuning, cfg.euler_steps)
         draw = estimators._draw_block(plan, cfg, 0)
         tile = estimators._BlockData(draw, plan, model, ATM,
                                      estimators._grid_layout({(1.0, 1.0)}))
@@ -946,7 +970,7 @@ class TestOnePass:
         points = {(1.0, 1.0), *(p for which in estimators.GREEKS
                                 for p, _ in estimators._stencil(which))}
         tile = estimators._BlockData(draw_samples(model, uniform_tuning, cfg),
-                                     estimators._build_plan(model, uniform_tuning, cfg.scheme),
+                                     estimators._build_plan(model, uniform_tuning, cfg.euler_steps),
                                      model, COLLAR, estimators._grid_layout(points))
         tile.payoff_at(1.0 + estimators.FD_BUMP, 1.0)
         assert tile._payoffs and not tile._levels
@@ -1045,15 +1069,15 @@ PAYOFF_WEIGHTS = [v for v in V if weights.WEIGHTS[v].mode is CorrelationMode.PAY
 
 class TestReadSet:
     COLLAR_RUN = build_run(load_config(CONFIGS / "correlated_collar.cfg"))
-    # (model under a mode, tuning, scheme, rank of the plan)
+    # (model under a mode, tuning, euler_steps, rank of the plan)
     PLANS = {
         "rank-1": (lambda mode: make_model(rho=0.3, sigI=0.3, mode=mode),
-                   TuningFunction.uniform(1.0), SimScheme.exact(), 1),
+                   TuningFunction.uniform(1.0), 0, 1),
         "collar-rank-2": (lambda mode: dataclasses.replace(TestReadSet.COLLAR_RUN.model,
                                                            correlation_mode=mode),
-                          COLLAR_RUN.tuning, SimScheme.exact(), 2),
+                          COLLAR_RUN.tuning, 0, 2),
         "euler:40": (lambda mode: make_model(rho=0.3, sigI=0.3, mode=mode),
-                     TuningFunction.uniform(1.0), SimScheme.log_euler(40), 1),
+                     TuningFunction.uniform(1.0), 40, 1),
     }
     LEVELS = {"fE_T", "fI_T"}
     DRIVERS = {"gI", "gI_cross"}  # sde_mixing views rebuild the temperature level from these
@@ -1080,10 +1104,10 @@ class TestReadSet:
     def test_pass_draws_its_fields_with_the_bits_of_sample_block(self, monkeypatch, pass_id,
                                                                  plan_id, antithetic):
         mode, run, held = self.PASSES[pass_id]
-        model_at, tuning, scheme, rank = self.PLANS[plan_id]
+        model_at, tuning, euler_steps, rank = self.PLANS[plan_id]
         model = model_at(mode)
         cfg = SimConfig(BLOCK_SIZE + TILE_SIZE + 6, seed=72, antithetic=antithetic,
-                        scheme=scheme)
+                        euler_steps=euler_steps)
         draws = captured_draws(monkeypatch)
         run(model, tuning, cfg)
         assert sorted(draws) == [0, 1]
@@ -1110,10 +1134,10 @@ class TestReadSet:
         # at rho = 0 the level is gI plus its drift, summed straight into fI_T; only a
         # scenario view rebuilds it from gI and gI_cross
         run, held = self.ZERO_RHO_PASSES[pass_id]
-        model_at, tuning, scheme, _ = self.PLANS[plan_id]
+        model_at, tuning, euler_steps, _ = self.PLANS[plan_id]
         model = dataclasses.replace(model_at(CorrelationMode.SDE_MIXING), rho=0.0)
         cfg = SimConfig(BLOCK_SIZE + TILE_SIZE + 6, seed=72, antithetic=antithetic,
-                        scheme=scheme)
+                        euler_steps=euler_steps)
         draws = captured_draws(monkeypatch)
         run(model, tuning, cfg)
         assert sorted(draws) == [0, 1]

@@ -11,7 +11,6 @@ from conftest import kernel_moments, make_model
 from oracles import column_sum, untiled_block
 from quantogreeks import (
     SimConfig,
-    SimScheme,
     TuningFunction,
     VolatilityCurve,
     draw_samples,
@@ -108,7 +107,7 @@ class TestSdeMixing:
         # gI + driftI instead of rho * gI_cross + sqrt(1 - rho^2) * gI + driftI: the sign
         # of a zero driver is all that may differ, and the drift or exp erases it
         model = make_model(rho=rho, sigI=0.4, mode=CorrelationMode.SDE_MIXING)
-        plan = _build_plan(model, uniform_tuning, SimScheme.exact())
+        plan = _build_plan(model, uniform_tuning, 0)
         if driftI is not None:
             plan = dataclasses.replace(plan, driftI=driftI)
         draw = draw_samples(model, uniform_tuning, SimConfig(1000, seed=36))
@@ -124,13 +123,13 @@ class TestLogEuler:
         n = 100_000
         exact = draw_samples(atm_model, uniform_tuning, SimConfig(n, seed=7))
         euler = draw_samples(
-            atm_model, uniform_tuning, SimConfig(n, seed=8, scheme=SimScheme.log_euler(1))
+            atm_model, uniform_tuning, SimConfig(n, seed=8, euler_steps=1)
         )
         stat = ks_2samp(exact.fE_T, euler.fE_T).statistic
         assert stat < 0.01
 
     def test_weight_integral_mean_and_variance(self, atm_model, uniform_tuning):
-        cfg = SimConfig(250_000, seed=9, scheme=SimScheme.log_euler(256))
+        cfg = SimConfig(250_000, seed=9, euler_steps=256)
         draw = draw_samples(atm_model, uniform_tuning, cfg)
         assert abs(draw.iE.mean()) < 3.0 * _stderr(draw.iE)
         v_aa = 25.0
@@ -146,7 +145,7 @@ class TestLogEuler:
         n = 100_000
         exact = draw_samples(m, uniform_tuning, SimConfig(n, seed=10))
         euler = draw_samples(
-            m, uniform_tuning, SimConfig(n, seed=11, scheme=SimScheme.log_euler(512))
+            m, uniform_tuning, SimConfig(n, seed=11, euler_steps=512)
         )
         assert ks_2samp(exact.fE_T, euler.fE_T).statistic < 0.01
 
@@ -155,24 +154,21 @@ class TestLogEuler:
         n = 100_000
         exact = draw_samples(atm_model, uniform_tuning, SimConfig(n, seed=12))
         euler = draw_samples(
-            atm_model, uniform_tuning, SimConfig(n, seed=13, scheme=SimScheme.log_euler(250))
+            atm_model, uniform_tuning, SimConfig(n, seed=13, euler_steps=250)
         )
         for name in ("fE_T", "iE"):
             assert ks_2samp(getattr(exact, name), getattr(euler, name)).statistic < 0.01, name
 
-    @pytest.mark.parametrize("make", [SimScheme.log_euler,
-                                      lambda steps: SimScheme("euler", steps)])
+    @pytest.mark.parametrize("make", [
+        lambda steps: SimConfig(10, seed=0, euler_steps=steps),
+        lambda steps: dataclasses.replace(SimConfig(10, seed=0), euler_steps=steps),
+    ], ids=["built", "replaced"])
     @pytest.mark.parametrize("steps", [2.5, 2.0, True])
     def test_rejects_a_step_count_that_is_not_an_integer(self, make, steps):
-        # log_euler truncated 2.5 to 2 steps; the constructor let a bare
+        # a scheme's steps were once truncated, 2.5 to 2, or let a bare
         # TypeError out of the draw
-        with pytest.raises(ValueError, match="steps must be an integer"):
+        with pytest.raises(ValueError, match="^euler_steps must be an integer"):
             make(steps)
-
-    def test_rejects_zero_steps(self, atm_model, uniform_tuning):
-        with pytest.raises(ValueError):
-            draw_samples(atm_model, uniform_tuning,
-                         SimConfig(10, seed=0, scheme=SimScheme.log_euler(0)))
 
 
 def _piecewise_model(sigE_segments, mode=CorrelationMode.PAYOFF_MIXING):
@@ -207,7 +203,7 @@ class TestFixedRankSampler:
     def test_factor_reproduces_accumulator_covariance(self, sigE_segments, tuning, rank):
         m = _piecewise_model(sigE_segments)
         steps = 64
-        plan = _build_plan(m, tuning, SimScheme.log_euler(steps))
+        plan = _build_plan(m, tuning, steps)
         dt = np.full(steps, 1.0 / steps)
         loads = _driver_loads(m, tuning, np.linspace(0.0, 1.0, steps + 1)[:-1])
         assert plan.loadE.shape[1] == rank
@@ -217,10 +213,9 @@ class TestFixedRankSampler:
             np.testing.assert_allclose(R.T @ R, K.T @ (dt[:, None] * K), rtol=1e-12, atol=1e-12)
 
     def test_factor_draws_one_normal_per_rank(self, atm_model, uniform_tuning):
-        scheme = SimScheme.log_euler(250)
-        assert _build_plan(atm_model, uniform_tuning, scheme).loadE.shape[1] == 1
+        assert _build_plan(atm_model, uniform_tuning, 250).loadE.shape[1] == 1
         collar = build_run(load_config(str(CONFIGS / "correlated_collar.cfg")))
-        assert _build_plan(collar.model, collar.tuning, scheme).loadE.shape[1] == 2
+        assert _build_plan(collar.model, collar.tuning, 250).loadE.shape[1] == 2
 
     def test_rank_deficient_loads_give_finite_draw(self):
         # sigma_E = 0 on the first half zeroes both energy columns there, and
@@ -229,18 +224,18 @@ class TestFixedRankSampler:
         tuning = TuningFunction.uniform(1.0)
         energy_columns, _ = _driver_loads(m, tuning, np.linspace(0.0, 1.0, 65)[:-1])
         assert np.linalg.matrix_rank(np.column_stack(energy_columns)) == 2
-        draw = sample_block(m, tuning, SimConfig(1000, seed=30, scheme=SimScheme.log_euler(64)), 0)
+        draw = sample_block(m, tuning, SimConfig(1000, seed=30, euler_steps=64), 0)
         for name in ("fE_T", "fI_T") + GAUSSIAN_FIELDS:
             assert np.all(np.isfinite(getattr(draw, name)))
 
-    @pytest.mark.parametrize("scheme", [SimScheme.log_euler(2), SimScheme.exact()])
-    def test_few_segments_keep_per_segment_stream(self, scheme):
+    @pytest.mark.parametrize("euler_steps", [2, 0])
+    def test_few_segments_keep_per_segment_stream(self, euler_steps):
         m = _piecewise_model(((0.0, 0.15), (0.3, 0.28)), mode=CorrelationMode.SDE_MIXING)
         n, seed = 5000, 31
-        if scheme.kind == "exact":
-            edges = np.array([0.0, 0.3, 0.6, 1.0])
+        if euler_steps:
+            edges = np.linspace(0.0, 1.0, euler_steps + 1)
         else:
-            edges = np.linspace(0.0, 1.0, scheme.steps + 1)
+            edges = np.array([0.0, 0.3, 0.6, 1.0])
         dt = np.diff(edges)
         loadsE, loadsI = (np.stack(columns) * np.sqrt(dt)
                           for columns in _driver_loads(m, self.TUNING, edges[:-1]))
@@ -250,13 +245,13 @@ class TestFixedRankSampler:
                             (column_sum(z[:, :, 0], load) for load in loadsE)))
         expected.update(zip(("gI", "iI", "iE_cross"),
                             (column_sum(z[:, :, 1], load) for load in loadsI)))
-        draw = sample_block(m, self.TUNING, SimConfig(n, seed=seed, scheme=scheme), 0)
+        draw = sample_block(m, self.TUNING, SimConfig(n, seed=seed, euler_steps=euler_steps), 0)
         for name, value in expected.items():
             assert np.array_equal(getattr(draw, name), value), name
 
     def test_block_memory_does_not_grow_with_steps(self, atm_model, uniform_tuning):
         def peak(steps):
-            cfg = SimConfig(4096, seed=32, scheme=SimScheme.log_euler(steps))
+            cfg = SimConfig(4096, seed=32, euler_steps=steps)
             tracemalloc.start()
             try:
                 sample_block(atm_model, uniform_tuning, cfg, 0)
@@ -308,19 +303,17 @@ class TestTiles:
              (TILE_SIZE + 2, True, 0), (3 * TILE_SIZE + 2, True, 0),
              (BLOCK_SIZE + 5, False, 0), (BLOCK_SIZE + 2 * TILE_SIZE + 7, False, 1),
              (BLOCK_SIZE + TILE_SIZE + 2, True, 1)]
-    # (mode, scheme, tuning, sigE). Constant volatility with uniform tuning is
+    # (mode, euler_steps, tuning, sigE). Constant volatility with uniform tuning is
     # a one-segment exact grid, where each accumulator is one product of a
     # normal and its load; sigE = 0 makes the energy loads zero. On a 16-step
     # grid the same coefficients factor to rank 1: one normal per driver. An
     # energy break at 0.25 with the tuning's at 0.5 is a three-segment exact
     # grid of rank 3, the longest column sum.
     THREE_SEGMENTS = ((0.0, 0.2), (0.25, 0.3))
-    SETUPS = [*itertools.product(CorrelationMode, [SimScheme.exact(), SimScheme.log_euler(16)],
-                                 [TUNING], [0.2]),
-              *itertools.product(CorrelationMode, [SimScheme.exact()], [UNIFORM], [0.2, 0.0]),
-              *itertools.product(CorrelationMode, [SimScheme.log_euler(16)], [UNIFORM], [0.2]),
-              *itertools.product(CorrelationMode, [SimScheme.exact()], [TUNING],
-                                 [THREE_SEGMENTS])]
+    SETUPS = [*itertools.product(CorrelationMode, [0, 16], [TUNING], [0.2]),
+              *itertools.product(CorrelationMode, [0], [UNIFORM], [0.2, 0.0]),
+              *itertools.product(CorrelationMode, [16], [UNIFORM], [0.2]),
+              *itertools.product(CorrelationMode, [0], [TUNING], [THREE_SEGMENTS])]
     SETUP_IDS = [f"{mode.value}-{setup}" for setups in (["exact", "euler:16"],
                                                           ["one-segment", "one-segment-zero-load"],
                                                           ["factored-rank-1"], ["three-segment"])
@@ -334,23 +327,23 @@ class TestTiles:
         return dataclasses.replace(make_model(mode=mode, **cls.MODEL_ARGS),
                                    energy_vol=VolatilityCurve.from_segments(sigE, 1.0))
 
-    @pytest.mark.parametrize("mode,scheme,tuning,sigE", SETUPS, ids=SETUP_IDS)
+    @pytest.mark.parametrize("mode,euler_steps,tuning,sigE", SETUPS, ids=SETUP_IDS)
     @pytest.mark.parametrize("n,antithetic,block", CASES)
-    def test_sample_block_equals_untiled_draw(self, mode, scheme, tuning, sigE, n, antithetic,
-                                              block):
+    def test_sample_block_equals_untiled_draw(self, mode, euler_steps, tuning, sigE, n,
+                                              antithetic, block):
         model = self._model(mode, sigE)
-        cfg = SimConfig(n, seed=33, antithetic=antithetic, scheme=scheme)
+        cfg = SimConfig(n, seed=33, antithetic=antithetic, euler_steps=euler_steps)
         _assert_same_bits(sample_block(model, tuning, cfg, block),
                           untiled_block(model, tuning, cfg, block))
 
-    @pytest.mark.parametrize("mode,scheme,tuning,sigE", SETUPS, ids=SETUP_IDS)
-    def test_buffered_draw_equals_untiled_draw(self, mode, scheme, tuning, sigE):
+    @pytest.mark.parametrize("mode,euler_steps,tuning,sigE", SETUPS, ids=SETUP_IDS)
+    def test_buffered_draw_equals_untiled_draw(self, mode, euler_steps, tuning, sigE):
         # one set of buffers, reused across configs and blocks as a pass reuses them
         model = self._model(mode, sigE)
-        plan = _build_plan(model, tuning, scheme)
+        plan = _build_plan(model, tuning, euler_steps)
         buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), BLOCK_SIZE), np.nan))
         for n, antithetic, _ in self.CASES:
-            cfg = SimConfig(n, seed=34, antithetic=antithetic, scheme=scheme)
+            cfg = SimConfig(n, seed=34, antithetic=antithetic, euler_steps=euler_steps)
             for block in range(block_count(n)):
                 got = _draw_block(plan, cfg, block, buffers)
                 assert np.shares_memory(got.fE_T, buffers.fE_T)
@@ -389,11 +382,6 @@ class TestReproducibility:
             draw_samples(atm_model, uniform_tuning, SimConfig(0, seed=0))
         with pytest.raises(ValueError):
             sample_block(atm_model, uniform_tuning, SimConfig(10, seed=0), 5)
-
-    def test_unknown_scheme_kind_rejected(self, atm_model, uniform_tuning):
-        cfg = SimConfig(10, seed=0, scheme=SimScheme("bogus", 0))
-        with pytest.raises(ValueError, match="^unknown scheme kind 'bogus'$"):
-            sample_block(atm_model, uniform_tuning, cfg, 0)
 
     def test_tuning_horizon_must_match_the_model(self, atm_model):
         with pytest.raises(ValueError, match="^tuning function horizon must match"):
