@@ -23,7 +23,6 @@ from .config import ConfigError, RunConfig, as_integer, build_run, load_config, 
 from .estimators import (
     GREEKS,
     GreekEstimate,
-    _sweep_variant,
     convergence_table,
     fd_greek,  # noqa: F401  unused here; bench/run.py traces Monte Carlo passes by cli names
     mc_estimates,
@@ -188,13 +187,10 @@ def _sweep_rho(args, run: RunConfig, variants):
     grid = _parse_grid(args.grid, float, "--grid")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
-    variant = _sweep_variant(args.greek, _single_variant(variants), run.model)
-    for rho in grid:
-        require_rho_supported(variant, replace(run.model, rho=rho))
 
     def compute():
         return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
-                             variant=variant, which=args.greek, threads=args.threads)
+                             which=args.greek, threads=args.threads)
 
     return compute, run
 
@@ -278,8 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep-rho", parents=[common], help="residual-risk table over a rho grid")
     s.add_argument("--grid", required=True, help="comma-separated correlations in (-1, 1)")
     s.add_argument("--greek", choices=GREEKS, default="dE")
-    s.add_argument("--variant", action="append", default=None,
-                   help="correlated variant for the sweep (one)")
     s.set_defaults(handler=_sweep_rho)
 
     c = sub.add_parser("converge", parents=[common], help="estimates along a sample-size grid")

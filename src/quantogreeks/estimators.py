@@ -48,8 +48,7 @@ from .simulate import (
     block_count,
     tile_bounds,
 )
-from .weights import (WEIGHTS, WeightVariant, greek_of, mode_variant, require_rho_supported,
-                      weight_for)
+from .weights import WEIGHTS, WeightVariant, mode_variant, require_rho_supported, weight_for
 
 GREEKS = {"dE": "E", "dI": "I", "dEdI": "EI"}  # the initial levels each Greek's FD moves
 FD_BUMP = 1e-4  # relative bump on the initial futures level of every finite difference
@@ -288,8 +287,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                          f"got {sizes}")
     for n in sizes:
         replace(cfg, n_samples=n)  # SimConfig refuses an invalid count
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if type(threads) is not int or threads < 1:  # SimConfig's rule for counts
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    if not isinstance(tuning, TuningFunction):
+        raise ValueError(f"tuning must be a TuningFunction, got {tuning!r}")
     _require_valid(model, payoff, tuning)
     for scenario in dict.fromkeys(job[3] for job in jobs if job[3] is not None):
         _require_valid(scenario, payoff)
@@ -601,35 +602,21 @@ def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
 # Residual risk and convergence studies
 # ---------------------------------------------------------------------------
 
-def _sweep_variant(which: str, variant: WeightVariant | None, model: MarketModel) -> WeightVariant:
-    """The variant a sweep of ``which`` runs: ``variant`` or the weight of ``model``'s mode.
-
-    A variant of another Greek is refused: its rows would subtract one Greek
-    from another.
-    """
-    _require_greek(which)
-    if variant is None:
-        return mode_variant(which, model.correlation_mode)
-    if greek_of(variant) != which:
-        raise ValueError(f"{variant.value} estimates {greek_of(variant)}, not {which}")
-    return variant
-
-
 def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
-                  rho_grid: list[float], cfg: SimConfig,
-                  variant: WeightVariant | None = None, which: str = "dE",
+                  rho_grid: list[float], cfg: SimConfig, which: str = "dE",
                   threads: int = 1) -> list[dict[str, float]]:
     """Hedging error from ignoring correlation: |corr Greek - rho=0 Greek| per rho.
 
-    Every row runs ``variant``, by default the weight of the model's mode. The
-    rho = 0 baseline and every grid point are jobs on one pass over the draws,
-    so the rho = 0 row vanishes exactly and each row equals a separate pass at
-    its rho. Rows carry (rho, delta_corr, delta_ind, abs_diff, stderr) with
-    stderr = hypot(se_corr, se_ind), exact only for independent estimates; both
-    come from the same draws, and at n = 1e6 it read 1.0 to 4.9 times the error
-    of the per-draw difference.
+    Every row runs the one weight of ``which`` under the model's correlation
+    mode (``mode_variant``). The rho = 0 baseline and every grid point are
+    jobs on one pass over the draws, so the rho = 0 row vanishes exactly and
+    each row equals a separate pass at its rho. Rows carry (rho, delta_corr,
+    delta_ind, abs_diff, stderr) with stderr = hypot(se_corr, se_ind), exact
+    only for independent estimates; both come from the same draws, and at
+    n = 1e6 it read 1.0 to 4.9 times the error of the per-draw difference.
     """
-    variant = _sweep_variant(which, variant, model)
+    _require_greek(which)
+    variant = mode_variant(which, model.correlation_mode)
     base, *ests = mc_greek(replace(model, rho=0.0), payoff, tuning, variant, cfg,
                            threads=threads, scenarios=rho_grid)
     return [{

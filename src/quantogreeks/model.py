@@ -8,7 +8,9 @@ finite sum, ``integrate``, over the union of the functions' grids.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -115,7 +117,9 @@ def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
     Every product of step functions is itself a step function on the union of
     their grids, so the integral is a finite sum. The sum is scalar Python on
     purpose: ``x ** 2`` on a float calls libm ``pow``, which numpy's ``x * x``
-    does not reproduce bit for bit.
+    does not reproduce bit for bit. It adds the terms left to right, as
+    ``sum()`` does only before Python 3.12, whose ``sum()`` of floats is
+    compensated.
     """
     horizon = steps[0].horizon
     if any(s.horizon != horizon for s in steps):
@@ -123,7 +127,8 @@ def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
     edges = union_grid(horizon, *steps)
     levels = zip(*(s.values_on_grid(np.array(edges[:-1])).tolist() for s in steps))
     try:
-        return float(sum(f(*vals) * (b - a) for vals, a, b in zip(levels, edges, edges[1:])))
+        return float(functools.reduce(operator.add, (
+            f(*vals) * (b - a) for vals, a, b in zip(levels, edges, edges[1:])), 0.0))
     except ZeroDivisionError:
         raise ValueError("integrand divides by a zero step value "
                          "(strictly positive volatility required)") from None

@@ -46,7 +46,7 @@ class SimConfig:
     """Sampling settings, checked when built; ``dataclasses.replace`` checks again.
 
     A count, seed or step count must be an int: a bool or a float, even a
-    whole one, is refused.
+    whole one, is refused. ``antithetic`` must be a bool.
     """
 
     n_samples: int
@@ -58,6 +58,8 @@ class SimConfig:
         for name in ("n_samples", "seed", "euler_steps"):
             if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.antithetic) is not bool:
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if not 0 <= self.seed < 1 << 128:  # the Philox key; a seed outside would alias one inside
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.n_samples < 1:

@@ -216,14 +216,6 @@ class TestSweepRho:
                      if a.dest == "greek"]
         assert list(choices) == list(GREEKS)
 
-    @pytest.mark.parametrize("greek,variant", [("dE", "CorrCrossGamma_Conditional"),
-                                               ("dI", "CorrDeltaE_Conditional")])
-    def test_variant_of_another_greek_exits_2(self, config_path, capsys, greek, variant):
-        # its rows would subtract the rho = 0 estimate of one Greek from another
-        assert main(["sweep-rho", "--config", config_path, "--grid", "0.3", "--greek", greek,
-                     "--variant", variant]) == 2
-        assert f"{variant} estimates" in capsys.readouterr().err
-
     def test_cross_gamma_sweep(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-rho", "--config", config_path, "--grid", "0.4",

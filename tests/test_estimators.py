@@ -148,7 +148,8 @@ class TestMcGreek:
         assert one.value == four.value
         assert one.stderr == four.stderr
 
-    @pytest.mark.parametrize("threads", [0, -2])
+    # unchecked, a float or a bool ran the pass
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, 2.0, True])
     def test_thread_count_below_one_rejected(self, atm_model, uniform_tuning, threads):
         # rejected before the pass starts, so no worker thread is created
         with pytest.raises(ValueError, match="threads"):
@@ -238,8 +239,9 @@ class TestEngineValidation:
         ({"seed": 2 ** 128}, "seed"), ({"seed": 0.5}, "seed"),
         ({"euler_steps": -1}, "euler_steps"), ({"euler_steps": 2.5}, "euler_steps"),
         ({"n_samples": 1001, "antithetic": True}, "n_samples"),
+        ({"antithetic": "false"}, "antithetic"), ({"antithetic": 1}, "antithetic"),
     ], ids=["n-0", "n-float", "n-bool", "seed-negative", "seed-2**128", "seed-float",
-            "steps-negative", "steps-float", "n-odd-pairs"])
+            "steps-negative", "steps-float", "n-odd-pairs", "pairs-str", "pairs-int"])
     def test_a_sim_config_cannot_be_built_invalid(self, monkeypatch, atm_model, uniform_tuning,
                                                   build, values, field):
         calls = counting_draws(monkeypatch)
@@ -248,6 +250,20 @@ class TestEngineValidation:
             mc_price(atm_model, ATM, build(values), uniform_tuning)
         with pytest.raises(ValueError, match=rf"\b{field} must"):
             sample_block(atm_model, uniform_tuning, build(values), 0)
+        assert calls == []
+
+    # unchecked, each raised an AttributeError on None's horizon; mc_price and fd_greek
+    # read None as the uniform tuning
+    @pytest.mark.parametrize("call", [
+        lambda cfg: mc_greek(make_model(), ATM, None, V.CORR_DELTA_I, cfg),
+        lambda cfg: mc_estimates(make_model(), ATM, None, [V.CORR_DELTA_I], cfg),
+        lambda cfg: residual_risk(make_model(), ATM, None, [0.3], cfg),
+        lambda cfg: convergence_table(make_model(), ATM, None, V.CORR_DELTA_I, cfg, [500, 1000]),
+    ], ids=["mc_greek", "mc_estimates", "residual_risk", "convergence_table"])
+    def test_a_missing_tuning_function_is_refused_before_drawing(self, monkeypatch, call):
+        calls = counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match="^tuning must be a TuningFunction, got None$"):
+            call(SimConfig(1000, seed=0))
         assert calls == []
 
     # unchecked, Philox was keyed by the seed modulo 2**128: -1 drew the bits of
@@ -272,9 +288,9 @@ class TestEngineValidation:
                                      V.CORR_CROSS_GAMMA_MATRIX_INVERSE], cfg),
         lambda a, cfg: mc_greek(make_model(rho=0.3, mode=CorrelationMode.SDE_MIXING), ATM, a,
                                 V.CORR_DELTA_I, cfg),
-        lambda a, cfg: residual_risk(make_model(rho=0.3), ATM, a, [0.3], cfg,
-                                     variant=V.CORR_DELTA_E_MATRIX_INVERSE, which="dE"),
-    ], ids=["mc_estimates", "mc_greek", "residual_risk_scenario"])
+        lambda a, cfg: mc_greek(make_model(rho=0.0), ATM, a, V.CORR_DELTA_E_MATRIX_INVERSE,
+                                cfg, scenarios=[0.3]),
+    ], ids=["mc_estimates", "mc_greek", "mc_greek_scenario"])
     def test_other_mode_variants_are_refused_before_drawing(self, monkeypatch, uniform_tuning,
                                                             call):
         calls = counting_draws(monkeypatch)
@@ -1194,17 +1210,6 @@ class TestResidualRisk:
         assert len(rows) == 3
         assert list(rows[0]) == ["rho", "delta_corr", "delta_ind", "abs_diff", "stderr"]
         assert [r["rho"] for r in rows] == [-0.5, 0.0, 0.5]
-
-    @pytest.mark.parametrize("variant,which", [(V.CORR_CROSS_GAMMA_CONDITIONAL, "dE"),
-                                               (V.CORR_DELTA_E_CONDITIONAL, "dI")])
-    def test_variant_of_another_greek_rejected(self, monkeypatch, uniform_tuning, variant,
-                                               which):
-        # unchecked, each row subtracted the rho = 0 estimate of one Greek from another
-        calls = counting_draws(monkeypatch)
-        with pytest.raises(ValueError, match=f"^{variant.value} estimates d\\w+, not {which}$"):
-            residual_risk(make_model(rho=0.3), ATM, uniform_tuning, [0.3],
-                          SimConfig(1000, seed=0), variant=variant, which=which)
-        assert calls == []
 
     def test_out_of_range_rho_rejected(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\), got 1.0"):

@@ -60,6 +60,17 @@ class TestIntegratedVariance:
         curve = VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0)
         assert integrate(square, curve) == pytest.approx(0.05, abs=1e-15)
 
+    def test_sums_left_to_right_on_every_python(self):
+        # from Python 3.12 sum() of floats is compensated: on this curve it reads
+        # 0.037375, and the left-to-right sum 0.037375000000000005
+        times = (0.0, 0.1, 0.25, 0.4, 0.6, 0.85)
+        curve = VolatilityCurve(times, (0.2, 0.1, 0.1, 0.15, 0.3, 0.15), 1.0)
+        edges = [*times, 1.0]
+        total = 0.0
+        for sigma, a, b in zip(curve.values, edges, edges[1:]):
+            total += sigma * sigma * (b - a)
+        assert integrate(lambda s: s * s, curve) == total == 0.037375000000000005
+
     def test_horizon_mismatch_rejected(self):
         curve = VolatilityCurve.constant(0.2, 1.0)
         with pytest.raises(ValueError, match="share the horizon"):

@@ -34,6 +34,12 @@ command says otherwise. Each pins a code path:
   its baseline, on the energy-live ``sde_mixing`` views of the ATM call, and
   antithetic on every sample of ``atm_independent.cfg``.
 
+Three more run ``greeks --all-variants --oracle both`` at 20,000 samples on
+payoff code no other command runs: ``separable.cfg``, a piecewise-linear
+separable payoff whose g has a dead region and whose h turns negative;
+``collar_alpha.cfg``, the collar with ``payoff.alpha = 2.5``; and
+``digital.cfg``, whose step legs then also run under quadrature.
+
 Five more run with ``--format json`` at 20,000 samples: ``price``,
 ``greeks --all-variants --oracle both``, ``sweep-rho`` and ``converge`` on
 ``atm_independent.cfg``, and ``greeks --all-variants --oracle both`` on the
@@ -96,6 +102,9 @@ BLOCKS = (
     (SDE_COPY, ("sweep-rho", "--greek", "dEdI", TEN_RHO)),
     (ATM, ("sweep-rho", "--greek", "dEdI", TEN_RHO, "--antithetic")),
 )
+# payoff code no other command runs: a piecewise-linear separable payoff, a collar whose
+# alpha is not 1 and the digital's step legs under quadrature
+ORACLES = ("separable.cfg", "collar_alpha.cfg", "digital.cfg")
 JSON = (*((ATM, command) for command in COMMANDS), (COLLAR, COMMANDS[1]))
 SECONDS = re.compile(rb'"seconds": [^,\n]+')  # a JSON report's wall-clock timings
 
@@ -125,6 +134,14 @@ def config_paths(directory: Path) -> dict[str, Path]:
                                 ("rho = 0.3\n", "rho = -0.4\n"), unpaired),
         "digital.cfg": _copy(ATM, directory, "digital.cfg",
                              ("= product_call\n", "= digital_product\n")),
+        # g has a dead region below 100 and h turns negative above 104
+        "separable.cfg": _copy(ATM, directory, "separable.cfg", (
+            "payoff.variant = product_call\npayoff.kE = 100.0\npayoff.kI = 100.0\n",
+            'payoff.variant = separable\n'
+            'payoff.g = {"knots": [[100.0, 0.0]], "slopes": [0.0, 1.0]}\n'
+            'payoff.h = {"knots": [[90.0, 5.0], [110.0, -2.0]], "slopes": [0.0, -0.5]}\n')),
+        "collar_alpha.cfg": _copy(COLLAR, directory, "collar_alpha.cfg",
+                                  ("payoff.alpha = 1.0\n", "payoff.alpha = 2.5\n")),
     }
 
 
@@ -135,6 +152,7 @@ def matrix(directory: Path) -> dict[str, list[str]]:
             for command in COMMANDS for sampling in SAMPLING]
     runs += [(COLLAR_SDE_COPY, (*COMMANDS[2], *sampling), 20000) for sampling in SAMPLING[:2]]
     runs += [(config, command, 140000) for config, command in BLOCKS]
+    runs += [(config, COMMANDS[1], 20000) for config in ORACLES]
     runs += [(config, (*command, "--format", "json"), 20000) for config, command in JSON]
     commands = {}
     for config, (command, *args), n in runs:
