@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .model import (
     CorrelationMode,
     MarketModel,
+    StepFunction,
     TuningFunction,
     VolatilityCurve,
     as_real,
@@ -92,16 +93,23 @@ def as_integer(value, name: str) -> int:
     raise ConfigError(f"{name}: expected an integer, got {value!r}")
 
 
+def _steps(value, key: str, what: str, horizon: float) -> StepFunction:
+    """The segments ``value`` as a step function; a segment at or after ``horizon`` is refused."""
+    try:
+        steps = StepFunction.from_segments(value)
+        if steps.times[-1] >= horizon:
+            raise ValueError("step function: last segment starts at or beyond the horizon")
+        return steps
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key {key}: bad {what} ({exc})") from exc
+
+
 def _curve(raw: dict, key: str, horizon: float) -> VolatilityCurve:
     value = _require(raw, key)
     if isinstance(value, bool):
         raise ConfigError(f"key {key}: expected a number or segments, got {value!r}")
-    try:
-        if isinstance(value, (int, float)):
-            return VolatilityCurve.constant(float(value), horizon)
-        return VolatilityCurve.from_segments(value, horizon)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key}: bad volatility curve ({exc})") from exc
+    return _steps([(0.0, value)] if isinstance(value, (int, float)) else value, key,
+                  "volatility curve", horizon)
 
 
 def _build_model(raw: dict) -> MarketModel:
@@ -134,10 +142,7 @@ def _build_tuning(raw: dict, horizon: float) -> TuningFunction:
     value = raw.pop("tuning", "uniform")
     if value == "uniform":
         return TuningFunction.uniform(horizon)
-    try:
-        return TuningFunction.from_segments(value, horizon)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key tuning: bad tuning function ({exc})") from exc
+    return _steps(value, "tuning", "tuning function", horizon)
 
 
 def _piecewise(raw: dict, key: str) -> PiecewiseLinear:

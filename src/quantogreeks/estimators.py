@@ -125,7 +125,7 @@ class _BlockData:
         view._levels, view._energy = self._levels, self._energy
         view._kernels = (self._kernels[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
-            view.eI = _temperature_level(self.plan, model.rho, self.draw.gI, self.draw.gI_cross)
+            view.eI = _temperature_level(self.plan, model, self.draw.gI, self.draw.gI_cross)
             view.eI /= model.temperature_f0
         return view
 
@@ -337,7 +337,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         start = block * BLOCK_SIZE
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
         out: list[dict] = [{} for _ in jobs]
-        draw = _draw_block(plan, cfg, block, local.draw)
+        draw = _draw_block(plan, model, cfg, block, local.draw)
         bounds = tile_bounds(len(draw.fE_T))
         for first, group, layout, energy_only in groups:
             for lo, hi in bounds:

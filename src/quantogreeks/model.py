@@ -46,22 +46,21 @@ class CorrelationMode(Enum):
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Right-continuous piecewise-constant function on [0, horizon).
+    """Right-continuous piecewise-constant function of time from t = 0.
 
     Volatility curves sigma(t) and weight tuning functions a(t) are both step
     functions: ``times`` are the segment start points (first one 0.0) and
-    ``values`` the per-segment levels. Value bounds (positive volatility above
-    the ellipticity floor, unit-integral tuning) are checked by
-    ``validate_model``, not here, so that deliberately degenerate functions can
-    be constructed and flagged.
+    ``values`` the per-segment levels, read on the model's horizon [0, T).
+    ``validate_model``, not this class, checks the rest (every segment starts
+    before T, volatility above the ellipticity floor, unit-integral tuning),
+    so that deliberately degenerate functions can be constructed and flagged.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    horizon: float
 
     def __post_init__(self):
-        times, values, horizon = self.times, self.values, self.horizon
+        times, values = self.times, self.values
         if len(times) == 0 or len(times) != len(values):
             raise ValueError("step function: need one value per segment start")
         if not all(math.isfinite(t) for t in times) or not all(math.isfinite(v) for v in values):
@@ -70,33 +69,26 @@ class StepFunction:
             raise ValueError("step function: first segment must start at t=0")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("step function: segment starts must be strictly increasing")
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ValueError("step function: horizon must be positive")
-        if times[-1] >= horizon:
-            raise ValueError("step function: last segment starts at or beyond the horizon")
 
     @classmethod
-    def constant(cls, value: float, horizon: float) -> "StepFunction":
-        return cls((0.0,), (float(value),), float(horizon))
+    def constant(cls, value: float) -> "StepFunction":
+        return cls((0.0,), (float(value),))
 
     @classmethod
     def uniform(cls, horizon: float) -> "StepFunction":
         """The default tuning function a(t) = 1/horizon."""
-        return cls.constant(1.0 / float(horizon), horizon)
+        return cls.constant(1.0 / float(horizon))
 
     @classmethod
-    def from_segments(cls, segments, horizon: float) -> "StepFunction":
+    def from_segments(cls, segments) -> "StepFunction":
         """Build from ``[(t_start, value), ...]`` pairs."""
         ts = tuple(as_real(t) for t, _ in segments)
         vs = tuple(as_real(v) for _, v in segments)
-        return cls(ts, vs, float(horizon))
+        return cls(ts, vs)
 
     def values_on_grid(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
         return np.asarray(self.values)[np.maximum(idx, 0)]
-
-    def integral(self) -> float:
-        return integrate(lambda v: v, self)
 
 
 # A volatility curve and a weight tuning function are the same kind of object.
@@ -111,8 +103,8 @@ def union_grid(horizon: float, *steps: StepFunction) -> list[float]:
     return sorted(pts)
 
 
-def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
-    """Exact integral of ``f(s1(t), s2(t), ...)`` over the whole horizon.
+def integrate(f: Callable[..., float], horizon: float, *steps: StepFunction) -> float:
+    """Exact integral of ``f(s1(t), s2(t), ...)`` over [0, ``horizon``).
 
     Every product of step functions is itself a step function on the union of
     their grids, so the integral is a finite sum. The sum is scalar Python on
@@ -121,9 +113,6 @@ def integrate(f: Callable[..., float], *steps: StepFunction) -> float:
     ``sum()`` does only before Python 3.12, whose ``sum()`` of floats is
     compensated.
     """
-    horizon = steps[0].horizon
-    if any(s.horizon != horizon for s in steps):
-        raise ValueError("step functions must share the horizon")
     edges = union_grid(horizon, *steps)
     levels = zip(*(s.values_on_grid(np.array(edges[:-1])).tolist() for s in steps))
     try:
@@ -147,13 +136,20 @@ class MarketModel:
     rate: float = 0.0
     correlation_mode: CorrelationMode = CorrelationMode.PAYOFF_MIXING
 
+    def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not isinstance(mode := self.correlation_mode, CorrelationMode):
+            raise ValueError(f"correlation_mode must be a CorrelationMode, got {mode!r}")
+
 
 def _check_leg(bad: list[str], name: str, f0: float, vol: VolatilityCurve,
                horizon: float) -> None:
     if not (math.isfinite(f0) and f0 > 0.0):
         bad.append(f"{name}: initial futures level must be positive, got {f0}")
-    if vol.horizon != horizon:
-        bad.append(f"{name}: volatility curve horizon {vol.horizon} differs from model horizon {horizon}")
+    if vol.times[-1] >= horizon:
+        bad.append(f"{name}: volatility segment starts at t={vol.times[-1]}, at or after the "
+                   f"horizon {horizon}")
     for t0, sig in zip(vol.times, vol.values):
         if sig < ELLIPTICITY_FLOOR:
             bad.append(
@@ -184,15 +180,13 @@ def validate_model(model: MarketModel, tuning: TuningFunction | None = None) -> 
     if not math.isfinite(model.rate):
         bad.append(f"risk-free rate must be finite, got {model.rate}")
     if tuning is not None:
-        if tuning.horizon != horizon:
+        if tuning.times[-1] >= horizon:
+            bad.append(f"tuning function segment starts at t={tuning.times[-1]}, at or after "
+                       f"the horizon {horizon}")
+        integral = integrate(lambda a: a, horizon, tuning)
+        if abs(integral - 1.0) > TUNING_INTEGRAL_TOL:
             bad.append(
-                f"tuning function horizon {tuning.horizon} differs from model horizon {horizon}"
+                f"tuning function integrates to {integral!r}, not 1 "
+                f"(unit-integral weight family violated)"
             )
-        else:
-            integral = tuning.integral()
-            if abs(integral - 1.0) > TUNING_INTEGRAL_TOL:
-                bad.append(
-                    f"tuning function integrates to {integral!r}, not 1 "
-                    f"(unit-integral weight family violated)"
-                )
     return bad

@@ -266,13 +266,14 @@ class KinkSolver:
     def __init__(self, model: MarketModel):
         self.model = model
         rho = model.rho
-        self.vE = integrate(lambda s: s ** 2, model.energy_vol)
-        self.vI = integrate(lambda s: s ** 2, model.temperature_vol)
+        self.vE = integrate(lambda s: s ** 2, model.horizon, model.energy_vol)
+        self.vI = integrate(lambda s: s ** 2, model.horizon, model.temperature_vol)
         self.sE = math.sqrt(self.vE)
         self.sI = math.sqrt(self.vI)
         self.sq1mr2 = math.sqrt(1.0 - rho * rho)
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
-            vEI = integrate(lambda sE, sI: sE * sI, model.energy_vol, model.temperature_vol)
+            vEI = integrate(lambda sE, sI: sE * sI, model.horizon, model.energy_vol,
+                            model.temperature_vol)
             self.m1 = rho * vEI / self.sE
             self.s2 = math.sqrt(rho * rho * (self.vI - vEI * vEI / self.vE)
                                 + (1.0 - rho * rho) * self.vI)

@@ -106,18 +106,28 @@ class _Plan:
     matrix gives accumulator j as the sum over k of normal k times ``load[j, k]``.
     """
 
-    f0E: float
-    f0I: float
-    rho: float
-    mode: CorrelationMode
     loadE: np.ndarray  # rows gE, iE, gI_cross on the energy driver
     loadI: np.ndarray  # rows gI, iI, iE_cross on the independent driver
     driftE: float  # -1/2 int sigma_E^2 on this grid
     driftI: float
 
 
-def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray,
-                  dt: np.ndarray) -> _Plan:
+def _build_plan(model: MarketModel, tuning: TuningFunction, euler_steps: int) -> _Plan:
+    """The run's constants; under sde_mixing a rho outside (-1, 1) is refused.
+
+    Only sde_mixing mixes rho into the draw, through ``sqrt(1 - rho^2)``; the
+    public draws do not validate the model otherwise, so that degenerate
+    volatilities can still be drawn.
+    """
+    if model.correlation_mode is CorrelationMode.SDE_MIXING and (bad := rho_violation(model.rho)):
+        raise ValueError(bad)
+    horizon = model.horizon
+    if euler_steps:
+        t_left = np.linspace(0.0, horizon, euler_steps + 1)[:-1]
+        dt = np.full(euler_steps, horizon / euler_steps)
+    else:
+        edges = np.array(union_grid(horizon, model.energy_vol, model.temperature_vol, tuning))
+        t_left, dt = edges[:-1], np.diff(edges)
     sigE = model.energy_vol.values_on_grid(t_left)
     sigI = model.temperature_vol.values_on_grid(t_left)
     av = tuning.values_on_grid(t_left)
@@ -135,36 +145,11 @@ def _coefficients(model: MarketModel, tuning: TuningFunction, t_left: np.ndarray
         rank = max(1, *(np.count_nonzero(s > s[0] * cut) for s, _ in svds))
         loadE, loadI = ((s[:rank, None] * vt[:rank]).T for s, vt in svds)
     return _Plan(
-        f0E=model.energy_f0,
-        f0I=model.temperature_f0,
-        rho=model.rho,
-        mode=model.correlation_mode,
         loadE=loadE,
         loadI=loadI,
         driftE=-0.5 * float(np.dot(sigE * sigE, dt)),
         driftI=-0.5 * float(np.dot(sigI * sigI, dt)),
     )
-
-
-def _build_plan(model: MarketModel, tuning: TuningFunction, euler_steps: int) -> _Plan:
-    """The run's constants; under sde_mixing a rho outside (-1, 1) is refused.
-
-    Only sde_mixing mixes rho into the draw, through ``sqrt(1 - rho^2)``; the
-    public draws do not validate the model otherwise, so that degenerate
-    volatilities can still be drawn.
-    """
-    if model.correlation_mode is CorrelationMode.SDE_MIXING and (bad := rho_violation(model.rho)):
-        raise ValueError(bad)
-    horizon = model.horizon
-    if tuning.horizon != horizon:
-        raise ValueError("tuning function horizon must match the model horizon")
-    if euler_steps:
-        edges = np.linspace(0.0, horizon, euler_steps + 1)
-        dt = np.full(euler_steps, horizon / euler_steps)
-    else:
-        edges = np.array(union_grid(horizon, model.energy_vol, model.temperature_vol, tuning))
-        dt = np.diff(edges)
-    return _coefficients(model, tuning, edges[:-1], dt)
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -188,9 +173,9 @@ def _rows(draw: SampleDraw, index: slice | np.ndarray) -> SampleDraw:
                         for f in fields(SampleDraw)))
 
 
-def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
+def _draw_block(plan: _Plan, model: MarketModel, cfg: SimConfig, block: int,
                 out: SampleDraw | None = None) -> SampleDraw:
-    """Draw block ``block`` tile by tile into ``out`` (fresh arrays if None).
+    """Draw block ``block`` of ``model`` tile by tile into ``out`` (fresh arrays if None).
 
     ``out`` holds at least the block's sample count; the result is views of
     its leading entries. The block's generator fills the normals one tile at
@@ -231,14 +216,14 @@ def _draw_block(plan: _Plan, cfg: SimConfig, block: int,
                     np.negative(acc, out=dst[1::2])
         np.add(gE, plan.driftE, out=tile.fE_T)
         np.exp(tile.fE_T, out=tile.fE_T)
-        np.multiply(tile.fE_T, plan.f0E, out=tile.fE_T)
-        _temperature_level(plan, plan.rho, gI, tile.gI_cross, out=tile.fI_T)
+        np.multiply(tile.fE_T, model.energy_f0, out=tile.fE_T)
+        _temperature_level(plan, model, gI, tile.gI_cross, out=tile.fI_T)
     return draw
 
 
-def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray, gI_cross: np.ndarray,
+def _temperature_level(plan: _Plan, model: MarketModel, gI: np.ndarray, gI_cross: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Terminal temperature futures at correlation ``rho`` from the drawn accumulators.
+    """Terminal temperature futures of ``model`` from the drawn accumulators.
 
     Only sde_mixing mixes the drivers here, so this is the one draw quantity
     that depends on rho; a scenario at another rho recomputes it from the same
@@ -246,14 +231,14 @@ def _temperature_level(plan: _Plan, rho: float, gI: np.ndarray, gI_cross: np.nda
     ``sqrt(1 - rho^2)`` is 1.0 and ``rho * gI_cross`` a zero, so the mix is
     ``gI`` up to the sign of a zero, which adding the drift and exp erase.
     """
-    if plan.mode is CorrelationMode.SDE_MIXING and rho != 0.0:  # in place: one temporary
-        level = np.multiply(gI_cross, rho, out=out)
-        level += float(np.sqrt(1.0 - rho * rho)) * gI
+    if model.correlation_mode is CorrelationMode.SDE_MIXING and model.rho != 0.0:
+        level = np.multiply(gI_cross, model.rho, out=out)  # in place: one temporary
+        level += float(np.sqrt(1.0 - model.rho * model.rho)) * gI
         level += plan.driftI
     else:
         level = np.add(gI, plan.driftI, out=out)
     np.exp(level, out=level)
-    level *= plan.f0I
+    level *= model.temperature_f0
     return level
 
 
@@ -262,7 +247,7 @@ def sample_block(model: MarketModel, tuning: TuningFunction, cfg: SimConfig,
     """Draw one block of samples; pure in (model, tuning, cfg, block)."""
     if not 0 <= block < block_count(cfg.n_samples):
         raise ValueError(f"block {block} out of range")
-    return _draw_block(_build_plan(model, tuning, cfg.euler_steps), cfg, block)
+    return _draw_block(_build_plan(model, tuning, cfg.euler_steps), model, cfg, block)
 
 
 def iter_sample_blocks(model: MarketModel, tuning: TuningFunction,
@@ -270,7 +255,7 @@ def iter_sample_blocks(model: MarketModel, tuning: TuningFunction,
     """Stream the sample blocks in index order."""
     plan = _build_plan(model, tuning, cfg.euler_steps)
     for block in range(block_count(cfg.n_samples)):
-        yield _draw_block(plan, cfg, block)
+        yield _draw_block(plan, model, cfg, block)
 
 
 def draw_samples(model: MarketModel, tuning: TuningFunction, cfg: SimConfig) -> SampleDraw:

@@ -113,11 +113,12 @@ def require_rho_supported(variant: WeightVariant, model: MarketModel) -> None:
 
 @functools.lru_cache(maxsize=16)
 def _cross_integral(energy_vol: VolatilityCurve, temperature_vol: VolatilityCurve,
-                    tuning: TuningFunction) -> float:
+                    tuning: TuningFunction, horizon: float) -> float:
     """int a(t)^2 / (sigma_E sigma_I) dt, integrated once per set of curves, not once per tile."""
     if any(v <= 0.0 for curve in (energy_vol, temperature_vol) for v in curve.values):
         raise ValueError("the cross-gamma compensator requires strictly positive volatility")
-    return integrate(lambda sE, sI, a: a ** 2 / (sE * sI), energy_vol, temperature_vol, tuning)
+    return integrate(lambda sE, sI, a: a ** 2 / (sE * sI), horizon, energy_vol, temperature_vol,
+                     tuning)
 
 
 def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
@@ -127,7 +128,7 @@ def _compensator(model: MarketModel, tuning: TuningFunction) -> float:
     rho = -0.0 the compensator of rho = 0.0, which compares equal.
     """
     rho = model.rho
-    cross = _cross_integral(model.energy_vol, model.temperature_vol, tuning)
+    cross = _cross_integral(model.energy_vol, model.temperature_vol, tuning, model.horizon)
     return rho * cross / ((1.0 - rho * rho) * model.energy_f0 * model.temperature_f0)
 
 

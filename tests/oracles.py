@@ -243,12 +243,12 @@ def untiled_block(model, tuning, cfg, block):
     if cfg.antithetic:
         gE, iE, gI_cross, gI, iI, iE_cross = (np.stack([x, -x], axis=1).ravel()
                                                for x in (gE, iE, gI_cross, gI, iI, iE_cross))
-    fE = plan.f0E * np.exp(plan.driftE + gE)
-    if plan.mode is CorrelationMode.SDE_MIXING:
-        stoch_I = plan.rho * gI_cross + float(np.sqrt(1.0 - plan.rho * plan.rho)) * gI
+    fE = model.energy_f0 * np.exp(plan.driftE + gE)
+    if model.correlation_mode is CorrelationMode.SDE_MIXING:
+        stoch_I = model.rho * gI_cross + float(np.sqrt(1.0 - model.rho * model.rho)) * gI
     else:
         stoch_I = gI
-    fI = plan.f0I * np.exp(plan.driftI + stoch_I)
+    fI = model.temperature_f0 * np.exp(plan.driftI + stoch_I)
     return SampleDraw(fE, fI, gE, gI, iE, iI, iE_cross, gI_cross)
 
 

@@ -181,7 +181,7 @@ def test_c07_weight_zero_mean_and_isometry(atm_model, uniform_tuning):
 
 def test_c08_tuning_function_invariance(atm_model):
     uniform = TuningFunction.uniform(1.0)
-    step = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+    step = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
     a = mc_greek(atm_model, ATM, uniform, V.CORR_DELTA_E_CONDITIONAL, SimConfig(N_BIG, seed=110))
     b = mc_greek(atm_model, ATM, step, V.CORR_DELTA_E_CONDITIONAL, SimConfig(N_BIG, seed=111))
     gap = abs(a.value - b.value)

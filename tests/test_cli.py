@@ -505,6 +505,8 @@ payoff.alpha = 1.5""")
          "(step function: non-finite entry)"),
         ("tuning = [[0.0, 0.5], [1.0, 1.0]]", "key tuning: bad tuning function "
          "(step function: last segment starts at or beyond the horizon)"),
+        ("energy.sigma = [[0.0, 0.2], [1.5, 0.3]]", "key energy.sigma: bad volatility curve "
+         "(step function: last segment starts at or beyond the horizon)"),
     ])
     def test_non_number_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
         # a list or null crashed with a TypeError (exit 1), a bool priced as 1.0 or 0.0,

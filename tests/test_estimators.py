@@ -192,7 +192,7 @@ class TestEngineValidation:
 
     @pytest.mark.parametrize("entry", MONTE_CARLO)
     def test_monte_carlo_rejects_a_non_unit_tuning_function(self, atm_model, entry):
-        doubled = TuningFunction((0.0,), (2.0,), 1.0)
+        doubled = TuningFunction((0.0,), (2.0,))
         with pytest.raises(ValueError) as exc:
             ENTRY_POINTS[entry](atm_model, ATM, doubled, SimConfig(1000, seed=0))
         assert str(exc.value) == "; ".join(validate_model(atm_model, doubled))
@@ -245,7 +245,7 @@ class TestEngineValidation:
     def test_a_sim_config_cannot_be_built_invalid(self, monkeypatch, atm_model, uniform_tuning,
                                                   build, values, field):
         calls = counting_draws(monkeypatch)
-        monkeypatch.setattr(simulate, "_draw_block", lambda plan, cfg, block: calls.append(block))
+        monkeypatch.setattr(simulate, "_draw_block", lambda plan, model, cfg, block: calls.append(block))
         with pytest.raises(ValueError, match=rf"\b{field} must"):
             mc_price(atm_model, ATM, build(values), uniform_tuning)
         with pytest.raises(ValueError, match=rf"\b{field} must"):
@@ -477,7 +477,7 @@ class TestFiniteDifferences:
         # frozen from the per-Greek stencils that preceded the shared central difference,
         # then re-frozen when the draw began summing each accumulator in fixed order
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(65_538, seed=66, antithetic=True)
         fused = mc_estimates(model, COLLAR, tuning, [], cfg, fd_greeks=list(frozen))
         assert {which: fused[f"FD_{which}"].value for which in frozen} == frozen
@@ -489,7 +489,7 @@ class TestFiniteDifferences:
     def test_payoff_grid_equals_the_per_point_stencil(self, monkeypatch, payoff, mode, rho,
                                                       antithetic):
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(TILE_SIZE + 6, seed=68, antithetic=antithetic)
         points = {(1.0, 1.0), *(p for which in estimators.GREEKS
                                 for p, _ in estimators._stencil(which))}
@@ -519,7 +519,7 @@ class TestFiniteDifferences:
         # rho * fE + sqrt(1 - rho^2) * fI. On a tile at rho = 0 and on a view at rho = 0 of
         # a tile at rho = 0.4
         model = make_model(rho=rho, f0I=60.0, sigI=0.4)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(TILE_SIZE + 6, seed=73)
         read = {(1.0, 1.0)}
         if points == "grid":
@@ -552,7 +552,7 @@ class TestLiveSamples:
         # points, so its tiles run on their live samples, unless the legs are a separable
         # payoff's piecewise lines; a partial block and a partial tile end the pass
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=74, antithetic=antithetic)
         variants = [weights.mode_variant(which, mode) for which in estimators.GREEKS]
         live_samples = estimators._live_samples
@@ -588,7 +588,7 @@ class TestLiveSamples:
         # pass per Greek's weight, prefix sizes that end inside a block and a partial tile
         mode = CorrelationMode.SDE_MIXING
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=75, antithetic=antithetic)
         sizes = [TILE_SIZE + 6, BLOCK_SIZE + 10, cfg.n_samples]
         live_samples = estimators._live_samples
@@ -737,8 +737,8 @@ def captured_draws(monkeypatch):
     draws = {}
     draw_block = estimators._draw_block
 
-    def captured(plan, cfg, block, out=None):
-        draw = draw_block(plan, cfg, block, out)
+    def captured(plan, model, cfg, block, out=None):
+        draw = draw_block(plan, model, cfg, block, out)
         draws[block] = plan, {f.name: None if (a := getattr(draw, f.name)) is None else a.copy()
                               for f in dataclasses.fields(draw)}
         return draw
@@ -751,9 +751,9 @@ def counting_draws(monkeypatch):
     calls = []
     draw_block = estimators._draw_block
 
-    def counted(plan, cfg, block, out=None):
+    def counted(plan, model, cfg, block, out=None):
         calls.append(block)
-        return draw_block(plan, cfg, block, out)
+        return draw_block(plan, model, cfg, block, out)
 
     monkeypatch.setattr(estimators, "_draw_block", counted)
     return calls
@@ -834,7 +834,7 @@ class TestOnePass:
         variant = which and weights.mode_variant(which, mode)
         model = make_model(rho=0.4, mode=mode)
         payoff = ProductCall(0.0, 0.0)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         rows = convergence_table(model, payoff, tuning, variant,
                                  SimConfig(grid[-1], seed=64, antithetic=antithetic,
                                            euler_steps=16), grid)
@@ -847,7 +847,7 @@ class TestOnePass:
     @pytest.mark.parametrize("mode", MODES)
     def test_fused_finite_differences_equal_fd_greek(self, mode):
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(70_000, seed=58, antithetic=True)
         delta_I = weights.mode_variant("dI", mode)
         fused = mc_estimates(model, COLLAR, tuning, [delta_I], cfg,
@@ -865,7 +865,7 @@ class TestOnePass:
         # workers would mix one block's draws or values into another's, and with
         # pairs the scratch row that a tile's live values are scattered into
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         for cfg in (SimConfig(6 * BLOCK_SIZE + 3, seed=62),
                     SimConfig(6 * BLOCK_SIZE + 4, seed=62, antithetic=True)):
             args = (model, COLLAR, tuning, [V.CORR_DELTA_I, V.CORR_CROSS_GAMMA_CONDITIONAL], cfg)
@@ -952,7 +952,7 @@ class TestOnePass:
         model = make_model(rho=0.0, sigI=0.3, mode=mode)
         cfg = SimConfig(TILE_SIZE, seed=69)
         plan = estimators._build_plan(model, uniform_tuning, cfg.euler_steps)
-        draw = estimators._draw_block(plan, cfg, 0)
+        draw = estimators._draw_block(plan, model, cfg, 0)
         tile = estimators._BlockData(draw, plan, model, ATM,
                                      estimators._grid_layout({(1.0, 1.0)}))
         tile.pay_base
@@ -972,7 +972,8 @@ class TestOnePass:
         for leg in shared:
             assert view._level(leg, 1.0) is tile._levels[leg]
         if mode is CorrelationMode.SDE_MIXING:
-            level = estimators._temperature_level(plan, 0.4, draw.gI, draw.gI_cross)
+            level = estimators._temperature_level(plan, dataclasses.replace(model, rho=0.4),
+                                                  draw.gI, draw.gI_cross)
             assert view.eI.tobytes() == (level / model.temperature_f0).tobytes()
         else:
             assert view.eI is tile.eI
@@ -1189,7 +1190,7 @@ class TestPairMeans:
         # blocks); the stderr values from block M2 values merged in block order. Re-frozen
         # when the draw began summing each accumulator in fixed order.
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(65_538, seed=66, antithetic=True)
         price = mc_price(model, COLLAR, cfg, tuning)
         assert (price.value, price.stderr) == (124.86897289027883, 1.5933037457376678)
@@ -1250,7 +1251,7 @@ class TestConvergenceTable:
 class TestTuningInvariance:
     def test_front_loaded_step_gives_same_delta(self, atm_model):
         uniform = TuningFunction.uniform(1.0)
-        step = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        step = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         delta_E = V.CORR_DELTA_E_CONDITIONAL
         a = mc_greek(atm_model, ATM, uniform, delta_E, SimConfig(400_000, seed=53))
         b = mc_greek(atm_model, ATM, step, delta_E, SimConfig(400_000, seed=54))

@@ -62,9 +62,9 @@ class TestExactTerminal:
     def test_piecewise_curves_still_exact(self):
         m = dataclasses.replace(
             make_model(),
-            energy_vol=VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)], 1.0),
+            energy_vol=VolatilityCurve.from_segments([(0.0, 0.1), (0.5, 0.3)]),
         )
-        a = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        a = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         v_aa, v_as, v_ss = kernel_moments(m.energy_vol, a)
         draw = draw_samples(m, a, SimConfig(500_000, seed=5))
         assert draw.gE.var(ddof=1) == pytest.approx(v_ss, rel=0.02)
@@ -114,8 +114,8 @@ class TestSdeMixing:
         gI = draw.gI.copy()
         gI[:2] = (0.0, -0.0)
         full = np.exp(rho * draw.gI_cross + float(np.sqrt(1.0 - rho * rho)) * gI
-                      + plan.driftI) * plan.f0I
-        assert _temperature_level(plan, rho, gI, draw.gI_cross).tobytes() == full.tobytes()
+                      + plan.driftI) * model.temperature_f0
+        assert _temperature_level(plan, model, gI, draw.gI_cross).tobytes() == full.tobytes()
 
 
 class TestLogEuler:
@@ -140,7 +140,7 @@ class TestLogEuler:
         # piecewise curve not aligned with the uniform grid: euler converges
         m = dataclasses.replace(
             make_model(),
-            energy_vol=VolatilityCurve.from_segments([(0.0, 0.15), (0.37, 0.28)], 1.0),
+            energy_vol=VolatilityCurve.from_segments([(0.0, 0.15), (0.37, 0.28)]),
         )
         n = 100_000
         exact = draw_samples(m, uniform_tuning, SimConfig(n, seed=10))
@@ -174,8 +174,8 @@ class TestLogEuler:
 def _piecewise_model(sigE_segments, mode=CorrelationMode.PAYOFF_MIXING):
     return dataclasses.replace(
         make_model(rho=0.4, mode=mode),
-        energy_vol=VolatilityCurve.from_segments(sigE_segments, 1.0),
-        temperature_vol=VolatilityCurve.from_segments([(0.0, 0.4), (0.6, 0.25)], 1.0),
+        energy_vol=VolatilityCurve.from_segments(sigE_segments),
+        temperature_vol=VolatilityCurve.from_segments([(0.0, 0.4), (0.6, 0.25)]),
     )
 
 
@@ -190,7 +190,7 @@ def _driver_loads(model, tuning, t_left):
 
 
 class TestFixedRankSampler:
-    TUNING = TuningFunction.from_segments([(0.0, 0.5), (0.6, 1.75)], 1.0)
+    TUNING = TuningFunction.from_segments([(0.0, 0.5), (0.6, 1.75)])
 
     # Constant sigma_E with uniform tuning makes the energy kernel a multiple of
     # sigma_E, while the piecewise sigma_I column is not: rank 2 on both drivers,
@@ -295,7 +295,7 @@ class TestTiles:
     """The tiled draw has the bits of one standard_normal call per block."""
 
     MODEL_ARGS = dict(rho=0.4, sigI=0.3)
-    TUNING = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+    TUNING = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
     UNIFORM = TuningFunction.uniform(1.0)
     # (sample count, antithetic, block): k tiles, k tiles plus one row, k tiles
     # plus one pair, a full block and a partial last block
@@ -325,7 +325,7 @@ class TestTiles:
         if isinstance(sigE, float):
             return make_model(mode=mode, sigE=sigE, **cls.MODEL_ARGS)
         return dataclasses.replace(make_model(mode=mode, **cls.MODEL_ARGS),
-                                   energy_vol=VolatilityCurve.from_segments(sigE, 1.0))
+                                   energy_vol=VolatilityCurve.from_segments(sigE))
 
     @pytest.mark.parametrize("mode,euler_steps,tuning,sigE", SETUPS, ids=SETUP_IDS)
     @pytest.mark.parametrize("n,antithetic,block", CASES)
@@ -345,7 +345,7 @@ class TestTiles:
         for n, antithetic, _ in self.CASES:
             cfg = SimConfig(n, seed=34, antithetic=antithetic, euler_steps=euler_steps)
             for block in range(block_count(n)):
-                got = _draw_block(plan, cfg, block, buffers)
+                got = _draw_block(plan, model, cfg, block, buffers)
                 assert np.shares_memory(got.fE_T, buffers.fE_T)
                 _assert_same_bits(got, untiled_block(model, tuning, cfg, block))
 
@@ -382,7 +382,3 @@ class TestReproducibility:
             draw_samples(atm_model, uniform_tuning, SimConfig(0, seed=0))
         with pytest.raises(ValueError):
             sample_block(atm_model, uniform_tuning, SimConfig(10, seed=0), 5)
-
-    def test_tuning_horizon_must_match_the_model(self, atm_model):
-        with pytest.raises(ValueError, match="^tuning function horizon must match"):
-            sample_block(atm_model, TuningFunction.uniform(2.0), SimConfig(10, seed=0), 0)

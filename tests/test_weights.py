@@ -204,7 +204,7 @@ class TestReadSet:
                              ids=[f"{v.value}-{m.value}-{r}" for v, m, r in CASES])
     def test_weight_reads_only_its_declared_fields(self, variant, mode, rho):
         # a pass draws only the fields its weights declare and leaves the others None
-        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)], 1.0)
+        tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         draw = draw_samples(model, tuning, SimConfig(1000, seed=24))
         reads = {"fE_T", "fI_T", *weights.WEIGHTS[variant].reads}
