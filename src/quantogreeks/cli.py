@@ -101,9 +101,8 @@ def _load_run(args) -> RunConfig:
 
 def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
     config = run.effective()
-    # the built run, not its spelling: energy.sigma = 0.2 and [[0.0, 0.2]] hash alike
-    built = repr((run.model, run.payoff, run.tuning, run.sim))
-    digest = hashlib.sha256(built.encode()).hexdigest()[:16]
+    # the run as canonical config keys: not its spelling, nor its classes' field names
+    digest = hashlib.sha256(json.dumps(run.canonical(), sort_keys=True).encode()).hexdigest()[:16]
     comments = [f"command = {command}", f"model_hash = {digest}",
                 *(f"{key} = {json.dumps(value)}" for key, value in config.items())]
     return comments, {"command": command, "model_hash": digest, "seed": run.sim.seed,
@@ -127,12 +126,6 @@ def _parse_variants(names: list[str] | None) -> list[WeightVariant]:
         raise ValueError(f"unknown variant in {names}; known: {known}") from None
 
 
-def _single_variant(variants: list[WeightVariant]) -> WeightVariant | None:
-    if len(variants) > 1:
-        raise ValueError(f"--variant: this command takes one variant, got {len(variants)}")
-    return variants[0] if variants else None
-
-
 def _parse_grid(text: str, convert, flag: str) -> list:
     try:
         grid = [convert(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -148,7 +141,7 @@ def _parse_grid(text: str, convert, flag: str) -> list:
 # report rows, run once the model has passed validation, and the run it echoes.
 
 
-def _price(args, run: RunConfig, variants):
+def _price(args, run: RunConfig):
     def compute():
         est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
         return [_estimate_row(est, args.timing)]
@@ -156,7 +149,8 @@ def _price(args, run: RunConfig, variants):
     return compute, run
 
 
-def _greeks(args, run: RunConfig, variants):
+def _greeks(args, run: RunConfig):
+    variants = _parse_variants(args.variant)
     if args.all_variants:
         if variants:
             raise ValueError("greeks: pass --variant NAME or --all-variants, not both")
@@ -183,7 +177,7 @@ def _greeks(args, run: RunConfig, variants):
     return compute, run
 
 
-def _sweep_rho(args, run: RunConfig, variants):
+def _sweep_rho(args, run: RunConfig):
     grid = _parse_grid(args.grid, float, "--grid")
     if any(not abs(r) < 1.0 for r in grid):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
@@ -195,7 +189,8 @@ def _sweep_rho(args, run: RunConfig, variants):
     return compute, run
 
 
-def _converge(args, run: RunConfig, variants):
+def _converge(args, run: RunConfig):
+    variants = _parse_variants(args.variant)
     sizes = _parse_grid(args.n_grid, lambda tok: as_integer(parse_value(tok), "--n-grid"),
                         "--n-grid")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -204,7 +199,9 @@ def _converge(args, run: RunConfig, variants):
         sims = [replace(run.sim, n_samples=n) for n in sizes]
     except ValueError as exc:
         raise ValueError(f"--n-grid: {exc}") from None
-    variant = _single_variant(variants)
+    if len(variants) > 1:
+        raise ValueError(f"--variant: this command takes one variant, got {len(variants)}")
+    variant = variants[0] if variants else None
     if variant is not None:
         require_rho_supported(variant, run.model)
     run = replace(run, sim=sims[-1])  # echo what is drawn
@@ -226,8 +223,7 @@ def _run_command(args) -> int:
     run = _load_run(args)
     if args.threads < 1:
         raise ValueError(f"--threads: must be >= 1, got {args.threads}")
-    variants = _parse_variants(getattr(args, "variant", None))
-    compute, run = args.handler(args, run, variants)
+    compute, run = args.handler(args, run)
     bad = validate_model(run.model, run.tuning) + validate_payoff(run.payoff)
     if bad:
         print("\n".join(bad), file=sys.stderr)

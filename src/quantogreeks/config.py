@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .model import (
     CorrelationMode,
@@ -163,26 +163,26 @@ def _piecewise(raw: dict, key: str) -> PiecewiseLinear:
         raise ConfigError(f"key {key}: bad piecewise-linear spec ({exc})") from exc
 
 
+# Each payoff.variant: its class and the config key of each of its fields, in field order.
+PAYOFFS = {
+    "product_call": (ProductCall, ("payoff.kE", "payoff.kI")),
+    "four_strike_collar": (FourStrikeCollar, ("payoff.kE", "payoff.kI", "payoff.kE_low",
+                                              "payoff.kI_low", "payoff.alpha")),
+    "digital_product": (DigitalProduct, ("payoff.kE", "payoff.kI")),
+    "separable": (Separable, ("payoff.g", "payoff.h")),
+}
+
+
 def _build_payoff(raw: dict) -> PayoffSpec:
     variant = _require(raw, "payoff.variant")
-    if variant == "product_call":
-        return ProductCall(_as_float(raw, "payoff.kE"), _as_float(raw, "payoff.kI"))
-    if variant == "digital_product":
-        return DigitalProduct(_as_float(raw, "payoff.kE"), _as_float(raw, "payoff.kI"))
-    if variant == "four_strike_collar":
-        return FourStrikeCollar(
-            kE_high=_as_float(raw, "payoff.kE"),
-            kI_high=_as_float(raw, "payoff.kI"),
-            kE_low=_as_float(raw, "payoff.kE_low"),
-            kI_low=_as_float(raw, "payoff.kI_low"),
-            alpha=_as_float(raw, "payoff.alpha", 1.0),
-        )
-    if variant == "separable":
-        return Separable(_piecewise(raw, "payoff.g"), _piecewise(raw, "payoff.h"))
-    raise ConfigError(
-        f"key payoff.variant: expected one of product_call, four_strike_collar, "
-        f"digital_product, separable; got {variant!r}"
-    )
+    if not (isinstance(variant, str) and variant in PAYOFFS):
+        raise ConfigError(f"key payoff.variant: expected one of {', '.join(PAYOFFS)}; "
+                          f"got {variant!r}")
+    kind, keys = PAYOFFS[variant]
+    if kind is Separable:
+        return Separable(*(_piecewise(raw, key) for key in keys))
+    return kind(*(_as_float(raw, key, None if f.default is MISSING else f.default)
+                  for f, key in zip(fields(kind), keys)))
 
 
 def _scheme(text: str) -> int:
@@ -213,6 +213,16 @@ def _build_sim(raw: dict) -> SimConfig:
         raise ConfigError(f"key {key}: {exc}") from None
 
 
+def _written(value):
+    """``value`` as a config value: a step function as segments, a leg as its knots object."""
+    if isinstance(value, StepFunction):
+        return [list(segment) for segment in zip(value.times, value.values)]
+    if isinstance(value, PiecewiseLinear):
+        return {"knots": [list(knot) for knot in zip(value.xs, value.ys)],
+                "slopes": [value.left_slope, value.right_slope]}
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one command run needs, plus the raw keys it echoes for provenance."""
@@ -225,10 +235,21 @@ class RunConfig:
 
     def effective(self) -> dict[str, object]:
         """The effective configuration sorted by key: the raw keys, with sampling as run."""
-        return dict(sorted({**self.raw, "sim.n": self.sim.n_samples, "sim.seed": self.sim.seed,
-                            "sim.antithetic": self.sim.antithetic,
-                            "sim.scheme": f"euler:{steps}" if (steps := self.sim.euler_steps)
-                            else "exact"}.items()))
+        sampling = {key: v for key, v in self.canonical().items() if key.startswith("sim.")}
+        return dict(sorted({**self.raw, **sampling}.items()))
+
+    def canonical(self) -> dict[str, object]:
+        """The run as config keys, every default filled in: ``build_run`` reads it back equal."""
+        m, p, sim = self.model, self.payoff, self.sim
+        [(variant, keys)] = [(v, keys) for v, (kind, keys) in PAYOFFS.items() if type(p) is kind]
+        return {key: _written(value) for key, value in [
+            ("energy.f0", m.energy_f0), ("energy.sigma", m.energy_vol),
+            ("temperature.f0", m.temperature_f0), ("temperature.sigma", m.temperature_vol),
+            ("tau2", m.horizon), ("rho", m.rho), ("rate", m.rate),
+            ("correlation_mode", m.correlation_mode.value), ("tuning", self.tuning),
+            ("payoff.variant", variant), *zip(keys, (getattr(p, f.name) for f in fields(p))),
+            ("sim.n", sim.n_samples), ("sim.seed", sim.seed), ("sim.antithetic", sim.antithetic),
+            ("sim.scheme", f"euler:{sim.euler_steps}" if sim.euler_steps else "exact")]}
 
 
 def build_run(raw: dict) -> RunConfig:

@@ -22,10 +22,13 @@ TUNING_INTEGRAL_TOL = 1e-12
 
 
 def as_real(value) -> float:
-    """``float(value)``, refusing a bool, which ``float`` would read as 0.0 or 1.0."""
+    """``float(value)``, refusing a bool (``float`` reads 0.0 or 1.0) and an int out of range."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"expected a number within float range, got {value!r}") from None
 
 
 class CorrelationMode(Enum):

@@ -11,10 +11,11 @@ import pytest
 import quantogreeks.cli
 from quantogreeks import mc_price, quad_price
 from quantogreeks.cli import main
-from quantogreeks.config import build_run, parse_config_text
+from quantogreeks.config import build_run, load_config, parse_config_text
 from quantogreeks.estimators import GREEKS
 from quantogreeks.model import CorrelationMode
 from quantogreeks.weights import WEIGHTS
+from write_golden import config_paths
 
 BASE_CONFIG = """
 # symmetric at-the-money product call
@@ -33,6 +34,7 @@ sim.seed = 99
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HUGE = 10 ** 400  # an integer beyond float range
 QUAD_ROWS = {
     "atm_independent.cfg": ["Quad_dE,4.300035051720386,0.0,,,,",
                             "Quad_dEdI,0.2914140928567121,0.0,,,,",
@@ -259,12 +261,10 @@ class TestConverge:
         assert "--n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["sweep-rho", "--grid", "0.3"],
-                                     ["converge", "--n-grid", "1e3,2e3"]])
 @pytest.mark.parametrize("second", ["CorrDeltaE_MatrixInverse", "NoSuch"])
-def test_single_variant_commands_reject_a_second_variant(config_path, capsys, command, second):
-    argv = [*command, "--config", config_path, "--variant", "CorrDeltaE_Conditional",
-            "--variant", second]
+def test_single_variant_commands_reject_a_second_variant(config_path, capsys, second):
+    argv = ["converge", "--n-grid", "1e3,2e3", "--config", config_path,
+            "--variant", "CorrDeltaE_Conditional", "--variant", second]
     assert main(argv) == 2
     assert "variant" in capsys.readouterr().err
 
@@ -289,11 +289,15 @@ def test_thread_count_below_one_exits_2(config_path, capsys, threads):
     ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "CorrCrossGamma_Conditional"],
     ["sweep-rho", "--grid", "0.3", "--greek", "dE", "--variant", "CorrDeltaE_MatrixInverse"],
 ])
-def test_usage_error_beats_model_validation(tmp_path, usage_error):
+def test_usage_error_beats_model_validation(tmp_path, capsys, usage_error):
     path = write_config(tmp_path, BASE_CONFIG.replace(
         "energy.sigma = [[0.0, 0.2]]", "energy.sigma = [[0.0, 0.0]]"))
     assert main(["price", "--config", path]) == 3
+    capsys.readouterr()
     assert main([*usage_error, "--config", path]) == 2
+    if usage_error[0] == "sweep-rho" and "--variant" in usage_error:  # not a sweep-rho option
+        assert (f"unrecognized arguments: --variant {usage_error[-1]}"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("usage_error", [
@@ -539,6 +543,29 @@ payoff.alpha = 1.5""")
         assert main(["price", "--config", path, "--n", "2000"]) == 2
         assert capsys.readouterr().err == message + " (expected a number, got True)\n"
 
+    @pytest.mark.parametrize("line,message", [
+        (f"rho = {HUGE}", f"key rho: expected a number, got {HUGE}"),
+        (f"energy.f0 = {HUGE}", f"key energy.f0: expected a number, got {HUGE}"),
+        (f"tau2 = {HUGE}", f"key tau2: expected a number, got {HUGE}"),
+        (f"payoff.kE = {HUGE}", f"key payoff.kE: expected a number, got {HUGE}"),
+        (f"payoff.alpha = {HUGE}", f"key payoff.alpha: expected a number, got {HUGE}"),
+        (f"energy.sigma = {HUGE}", "key energy.sigma: bad volatility curve "
+         f"(expected a number within float range, got {HUGE})"),
+        (f"temperature.sigma = [[0.0, {HUGE}]]", "key temperature.sigma: bad volatility curve "
+         f"(expected a number within float range, got {HUGE})"),
+        (f"tuning = [[0.0, 2.0], [0.5, {HUGE}]]", "key tuning: bad tuning function "
+         f"(expected a number within float range, got {HUGE})"),
+    ], ids=["rho", "energy.f0", "tau2", "payoff.kE", "payoff.alpha", "energy.sigma",
+            "temperature.sigma-segment", "tuning-segment"])
+    def test_integer_beyond_float_range_exits_2_naming_the_key(self, tmp_path, capsys, line,
+                                                               message):
+        # float() raised OverflowError, which ended the run in a traceback (exit 1)
+        collar = BASE_CONFIG.replace("product_call", "four_strike_collar") + (
+            "payoff.kE_low = 90.0\npayoff.kI_low = 75.0\n")
+        path = write_config(tmp_path, collar + line + "\n")
+        assert main(["price", "--config", path, "--n", "2000"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("line,key", [("sim.antithetc = true", "sim.antithetc"),
                                           ("payoff.alpha = 3.0", "payoff.alpha"),
                                           ("tau1 = 1.0", "tau1")])
@@ -629,6 +656,9 @@ payoff.alpha = 1.5""")
         ("", "rate = 0.0", True),
         ("sim.n = 1e5", "sim.n = 100000", True),
         ("rho = 0.3", "rho = 0.0", False),
+        # a literal pins the hash, so renaming a field of a class that holds the run cannot
+        # move it
+        ("tuning = uniform", "tuning = [[0.0, 1.0]]", "b273bc8e516c7c04"),
     ])
     def test_model_hash_is_of_the_run_not_its_spelling(self, tmp_path, line, other, same):
         # it hashed the echo, so an omitted rate and rate = 0.0 hashed differently
@@ -638,7 +668,19 @@ payoff.alpha = 1.5""")
             path = write_config(tmp_path, BASE_CONFIG + text + "\n")
             assert main(["price", "--config", path, "--format", "json", "--out", str(out)]) == 0
             hashes.append(json.loads(out.read_text())["model_hash"])
-        assert (hashes[0] == hashes[1]) is same
+        assert (hashes[0] == hashes[1]) is bool(same)
+        if isinstance(same, str):
+            assert hashes[0] == same
+
+    def test_canonical_config_builds_the_same_run(self, tmp_path):
+        # the model hash is of this form, so it has to hold the whole run
+        for name, path in config_paths(tmp_path).items():
+            run = build_run(load_config(str(path)))
+            canonical = run.canonical()
+            assert run.raw.keys() <= canonical.keys(), name
+            back = build_run(json.loads(json.dumps(canonical)))
+            assert ((back.model, back.payoff, back.tuning, back.sim)
+                    == (run.model, run.payoff, run.tuning, run.sim)), name
 
     def test_empty_knots_exit_2_naming_the_key(self, tmp_path, capsys):
         text = BASE_CONFIG.replace(

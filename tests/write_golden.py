@@ -49,6 +49,9 @@ hashed with every ``seconds`` value set to null.
 ``test_golden.py`` re-runs the matrix at one and two worker threads and
 names every command whose digest moved.
 
+Each report's ``model_hash`` is of the run written back as config keys, not of
+the classes that hold it, so a change that moves no value, such as renaming a
+field, must pass ``test_golden.py`` without regenerating this manifest.
 Regenerate only with a change that moves report bytes on purpose, and name the
 commands that moved and why in its change log entry::
 
