@@ -56,7 +56,10 @@ def parse_config_text(text: str) -> dict[str, object]:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        raw[key] = parse_value(value)
+        try:
+            raw[key] = parse_value(value)
+        except ValueError as exc:  # JSON that Python cannot convert, such as a 5000-digit int
+            raise ConfigError(f"line {lineno}: key {key}: {exc}") from None
     return raw
 
 

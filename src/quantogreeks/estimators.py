@@ -2,14 +2,15 @@
 
 The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
-result is bit-identical for any thread count. Each worker draws the fields
-its jobs read of a block into buffers it reuses for the whole pass and runs
-the block's jobs tile by tile, up to eight jobs together, each writing its own
-row of values. Correlation scenarios, finite-difference bumps and sample-size
-prefixes are jobs on that one stream, so each command draws once; the bumped
-payoffs of a tile are one grid, evaluated once for all of its finite
-differences, and each term's energy leg is evaluated once per tile for all of
-its correlation scenarios. A group of bump jobs runs each tile on its live
+result is bit-identical for any thread count. Each worker runs a block's
+jobs tile by tile, up to eight jobs together, each writing its own row of
+values; it draws the fields its jobs read of each tile just before the first
+group evaluates it, into buffers it reuses for the whole pass. Correlation
+scenarios, finite-difference bumps and sample-size prefixes are jobs on that
+one stream, so each command draws once; the bumped payoffs of a tile are one
+grid, evaluated once for all of its finite differences, and each term's
+energy leg is evaluated once per tile for all of its correlation scenarios.
+A group of bump jobs runs each tile on its live
 samples only, those where some payoff term can be non-zero at a point of the
 grid; a group of sde_mixing scenarios on those where some energy leg can be
 non-zero, a set no scenario moves. Every other sample's value is 0.0. Groups
@@ -40,8 +41,9 @@ from .simulate import (
     SampleDraw,
     TILE_SIZE,
     SimConfig,
+    _block_generator,
     _build_plan,
-    _draw_block,
+    _draw_tile,
     _Plan,
     _rows,
     _temperature_level,
@@ -256,7 +258,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     buffer holds the two levels, the fields the jobs read and, under
     sde_mixing at rho != 0 or with a scenario job, ``gI`` and ``gI_cross``,
     which the temperature level mixes and from which views rebuild it; every
-    other field is None and is not drawn.
+    other field is None and is not drawn. A block's first job group draws
+    each tile just before it evaluates it, continuing the block's generator:
+    with one group the buffer holds a tile, with more it holds the block,
+    which the later groups read back.
 
     Returns, per job, one estimate of the discounted values per sample count
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
@@ -317,7 +322,8 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
             energy_only = False
         groups.append((first, group, _grid_layout(points), energy_only))
 
-    local = threading.local()  # each worker's block buffers, reused for every block it runs
+    whole_block = len(groups) > 1  # later groups read the block's tiles back
+    local = threading.local()  # each worker's buffers, reused for every block it runs
 
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
         if not hasattr(local, "draw"):
@@ -326,10 +332,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
             # Once it is freed, glibc's dynamic thresholds keep the smaller tile
             # temporaries on the heap instead of returning them to the kernel
             # after each block.
-            width = min(BLOCK_SIZE, cfg.n_samples)
-            n_draw, row = len(held) * width, width // draws_per_value
+            width = min(BLOCK_SIZE if whole_block else TILE_SIZE, cfg.n_samples)
+            n_draw, row = len(held) * width, min(BLOCK_SIZE, cfg.n_samples) // draws_per_value
             n_values = min(len(jobs), _GROUP_JOBS) * row
-            buffer = np.empty(n_draw + n_values + max(row, min(TILE_SIZE, width)))
+            buffer = np.empty(n_draw + n_values + max(row, min(TILE_SIZE, cfg.n_samples)))
             local.draw = SampleDraw(**{f.name: None for f in fields(SampleDraw)}
                                     | dict(zip(held, buffer[:n_draw].reshape(-1, width))))
             local.values = buffer[n_draw:n_draw + n_values].reshape(-1, row)
@@ -337,11 +343,14 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         start = block * BLOCK_SIZE
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
         out: list[dict] = [{} for _ in jobs]
-        draw = _draw_block(plan, model, cfg, block, local.draw)
-        bounds = tile_bounds(len(draw.fE_T))
+        gen = _block_generator(cfg.seed, block)
+        bounds = tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start))
         for first, group, layout, energy_only in groups:
             for lo, hi in bounds:
-                data = _BlockData(_rows(draw, slice(lo, hi)), plan, model, payoff, layout)
+                tile = _rows(local.draw, slice(lo, hi) if whole_block else slice(hi - lo))
+                if first == 0:  # the block's tiles are drawn in order, by its first group
+                    _draw_tile(plan, model, cfg, gen, tile)
+                data = _BlockData(tile, plan, model, payoff, layout)
                 live = None if energy_only is None else _live_samples(data, energy_only)
                 if live is not None:
                     data = _BlockData(_rows(data.draw, live), plan, model, payoff, layout)
@@ -358,6 +367,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                         _pair_means(values, out=dst)
                     elif values is not dst:
                         dst[:] = values
+                del data, view, values  # the tile's arrays die before the next is drawn
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:
                     head = row[:end // draws_per_value]

@@ -7,11 +7,11 @@ the scheme: 0 draws the exact terminal law, N >= 1 log-Euler on N uniform steps.
 Draws are generated in fixed-size blocks from a counter-based Philox stream
 keyed by the seed, so sample i never depends on how many samples are requested
 or on how the blocks are scheduled across threads. A block is drawn in tiles
-of ``TILE_SIZE`` samples, into buffers a caller may reuse from block to block;
-the tiles continue the block's generator, so the tiling leaves every bit as a
-single draw of the block would give it. A Monte Carlo pass draws into a
-private buffer that holds only the fields its jobs read: the others are
-None, and are neither summed nor stored.
+of ``TILE_SIZE`` samples; each tile continues the block's generator, so the
+tiling leaves every bit as a single draw of the block would give it. A Monte
+Carlo pass draws each tile just before it evaluates it, into a private buffer
+that holds only the fields its jobs read: the others are None, and are
+neither summed nor stored. The public draws form every field in fresh arrays.
 
 Each of the six Gaussian accumulators is a fixed linear functional of one
 driver's increments, so a driver's three accumulators are ``z @ R`` for
@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.n_samples >= 1 << 63:  # numpy indexes samples with int64
+            raise ValueError(f"n_samples must be < 2**63, got {self.n_samples}")
         if self.euler_steps < 0:
             raise ValueError(f"euler_steps must be >= 0, got {self.euler_steps}")
         if self.antithetic and self.n_samples % 2 != 0:
@@ -173,51 +175,51 @@ def _rows(draw: SampleDraw, index: slice | np.ndarray) -> SampleDraw:
                         for f in fields(SampleDraw)))
 
 
-def _draw_block(plan: _Plan, model: MarketModel, cfg: SimConfig, block: int,
-                out: SampleDraw | None = None) -> SampleDraw:
-    """Draw block ``block`` of ``model`` tile by tile into ``out`` (fresh arrays if None).
+def _draw_tile(plan: _Plan, model: MarketModel, cfg: SimConfig, gen: np.random.Generator,
+               tile: SampleDraw) -> None:
+    """Draw the next tile of a block into ``tile``, continuing the block's generator ``gen``.
 
-    ``out`` holds at least the block's sample count; the result is views of
-    its leading entries. The block's generator fills the normals one tile at
-    a time, so every sample has the bits of a single draw of the block.
-    Each accumulator is summed column by column, left to right, with
-    elementwise operations only, so a sample's bits do not depend on how
-    many samples share the tile.
+    Drawn in block order, a block's tiles take the normals of a single draw
+    of the block, so every sample has the same bits. Each accumulator is
+    summed column by column, left to right, with elementwise operations only,
+    so a sample's bits do not depend on how many samples share the tile.
 
-    An accumulator whose field in ``out`` is None is not formed. If ``gE``
+    An accumulator whose field in ``tile`` is None is not formed. If ``gE``
     or ``gI`` is None, that driver is summed into its level's field and
     turned into the level in place: the same operations in the same order,
     so the same bits. Under sde_mixing at rho != 0 the level mixes ``gI``
-    and ``gI_cross``, so ``out`` must hold both.
+    and ``gI_cross``, so ``tile`` must hold both.
     """
-    count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
-    if out is None:
-        out = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
-    draw = _rows(out, slice(count))
-    gen = _block_generator(cfg.seed, block)
     rank = plan.loadE.shape[1]
+    rows = len(tile.fE_T) // 2 if cfg.antithetic else len(tile.fE_T)
+    z = gen.standard_normal((rows, rank, 2))
+    term = np.empty(rows)
+    gE = tile.fE_T if tile.gE is None else tile.gE
+    gI = tile.fI_T if tile.gI is None else tile.gI
+    for d, loads, dsts in ((0, plan.loadE, (gE, tile.iE, tile.gI_cross)),
+                           (1, plan.loadI, (gI, tile.iI, tile.iE_cross))):
+        for load, dst in zip(loads, dsts):
+            if dst is None:
+                continue
+            acc = dst[0::2] if cfg.antithetic else dst
+            np.multiply(z[:, 0, d], load[0], out=acc)
+            for k in range(1, rank):
+                acc += np.multiply(z[:, k, d], load[k], out=term)
+            if cfg.antithetic:
+                np.negative(acc, out=dst[1::2])
+    np.add(gE, plan.driftE, out=tile.fE_T)
+    np.exp(tile.fE_T, out=tile.fE_T)
+    np.multiply(tile.fE_T, model.energy_f0, out=tile.fE_T)
+    _temperature_level(plan, model, gI, tile.gI_cross, out=tile.fI_T)
+
+
+def _draw_block(plan: _Plan, model: MarketModel, cfg: SimConfig, block: int) -> SampleDraw:
+    """Draw every field of block ``block`` of ``model`` into fresh arrays, tile by tile."""
+    count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
+    draw = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
+    gen = _block_generator(cfg.seed, block)
     for lo, hi in tile_bounds(count):
-        tile = _rows(draw, slice(lo, hi))
-        rows = (hi - lo) // 2 if cfg.antithetic else hi - lo
-        z = gen.standard_normal((rows, rank, 2))
-        term = np.empty(rows)
-        gE = tile.fE_T if tile.gE is None else tile.gE
-        gI = tile.fI_T if tile.gI is None else tile.gI
-        for d, loads, dsts in ((0, plan.loadE, (gE, tile.iE, tile.gI_cross)),
-                               (1, plan.loadI, (gI, tile.iI, tile.iE_cross))):
-            for load, dst in zip(loads, dsts):
-                if dst is None:
-                    continue
-                acc = dst[0::2] if cfg.antithetic else dst
-                np.multiply(z[:, 0, d], load[0], out=acc)
-                for k in range(1, rank):
-                    acc += np.multiply(z[:, k, d], load[k], out=term)
-                if cfg.antithetic:
-                    np.negative(acc, out=dst[1::2])
-        np.add(gE, plan.driftE, out=tile.fE_T)
-        np.exp(tile.fE_T, out=tile.fE_T)
-        np.multiply(tile.fE_T, model.energy_f0, out=tile.fE_T)
-        _temperature_level(plan, model, gI, tile.gI_cross, out=tile.fI_T)
+        _draw_tile(plan, model, cfg, gen, _rows(draw, slice(lo, hi)))
     return draw
 
 

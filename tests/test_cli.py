@@ -446,6 +446,8 @@ class TestSchemeAndFlags:
          "key sim.scheme: unknown scheme 'euler:0'; expected 'exact' or 'euler:STEPS'"),
         (["--seed", "-1"], "key sim.seed: seed must lie in [0, 2**128), got -1"),
         (["--n", "0"], "key sim.n: n_samples must be >= 1, got 0"),
+        # a count numpy cannot index drew block after block until the run was killed
+        (["--n", str(2 ** 63)], f"key sim.n: n_samples must be < 2**63, got {2 ** 63}"),
         (["--n", "3", "--antithetic"],
          "key sim.n: antithetic sampling pairs draws, so n_samples must be even"),
     ])
@@ -565,6 +567,14 @@ payoff.alpha = 1.5""")
         path = write_config(tmp_path, collar + line + "\n")
         assert main(["price", "--config", path, "--n", "2000"]) == 2
         assert capsys.readouterr().err == message + "\n"
+
+    def test_value_json_cannot_convert_exits_2_naming_its_line_and_key(self, tmp_path, capsys):
+        # json.loads raised a ValueError past the line: the run exited 2 with Python's
+        # 4300-digit message alone
+        text = BASE_CONFIG + "rho = 1" + "0" * 5000 + "\n"
+        assert main(["price", "--config", write_config(tmp_path, text), "--n", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"line {len(text.splitlines())}: key rho: ") and "4300" in err
 
     @pytest.mark.parametrize("line,key", [("sim.antithetc = true", "sim.antithetc"),
                                           ("payoff.alpha = 3.0", "payoff.alpha"),

@@ -20,8 +20,8 @@ from quantogreeks import (
 from quantogreeks.config import build_run, load_config
 from quantogreeks.model import CorrelationMode
 from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, _block_generator,
-                                   _build_plan, _draw_block, _temperature_level, block_count,
-                                   iter_sample_blocks)
+                                   _build_plan, _draw_tile, _rows, _temperature_level,
+                                   block_count, iter_sample_blocks, tile_bounds)
 
 GAUSSIAN_FIELDS = ("gE", "gI", "iE", "iI", "iE_cross", "gI_cross")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -338,15 +338,23 @@ class TestTiles:
 
     @pytest.mark.parametrize("mode,euler_steps,tuning,sigE", SETUPS, ids=SETUP_IDS)
     def test_buffered_draw_equals_untiled_draw(self, mode, euler_steps, tuning, sigE):
-        # one set of buffers, reused across configs and blocks as a pass reuses them
+        # one tile of buffers, reused across configs, blocks and tiles as a one-group pass
+        # reuses it; each block's tiles continue its generator
         model = self._model(mode, sigE)
         plan = _build_plan(model, tuning, euler_steps)
-        buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), BLOCK_SIZE), np.nan))
+        buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), TILE_SIZE), np.nan))
         for n, antithetic, _ in self.CASES:
             cfg = SimConfig(n, seed=34, antithetic=antithetic, euler_steps=euler_steps)
             for block in range(block_count(n)):
-                got = _draw_block(plan, model, cfg, block, buffers)
-                assert np.shares_memory(got.fE_T, buffers.fE_T)
+                gen = _block_generator(cfg.seed, block)
+                tiles = []
+                for lo, hi in tile_bounds(min(BLOCK_SIZE, n - block * BLOCK_SIZE)):
+                    tile = _rows(buffers, slice(hi - lo))
+                    _draw_tile(plan, model, cfg, gen, tile)
+                    assert np.shares_memory(tile.fE_T, buffers.fE_T)
+                    tiles.append([getattr(tile, f.name).copy()
+                                  for f in dataclasses.fields(SampleDraw)])
+                got = SampleDraw(*map(np.concatenate, zip(*tiles)))
                 _assert_same_bits(got, untiled_block(model, tuning, cfg, block))
 
     def test_streamed_blocks_share_no_memory(self, atm_model, uniform_tuning):
