@@ -93,7 +93,10 @@ def _load_run(args) -> RunConfig:
     raw = load_config(args.config)
     for key, text in (("sim.n", args.n), ("sim.seed", args.seed), ("sim.scheme", args.scheme)):
         if text is not None:
-            raw[key] = parse_value(text)
+            try:
+                raw[key] = parse_value(text)
+            except ValueError as exc:  # JSON that Python cannot convert, such as a 5000-digit int
+                raise ConfigError(f"key {key}: {exc}") from None
     if args.antithetic:
         raw["sim.antithetic"] = True
     return build_run(raw)

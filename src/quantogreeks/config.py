@@ -197,7 +197,7 @@ def _scheme(text: str) -> int:
         try:
             if (count := as_integer(parse_value(steps), "STEPS")) >= 1:
                 return count
-        except ConfigError:
+        except (ConfigError, ValueError):  # ValueError: JSON Python cannot convert
             pass
     raise ConfigError(f"key sim.scheme: unknown scheme {text!r}; expected 'exact' or 'euler:STEPS'")
 

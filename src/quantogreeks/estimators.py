@@ -13,8 +13,12 @@ energy leg is evaluated once per tile for all of its correlation scenarios.
 A group of bump jobs runs each tile on its live
 samples only, those where some payoff term can be non-zero at a point of the
 grid; a group of sde_mixing scenarios on those where some energy leg can be
-non-zero, a set no scenario moves. Every other sample's value is 0.0. Groups
-of payoff_mixing scenarios or of the base point alone run every sample. The
+non-zero, a set no scenario moves. The test reads only the tile's drawn
+levels, against one linear threshold per leg set once per group, each
+coefficient widened by 1e-12 relative and each strike moved by an absolute
+floor for subnormal levels, so it may keep a sample that pays 0.0 but never
+drops one that does not. Every other sample's value is 0.0. Groups of
+payoff_mixing scenarios or of the base point alone run every sample. The
 quadrature oracle shares no sampling code with the Monte Carlo path:
 it integrates a closed-form mean over the temperature driver against
 Gauss-Legendre nodes in the energy driver.
@@ -80,6 +84,11 @@ class GreekEstimate:
 
 class _BlockData:
     """One tile of a block's draws with the derived quantities every job needs.
+
+    A pass builds one per tile and job group: on the tile's live samples if
+    the group runs on them, else on the whole tile. The live samples come
+    from thresholds on the drawn levels, widened by 1e-12 relative and an
+    absolute floor, so some of them may pay 0.0 at every point.
 
     ``layout`` (a ``_grid_layout``) holds the (scale_E, scale_I) rescalings
     of the initial levels whose payoffs the tile's jobs read: (1, 1) for
@@ -193,25 +202,52 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
     return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
 
 
-def _live_samples(data: _BlockData, energy_only: bool) -> np.ndarray:
-    """Indices of the tile's samples where some payoff term can be non-zero at a layout point.
+def _live_test(model: MarketModel, payoff: PayoffSpec, layout: tuple,
+               energy_only: bool) -> tuple:
+    """``_live_samples``'s thresholds for a group's ``layout``, worked out once per group.
 
-    Each level is monotone in its scale, rounding included, so the levels at the extreme
-    scales bound every point's; under payoff_mixing at rho < 0 the mix's energy corners swap.
-    With ``energy_only`` the energy legs alone decide. The energy level reads no rho in
-    either mode, so that set holds for every correlation-scenario view of the tile.
+    Per term, one form (a, b, t) per leg: the leg can be non-zero at a layout
+    point only where a * fE_T + b * fI_T > t on the drawn levels. A level is
+    its scale times its drawn level, the temperature one under payoff_mixing at
+    rho != 0 mixed as rho * (energy level) + sqrt(1 - rho^2) * (its own); a put
+    is negated into the same upward form. Each coefficient is the largest the
+    layout's extreme scales give, so the sign of rho picks its energy end, and
+    it is widened by 1e-12 relative to cover the levels' rounding; the strike
+    moves down by 1e-300 * (1 + f0E + f0I), since a subnormal level rounds in
+    absolute steps. With ``energy_only`` each term keeps its energy leg alone.
     """
-    m = data.model
-    scales_I, by_energy = data._layout
-    fE = [data._level("E", by_energy[k][0]) for k in (0, -1)]
-    live = [g.live(*fE) for g, _ in data.payoff.terms]
-    if not energy_only:
-        fI = [data._level("I", scale) for scale in (np.min(scales_I), np.max(scales_I))]
-        if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
-            mix = math.sqrt(1.0 - m.rho * m.rho)
-            fI = [m.rho * e + mix * i for e, i in zip(fE if m.rho > 0.0 else fE[::-1], fI)]
-        live = [e & h.live(*fI) for e, (_, h) in zip(live, data.payoff.terms)]
-    return np.flatnonzero(functools.reduce(operator.or_, live))
+    scales_I, by_energy = layout
+    ends_E = (by_energy[0][0], by_energy[-1][0])
+    ends_I = (float(np.min(scales_I)), float(np.max(scales_I)))
+    mixing = model.correlation_mode is CorrelationMode.PAYOFF_MIXING and model.rho != 0.0
+    mix = math.sqrt(1.0 - model.rho * model.rho) if mixing else 1.0
+    floor = 1e-300 * (1.0 + model.energy_f0 + model.temperature_f0)
+    # each leg's candidate coefficients on fE_T and on fI_T
+    energy = ends_E, (0.0,)
+    temperature = [model.rho * s for s in ends_E] if mixing else (0.0,), [mix * s for s in ends_I]
+
+    def form(leg: Leg, coefs: tuple) -> tuple:
+        sign = -1.0 if leg.kind == "put" else 1.0
+        a, b = (max(sign * c for c in candidates) for candidates in coefs)
+        return a + 1e-12 * abs(a), b + 1e-12 * abs(b), sign * leg.k - floor
+
+    legs = (energy,) if energy_only else (energy, temperature)
+    return tuple(tuple(map(form, term, legs)) for term in payoff.terms)
+
+
+def _live_samples(draw: SampleDraw, test: tuple) -> np.ndarray:
+    """Indices of the tile's samples where some term of ``test`` (a ``_live_test``) can be non-zero.
+
+    A term is dead where one of its legs has a * fE_T + b * fI_T <= t; a NaN level is live.
+    """
+    def dead(a: float, b: float, t: float) -> np.ndarray:
+        x = a * draw.fE_T if a else b * draw.fI_T
+        if a and b:
+            x += b * draw.fI_T
+        return x <= t
+
+    return np.flatnonzero(~functools.reduce(operator.and_, (
+        functools.reduce(operator.or_, (dead(*form) for form in term)) for term in test)))
 
 
 _BASE = ((1.0, 1.0),)  # the point of ``pay_base``
@@ -274,9 +310,14 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     samples only (``_live_samples``): with a scenario job under sde_mixing,
     where some energy leg can be non-zero, a set that holds for every view;
     with bump points and no scenario job, where some term can be non-zero at
-    a point. Groups of payoff_mixing scenarios or of the base point alone run
-    every sample: one payoff and one multiply per sample do not pay for the
-    gathers and scatters. Each job writes its values, pair means when
+    a point. The test compares the drawn ``fE_T`` and ``fI_T`` with one
+    linear threshold per leg (``_live_test``), set once per group with its
+    coefficients widened by 1e-12 relative and its strikes moved by an
+    absolute floor of 1e-300 * (1 + f0E + f0I): it keeps every sample that
+    can pay, and those it adds pay 0.0. The tile's one ``_BlockData`` holds
+    the gathered live rows. Groups of payoff_mixing scenarios or of the base
+    point alone run every sample: one payoff and one multiply per sample do
+    not pay for the gathers and scatters. Each job writes its values, pair means when
     antithetic, into its own row, 0.0 for a sample that is not live: on a
     whole tile without pairs a job gets its slice of the row as ``out`` and
     returns it, or returns an array that is copied there. Each row then
@@ -315,12 +356,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         group = jobs[first:first + _GROUP_JOBS]
         points = {p for _, _, job_points, *_ in group for p in job_points}
         scenarios = any(job[3] is not None for job in group)
-        energy_only = None  # _live_samples's argument, or None to run every sample
-        if legs and scenarios and sde:
-            energy_only = True
-        elif legs and not scenarios and points != set(_BASE):
-            energy_only = False
-        groups.append((first, group, _grid_layout(points), energy_only))
+        layout, test = _grid_layout(points), None  # a _live_test, or None to run every sample
+        if legs and (sde if scenarios else points != set(_BASE)):
+            test = _live_test(model, payoff, layout, energy_only=scenarios)
+        groups.append((first, group, layout, test))
 
     whole_block = len(groups) > 1  # later groups read the block's tiles back
     local = threading.local()  # each worker's buffers, reused for every block it runs
@@ -345,15 +384,14 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         out: list[dict] = [{} for _ in jobs]
         gen = _block_generator(cfg.seed, block)
         bounds = tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start))
-        for first, group, layout, energy_only in groups:
+        for first, group, layout, test in groups:
             for lo, hi in bounds:
                 tile = _rows(local.draw, slice(lo, hi) if whole_block else slice(hi - lo))
                 if first == 0:  # the block's tiles are drawn in order, by its first group
                     _draw_tile(plan, model, cfg, gen, tile)
-                data = _BlockData(tile, plan, model, payoff, layout)
-                live = None if energy_only is None else _live_samples(data, energy_only)
-                if live is not None:
-                    data = _BlockData(_rows(data.draw, live), plan, model, payoff, layout)
+                live = None if test is None else _live_samples(tile, test)
+                data = _BlockData(tile if live is None else _rows(tile, live), plan, model,
+                                  payoff, layout)
                 for row, (_, run, _, scenario, _) in zip(local.values, group):
                     dst = row[lo // draws_per_value:hi // draws_per_value]
                     view = data if scenario is None else data.at(scenario)

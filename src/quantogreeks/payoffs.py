@@ -33,10 +33,6 @@ class Leg:
         a, b = (x, self.k) if self.kind == "call" else (self.k, x)
         return np.maximum(np.subtract(a, b, out=out), 0.0, out=out)
 
-    def live(self, lo, hi) -> np.ndarray:
-        """Where the leg can be non-zero at some x in [lo, hi]; a NaN bound counts as live."""
-        return ~np.greater_equal(lo, self.k) if self.kind == "put" else ~np.less_equal(hi, self.k)
-
     def mean(self, shift: np.ndarray, forward: np.ndarray, vol: float) -> np.ndarray:
         """E[leg(shift + X)], X lognormal with mean ``forward`` and log-volatility ``vol``.
 

@@ -11,7 +11,9 @@ the package's quadrature evaluated one node at a time in scalar ``math``,
 the reference for its array form. ``untiled_block`` draws a
 sample block in one piece, the reference for the tiled draw, and
 ``per_point_payoff`` evaluates one rescaled payoff at a time, the reference
-for the engine's payoff grid.
+for the engine's payoff grid. ``level_live_samples`` picks a tile's live
+samples from its levels at the grid's extreme scales, the reference set that
+the engine's thresholds on the drawn levels must contain.
 """
 
 import dataclasses
@@ -266,3 +268,26 @@ def per_point_payoff(data, scale_E, scale_I):
     else:
         h_arg = fI
     return evaluate(data.payoff, fE, h_arg)
+
+
+def level_live_samples(data, energy_only):
+    """Indices of ``data``'s samples where some payoff term can be non-zero at a layout point.
+
+    Each level is monotone in its scale, rounding included, so the levels at the extreme
+    scales bound every point's; under payoff_mixing at rho < 0 the mix's energy corners
+    swap. With ``energy_only`` the energy legs alone decide. A NaN level counts as live.
+    """
+    def live(leg, lo, hi):
+        return ~np.greater_equal(lo, leg.k) if leg.kind == "put" else ~np.less_equal(hi, leg.k)
+
+    m = data.model
+    scales_I, by_energy = data._layout
+    fE = [data._level("E", by_energy[k][0]) for k in (0, -1)]
+    kept = [live(g, *fE) for g, _ in data.payoff.terms]
+    if not energy_only:
+        fI = [data._level("I", scale) for scale in (np.min(scales_I), np.max(scales_I))]
+        if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
+            mix = math.sqrt(1.0 - m.rho * m.rho)
+            fI = [m.rho * e + mix * i for e, i in zip(fE if m.rho > 0.0 else fE[::-1], fI)]
+        kept = [e & live(h, *fI) for e, (_, h) in zip(kept, data.payoff.terms)]
+    return np.flatnonzero(reduce(np.logical_or, kept))

@@ -450,6 +450,10 @@ class TestSchemeAndFlags:
         (["--n", str(2 ** 63)], f"key sim.n: n_samples must be < 2**63, got {2 ** 63}"),
         (["--n", "3", "--antithetic"],
          "key sim.n: antithetic sampling pairs draws, so n_samples must be even"),
+        # JSON that Python cannot convert printed its "Exceeds the limit" text alone
+        (["--n", "1" + "0" * 5000], "key sim.n: Exceeds the limit"),
+        (["--seed", "1" + "0" * 5000], "key sim.seed: Exceeds the limit"),
+        (["--scheme", "euler:" + "1" * 5001], "key sim.scheme: unknown scheme 'euler:111"),
     ])
     def test_bad_flag_exits_2_as_its_config_key_does(self, config_path, capsys, flags, message):
         assert main(["price", "--config", config_path, *flags]) == 2

@@ -6,10 +6,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -560,9 +561,9 @@ class TestLiveSamples:
         live_samples = estimators._live_samples
         kept = []
 
-        def counted(data, energy_only):
-            assert not energy_only
-            kept.append((len(live := live_samples(data, energy_only)), len(data.eE)))
+        def counted(draw, test):
+            assert all(len(term) == 2 for term in test)
+            kept.append((len(live := live_samples(draw, test)), len(draw.fE_T)))
             return live
 
         def estimates():
@@ -573,7 +574,7 @@ class TestLiveSamples:
         monkeypatch.setattr(estimators, "_live_samples", counted)
         on_live = estimates()
         monkeypatch.setattr(estimators, "_live_samples",
-                            lambda data, energy_only: np.arange(len(data.eE)))
+                            lambda draw, test: np.arange(len(draw.fE_T)))
         assert on_live == estimates()
         if isinstance(payoff, Separable):
             assert not kept
@@ -596,9 +597,9 @@ class TestLiveSamples:
         live_samples = estimators._live_samples
         kept = []
 
-        def counted(data, energy_only):
-            assert energy_only
-            kept.append((len(live := live_samples(data, energy_only)), len(data.eE)))
+        def counted(draw, test):
+            assert all(len(term) == 1 for term in test)
+            kept.append((len(live := live_samples(draw, test)), len(draw.fE_T)))
             return live
 
         def estimates():
@@ -609,7 +610,7 @@ class TestLiveSamples:
         monkeypatch.setattr(estimators, "_live_samples", counted)
         on_live = estimates()
         monkeypatch.setattr(estimators, "_live_samples",
-                            lambda data, energy_only: np.arange(len(data.eE)))
+                            lambda draw, test: np.arange(len(draw.fE_T)))
         assert on_live == estimates()
         assert len(kept) == 3 * 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
 
@@ -621,7 +622,7 @@ class TestLiveSamples:
             self, monkeypatch, mode, payoff):
         # a payoff_mixing scenario reads one payoff and one multiply per sample, which do
         # not pay for the gathers; a separable payoff's piecewise lines have no live bound
-        def refused(data, energy_only):
+        def refused(draw, test):
             raise AssertionError("the live test ran")
 
         monkeypatch.setattr(estimators, "_live_samples", refused)
@@ -660,7 +661,8 @@ class TestLiveSamples:
         model = make_model(f0E=f0E, f0I=f0I, sigI=0.4, rho=rho, mode=mode)
         plan = estimators._build_plan(model, TuningFunction.uniform(1.0), 0)
         tile = estimators._BlockData(draw, plan, model, payoff, estimators._grid_layout(points))
-        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile, True))
+        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(
+            draw, estimators._live_test(model, payoff, tile._layout, True)))
         scenario_rhos = data.draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True,
                                                      exclude_max=True), min_size=1, max_size=4))
         for scenario in scenario_rhos:
@@ -702,9 +704,69 @@ class TestLiveSamples:
         draw = SampleDraw(np.array(fE), np.array(fI), *[None] * 6)
         model = make_model(f0E=f0E, f0I=f0I, rho=rho, mode=mode)
         tile = estimators._BlockData(draw, None, model, payoff, estimators._grid_layout(points))
-        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(tile, False))
+        dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(
+            draw, estimators._live_test(model, payoff, tile._layout, False)))
         for point in points:
             assert (tile.payoff_at(*point)[dead] == 0.0).all(), point
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["call", "step", "put"]), k=st.floats(0.0, 200.0),
+           f0E=st.floats(1.0, 200.0), fE=st.floats(0.0, 400.0) | st.just(math.nan))
+    @example(kind="call", k=100.0, f0E=100.0, fE=99.98)
+    @example(kind="call", k=100.0, f0E=100.0, fE=100.0)
+    @example(kind="step", k=100.0, f0E=100.0, fE=101.0)
+    @example(kind="put", k=100.0, f0E=100.0, fE=100.02)
+    @example(kind="put", k=100.0, f0E=100.0, fE=math.nan)
+    # the level at scale 1 + FD_BUMP rounds above the strike and the unwidened form below it
+    @example(kind="call", k=12.83846360702777, f0E=19.505406539783444, fE=12.837179889038866)
+    # fE / f0E rounds to 0.0, so the level is 0.0 and the put pays 5e-324: a subnormal
+    # level rounds in absolute steps, which the strike's absolute floor covers
+    @example(kind="put", k=5e-324, f0E=2.0, fE=5e-324)
+    def test_leg_is_live_where_it_can_be_non_zero_and_at_a_nan_bound(self, kind, k, f0E, fE):
+        # one leg on the energy level at the dE grid's scales: live wherever its level at a
+        # scale clears the strike, and only where a level 1e-9 relative beyond the grid
+        # does; a NaN level is live
+        leg = payoffs.Leg(kind, k)
+        layout = estimators._grid_layout({p for p, _ in estimators._stencil("dE")})
+        test = estimators._live_test(make_model(f0E=f0E), SimpleNamespace(terms=((leg, None),)),
+                                     layout, True)
+        draw = SampleDraw(np.array([fE]), *[None] * 7)
+        live = len(estimators._live_samples(draw, test)) == 1
+        scales = (1.0 - estimators.FD_BUMP, 1.0, 1.0 + estimators.FD_BUMP)
+        levels = [(f0E * scale) * (fE / f0E) for scale in scales]
+        wide = (levels[0] * (1.0 - 1e-9) - 1e-290 if kind == "put"
+                else levels[-1] * (1.0 + 1e-9) + 1e-290)
+        if math.isnan(fE):
+            assert live
+        else:
+            assert live or not any(leg(np.float64(level)) for level in levels)
+            assert not live or leg(np.float64(wide))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("rho", [-0.6, 0.3])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("energy_only", [False, True], ids=["bump-grid", "energy-only"])
+    def test_live_set_holds_the_level_test_set_on_drawn_tiles(self, mode, rho, antithetic,
+                                                               energy_only):
+        # the collar's 3x3 bump grid, or the energy legs alone at the base point as an
+        # sde_mixing scenario group reads them; the thresholds may add samples, never drop one
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
+        points = ({(1.0, 1.0)} if energy_only
+                  else {p for which in estimators.GREEKS for p, _ in estimators._stencil(which)})
+        layout = estimators._grid_layout(points | {(1.0, 1.0)})
+        test = estimators._live_test(model, COLLAR, layout, energy_only)
+        tuning = TuningFunction.uniform(1.0)
+        draws = draw_samples(model, tuning, SimConfig(2 * TILE_SIZE, seed=77,
+                                                      antithetic=antithetic))
+        plan = estimators._build_plan(model, tuning, 0)
+        for lo, hi in tile_bounds(2 * TILE_SIZE):
+            tile = simulate._rows(draws, slice(lo, hi))
+            reference = oracles.level_live_samples(
+                estimators._BlockData(tile, plan, model, COLLAR, layout), energy_only)
+            live = estimators._live_samples(tile, test)
+            assert 0 < len(reference) <= len(live) < TILE_SIZE
+            assert np.isin(reference, live).all()
 
 
 class TestOracleTriangle:

@@ -18,7 +18,6 @@ from quantogreeks import (
 from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import (
     KinkSolver,
-    Leg,
     conditional_mean,
     energy_kink_levels,
     validate_payoff,
@@ -147,13 +146,6 @@ class TestEvaluate:
         fresh = dataclasses.replace(p)
         assert p.terms is p.terms
         assert p == fresh and hash(p) == hash(fresh) and validate_payoff(p) == []
-
-    def test_leg_is_live_where_it_can_be_non_zero_and_at_a_nan_bound(self):
-        lo, hi = np.array([50.0, 90.0, 100.0, 100.0, np.nan]), np.array([90.0, 100.0, 100.0,
-                                                                           110.0, np.nan])
-        assert Leg("call", 100.0).live(lo, hi).tolist() == [False, False, False, True, True]
-        assert Leg("step", 100.0).live(lo, hi).tolist() == [False, False, False, True, True]
-        assert Leg("put", 100.0).live(lo, hi).tolist() == [True, True, False, False, True]
 
     def test_separable_call_ramp_matches_product_call(self):
         g = PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0)
