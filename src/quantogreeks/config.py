@@ -211,8 +211,8 @@ def _build_sim(raw: dict) -> SimConfig:
     seed = as_integer(raw.pop("sim.seed", 0), "key sim.seed")
     try:
         return SimConfig(n_samples, seed, antithetic, euler_steps)
-    except ValueError as exc:  # with the types and steps read, only a seed or count is left
-        key = "sim.seed" if str(exc).startswith("seed") else "sim.n"
+    except ValueError as exc:  # with the types read, a seed, a count or the step bound is left
+        key = {"seed": "sim.seed", "euler_steps": "sim.scheme"}.get(str(exc).split()[0], "sim.n")
         raise ConfigError(f"key {key}: {exc}") from None
 
 

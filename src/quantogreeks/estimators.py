@@ -4,12 +4,15 @@ The Monte Carlo engine evaluates all requested estimators on one shared draw
 stream, block by block, reducing partial moments in fixed block order so the
 result is bit-identical for any thread count. Each worker runs a block's
 jobs tile by tile, up to eight jobs together, each writing its own row of
-values; it draws the fields its jobs read of each tile just before the first
-group evaluates it, into buffers it reuses for the whole pass. Correlation
-scenarios, finite-difference bumps and sample-size prefixes are jobs on that
-one stream, so each command draws once; the bumped payoffs of a tile are one
-grid, evaluated once for all of its finite differences, and each term's
-energy leg is evaluated once per tile for all of its correlation scenarios.
+values; it draws the fields its jobs read of each tile (``TILE_SIZE`` draws,
+twice as many samples with antithetic pairs) just before the first group
+evaluates it, into buffers it reuses for the whole pass, and evaluates at most
+``TILE_SIZE`` samples at once: an antithetic tile runs in its two halves
+unless its live samples fit one part. Correlation scenarios,
+finite-difference bumps and sample-size prefixes are jobs on that one stream,
+so each command draws once; the bumped payoffs of a tile are one grid,
+evaluated once for all of its finite differences, and each term's energy leg
+is evaluated once per part of a tile for all of its correlation scenarios.
 A group of bump jobs runs each tile on its live
 samples only, those where some payoff term can be non-zero at a point of the
 grid; a group of sde_mixing scenarios on those where some energy leg can be
@@ -85,10 +88,11 @@ class GreekEstimate:
 class _BlockData:
     """One tile of a block's draws with the derived quantities every job needs.
 
-    A pass builds one per tile and job group: on the tile's live samples if
-    the group runs on them, else on the whole tile. The live samples come
-    from thresholds on the drawn levels, widened by 1e-12 relative and an
-    absolute floor, so some of them may pay 0.0 at every point.
+    A pass builds one per part of a tile and job group, at most ``TILE_SIZE``
+    samples: on the part's live samples if the group runs on them, else on
+    the whole part. The live samples come from thresholds on the drawn
+    levels, widened by 1e-12 relative and an absolute floor, so some of them
+    may pay 0.0 at every point.
 
     ``layout`` (a ``_grid_layout``) holds the (scale_E, scale_I) rescalings
     of the initial levels whose payoffs the tile's jobs read: (1, 1) for
@@ -294,10 +298,12 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     buffer holds the two levels, the fields the jobs read and, under
     sde_mixing at rho != 0 or with a scenario job, ``gI`` and ``gI_cross``,
     which the temperature level mixes and from which views rebuild it; every
-    other field is None and is not drawn. A block's first job group draws
-    each tile just before it evaluates it, continuing the block's generator:
-    with one group the buffer holds a tile, with more it holds the block,
-    which the later groups read back.
+    other field is None and is not drawn. A block's tiles are those of
+    ``tile_bounds``, ``TILE_SIZE`` draws each, so an antithetic tile holds
+    ``2 * TILE_SIZE`` samples. A block's first job group draws each tile just
+    before it evaluates it, continuing the block's generator: with one group
+    the buffer holds a tile, with more it holds the block, which the later
+    groups read back.
 
     Returns, per job, one estimate of the discounted values per sample count
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
@@ -314,17 +320,23 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     linear threshold per leg (``_live_test``), set once per group with its
     coefficients widened by 1e-12 relative and its strikes moved by an
     absolute floor of 1e-300 * (1 + f0E + f0I): it keeps every sample that
-    can pay, and those it adds pay 0.0. The tile's one ``_BlockData`` holds
-    the gathered live rows. Groups of payoff_mixing scenarios or of the base
-    point alone run every sample: one payoff and one multiply per sample do
-    not pay for the gathers and scatters. Each job writes its values, pair means when
+    can pay, and those it adds pay 0.0. Groups of payoff_mixing scenarios or
+    of the base point alone run every sample: one payoff and one multiply per
+    sample do not pay for the gathers and scatters.
+
+    A group evaluates at most ``TILE_SIZE`` samples at once, each part on one
+    ``_BlockData``: a tile without pairs is one part; an antithetic tile is
+    its two ``TILE_SIZE``-sample halves, or one part of its live samples if at
+    most ``TILE_SIZE`` are live, else each half's live samples in turn, split
+    with ``np.searchsorted``. Every operation on a sample is elementwise, so
+    the parts leave every bit. Each job writes its values, pair means when
     antithetic, into its own row, 0.0 for a sample that is not live: on a
-    whole tile without pairs a job gets its slice of the row as ``out`` and
-    returns it, or returns an array that is copied there. Each row then
-    reduces to its count, sum and sum of squared deviations from its own mean
-    (two passes, no BLAS). These are merged in block-index order (Chan, Golub &
-    LeVeque), so every estimate has the bits of a separate pass of n draws
-    at any thread count and any BLAS thread count. ``seconds`` is the wall
+    tile without pairs that runs every sample a job gets its slice of the
+    row as ``out`` and returns it, or returns an array that is copied there.
+    Each row then reduces to its count, sum and sum of squared deviations
+    from its own mean (two passes, no BLAS). These are merged in block-index
+    order (Chan, Golub & LeVeque), so every estimate has the bits of a
+    separate pass of n draws at any thread count and any BLAS thread count. ``seconds`` is the wall
     time of the whole pass. Nothing is drawn for an invalid input or for no job.
     """
     sizes = [cfg.n_samples] if sizes is None else list(sizes)
@@ -364,6 +376,27 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     whole_block = len(groups) > 1  # later groups read the block's tiles back
     local = threading.local()  # each worker's buffers, reused for every block it runs
 
+    def evaluate(group: list[_Job], layout: tuple, part: SampleDraw, live: np.ndarray | None,
+                 lo: int) -> None:
+        """Write each job's values on ``part``, the block's samples from ``lo``, into its row:
+        on ``live``, indices into ``part``, with 0.0 for every other sample, if given. The
+        part's arrays die when it returns, before the next tile is drawn."""
+        hi = lo + len(part.fE_T)
+        data = _BlockData(part if live is None else _rows(part, live), plan, model, payoff, layout)
+        for row, (_, run, _, scenario, _) in zip(local.values, group):
+            dst = row[lo // draws_per_value:hi // draws_per_value]
+            view = data if scenario is None else data.at(scenario)
+            values = run(view, None if cfg.antithetic or live is not None else dst)
+            if live is not None:  # every other sample's value is 0.0
+                whole = local.scratch[:hi - lo] if cfg.antithetic else dst
+                whole[:] = 0.0
+                whole[live] = values
+                values = whole
+            if cfg.antithetic:
+                _pair_means(values, out=dst)
+            elif values is not dst:
+                dst[:] = values
+
     def run_block(block: int) -> list[dict[int, tuple[float, float, int]]]:
         if not hasattr(local, "draw"):
             # One allocation holds the drawn fields, the job value rows and a
@@ -371,10 +404,11 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
             # Once it is freed, glibc's dynamic thresholds keep the smaller tile
             # temporaries on the heap instead of returning them to the kernel
             # after each block.
-            width = min(BLOCK_SIZE if whole_block else TILE_SIZE, cfg.n_samples)
+            tile = min(TILE_SIZE * draws_per_value, cfg.n_samples)  # samples per tile
+            width = min(BLOCK_SIZE, cfg.n_samples) if whole_block else tile
             n_draw, row = len(held) * width, min(BLOCK_SIZE, cfg.n_samples) // draws_per_value
             n_values = min(len(jobs), _GROUP_JOBS) * row
-            buffer = np.empty(n_draw + n_values + max(row, min(TILE_SIZE, cfg.n_samples)))
+            buffer = np.empty(n_draw + n_values + max(row, tile))
             local.draw = SampleDraw(**{f.name: None for f in fields(SampleDraw)}
                                     | dict(zip(held, buffer[:n_draw].reshape(-1, width))))
             local.values = buffer[n_draw:n_draw + n_values].reshape(-1, row)
@@ -383,29 +417,22 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         ends = sorted({min(n - start, BLOCK_SIZE) for n in sizes if n > start})
         out: list[dict] = [{} for _ in jobs]
         gen = _block_generator(cfg.seed, block)
-        bounds = tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start))
+        bounds = tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start), cfg.antithetic)
         for first, group, layout, test in groups:
             for lo, hi in bounds:
                 tile = _rows(local.draw, slice(lo, hi) if whole_block else slice(hi - lo))
                 if first == 0:  # the block's tiles are drawn in order, by its first group
                     _draw_tile(plan, model, cfg, gen, tile)
                 live = None if test is None else _live_samples(tile, test)
-                data = _BlockData(tile if live is None else _rows(tile, live), plan, model,
-                                  payoff, layout)
-                for row, (_, run, _, scenario, _) in zip(local.values, group):
-                    dst = row[lo // draws_per_value:hi // draws_per_value]
-                    view = data if scenario is None else data.at(scenario)
-                    values = run(view, None if cfg.antithetic or live is not None else dst)
-                    if live is not None:  # every other sample's value is 0.0
-                        whole = local.scratch[:hi - lo] if cfg.antithetic else dst
-                        whole[:] = 0.0
-                        whole[live] = values
-                        values = whole
-                    if cfg.antithetic:
-                        _pair_means(values, out=dst)
-                    elif values is not dst:
-                        dst[:] = values
-                del data, view, values  # the tile's arrays die before the next is drawn
+                if hi - lo <= TILE_SIZE or (live is not None and len(live) <= TILE_SIZE):
+                    evaluate(group, layout, tile, live, lo)
+                    continue
+                # an antithetic tile of more than TILE_SIZE samples, in its two halves
+                cut = None if live is None else int(np.searchsorted(live, TILE_SIZE))
+                evaluate(group, layout, _rows(tile, slice(TILE_SIZE)),
+                         None if live is None else live[:cut], lo)
+                evaluate(group, layout, _rows(tile, slice(TILE_SIZE, None)),
+                         None if live is None else live[cut:] - TILE_SIZE, lo + TILE_SIZE)
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:
                     head = row[:end // draws_per_value]

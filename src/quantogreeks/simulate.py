@@ -7,9 +7,11 @@ the scheme: 0 draws the exact terminal law, N >= 1 log-Euler on N uniform steps.
 Draws are generated in fixed-size blocks from a counter-based Philox stream
 keyed by the seed, so sample i never depends on how many samples are requested
 or on how the blocks are scheduled across threads. A block is drawn in tiles
-of ``TILE_SIZE`` samples; each tile continues the block's generator, so the
-tiling leaves every bit as a single draw of the block would give it. A Monte
-Carlo pass draws each tile just before it evaluates it, into a private buffer
+of ``TILE_SIZE`` draws (rows of normals): ``TILE_SIZE`` samples, or
+``2 * TILE_SIZE`` with antithetic pairs (``tile_bounds``). Each tile continues
+the block's generator, so the tiling leaves every bit as a single draw of the
+block would give it. A Monte Carlo pass draws each tile just before it
+evaluates it, at most ``TILE_SIZE`` samples at once, into a private buffer
 that holds only the fields its jobs read: the others are None, and are
 neither summed nor stored. The public draws form every field in fresh arrays.
 
@@ -38,7 +40,10 @@ import numpy as np
 from .model import CorrelationMode, MarketModel, TuningFunction, rho_violation, union_grid
 
 BLOCK_SIZE = 1 << 16  # samples per block: the unit of the random stream and of the reductions
-TILE_SIZE = 1 << 14  # samples per tile: a block is drawn and evaluated this many at a time
+# draws per tile: a block is drawn this many rows of normals at a time, and a pass
+# evaluates at most this many samples at once
+TILE_SIZE = 1 << 14
+MAX_EULER_STEPS = 1 << 20  # the plan holds about 160 bytes per step: 170 MB at this bound
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,8 @@ class SimConfig:
     """Sampling settings, checked when built; ``dataclasses.replace`` checks again.
 
     A count, seed or step count must be an int: a bool or a float, even a
-    whole one, is refused. ``antithetic`` must be a bool.
+    whole one, is refused. ``antithetic`` must be a bool. At most
+    ``MAX_EULER_STEPS`` steps are drawn.
     """
 
     n_samples: int
@@ -68,6 +74,8 @@ class SimConfig:
             raise ValueError(f"n_samples must be < 2**63, got {self.n_samples}")
         if self.euler_steps < 0:
             raise ValueError(f"euler_steps must be >= 0, got {self.euler_steps}")
+        if self.euler_steps > MAX_EULER_STEPS:
+            raise ValueError(f"euler_steps must be <= 2**20, got {self.euler_steps}")
         if self.antithetic and self.n_samples % 2 != 0:
             raise ValueError("antithetic sampling pairs draws, so n_samples must be even")
 
@@ -163,9 +171,10 @@ def block_count(n_samples: int) -> int:
     return (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def tile_bounds(count: int) -> list[tuple[int, int]]:
-    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block."""
-    edges = [*range(0, count, TILE_SIZE), count]
+def tile_bounds(count: int, antithetic: bool = False) -> list[tuple[int, int]]:
+    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block, ``TILE_SIZE`` draws each:
+    ``TILE_SIZE`` samples, or ``2 * TILE_SIZE`` (``TILE_SIZE`` pairs) when ``antithetic``."""
+    edges = [*range(0, count, 2 * TILE_SIZE if antithetic else TILE_SIZE), count]
     return list(zip(edges, edges[1:]))
 
 
@@ -179,10 +188,12 @@ def _draw_tile(plan: _Plan, model: MarketModel, cfg: SimConfig, gen: np.random.G
                tile: SampleDraw) -> None:
     """Draw the next tile of a block into ``tile``, continuing the block's generator ``gen``.
 
-    Drawn in block order, a block's tiles take the normals of a single draw
-    of the block, so every sample has the same bits. Each accumulator is
-    summed column by column, left to right, with elementwise operations only,
-    so a sample's bits do not depend on how many samples share the tile.
+    A tile of ``tile_bounds`` takes ``TILE_SIZE`` rows of normals, one per
+    sample or per antithetic pair. Drawn in block order, a block's tiles take
+    the normals of a single draw of the block, so every sample has the same
+    bits. Each accumulator is summed column by column, left to right, with
+    elementwise operations only, so a sample's bits do not depend on how many
+    samples share the tile.
 
     An accumulator whose field in ``tile`` is None is not formed. If ``gE``
     or ``gI`` is None, that driver is summed into its level's field and
@@ -214,11 +225,14 @@ def _draw_tile(plan: _Plan, model: MarketModel, cfg: SimConfig, gen: np.random.G
 
 
 def _draw_block(plan: _Plan, model: MarketModel, cfg: SimConfig, block: int) -> SampleDraw:
-    """Draw every field of block ``block`` of ``model`` into fresh arrays, tile by tile."""
+    """Draw every field of block ``block`` of ``model`` into fresh arrays, tile by tile.
+
+    Its tiles are the pass's (``tile_bounds``): ``TILE_SIZE`` rows of normals each.
+    """
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     draw = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
     gen = _block_generator(cfg.seed, block)
-    for lo, hi in tile_bounds(count):
+    for lo, hi in tile_bounds(count, cfg.antithetic):
         _draw_tile(plan, model, cfg, gen, _rows(draw, slice(lo, hi)))
     return draw
 

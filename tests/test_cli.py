@@ -454,6 +454,9 @@ class TestSchemeAndFlags:
         (["--n", "1" + "0" * 5000], "key sim.n: Exceeds the limit"),
         (["--seed", "1" + "0" * 5000], "key sim.seed: Exceeds the limit"),
         (["--scheme", "euler:" + "1" * 5001], "key sim.scheme: unknown scheme 'euler:111"),
+        # a plan of about 160 GB crashed the run instead of exiting 2
+        (["--scheme", "euler:1000000000"],
+         "key sim.scheme: euler_steps must be <= 2**20, got 1000000000"),
     ])
     def test_bad_flag_exits_2_as_its_config_key_does(self, config_path, capsys, flags, message):
         assert main(["price", "--config", config_path, *flags]) == 2
@@ -632,6 +635,8 @@ payoff.alpha = 1.5""")
         ("sim.scheme = sobol",
          "key sim.scheme: unknown scheme 'sobol'; expected 'exact' or 'euler:STEPS'"),
         ("sim.antithetic = 1", "key sim.antithetic: expected true/false, got 1"),
+        ("sim.scheme = euler:1048577",
+         "key sim.scheme: euler_steps must be <= 2**20, got 1048577"),
     ])
     def test_bad_line_or_choice_exits_2_naming_it(self, tmp_path, capsys, line, message):
         text = BASE_CONFIG + line + "\n"

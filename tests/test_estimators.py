@@ -54,6 +54,8 @@ QUAD_RHO_HALF_PAYOFF_MIXING = 409.7914744063864
 
 MODES = list(CorrelationMode)
 COLLAR = FourStrikeCollar(110.0, 70.0, 90.0, 50.0, 1.0)
+# on the f0I = 60 models below, nearly every sample of this collar is live
+ITM_COLLAR = FourStrikeCollar(60.0, 30.0, 50.0, 20.0)
 PAYOFF_KINDS = [
     ProductCall(100.0, 60.0), DigitalProduct(100.0, 60.0), COLLAR,
     Separable(PiecewiseLinear((80.0, 100.0, 120.0), (0.0, 5.0, 20.0), 0.0, 1.0),
@@ -240,10 +242,13 @@ class TestEngineValidation:
         ({"n_samples": True}, "n_samples"), ({"seed": -1}, "seed"),
         ({"seed": 2 ** 128}, "seed"), ({"seed": 0.5}, "seed"),
         ({"euler_steps": -1}, "euler_steps"), ({"euler_steps": 2.5}, "euler_steps"),
+        # about 160 bytes of plan per step: a billion steps asked for 160 GB
+        ({"euler_steps": 2 ** 20 + 1}, "euler_steps"),
         ({"n_samples": 1001, "antithetic": True}, "n_samples"),
         ({"antithetic": "false"}, "antithetic"), ({"antithetic": 1}, "antithetic"),
     ], ids=["n-0", "n-2**63", "n-float", "n-bool", "seed-negative", "seed-2**128", "seed-float",
-            "steps-negative", "steps-float", "n-odd-pairs", "pairs-str", "pairs-int"])
+            "steps-negative", "steps-float", "steps-2**20+1", "n-odd-pairs", "pairs-str",
+            "pairs-int"])
     def test_a_sim_config_cannot_be_built_invalid(self, monkeypatch, atm_model, uniform_tuning,
                                                   build, values, field):
         calls = drawn_tiles(monkeypatch)
@@ -544,11 +549,55 @@ class TestFiniteDifferences:
         assert fd.stderr > mal.stderr
 
 
+def payoff_id(payoff):
+    return "InTheMoneyCollar" if payoff is ITM_COLLAR else type(payoff).__name__
+
+
+def pass_tiles(cfg):
+    """How many tiles a pass of ``cfg`` evaluates."""
+    return sum(len(tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start), cfg.antithetic))
+               for start in range(0, cfg.n_samples, BLOCK_SIZE))
+
+
+def count_parts(monkeypatch, legs):
+    """Per tile a pass runs the live test on, [live samples, samples, each part's samples]:
+    the test's terms must each hold ``legs`` legs, and a part is a ``_BlockData`` built
+    while this live test is in place."""
+    live_samples, block_data = estimators._live_samples, estimators._BlockData
+    kept = []
+
+    def counted(draw, test):
+        assert all(len(term) == legs for term in test)
+        kept.append([len(live := live_samples(draw, test)), len(draw.fE_T)])
+        return live
+
+    class Counted(block_data):
+        def __init__(self, draw, *args):
+            if kept and estimators._live_samples is counted:
+                kept[-1].append(len(draw.fE_T))
+            super().__init__(draw, *args)
+
+    monkeypatch.setattr(estimators, "_live_samples", counted)
+    monkeypatch.setattr(estimators, "_BlockData", Counted)
+    return kept
+
+
+def assert_parts(kept, halves):
+    """Each tile of ``count_parts`` ran its live samples whole, or in halves when it keeps more
+    than ``TILE_SIZE``; with ``halves`` both happened."""
+    counts = set()
+    for live, _, *parts in kept:
+        assert sum(parts) == live and max(parts) <= TILE_SIZE
+        assert len(parts) == (1 if live <= TILE_SIZE else 2)
+        counts.add(len(parts))
+    assert not halves or counts == {1, 2}
+
+
 class TestLiveSamples:
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("payoff", [*PAYOFF_KINDS, ITM_COLLAR], ids=payoff_id)
     def test_pass_on_live_samples_equals_the_pass_on_every_sample(self, monkeypatch, payoff,
                                                                    mode, rho, antithetic):
         # a group of the mode's three weights and the three finite differences reads bump
@@ -558,20 +607,13 @@ class TestLiveSamples:
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=74, antithetic=antithetic)
         variants = [weights.mode_variant(which, mode) for which in estimators.GREEKS]
-        live_samples = estimators._live_samples
-        kept = []
-
-        def counted(draw, test):
-            assert all(len(term) == 2 for term in test)
-            kept.append((len(live := live_samples(draw, test)), len(draw.fE_T)))
-            return live
+        kept = count_parts(monkeypatch, 2)
 
         def estimates():
             ests = mc_estimates(model, payoff, tuning, variants, cfg,
                                 fd_greeks=estimators.GREEKS)
             return {label: (e.value, e.stderr) for label, e in ests.items()}
 
-        monkeypatch.setattr(estimators, "_live_samples", counted)
         on_live = estimates()
         monkeypatch.setattr(estimators, "_live_samples",
                             lambda draw, test: np.arange(len(draw.fE_T)))
@@ -579,11 +621,15 @@ class TestLiveSamples:
         if isinstance(payoff, Separable):
             assert not kept
         else:
-            assert len(kept) == 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+            assert len(kept) == pass_tiles(cfg) and 0 < sum(k for k, *_ in kept) < sum(
+                n for _, n, *_ in kept)
+            # at rho < 0 the payoff_mixing mix of the levels leaves few of its samples live
+            assert_parts(kept, payoff is ITM_COLLAR and antithetic
+                         and not (mode is CorrelationMode.PAYOFF_MIXING and rho < 0.0))
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3])
-    @pytest.mark.parametrize("payoff", PAYOFF_KINDS[:3], ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("payoff", [*PAYOFF_KINDS[:3], ITM_COLLAR], ids=payoff_id)
     def test_scenario_pass_on_energy_live_samples_equals_the_pass_on_every_sample(
             self, monkeypatch, payoff, rho, antithetic):
         # an sde_mixing group with scenario jobs runs each tile on the samples where an
@@ -594,25 +640,20 @@ class TestLiveSamples:
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 8, seed=75, antithetic=antithetic)
         sizes = [TILE_SIZE + 6, BLOCK_SIZE + 10, cfg.n_samples]
-        live_samples = estimators._live_samples
-        kept = []
-
-        def counted(draw, test):
-            assert all(len(term) == 1 for term in test)
-            kept.append((len(live := live_samples(draw, test)), len(draw.fE_T)))
-            return live
+        kept = count_parts(monkeypatch, 1)
 
         def estimates():
             return [[(e.value, e.stderr, e.n) for e in ests] for which in estimators.GREEKS
                     for ests in mc_greek(model, payoff, tuning, weights.mode_variant(which, mode),
                                          cfg, sizes=sizes, scenarios=[-0.5, 0.4, 0.7, -0.2])]
 
-        monkeypatch.setattr(estimators, "_live_samples", counted)
         on_live = estimates()
         monkeypatch.setattr(estimators, "_live_samples",
                             lambda draw, test: np.arange(len(draw.fE_T)))
         assert on_live == estimates()
-        assert len(kept) == 3 * 7 and 0 < sum(k for k, _ in kept) < sum(n for _, n in kept)
+        assert len(kept) == 3 * pass_tiles(cfg) and 0 < sum(k for k, *_ in kept) < sum(
+            n for _, n, *_ in kept)
+        assert_parts(kept, payoff is ITM_COLLAR and antithetic)
 
     @pytest.mark.parametrize("mode,payoff", [(CorrelationMode.PAYOFF_MIXING, PAYOFF_KINDS[0]),
                                              (CorrelationMode.PAYOFF_MIXING, COLLAR),
@@ -1013,10 +1054,10 @@ class TestOnePass:
         assert cli.main(["greeks", "--config", str(config),
                          "--all-variants", "--oracle", "fd", "--n", str(n),
                          "--out", os.devnull]) == 0
-        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
-                    for start in range(0, n, BLOCK_SIZE))
         run = build_run(load_config(config))
-        draw = draw_samples(run.model, run.tuning, dataclasses.replace(run.sim, n_samples=n))
+        sim = dataclasses.replace(run.sim, n_samples=n)
+        tiles = pass_tiles(sim)
+        draw = draw_samples(run.model, run.tuning, sim)
         p, f0E, f0I = run.payoff, run.model.energy_f0, run.model.temperature_f0
         bump = estimators.FD_BUMP
         fE = [(f0E * scale) * (draw.fE_T / f0E) for scale in (1.0 - bump, 1.0 + bump)]
@@ -1024,7 +1065,7 @@ class TestOnePass:
         live = ((fE[1] > p.kE_high) & (fI[1] > p.kI_high)) | ((fE[0] < p.kE_low)
                                                               & (fI[0] < p.kI_low))
         assert 0 < np.count_nonzero(live) < n // 2
-        assert tiles == 7 and len(kernel_calls) == tiles
+        assert tiles == 4 and len(kernel_calls) == tiles
         assert sum(kernel_calls) == np.count_nonzero(live)
         assert len(integrals) == 1
 
