@@ -1,27 +1,12 @@
 """Price and Greek estimators: weighted Monte Carlo, CRN finite differences, deterministic quadrature.
 
-The Monte Carlo engine evaluates all requested estimators on one shared draw
-stream, block by block, reducing partial moments in fixed block order so the
-result is bit-identical for any thread count. Each worker runs a block's
-jobs tile by tile, up to eight jobs together, each writing its own row of
-values; it draws the fields its jobs read of each tile (``TILE_SIZE`` draws,
-twice as many samples with antithetic pairs) just before the first group
-evaluates it, into buffers it reuses for the whole pass, and evaluates at most
-``TILE_SIZE`` samples at once: an antithetic tile runs in its two halves
-unless its live samples fit one part. Correlation scenarios,
-finite-difference bumps and sample-size prefixes are jobs on that one stream,
-so each command draws once; the bumped payoffs of a tile are one grid,
-evaluated once for all of its finite differences, and each term's energy leg
-is evaluated once per part of a tile for all of its correlation scenarios.
-A group of bump jobs runs each tile on its live
-samples only, those where some payoff term can be non-zero at a point of the
-grid; a group of sde_mixing scenarios on those where some energy leg can be
-non-zero, a set no scenario moves. The test reads only the tile's drawn
-levels, against one linear threshold per leg set once per group, each
-coefficient widened by 1e-12 relative and each strike moved by an absolute
-floor for subnormal levels, so it may keep a sample that pays 0.0 but never
-drops one that does not. Every other sample's value is 0.0. Groups of
-payoff_mixing scenarios or of the base point alone run every sample. The
+The Monte Carlo engine (``_mc_pass``) evaluates all requested estimators on
+one shared draw stream, block by block, merging the blocks' partial moments
+in block-index order, so the result is bit-identical for any thread count.
+Correlation scenarios, finite-difference bumps and sample-size prefixes are
+jobs on that one stream, so each command draws once. ``_mc_pass`` holds the
+tile parts, job groups and live-sample policy, ``_live_test`` the live
+thresholds and ``_BlockData`` what a tile shares among its jobs. The
 quadrature oracle shares no sampling code with the Monte Carlo path:
 it integrates a closed-form mean over the temperature driver against
 Gauss-Legendre nodes in the energy driver.
@@ -86,18 +71,12 @@ class GreekEstimate:
 
 
 class _BlockData:
-    """One tile of a block's draws with the derived quantities every job needs.
-
-    A pass builds one per part of a tile and job group, at most ``TILE_SIZE``
-    samples: on the part's live samples if the group runs on them, else on
-    the whole part. The live samples come from thresholds on the drawn
-    levels, widened by 1e-12 relative and an absolute floor, so some of them
-    may pay 0.0 at every point.
+    """One part of a tile (``_mc_pass``) with the derived quantities every job needs.
 
     ``layout`` (a ``_grid_layout``) holds the (scale_E, scale_I) rescalings
-    of the initial levels whose payoffs the tile's jobs read: (1, 1) for
+    of the initial levels whose payoffs the pass's jobs read: (1, 1) for
     ``pay_base`` and the finite-difference bumps. They are evaluated together
-    on the first read, so a tile whose jobs only bump the initial levels
+    on the first read, so a pass whose jobs only bump the initial levels
     never computes the base.
 
     The tile keeps ``weight_for``'s pair of tables: each Wiener-integral kernel
@@ -208,7 +187,7 @@ def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, 
 
 def _live_test(model: MarketModel, payoff: PayoffSpec, layout: tuple,
                energy_only: bool) -> tuple:
-    """``_live_samples``'s thresholds for a group's ``layout``, worked out once per group.
+    """``_live_samples``'s thresholds for a pass's ``layout``, worked out once per pass.
 
     Per term, one form (a, b, t) per leg: the leg can be non-zero at a layout
     point only where a * fE_T + b * fI_T > t on the drawn levels. A level is
@@ -218,7 +197,8 @@ def _live_test(model: MarketModel, payoff: PayoffSpec, layout: tuple,
     layout's extreme scales give, so the sign of rho picks its energy end, and
     it is widened by 1e-12 relative to cover the levels' rounding; the strike
     moves down by 1e-300 * (1 + f0E + f0I), since a subnormal level rounds in
-    absolute steps. With ``energy_only`` each term keeps its energy leg alone.
+    absolute steps. So the test never drops a sample that can pay, and those
+    it adds pay 0.0. With ``energy_only`` each term keeps its energy leg alone.
     """
     scales_I, by_energy = layout
     ends_E = (by_energy[0][0], by_energy[-1][0])
@@ -298,46 +278,43 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     buffer holds the two levels, the fields the jobs read and, under
     sde_mixing at rho != 0 or with a scenario job, ``gI`` and ``gI_cross``,
     which the temperature level mixes and from which views rebuild it; every
-    other field is None and is not drawn. A block's tiles are those of
-    ``tile_bounds``, ``TILE_SIZE`` draws each, so an antithetic tile holds
-    ``2 * TILE_SIZE`` samples. A block's first job group draws each tile just
-    before it evaluates it, continuing the block's generator: with one group
-    the buffer holds a tile, with more it holds the block, which the later
-    groups read back.
+    other field is None and is not drawn.
 
     Returns, per job, one estimate of the discounted values per sample count
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
     draws; a block that n ends inside is also reduced over its prefix.
 
-    A block runs its jobs in groups of at most ``_GROUP_JOBS``, tile by tile:
-    each tile is evaluated once for the whole group (its payoffs at every
-    point the group reads, its rho-free weights and energy legs) and
-    dropped. If every leg is a ``Leg``, a group runs each tile on its live
+    The payoff layout of every point the jobs read and the live test are
+    worked out once. If every leg is a ``Leg``, each tile runs on its live
     samples only (``_live_samples``): with a scenario job under sde_mixing,
     where some energy leg can be non-zero, a set that holds for every view;
     with bump points and no scenario job, where some term can be non-zero at
-    a point. The test compares the drawn ``fE_T`` and ``fI_T`` with one
-    linear threshold per leg (``_live_test``), set once per group with its
-    coefficients widened by 1e-12 relative and its strikes moved by an
-    absolute floor of 1e-300 * (1 + f0E + f0I): it keeps every sample that
-    can pay, and those it adds pay 0.0. Groups of payoff_mixing scenarios or
-    of the base point alone run every sample: one payoff and one multiply per
-    sample do not pay for the gathers and scatters.
+    a point. Passes of payoff_mixing scenarios or of the base point alone
+    run every sample: one payoff and one multiply per sample do not pay for
+    the gathers and scatters.
+
+    A block runs its jobs in groups of at most ``_GROUP_JOBS``, which bounds
+    the value rows it holds, tile by tile (``tile_bounds``): each tile is
+    evaluated once for the whole group (its payoffs, rho-free weights and
+    energy legs) and dropped. The first group draws each tile just before it
+    evaluates it, continuing the block's generator: with one group the
+    buffer holds a tile, with more it holds the block, which the later
+    groups read back.
 
     A group evaluates at most ``TILE_SIZE`` samples at once, each part on one
     ``_BlockData``: a tile without pairs is one part; an antithetic tile is
-    its two ``TILE_SIZE``-sample halves, or one part of its live samples if at
-    most ``TILE_SIZE`` are live, else each half's live samples in turn, split
-    with ``np.searchsorted``. Every operation on a sample is elementwise, so
-    the parts leave every bit. Each job writes its values, pair means when
-    antithetic, into its own row, 0.0 for a sample that is not live: on a
-    tile without pairs that runs every sample a job gets its slice of the
-    row as ``out`` and returns it, or returns an array that is copied there.
-    Each row then reduces to its count, sum and sum of squared deviations
-    from its own mean (two passes, no BLAS). These are merged in block-index
-    order (Chan, Golub & LeVeque), so every estimate has the bits of a
-    separate pass of n draws at any thread count and any BLAS thread count. ``seconds`` is the wall
-    time of the whole pass. Nothing is drawn for an invalid input or for no job.
+    its two halves, or one part of its live samples if at most ``TILE_SIZE``
+    are live, else each half's live samples in turn. Every operation on a
+    sample is elementwise, so the parts leave every bit. Each job writes its
+    values, pair means when antithetic, into its own row, 0.0 for a sample
+    that is not live: on a tile without pairs that runs every sample a job
+    gets its slice of the row as ``out`` and returns it, or returns an array
+    that is copied there. Each row then reduces to its count, sum and sum of
+    squared deviations from its own mean (two passes, no BLAS). These are
+    merged in block-index order (Chan, Golub & LeVeque), so every estimate
+    has the bits of a separate pass of n draws at any thread count and any
+    BLAS thread count. ``seconds`` is the wall time of the whole pass.
+    Nothing is drawn for an invalid input or for no job.
     """
     sizes = [cfg.n_samples] if sizes is None else list(sizes)
     if not sizes or max(sizes) != cfg.n_samples:
@@ -359,25 +336,19 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     draws_per_value = 2 if cfg.antithetic else 1
     drawn = {"fE_T", "fI_T", *(name for *_, reads in jobs for name in reads)}
     sde = model.correlation_mode is CorrelationMode.SDE_MIXING
-    if sde and (model.rho != 0.0 or any(job[3] is not None for job in jobs)):
+    scenarios = any(job[3] is not None for job in jobs)
+    if sde and (model.rho != 0.0 or scenarios):
         drawn |= {"gI", "gI_cross"}
     held = [f.name for f in fields(SampleDraw) if f.name in drawn]
-    legs = all(isinstance(leg, Leg) for term in payoff.terms for leg in term)
-    groups = []
-    for first in range(0, len(jobs), _GROUP_JOBS):
-        group = jobs[first:first + _GROUP_JOBS]
-        points = {p for _, _, job_points, *_ in group for p in job_points}
-        scenarios = any(job[3] is not None for job in group)
-        layout, test = _grid_layout(points), None  # a _live_test, or None to run every sample
-        if legs and (sde if scenarios else points != set(_BASE)):
-            test = _live_test(model, payoff, layout, energy_only=scenarios)
-        groups.append((first, group, layout, test))
-
-    whole_block = len(groups) > 1  # later groups read the block's tiles back
+    points = {p for _, _, job_points, *_ in jobs for p in job_points}
+    layout, test = _grid_layout(points), None  # a _live_test, or None to run every sample
+    if (all(isinstance(leg, Leg) for term in payoff.terms for leg in term)
+            and (sde if scenarios else points != set(_BASE))):
+        test = _live_test(model, payoff, layout, energy_only=scenarios)
+    whole_block = len(jobs) > _GROUP_JOBS  # later groups read the block's tiles back
     local = threading.local()  # each worker's buffers, reused for every block it runs
 
-    def evaluate(group: list[_Job], layout: tuple, part: SampleDraw, live: np.ndarray | None,
-                 lo: int) -> None:
+    def evaluate(group: list[_Job], part: SampleDraw, live: np.ndarray | None, lo: int) -> None:
         """Write each job's values on ``part``, the block's samples from ``lo``, into its row:
         on ``live``, indices into ``part``, with 0.0 for every other sample, if given. The
         part's arrays die when it returns, before the next tile is drawn."""
@@ -418,20 +389,21 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         out: list[dict] = [{} for _ in jobs]
         gen = _block_generator(cfg.seed, block)
         bounds = tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start), cfg.antithetic)
-        for first, group, layout, test in groups:
+        for first in range(0, len(jobs), _GROUP_JOBS):
+            group = jobs[first:first + _GROUP_JOBS]
             for lo, hi in bounds:
                 tile = _rows(local.draw, slice(lo, hi) if whole_block else slice(hi - lo))
                 if first == 0:  # the block's tiles are drawn in order, by its first group
                     _draw_tile(plan, model, cfg, gen, tile)
                 live = None if test is None else _live_samples(tile, test)
                 if hi - lo <= TILE_SIZE or (live is not None and len(live) <= TILE_SIZE):
-                    evaluate(group, layout, tile, live, lo)
+                    evaluate(group, tile, live, lo)
                     continue
                 # an antithetic tile of more than TILE_SIZE samples, in its two halves
                 cut = None if live is None else int(np.searchsorted(live, TILE_SIZE))
-                evaluate(group, layout, _rows(tile, slice(TILE_SIZE)),
+                evaluate(group, _rows(tile, slice(TILE_SIZE)),
                          None if live is None else live[:cut], lo)
-                evaluate(group, layout, _rows(tile, slice(TILE_SIZE, None)),
+                evaluate(group, _rows(tile, slice(TILE_SIZE, None)),
                          None if live is None else live[cut:] - TILE_SIZE, lo + TILE_SIZE)
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:

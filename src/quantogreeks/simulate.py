@@ -6,14 +6,9 @@ the scheme: 0 draws the exact terminal law, N >= 1 log-Euler on N uniform steps.
 
 Draws are generated in fixed-size blocks from a counter-based Philox stream
 keyed by the seed, so sample i never depends on how many samples are requested
-or on how the blocks are scheduled across threads. A block is drawn in tiles
-of ``TILE_SIZE`` draws (rows of normals): ``TILE_SIZE`` samples, or
-``2 * TILE_SIZE`` with antithetic pairs (``tile_bounds``). Each tile continues
-the block's generator, so the tiling leaves every bit as a single draw of the
-block would give it. A Monte Carlo pass draws each tile just before it
-evaluates it, at most ``TILE_SIZE`` samples at once, into a private buffer
-that holds only the fields its jobs read: the others are None, and are
-neither summed nor stored. The public draws form every field in fresh arrays.
+or on how the blocks are scheduled across threads. A block is drawn tile by
+tile (``tile_bounds``), each tile continuing the block's generator
+(``_draw_tile``), so the tiling leaves every bit.
 
 Each of the six Gaussian accumulators is a fixed linear functional of one
 driver's increments, so a driver's three accumulators are ``z @ R`` for
@@ -40,9 +35,7 @@ import numpy as np
 from .model import CorrelationMode, MarketModel, TuningFunction, rho_violation, union_grid
 
 BLOCK_SIZE = 1 << 16  # samples per block: the unit of the random stream and of the reductions
-# draws per tile: a block is drawn this many rows of normals at a time, and a pass
-# evaluates at most this many samples at once
-TILE_SIZE = 1 << 14
+TILE_SIZE = 1 << 14  # draws per tile (``tile_bounds``); also a pass's largest part (``_mc_pass``)
 MAX_EULER_STEPS = 1 << 20  # the plan holds about 160 bytes per step: 170 MB at this bound
 
 
@@ -171,9 +164,12 @@ def block_count(n_samples: int) -> int:
     return (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def tile_bounds(count: int, antithetic: bool = False) -> list[tuple[int, int]]:
-    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block, ``TILE_SIZE`` draws each:
-    ``TILE_SIZE`` samples, or ``2 * TILE_SIZE`` (``TILE_SIZE`` pairs) when ``antithetic``."""
+def tile_bounds(count: int, antithetic: bool) -> list[tuple[int, int]]:
+    """Sample ranges [lo, hi) of the tiles of a ``count``-sample block.
+
+    A tile is counted in draws, ``TILE_SIZE`` rows of normals: ``TILE_SIZE``
+    samples, or ``2 * TILE_SIZE`` (``TILE_SIZE`` pairs) when ``antithetic``.
+    """
     edges = [*range(0, count, 2 * TILE_SIZE if antithetic else TILE_SIZE), count]
     return list(zip(edges, edges[1:]))
 
@@ -188,12 +184,11 @@ def _draw_tile(plan: _Plan, model: MarketModel, cfg: SimConfig, gen: np.random.G
                tile: SampleDraw) -> None:
     """Draw the next tile of a block into ``tile``, continuing the block's generator ``gen``.
 
-    A tile of ``tile_bounds`` takes ``TILE_SIZE`` rows of normals, one per
-    sample or per antithetic pair. Drawn in block order, a block's tiles take
-    the normals of a single draw of the block, so every sample has the same
-    bits. Each accumulator is summed column by column, left to right, with
-    elementwise operations only, so a sample's bits do not depend on how many
-    samples share the tile.
+    A tile takes one row of normals per sample or antithetic pair. Drawn in
+    block order, a block's tiles take the normals of a single draw of the
+    block, so every sample has the same bits. Each accumulator is summed
+    column by column, left to right, with elementwise operations only, so a
+    sample's bits do not depend on how many samples share the tile.
 
     An accumulator whose field in ``tile`` is None is not formed. If ``gE``
     or ``gI`` is None, that driver is summed into its level's field and
@@ -225,10 +220,7 @@ def _draw_tile(plan: _Plan, model: MarketModel, cfg: SimConfig, gen: np.random.G
 
 
 def _draw_block(plan: _Plan, model: MarketModel, cfg: SimConfig, block: int) -> SampleDraw:
-    """Draw every field of block ``block`` of ``model`` into fresh arrays, tile by tile.
-
-    Its tiles are the pass's (``tile_bounds``): ``TILE_SIZE`` rows of normals each.
-    """
+    """Draw every field of block ``block`` of ``model`` into fresh arrays, tile by tile."""
     count = min(BLOCK_SIZE, cfg.n_samples - block * BLOCK_SIZE)
     draw = SampleDraw(*np.empty((len(fields(SampleDraw)), count)))
     gen = _block_generator(cfg.seed, block)

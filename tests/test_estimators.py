@@ -43,6 +43,7 @@ from quantogreeks.model import CorrelationMode
 from quantogreeks.payoffs import validate_payoff
 from quantogreeks.simulate import (BLOCK_SIZE, TILE_SIZE, SampleDraw, block_count,
                                    tile_bounds)
+from write_golden import TEN_RHO
 
 ATM = ProductCall(100.0, 100.0)
 V = WeightVariant
@@ -801,7 +802,7 @@ class TestLiveSamples:
         draws = draw_samples(model, tuning, SimConfig(2 * TILE_SIZE, seed=77,
                                                       antithetic=antithetic))
         plan = estimators._build_plan(model, tuning, 0)
-        for lo, hi in tile_bounds(2 * TILE_SIZE):
+        for lo, hi in tile_bounds(2 * TILE_SIZE, False):
             tile = simulate._rows(draws, slice(lo, hi))
             reference = oracles.level_live_samples(
                 estimators._BlockData(tile, plan, model, COLLAR, layout), energy_only)
@@ -881,7 +882,7 @@ def block_draws(tiles):
 def every_tile_once(n):
     """(block, k) of each tile of an ``n``-sample pass: what ``drawn_tiles`` logs, sorted."""
     return [(block, k) for block in range(block_count(n))
-            for k in range(len(tile_bounds(min(BLOCK_SIZE, n - block * BLOCK_SIZE))))]
+            for k in range(len(tile_bounds(min(BLOCK_SIZE, n - block * BLOCK_SIZE), False)))]
 
 
 class TestOnePass:
@@ -905,8 +906,8 @@ class TestOnePass:
 
     def test_job_grouping_never_moves_a_bit(self, monkeypatch, uniform_tuning):
         # one job per group, and groups of three with a shorter last one, give the bits
-        # of the default grouping: the collar's three weights and three finite differences
-        # need the bump layout and live samples of their own group, not the first's
+        # of the default grouping: every group of the collar's three weights and three
+        # finite differences reads the pass's bump layout and live samples
         collar = build_run(load_config(CONFIGS / "correlated_collar.cfg"))
         variants = [v for v in V if weights.WEIGHTS[v].mode is collar.model.correlation_mode]
         grid = [-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9]
@@ -927,6 +928,23 @@ class TestOnePass:
         for group_jobs in (1, 3):
             monkeypatch.setattr(estimators, "_GROUP_JOBS", group_jobs)
             assert results() == expected, group_jobs
+
+    def test_a_pass_works_out_its_layout_and_live_test_once(self, monkeypatch,
+                                                            uniform_tuning):
+        # the manifest's ten-point sde_mixing sweep and its baseline are 11 jobs in two
+        # groups, which share the pass's payoff layout and energy-live test
+        calls = []
+        for name in ("_grid_layout", "_live_test"):
+            def counted(*args, _name=name, _run=getattr(estimators, name), **kwargs):
+                calls.append(_name)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, name, counted)
+        grid = [float(rho) for rho in TEN_RHO.removeprefix("--grid=").split(",")]
+        assert len(grid) + 1 > estimators._GROUP_JOBS
+        residual_risk(make_model(rho=0.3, sigI=0.3, mode=CorrelationMode.SDE_MIXING), ATM,
+                      uniform_tuning, grid, SimConfig(70_000, seed=56), which="dEdI")
+        assert sorted(calls) == ["_grid_layout", "_live_test"]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rows_hold_payoff_times_weight(self, uniform_tuning, mode):
@@ -969,17 +987,22 @@ class TestOnePass:
                    else mc_greek(model, payoff, tuning, variant, cfg))
             assert row == {"n": n, "value": est.value, "stderr": est.stderr}
 
+    @pytest.mark.parametrize("rho", [0.3, 0.0])
     @pytest.mark.parametrize("mode", MODES)
-    def test_fused_finite_differences_equal_fd_greek(self, mode):
-        model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
+    def test_fused_finite_differences_equal_fd_greek(self, mode, rho):
+        # at rho = 0 all six weights and the three finite differences are 9 jobs in two
+        # groups: the second reads the cross-gamma's stencil alone
+        model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(70_000, seed=58, antithetic=True)
-        delta_I = weights.mode_variant("dI", mode)
-        fused = mc_estimates(model, COLLAR, tuning, [delta_I], cfg,
+        variants = list(V) if rho == 0.0 else [weights.mode_variant("dI", mode)]
+        fused = mc_estimates(model, COLLAR, tuning, variants, cfg,
                              fd_greeks=["dE", "dI", "dEdI"])
-        assert fused[delta_I.value] == dataclasses.replace(
-            mc_greek(model, COLLAR, tuning, delta_I, cfg),
-            seconds=fused[delta_I.value].seconds)
+        assert len(fused) == len(variants) + 3
+        for variant in variants:
+            assert fused[variant.value] == dataclasses.replace(
+                mc_greek(model, COLLAR, tuning, variant, cfg),
+                seconds=fused[variant.value].seconds)
         for which in ("dE", "dI", "dEdI"):
             single = fd_greek(model, COLLAR, which, cfg, tuning)
             assert fused[f"FD_{which}"] == dataclasses.replace(
@@ -1021,7 +1044,7 @@ class TestOnePass:
         n = BLOCK_SIZE + 2 * TILE_SIZE + 7
         residual_risk(make_model(rho=0.3), ATM, uniform_tuning,
                       [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which=which)
-        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start)))
+        tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start), False))
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(weights_returned) == 5 * tiles
         assert len({id(w) for w in weights_returned}) == tiles

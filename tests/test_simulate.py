@@ -338,17 +338,19 @@ class TestTiles:
 
     @pytest.mark.parametrize("mode,euler_steps,tuning,sigE", SETUPS, ids=SETUP_IDS)
     def test_buffered_draw_equals_untiled_draw(self, mode, euler_steps, tuning, sigE):
-        # one tile of buffers, reused across configs, blocks and tiles as a one-group pass
-        # reuses it; each block's tiles continue its generator
+        # one tile of buffers, as long as an antithetic tile, reused across configs, blocks
+        # and tiles as a one-group pass reuses it; each block's tiles are the pass's and
+        # continue its generator
         model = self._model(mode, sigE)
         plan = _build_plan(model, tuning, euler_steps)
-        buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), TILE_SIZE), np.nan))
+        buffers = SampleDraw(*np.full((len(dataclasses.fields(SampleDraw)), 2 * TILE_SIZE),
+                                      np.nan))
         for n, antithetic, _ in self.CASES:
             cfg = SimConfig(n, seed=34, antithetic=antithetic, euler_steps=euler_steps)
             for block in range(block_count(n)):
                 gen = _block_generator(cfg.seed, block)
                 tiles = []
-                for lo, hi in tile_bounds(min(BLOCK_SIZE, n - block * BLOCK_SIZE)):
+                for lo, hi in tile_bounds(min(BLOCK_SIZE, n - block * BLOCK_SIZE), antithetic):
                     tile = _rows(buffers, slice(hi - lo))
                     _draw_tile(plan, model, cfg, gen, tile)
                     assert np.shares_memory(tile.fE_T, buffers.fE_T)
