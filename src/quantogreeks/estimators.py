@@ -6,10 +6,10 @@ in block-index order, so the result is bit-identical for any thread count.
 Correlation scenarios, finite-difference bumps and sample-size prefixes are
 jobs on that one stream, so each command draws once. ``_mc_pass`` holds the
 tile parts, job groups and live-sample policy, ``_live_test`` the live
-thresholds and ``_BlockData`` what a tile shares among its jobs. The
-quadrature oracle shares no sampling code with the Monte Carlo path:
-it integrates a closed-form mean over the temperature driver against
-Gauss-Legendre nodes in the energy driver.
+thresholds and ``_BlockData`` what a tile shares among its jobs and how
+it evaluates a payoff point. The quadrature oracle shares no sampling code
+with the Monte Carlo path: it integrates a closed-form mean over the
+temperature driver against Gauss-Legendre nodes in the energy driver.
 """
 
 from __future__ import annotations
@@ -73,33 +73,30 @@ class GreekEstimate:
 class _BlockData:
     """One part of a tile (``_mc_pass``) with the derived quantities every job needs.
 
-    ``layout`` (a ``_grid_layout``) holds the (scale_E, scale_I) rescalings
-    of the initial levels whose payoffs the pass's jobs read: (1, 1) for
-    ``pay_base`` and the finite-difference bumps. They are evaluated together
-    on the first read, so a pass whose jobs only bump the initial levels
-    never computes the base.
+    ``payoff_at`` evaluates each (scale_E, scale_I) point of the initial
+    levels on its first read, so a part evaluates only the points its jobs
+    read: (1, 1) for ``pay_base`` and the finite-difference bumps.
 
     The tile keeps ``weight_for``'s pair of tables: each Wiener-integral kernel
     and rho-free weight is built at most once per tile and rho. Scenario views
-    (``at``) share the draw, the rho-free table, unbumped levels and energy legs;
-    the table of arrays that read rho starts empty in each view and dies with it.
+    (``at``) share the draw, the rho-free table, the levels that read no rho and
+    energy legs; the table of arrays that read rho starts empty in each view and
+    dies with it.
     """
 
-    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_layout", "_payoffs",
-                 "_kernels", "_levels", "_energy")
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_payoffs", "_kernels",
+                 "_levels", "_energy")
 
-    def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec,
-                 layout: tuple):
+    def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec):
         self.draw = draw
         self.plan = plan
         self.model = model
         self.payoff = payoff
-        self._layout = layout
         self.eE = draw.fE_T / model.energy_f0
         self.eI = draw.fI_T / model.temperature_f0
-        self._payoffs: dict[tuple[float, float], np.ndarray] | None = None
+        self._payoffs: dict[tuple[float, float], np.ndarray] = {}
         self._kernels: tuple[dict, dict] = ({}, {})  # weight_for's (rho-free, this rho's) arrays
-        self._levels: dict[str, np.ndarray] = {}  # rho-free unbumped levels by leg
+        self._levels: dict[tuple[str, float], np.ndarray] = {}  # rho-free levels by (leg, scale)
         self._energy: dict[float, list] = {}  # each term's energy leg by energy scale
 
     @property
@@ -115,94 +112,59 @@ class _BlockData:
         """
         view = _BlockData.__new__(_BlockData)
         view.draw, view.plan, view.model, view.payoff = self.draw, self.plan, model, self.payoff
-        view.eE, view.eI, view._layout, view._payoffs = self.eE, self.eI, self._layout, None
-        view._levels, view._energy = self._levels, self._energy
-        view._kernels = (self._kernels[0], {})
+        view.eE, view.eI, view._payoffs, view._energy = self.eE, self.eI, {}, self._energy
+        view._levels, view._kernels = self._levels, (self._kernels[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             view.eI = _temperature_level(self.plan, model, self.draw.gI, self.draw.gI_cross)
             view.eI /= model.temperature_f0
         return view
 
     def payoff_at(self, scale_E: float, scale_I: float) -> np.ndarray:
-        """Payoff with the initial levels rescaled to a point of the layout; draws stay fixed."""
-        if self._payoffs is None:
-            self._payoffs = self._payoff_grid()
-        return self._payoffs[scale_E, scale_I]
+        """Payoff with the initial levels rescaled by (scale_E, scale_I); draws stay fixed.
 
-    def _level(self, leg: str, scale: float | np.ndarray) -> np.ndarray:
-        """(f0 * scale) * e of ``leg``, kept for views if it reads no rho on a base-only tile."""
+        The energy level reads no rho in either mode, so each scale's energy
+        legs are evaluated once per tile, for the tile and all of its views.
+        """
+        point = scale_E, scale_I
+        if point not in self._payoffs:
+            m = self.model
+            fE, h = self._level("E", scale_E), self._level("I", scale_I)
+            # at rho = 0, of either sign, the mix is fI exactly: 1.0 * fI is fI, and a zero
+            # plus a level is the level, none being -0.0
+            if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
+                h = m.rho * fE + math.sqrt(1.0 - m.rho * m.rho) * h
+            self._payoffs[point] = evaluate(self.payoff, fE, h,
+                                            _energy=self._energy.setdefault(scale_E, []))
+        return self._payoffs[point]
+
+    def _level(self, leg: str, scale: float) -> np.ndarray:
+        """(f0 * scale) * e of ``leg``, kept for the tile's views if it reads no rho."""
         m = self.model
         f0, unit = (m.energy_f0, self.eE) if leg == "E" else (m.temperature_f0, self.eI)
-        if self._layout[1] != _BASE_ROWS or (leg == "I" and
-                                             m.correlation_mode is CorrelationMode.SDE_MIXING):
+        if leg == "I" and m.correlation_mode is CorrelationMode.SDE_MIXING:
             return (f0 * scale) * unit
-        if leg not in self._levels:
-            self._levels[leg] = (f0 * scale) * unit
-        return self._levels[leg]
-
-    def _payoff_grid(self) -> dict[tuple[float, float], np.ndarray]:
-        """The payoff at every point: one ``evaluate`` per energy scale, over its temperature rows.
-
-        Each entry has the bits of evaluating that point alone: the broadcasts
-        repeat the same elementwise operations in the same order. The energy
-        level reads no rho in either mode, so each scale's energy legs are
-        evaluated once per tile, for the tile and all of its views.
-        """
-        m = self.model
-        scales_I, by_energy = self._layout
-        # at rho = 0, of either sign, the mix is fI exactly: 1.0 * fI is fI, and a zero
-        # plus a level is the level, none being -0.0
-        mixing = m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0
-        fI = self._level("I", scales_I)
-        if mixing:
-            fI = math.sqrt(1.0 - m.rho * m.rho) * fI
-        grid = {}
-        for scale_E, rows, keys in by_energy:
-            fE = self._level("E", scale_E)
-            h_arg = fI[rows]
-            if mixing:
-                h_arg = m.rho * fE + h_arg
-            pay = evaluate(self.payoff, fE, h_arg, _energy=self._energy.setdefault(scale_E, []))
-            grid.update(zip(keys, pay.reshape(len(keys), -1)))
-        return grid
+        if (leg, scale) not in self._levels:
+            self._levels[leg, scale] = (f0 * scale) * unit
+        return self._levels[leg, scale]
 
 
-def _grid_layout(points: set[tuple[float, float]]) -> tuple[float | np.ndarray, list]:
-    """How ``_BlockData`` evaluates the payoff at ``points``, worked out once per pass.
-
-    Returns the temperature scales, a column (a float if there is one), and
-    per energy scale the index of the temperature rows it is evaluated over
-    with the points those rows give. A single row is an int index, so its
-    arrays stay 1-D.
-    """
-    scales_I = sorted({scale_I for _, scale_I in points})
-    by_energy = []
-    for scale_E in sorted({scale_E for scale_E, _ in points}):
-        rows = [k for k, scale_I in enumerate(scales_I) if (scale_E, scale_I) in points]
-        index = (slice(None) if len(rows) == len(scales_I) else rows[0] if len(rows) == 1
-                 else rows)
-        by_energy.append((scale_E, index, [(scale_E, scales_I[k]) for k in rows]))
-    return scales_I[0] if len(scales_I) == 1 else np.array(scales_I)[:, None], by_energy
-
-
-def _live_test(model: MarketModel, payoff: PayoffSpec, layout: tuple,
+def _live_test(model: MarketModel, payoff: PayoffSpec, points: set[tuple[float, float]],
                energy_only: bool) -> tuple:
-    """``_live_samples``'s thresholds for a pass's ``layout``, worked out once per pass.
+    """``_live_samples``'s thresholds for a pass that reads the payoff at ``points``.
 
-    Per term, one form (a, b, t) per leg: the leg can be non-zero at a layout
-    point only where a * fE_T + b * fI_T > t on the drawn levels. A level is
+    Per term, one form (a, b, t) per leg: the leg can be non-zero at one of
+    the points only where a * fE_T + b * fI_T > t on the drawn levels. A level is
     its scale times its drawn level, the temperature one under payoff_mixing at
     rho != 0 mixed as rho * (energy level) + sqrt(1 - rho^2) * (its own); a put
     is negated into the same upward form. Each coefficient is the largest the
-    layout's extreme scales give, so the sign of rho picks its energy end, and
+    points' extreme scales give, so the sign of rho picks its energy end, and
     it is widened by 1e-12 relative to cover the levels' rounding; the strike
     moves down by 1e-300 * (1 + f0E + f0I), since a subnormal level rounds in
     absolute steps. So the test never drops a sample that can pay, and those
     it adds pay 0.0. With ``energy_only`` each term keeps its energy leg alone.
     """
-    scales_I, by_energy = layout
-    ends_E = (by_energy[0][0], by_energy[-1][0])
-    ends_I = (float(np.min(scales_I)), float(np.max(scales_I)))
+    scales_E, scales_I = zip(*points)
+    ends_E, ends_I = (min(scales_E), max(scales_E)), (min(scales_I), max(scales_I))
     mixing = model.correlation_mode is CorrelationMode.PAYOFF_MIXING and model.rho != 0.0
     mix = math.sqrt(1.0 - model.rho * model.rho) if mixing else 1.0
     floor = 1e-300 * (1.0 + model.energy_f0 + model.temperature_f0)
@@ -235,7 +197,6 @@ def _live_samples(draw: SampleDraw, test: tuple) -> np.ndarray:
 
 
 _BASE = ((1.0, 1.0),)  # the point of ``pay_base``
-_BASE_ROWS = _grid_layout(set(_BASE))[1]  # the energy rows of the base point alone
 # (label, run(data, out), the points whose payoffs it reads, the scenario model it reads or
 # None, the draw fields it reads besides the levels)
 _Job = tuple[str, Callable[[_BlockData, np.ndarray | None], np.ndarray], tuple,
@@ -284,22 +245,22 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     n in ``sizes`` (default and largest: ``cfg.n_samples``), over the first n
     draws; a block that n ends inside is also reduced over its prefix.
 
-    The payoff layout of every point the jobs read and the live test are
-    worked out once. If every leg is a ``Leg``, each tile runs on its live
-    samples only (``_live_samples``): with a scenario job under sde_mixing,
-    where some energy leg can be non-zero, a set that holds for every view;
-    with bump points and no scenario job, where some term can be non-zero at
-    a point. Passes of payoff_mixing scenarios or of the base point alone
-    run every sample: one payoff and one multiply per sample do not pay for
-    the gathers and scatters.
+    The live test is worked out once, for every point the jobs read. If
+    every leg is a ``Leg``, each tile runs on its live samples only
+    (``_live_samples``): with a scenario job under sde_mixing, where some
+    energy leg can be non-zero, a set that holds for every view; with bump
+    points and no scenario job, where some term can be non-zero at a point.
+    Passes of payoff_mixing scenarios or of the base point alone run every
+    sample: one payoff and one multiply per sample do not pay for the
+    gathers and scatters.
 
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, which bounds
     the value rows it holds, tile by tile (``tile_bounds``): each tile is
-    evaluated once for the whole group (its payoffs, rho-free weights and
-    energy legs) and dropped. The first group draws each tile just before it
-    evaluates it, continuing the block's generator: with one group the
-    buffer holds a tile, with more it holds the block, which the later
-    groups read back.
+    evaluated once for the whole group (the payoff at each point its jobs
+    read, rho-free weights and energy legs) and dropped. The first group
+    draws each tile just before it evaluates it, continuing the block's
+    generator: with one group the buffer holds a tile, with more it holds
+    the block, which the later groups read back.
 
     A group evaluates at most ``TILE_SIZE`` samples at once, each part on one
     ``_BlockData``: a tile without pairs is one part; an antithetic tile is
@@ -341,10 +302,10 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         drawn |= {"gI", "gI_cross"}
     held = [f.name for f in fields(SampleDraw) if f.name in drawn]
     points = {p for _, _, job_points, *_ in jobs for p in job_points}
-    layout, test = _grid_layout(points), None  # a _live_test, or None to run every sample
+    test = None  # a _live_test, or None to run every sample
     if (all(isinstance(leg, Leg) for term in payoff.terms for leg in term)
             and (sde if scenarios else points != set(_BASE))):
-        test = _live_test(model, payoff, layout, energy_only=scenarios)
+        test = _live_test(model, payoff, points, energy_only=scenarios)
     whole_block = len(jobs) > _GROUP_JOBS  # later groups read the block's tiles back
     local = threading.local()  # each worker's buffers, reused for every block it runs
 
@@ -353,7 +314,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         on ``live``, indices into ``part``, with 0.0 for every other sample, if given. The
         part's arrays die when it returns, before the next tile is drawn."""
         hi = lo + len(part.fE_T)
-        data = _BlockData(part if live is None else _rows(part, live), plan, model, payoff, layout)
+        data = _BlockData(part if live is None else _rows(part, live), plan, model, payoff)
         for row, (_, run, _, scenario, _) in zip(local.values, group):
             dst = row[lo // draws_per_value:hi // draws_per_value]
             view = data if scenario is None else data.at(scenario)

@@ -258,7 +258,8 @@ def per_point_payoff(data, scale_E, scale_I):
     """A tile's payoff with the initial levels rescaled, evaluated for this one point alone.
 
     ``data`` is an engine tile (``estimators._BlockData``); the engine
-    evaluates all of a tile's points together, one ``evaluate`` per energy scale.
+    shares each level and energy leg among a tile's points and views, and
+    skips the payoff_mixing mix at rho = 0.
     """
     m = data.model
     fE = (m.energy_f0 * scale_E) * data.eE
@@ -270,8 +271,8 @@ def per_point_payoff(data, scale_E, scale_I):
     return evaluate(data.payoff, fE, h_arg)
 
 
-def level_live_samples(data, energy_only):
-    """Indices of ``data``'s samples where some payoff term can be non-zero at a layout point.
+def level_live_samples(data, points, energy_only):
+    """Indices of ``data``'s samples where some payoff term can be non-zero at one of ``points``.
 
     Each level is monotone in its scale, rounding included, so the levels at the extreme
     scales bound every point's; under payoff_mixing at rho < 0 the mix's energy corners
@@ -281,11 +282,11 @@ def level_live_samples(data, energy_only):
         return ~np.greater_equal(lo, leg.k) if leg.kind == "put" else ~np.less_equal(hi, leg.k)
 
     m = data.model
-    scales_I, by_energy = data._layout
-    fE = [data._level("E", by_energy[k][0]) for k in (0, -1)]
+    scales_E, scales_I = zip(*points)
+    fE = [data._level("E", scale) for scale in (min(scales_E), max(scales_E))]
     kept = [live(g, *fE) for g, _ in data.payoff.terms]
     if not energy_only:
-        fI = [data._level("I", scale) for scale in (np.min(scales_I), np.max(scales_I))]
+        fI = [data._level("I", scale) for scale in (min(scales_I), max(scales_I))]
         if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
             mix = math.sqrt(1.0 - m.rho * m.rho)
             fI = [m.rho * e + mix * i for e, i in zip(fE if m.rho > 0.0 else fE[::-1], fI)]

@@ -495,35 +495,34 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("rho", [0.0, 0.4])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
-    def test_payoff_grid_equals_the_per_point_stencil(self, monkeypatch, payoff, mode, rho,
-                                                      antithetic):
+    def test_payoff_points_equal_the_per_point_stencil(self, monkeypatch, payoff, mode, rho,
+                                                       antithetic):
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(TILE_SIZE + 6, seed=68, antithetic=antithetic)
         points = {(1.0, 1.0), *(p for which in estimators.GREEKS
                                 for p, _ in estimators._stencil(which))}
-        data = estimators._BlockData(draw_samples(model, tuning, cfg), None, model, payoff,
-                                     estimators._grid_layout(points))
+        data = estimators._BlockData(draw_samples(model, tuning, cfg), None, model, payoff)
         for point in points:
-            grid = data.payoff_at(*point)
-            assert grid.tobytes() == oracles.per_point_payoff(data, *point).tobytes(), point
+            read = data.payoff_at(*point)
+            assert read.tobytes() == oracles.per_point_payoff(data, *point).tobytes(), point
 
         def passes():
-            # every grid shape: all points, the bumps of dE and dI alone, and each stencil
+            # every point set: all points, the bumps of dE and dI alone, and each stencil
             fused = mc_estimates(model, payoff, tuning, [weights.mode_variant("dI", mode)], cfg,
                                  fd_greeks=estimators.GREEKS)
             bumps = mc_estimates(model, payoff, tuning, [], cfg, fd_greeks=["dE", "dI"])
             singles = [fd_greek(model, payoff, which, cfg, tuning) for which in estimators.GREEKS]
             return [(e.value, e.stderr) for e in [*fused.values(), *bumps.values(), *singles]]
 
-        on_the_grid = passes()
+        on_the_tile = passes()
         monkeypatch.setattr(estimators._BlockData, "payoff_at", oracles.per_point_payoff)
-        assert on_the_grid == passes()
+        assert on_the_tile == passes()
 
     @pytest.mark.parametrize("points", ["base", "grid"])
     @pytest.mark.parametrize("rho", [0.0, -0.0])
     @pytest.mark.parametrize("payoff", PAYOFF_KINDS, ids=lambda p: type(p).__name__)
-    def test_zero_rho_payoff_grid_skips_the_mix_bit_for_bit(self, payoff, rho, points):
+    def test_zero_rho_payoff_points_skip_the_mix_bit_for_bit(self, payoff, rho, points):
         # payoff_mixing at rho = 0 evaluates fI itself; the oracle evaluates the explicit mix
         # rho * fE + sqrt(1 - rho^2) * fI. On a tile at rho = 0 and on a view at rho = 0 of
         # a tile at rho = 0.4
@@ -533,10 +532,9 @@ class TestFiniteDifferences:
         read = {(1.0, 1.0)}
         if points == "grid":
             read |= {p for which in estimators.GREEKS for p, _ in estimators._stencil(which)}
-        draw, layout = draw_samples(model, tuning, cfg), estimators._grid_layout(read)
-        tile = estimators._BlockData(draw, None, model, payoff, layout)
-        other = estimators._BlockData(draw, None, dataclasses.replace(model, rho=0.4), payoff,
-                                      layout)
+        draw = draw_samples(model, tuning, cfg)
+        tile = estimators._BlockData(draw, None, model, payoff)
+        other = estimators._BlockData(draw, None, dataclasses.replace(model, rho=0.4), payoff)
         for data in (tile, other.at(model)):
             for point in read:
                 assert (data.payoff_at(*point).tobytes()
@@ -676,7 +674,7 @@ class TestLiveSamples:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_samples_the_energy_test_leaves_out_pay_zero_under_every_scenario(self, data):
-        # in both modes, at every layout point and under scenarios anywhere in (-1, 1): the
+        # in both modes, at every point read and under scenarios anywhere in (-1, 1): the
         # energy level reads no rho, and an energy leg of 0.0 zeroes its term
         mode = data.draw(st.sampled_from(MODES))
         rho = data.draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.95, 0.95))
@@ -702,9 +700,9 @@ class TestLiveSamples:
                           np.array(gI_cross))
         model = make_model(f0E=f0E, f0I=f0I, sigI=0.4, rho=rho, mode=mode)
         plan = estimators._build_plan(model, TuningFunction.uniform(1.0), 0)
-        tile = estimators._BlockData(draw, plan, model, payoff, estimators._grid_layout(points))
+        tile = estimators._BlockData(draw, plan, model, payoff)
         dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(
-            draw, estimators._live_test(model, payoff, tile._layout, True)))
+            draw, estimators._live_test(model, payoff, points, True)))
         scenario_rhos = data.draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True,
                                                      exclude_max=True), min_size=1, max_size=4))
         for scenario in scenario_rhos:
@@ -745,9 +743,9 @@ class TestLiveSamples:
         fI = [level(kI, e) for e in fE]
         draw = SampleDraw(np.array(fE), np.array(fI), *[None] * 6)
         model = make_model(f0E=f0E, f0I=f0I, rho=rho, mode=mode)
-        tile = estimators._BlockData(draw, None, model, payoff, estimators._grid_layout(points))
+        tile = estimators._BlockData(draw, None, model, payoff)
         dead = np.setdiff1d(np.arange(len(fE)), estimators._live_samples(
-            draw, estimators._live_test(model, payoff, tile._layout, False)))
+            draw, estimators._live_test(model, payoff, points, False)))
         for point in points:
             assert (tile.payoff_at(*point)[dead] == 0.0).all(), point
 
@@ -770,9 +768,8 @@ class TestLiveSamples:
         # scale clears the strike, and only where a level 1e-9 relative beyond the grid
         # does; a NaN level is live
         leg = payoffs.Leg(kind, k)
-        layout = estimators._grid_layout({p for p, _ in estimators._stencil("dE")})
         test = estimators._live_test(make_model(f0E=f0E), SimpleNamespace(terms=((leg, None),)),
-                                     layout, True)
+                                     {p for p, _ in estimators._stencil("dE")}, True)
         draw = SampleDraw(np.array([fE]), *[None] * 7)
         live = len(estimators._live_samples(draw, test)) == 1
         scales = (1.0 - estimators.FD_BUMP, 1.0, 1.0 + estimators.FD_BUMP)
@@ -796,8 +793,8 @@ class TestLiveSamples:
         model = make_model(rho=rho, f0I=60.0, sigI=0.4, mode=mode)
         points = ({(1.0, 1.0)} if energy_only
                   else {p for which in estimators.GREEKS for p, _ in estimators._stencil(which)})
-        layout = estimators._grid_layout(points | {(1.0, 1.0)})
-        test = estimators._live_test(model, COLLAR, layout, energy_only)
+        points |= {(1.0, 1.0)}
+        test = estimators._live_test(model, COLLAR, points, energy_only)
         tuning = TuningFunction.uniform(1.0)
         draws = draw_samples(model, tuning, SimConfig(2 * TILE_SIZE, seed=77,
                                                       antithetic=antithetic))
@@ -805,7 +802,7 @@ class TestLiveSamples:
         for lo, hi in tile_bounds(2 * TILE_SIZE, False):
             tile = simulate._rows(draws, slice(lo, hi))
             reference = oracles.level_live_samples(
-                estimators._BlockData(tile, plan, model, COLLAR, layout), energy_only)
+                estimators._BlockData(tile, plan, model, COLLAR), points, energy_only)
             live = estimators._live_samples(tile, test)
             assert 0 < len(reference) <= len(live) < TILE_SIZE
             assert np.isin(reference, live).all()
@@ -907,7 +904,7 @@ class TestOnePass:
     def test_job_grouping_never_moves_a_bit(self, monkeypatch, uniform_tuning):
         # one job per group, and groups of three with a shorter last one, give the bits
         # of the default grouping: every group of the collar's three weights and three
-        # finite differences reads the pass's bump layout and live samples
+        # finite differences reads the pass's live samples and its own payoff points
         collar = build_run(load_config(CONFIGS / "correlated_collar.cfg"))
         variants = [v for v in V if weights.WEIGHTS[v].mode is collar.model.correlation_mode]
         grid = [-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9]
@@ -929,22 +926,41 @@ class TestOnePass:
             monkeypatch.setattr(estimators, "_GROUP_JOBS", group_jobs)
             assert results() == expected, group_jobs
 
-    def test_a_pass_works_out_its_layout_and_live_test_once(self, monkeypatch,
-                                                            uniform_tuning):
+    def test_a_pass_works_out_its_live_test_once(self, monkeypatch, uniform_tuning):
         # the manifest's ten-point sde_mixing sweep and its baseline are 11 jobs in two
-        # groups, which share the pass's payoff layout and energy-live test
+        # groups, which share the pass's energy-live test
         calls = []
-        for name in ("_grid_layout", "_live_test"):
-            def counted(*args, _name=name, _run=getattr(estimators, name), **kwargs):
-                calls.append(_name)
-                return _run(*args, **kwargs)
+        live_test = estimators._live_test
 
-            monkeypatch.setattr(estimators, name, counted)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return live_test(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_live_test", counted)
         grid = [float(rho) for rho in TEN_RHO.removeprefix("--grid=").split(",")]
         assert len(grid) + 1 > estimators._GROUP_JOBS
         residual_risk(make_model(rho=0.3, sigI=0.3, mode=CorrelationMode.SDE_MIXING), ATM,
                       uniform_tuning, grid, SimConfig(70_000, seed=56), which="dEdI")
-        assert sorted(calls) == ["_grid_layout", "_live_test"]
+        assert len(calls) == 1
+
+    def test_each_group_evaluates_only_the_points_its_jobs_read(self, monkeypatch):
+        # greeks with all six --variants and --oracle fd at rho = 0 is 9 jobs in two groups:
+        # the first reads the base and the dE and dI bumps, the second the cross-gamma's
+        # four corners, so a tile evaluates 5 + 4 payoff points, not the 9 of the union twice
+        run = build_run(load_config(CONFIGS / "atm_independent.cfg"))
+        points = []
+
+        def counted(payoff, fE, h, **kwargs):
+            pay = payoffs.evaluate(payoff, fE, h, **kwargs)
+            points.append(np.size(pay) // np.size(fE))  # one per point at its energy scale
+            return pay
+
+        monkeypatch.setattr(estimators, "evaluate", counted)
+        cfg = SimConfig(2 * TILE_SIZE + 5, seed=3)
+        ests = mc_estimates(run.model, run.payoff, run.tuning, list(V), cfg,
+                            fd_greeks=estimators.GREEKS)
+        assert len(ests) == 9 > estimators._GROUP_JOBS
+        assert sum(points) == 9 * pass_tiles(cfg)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rows_hold_payoff_times_weight(self, uniform_tuning, mode):
@@ -957,8 +973,7 @@ class TestOnePass:
         for rho, est in zip([0.0, 0.4], ests):
             m = dataclasses.replace(model, rho=rho)
             draw = draw_samples(m, uniform_tuning, cfg)
-            data = estimators._BlockData(draw, None, m, ATM,
-                                         estimators._grid_layout({(1.0, 1.0)}))
+            data = estimators._BlockData(draw, None, m, ATM)
             values = (oracles.per_point_payoff(data, 1.0, 1.0)
                       * weight_for(variant, draw, m, uniform_tuning))
             discount = math.exp(-m.rate * m.horizon)
@@ -1102,8 +1117,7 @@ class TestOnePass:
         plan = estimators._build_plan(model, uniform_tuning, cfg.euler_steps)
         draw = SampleDraw(*np.empty((len(dataclasses.fields(SampleDraw)), TILE_SIZE)))
         estimators._draw_tile(plan, model, cfg, estimators._block_generator(cfg.seed, 0), draw)
-        tile = estimators._BlockData(draw, plan, model, ATM,
-                                     estimators._grid_layout({(1.0, 1.0)}))
+        tile = estimators._BlockData(draw, plan, model, ATM)
         tile.pay_base
         gamma = V.CORR_CROSS_GAMMA_CONDITIONAL
         weight = weight_for(gamma, draw, model, uniform_tuning, tile._kernels)
@@ -1116,10 +1130,10 @@ class TestOnePass:
         else:
             assert weight_for(gamma, draw, view.model, uniform_tuning, view._kernels) is weight
         assert view._kernels[0] is tile._kernels[0] and not view._kernels[1]
-        shared = ["E"] if mode is CorrelationMode.SDE_MIXING else ["E", "I"]
+        shared = [("E", 1.0)] if mode is CorrelationMode.SDE_MIXING else [("E", 1.0), ("I", 1.0)]
         assert sorted(tile._levels) == shared
-        for leg in shared:
-            assert view._level(leg, 1.0) is tile._levels[leg]
+        for key in shared:
+            assert view._level(*key) is tile._levels[key]
         if mode is CorrelationMode.SDE_MIXING:
             level = estimators._temperature_level(plan, dataclasses.replace(model, rho=0.4),
                                                   draw.gI, draw.gI_cross)
@@ -1128,23 +1142,26 @@ class TestOnePass:
             assert view.eI is tile.eI
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_greeks_tile_keeps_no_level(self, uniform_tuning, mode):
-        # the layout of greeks --oracle fd: the base and every bump of the three stencils;
-        # views read the base alone, so such a tile keeps no level past its grid
+    def test_greeks_tile_shares_only_its_rho_free_levels(self, uniform_tuning, mode):
+        # the points of greeks --oracle fd: the base and every bump of the three stencils;
+        # a tile evaluates a point on its first read, and its views read the levels it keeps
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
         cfg = SimConfig(TILE_SIZE, seed=70, antithetic=True)
         points = {(1.0, 1.0), *(p for which in estimators.GREEKS
                                 for p, _ in estimators._stencil(which))}
         tile = estimators._BlockData(draw_samples(model, uniform_tuning, cfg),
                                      estimators._build_plan(model, uniform_tuning, cfg.euler_steps),
-                                     model, COLLAR, estimators._grid_layout(points))
+                                     model, COLLAR)
         tile.payoff_at(1.0 + estimators.FD_BUMP, 1.0)
-        assert tile._payoffs and not tile._levels
+        assert list(tile._payoffs) == [(1.0 + estimators.FD_BUMP, 1.0)]
         view = tile.at(dataclasses.replace(model, rho=-0.2))
         for point in points:
             assert (view.payoff_at(*point).tobytes()
                     == oracles.per_point_payoff(view, *point).tobytes()), point
-        assert not tile._levels
+        # the sde_mixing temperature level reads rho, so no tile keeps it for its views
+        legs = "E" if mode is CorrelationMode.SDE_MIXING else "EI"
+        assert set(tile._levels) == {(leg, point[leg == "I"]) for leg in legs
+                                     for point in points}
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         tiles = drawn_tiles(monkeypatch)

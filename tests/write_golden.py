@@ -9,7 +9,7 @@ through ``cli.main`` in-process. Two more run the ``sweep-rho`` command on an
 terms, one with a put energy leg, whose scenario views run on the samples
 where an energy leg is live.
 
-Sixteen more run over several 65,536-sample blocks, so that a second worker
+Seventeen more run over several 65,536-sample blocks, so that a second worker
 thread takes blocks of its own: 140,000 samples (three blocks) unless the
 command says otherwise. Each pins a code path:
 
@@ -32,7 +32,11 @@ command says otherwise. Each pins a code path:
 - step legs on live samples (``digital.cfg``, a digital product).
 - the rows of a second job group: a ten-point ``dEdI`` sweep, 11 jobs with
   its baseline, on the energy-live ``sde_mixing`` views of the ATM call, and
-  antithetic on every sample of ``atm_independent.cfg``.
+  antithetic on every sample of ``atm_independent.cfg``;
+- job groups that read different payoff points: ``greeks`` with all six
+  ``--variant`` weights and ``--oracle fd`` on ``atm_independent.cfg``, 9
+  jobs at rho = 0, whose first group reads the base, the ``dE`` bumps and
+  the cross-gamma's four corners and whose second the ``dI`` bumps.
 
 Three more run ``greeks --all-variants --oracle both`` at 20,000 samples on
 payoff code no other command runs: ``separable.cfg``, a piecewise-linear
@@ -68,6 +72,7 @@ import tempfile
 from pathlib import Path
 
 from quantogreeks.cli import main
+from quantogreeks.weights import WeightVariant
 
 TESTS = Path(__file__).resolve().parent
 CONFIGS = TESTS.parent / "configs"
@@ -104,6 +109,8 @@ BLOCKS = (
     (ATM, ("converge", "--n-grid", "1,65537,100000,200000")),
     (SDE_COPY, ("sweep-rho", "--greek", "dEdI", TEN_RHO)),
     (ATM, ("sweep-rho", "--greek", "dEdI", TEN_RHO, "--antithetic")),
+    (ATM, ("greeks", *(arg for v in WeightVariant for arg in ("--variant", v.value)),
+           "--oracle", "fd")),
 )
 # payoff code no other command runs: a piecewise-linear separable payoff, a collar whose
 # alpha is not 1 and the digital's step legs under quadrature
