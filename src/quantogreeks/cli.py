@@ -146,7 +146,7 @@ def _parse_grid(text: str, convert, flag: str) -> list:
 
 def _price(args, run: RunConfig):
     def compute():
-        est = mc_price(run.model, run.payoff, run.sim, run.tuning, threads=args.threads)
+        est = mc_price(run.model, run.payoff, run.tuning, run.sim, threads=args.threads)
         return [_estimate_row(est, args.timing)]
 
     return compute, run
@@ -186,8 +186,8 @@ def _sweep_rho(args, run: RunConfig):
         raise ValueError(f"--grid: correlations must lie strictly inside (-1, 1), got {grid}")
 
     def compute():
-        return residual_risk(run.model, run.payoff, run.tuning, grid, run.sim,
-                             which=args.greek, threads=args.threads)
+        return residual_risk(run.model, run.payoff, run.tuning, args.greek, run.sim, grid,
+                             threads=args.threads)
 
     return compute, run
 

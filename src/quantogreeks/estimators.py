@@ -251,31 +251,31 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     energy leg can be non-zero, a set that holds for every view; with bump
     points and no scenario job, where some term can be non-zero at a point.
     Passes of payoff_mixing scenarios or of the base point alone run every
-    sample: one payoff and one multiply per sample do not pay for the
-    gathers and scatters.
+    sample: on live samples the bench ran them 2-3 % slower (see ROADMAP).
 
     A block runs its jobs in groups of at most ``_GROUP_JOBS``, which bounds
     the value rows it holds, tile by tile (``tile_bounds``): each tile is
     evaluated once for the whole group (the payoff at each point its jobs
     read, rho-free weights and energy legs) and dropped. The first group
-    draws each tile just before it evaluates it, continuing the block's
-    generator: with one group the buffer holds a tile, with more it holds
-    the block, which the later groups read back.
+    draws and tests each tile just before it is evaluated; with more than
+    one group the buffer holds the block and its live sets for the others.
 
     A group evaluates at most ``TILE_SIZE`` samples at once, each part on one
     ``_BlockData``: a tile without pairs is one part; an antithetic tile is
     its two halves, or one part of its live samples if at most ``TILE_SIZE``
     are live, else each half's live samples in turn. Every operation on a
-    sample is elementwise, so the parts leave every bit. Each job writes its
-    values, pair means when antithetic, into its own row, 0.0 for a sample
-    that is not live: on a tile without pairs that runs every sample a job
-    gets its slice of the row as ``out`` and returns it, or returns an array
-    that is copied there. Each row then reduces to its count, sum and sum of
-    squared deviations from its own mean (two passes, no BLAS). These are
-    merged in block-index order (Chan, Golub & LeVeque), so every estimate
-    has the bits of a separate pass of n draws at any thread count and any
-    BLAS thread count. ``seconds`` is the wall time of the whole pass.
-    Nothing is drawn for an invalid input or for no job.
+    sample is elementwise, so the parts leave every bit. The cap keeps a
+    part's 128 KiB temporaries inside glibc's dynamic heap thresholds (one
+    part per antithetic tile ran the collar 1.42x slower). Each job writes
+    its values, pair means when antithetic, into its own row, 0.0 for a
+    sample that is not live: on a tile without pairs that runs every sample
+    a job gets its slice of the row as ``out`` and returns it (fresh arrays
+    slowed the sweep 3 %), or returns an array that is copied there. Each
+    row reduces to its count, sum and sum of squared deviations from its own
+    mean (two passes, no BLAS), merged in block-index order (Chan, Golub &
+    LeVeque), so every estimate has the bits of a separate pass of n draws
+    at any thread count and any BLAS thread count. ``seconds`` is the wall
+    time of the whole pass. Nothing is drawn for an invalid input or no job.
     """
     sizes = [cfg.n_samples] if sizes is None else list(sizes)
     if not sizes or max(sizes) != cfg.n_samples:
@@ -350,13 +350,15 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
         out: list[dict] = [{} for _ in jobs]
         gen = _block_generator(cfg.seed, block)
         bounds = tile_bounds(min(BLOCK_SIZE, cfg.n_samples - start), cfg.antithetic)
+        lives = []  # each tile's live samples, kept for the later groups if there are any
         for first in range(0, len(jobs), _GROUP_JOBS):
             group = jobs[first:first + _GROUP_JOBS]
-            for lo, hi in bounds:
+            for k, (lo, hi) in enumerate(bounds):
                 tile = _rows(local.draw, slice(lo, hi) if whole_block else slice(hi - lo))
-                if first == 0:  # the block's tiles are drawn in order, by its first group
+                if first == 0:  # the first group draws and tests the block's tiles in order
                     _draw_tile(plan, model, cfg, gen, tile)
-                live = None if test is None else _live_samples(tile, test)
+                    lives.append(None if test is None else _live_samples(tile, test))
+                live = lives[k] if whole_block else lives.pop()
                 if hi - lo <= TILE_SIZE or (live is not None and len(live) <= TILE_SIZE):
                     evaluate(group, tile, live, lo)
                     continue
@@ -456,16 +458,14 @@ def _fd_job(which: str) -> _Job:
         tuple(point for point, _ in _stencil(which)), None, ())
 
 
-def mc_price(model: MarketModel, payoff: PayoffSpec, cfg: SimConfig,
-             tuning: TuningFunction | None = None, threads: int = 1,
-             sizes: Sequence[int] | None = None) -> GreekEstimate | list[GreekEstimate]:
+def mc_price(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction, cfg: SimConfig,
+             threads: int = 1, sizes: Sequence[int] | None = None) -> GreekEstimate | list:
     """Discounted Monte Carlo price with standard error.
 
     With ``sizes`` (sample counts, the largest ``cfg.n_samples``), returns one
     estimate per count n over the first n draws of this one pass; each equals
     a separate pass of n draws bit for bit.
     """
-    tuning = tuning or TuningFunction.uniform(model.horizon)
     [ests] = _mc_pass(model, payoff, tuning, cfg, [_PRICE_JOB], threads, sizes)
     return ests if sizes is not None else ests[0]
 
@@ -509,8 +509,8 @@ def mc_estimates(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
             for ests in _mc_pass(model, payoff, tuning, cfg, jobs, threads)}
 
 
-def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
-             tuning: TuningFunction | None = None, threads: int = 1) -> GreekEstimate:
+def fd_greek(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction, which: str,
+             cfg: SimConfig, threads: int = 1) -> GreekEstimate:
     """Central finite difference of the Monte Carlo price under common random numbers.
 
     Each initial level is bumped by ``FD_BUMP`` relative. The same draw
@@ -519,7 +519,6 @@ def fd_greek(model: MarketModel, payoff: PayoffSpec, which: str, cfg: SimConfig,
     sensitivity uses the symmetric four-point stencil. Digitals whittle the
     difference down to rare boundary crossings; expect a noisy estimate.
     """
-    tuning = tuning or TuningFunction.uniform(model.horizon)
     [[est]] = _mc_pass(model, payoff, tuning, cfg, [_fd_job(which)], threads)
     return est
 
@@ -610,8 +609,8 @@ def quad_greek(model: MarketModel, payoff: PayoffSpec, which: str) -> float:
 # Residual risk and convergence studies
 # ---------------------------------------------------------------------------
 
-def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
-                  rho_grid: list[float], cfg: SimConfig, which: str = "dE",
+def residual_risk(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction, which: str,
+                  cfg: SimConfig, rho_grid: list[float],
                   threads: int = 1) -> list[dict[str, float]]:
     """Hedging error from ignoring correlation: |corr Greek - rho=0 Greek| per rho.
 
@@ -648,7 +647,7 @@ def convergence_table(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunc
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be strictly increasing, got {list(n_grid)}")
     if variant is None:
-        ests = mc_price(model, payoff, cfg, tuning, threads=threads, sizes=n_grid)
+        ests = mc_price(model, payoff, tuning, cfg, threads=threads, sizes=n_grid)
     else:
         ests = mc_greek(model, payoff, tuning, variant, cfg, threads=threads, sizes=n_grid)
     return [{"n": est.n, "value": est.value, "stderr": est.stderr} for est in ests]

@@ -88,7 +88,7 @@ def read_rows(path):
 def test_c01_independent_closed_form_agreement(atm_model, uniform_tuning):
     start = time.monotonic()
     cfg = SimConfig(N_BIG, seed=101)
-    price = mc_price(atm_model, ATM, cfg, uniform_tuning)
+    price = mc_price(atm_model, ATM, uniform_tuning, cfg)
     delta = mc_estimates(atm_model, ATM, uniform_tuning, [V.CORR_DELTA_E_CONDITIONAL],
                          cfg)["CorrDeltaE_Conditional"]
     elapsed = time.monotonic() - start
@@ -195,7 +195,7 @@ def test_c09_digital_variance_ordering(atm_model, uniform_tuning):
     digital = DigitalProduct(100.0, 100.0)
     cfg = SimConfig(100_000, seed=112)
     mal = mc_greek(atm_model, digital, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg)
-    fd = fd_greek(atm_model, digital, "dE", cfg, uniform_tuning)
+    fd = fd_greek(atm_model, digital, uniform_tuning, "dE", cfg)
     # same sample count, so comparing stderr compares per-draw variance
     assert mal.stderr < fd.stderr
     ref = oracles.digital_product_delta_E(100, 100, 0.2, 100, 100, 0.2, 1.0)

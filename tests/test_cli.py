@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import quantogreeks.cli
-from quantogreeks import mc_price, quad_price
+from quantogreeks import fd_greek, mc_price, quad_price
 from quantogreeks.cli import main
 from quantogreeks.config import build_run, load_config, parse_config_text
 from quantogreeks.estimators import GREEKS
-from quantogreeks.model import CorrelationMode
+from quantogreeks.model import CorrelationMode, TuningFunction
 from quantogreeks.weights import WEIGHTS
 from write_golden import config_paths
 
@@ -359,11 +359,35 @@ def test_nonfinite_payoff_number_fails_validation(tmp_path, capsys, kind):
     text = NONFINITE_PAYOFFS[kind]
     run = build_run(parse_config_text(text))
     with pytest.raises(ValueError, match="must be finite"):
-        mc_price(run.model, run.payoff, run.sim)
+        mc_price(run.model, run.payoff, run.tuning, run.sim)
     with pytest.raises(ValueError, match="must be finite"):
         quad_price(run.model, run.payoff)
     assert main(["price", "--config", write_config(tmp_path, text)]) == 3
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_library_passes_give_the_cli_rows_on_a_tuning_off_the_volatility_grid(tmp_path):
+    # the tuning's step at t = 0.25 enters every pass's grid, so it moves the price's
+    # stream too; mc_price and fd_greek used to read a missing tuning as the uniform one
+    text = (CONFIGS / "correlated_collar.cfg").read_text()
+    for old, new in [("tuning = [[0.0, 2.0], [0.5, 0.0]]", "tuning = [[0.0, 4.0], [0.25, 0.0]]"),
+                     ("sim.n = 500000", "sim.n = 20000")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = write_config(tmp_path, text)
+    run = build_run(load_config(path))
+    price, greeks = tmp_path / "price.csv", tmp_path / "greeks.csv"
+    assert main(["price", "--config", path, "--out", str(price)]) == 0
+    assert main(["greeks", "--config", path, "--variant", "CorrDeltaE_Conditional",
+                 "--oracle", "fd", "--out", str(greeks)]) == 0
+    [row] = read_rows(price)
+    est = mc_price(run.model, run.payoff, run.tuning, run.sim)
+    assert (float(row["value"]), float(row["stderr"])) == (est.value, est.stderr)
+    row = next(r for r in read_rows(greeks) if r["variant"] == "FD_dE")
+    est = fd_greek(run.model, run.payoff, run.tuning, "dE", run.sim)
+    assert (float(row["value"]), float(row["stderr"])) == (est.value, est.stderr)
+    uniform = TuningFunction.uniform(run.model.horizon)
+    assert fd_greek(run.model, run.payoff, uniform, "dE", run.sim).value != est.value
 
 
 class TestReproducibility:

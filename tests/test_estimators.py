@@ -73,25 +73,25 @@ class NotAPayoff:
 
 class TestMcPrice:
     def test_zero_strikes_price_product_of_forwards(self, atm_model, uniform_tuning):
-        est = mc_price(atm_model, ProductCall(0.0, 0.0), SimConfig(200_000, seed=31),
-                       uniform_tuning)
+        est = mc_price(atm_model, ProductCall(0.0, 0.0), uniform_tuning,
+                       SimConfig(200_000, seed=31))
         assert abs(est.value - 100.0 * 100.0) < 4.0 * est.stderr
 
     def test_atm_independent_matches_closed_form(self, atm_model, uniform_tuning):
-        est = mc_price(atm_model, ATM, SimConfig(400_000, seed=32), uniform_tuning)
+        est = mc_price(atm_model, ATM, uniform_tuning, SimConfig(400_000, seed=32))
         ref = oracles.product_call_price(100, 100, 0.2, 100, 100, 0.2, 1.0)
         assert abs(est.value - ref) < 4.0 * est.stderr
 
     def test_deep_out_of_the_money_is_exactly_zero(self, atm_model, uniform_tuning):
-        est = mc_price(atm_model, ProductCall(1e6, 1e6), SimConfig(50_000, seed=33),
-                       uniform_tuning)
+        est = mc_price(atm_model, ProductCall(1e6, 1e6), uniform_tuning,
+                       SimConfig(50_000, seed=33))
         assert est.value == 0.0
         assert est.stderr == 0.0
 
     def test_discounting_scales_price_and_greeks_exactly(self, uniform_tuning):
         cfg = SimConfig(50_000, seed=34)
-        flat = mc_price(make_model(rate=0.0), ATM, cfg, uniform_tuning)
-        bumped = mc_price(make_model(rate=0.03), ATM, cfg, uniform_tuning)
+        flat = mc_price(make_model(rate=0.0), ATM, uniform_tuning, cfg)
+        bumped = mc_price(make_model(rate=0.03), ATM, uniform_tuning, cfg)
         assert bumped.value == flat.value * math.exp(-0.03)
         assert bumped.stderr == flat.stderr * math.exp(-0.03)
         delta_E = V.CORR_DELTA_E_CONDITIONAL
@@ -106,14 +106,14 @@ class TestMcPrice:
         payoff = Separable(PiecewiseLinear((0.0,), (1e7,), 0.0, 5e-5),
                            PiecewiseLinear((0.0,), (1.0,)))
         cfg = SimConfig(200_001, seed=69)
-        est = mc_price(atm_model, payoff, cfg, uniform_tuning, threads=threads)
+        est = mc_price(atm_model, payoff, uniform_tuning, cfg, threads=threads)
         x = 1e7 + 5e-5 * draw_samples(atm_model, uniform_tuning, cfg).fE_T
         assert est.stderr == pytest.approx(x.std(ddof=1) / math.sqrt(len(x)), rel=1e-6)
 
     def test_antithetic_reduces_price_stderr_here(self, atm_model, uniform_tuning):
-        plain = mc_price(atm_model, ATM, SimConfig(100_000, seed=35), uniform_tuning)
-        anti = mc_price(atm_model, ATM, SimConfig(100_000, seed=35, antithetic=True),
-                        uniform_tuning)
+        plain = mc_price(atm_model, ATM, uniform_tuning, SimConfig(100_000, seed=35))
+        anti = mc_price(atm_model, ATM, uniform_tuning,
+                        SimConfig(100_000, seed=35, antithetic=True))
         assert anti.stderr < plain.stderr
 
 
@@ -157,16 +157,17 @@ class TestMcGreek:
     def test_thread_count_below_one_rejected(self, atm_model, uniform_tuning, threads):
         # rejected before the pass starts, so no worker thread is created
         with pytest.raises(ValueError, match="threads"):
-            mc_price(atm_model, ATM, SimConfig(1000, seed=41), uniform_tuning, threads=threads)
+            mc_price(atm_model, ATM, uniform_tuning, SimConfig(1000, seed=41), threads=threads)
 
 
-# Every Monte Carlo and quadrature entry point, called as (model, payoff, tuning, cfg).
+# Every Monte Carlo and quadrature entry point, called as (model, payoff, tuning, cfg); each
+# Monte Carlo one reads (model, payoff, tuning, what it estimates, cfg).
 ENTRY_POINTS = {
-    "mc_price": lambda m, p, a, cfg: mc_price(m, p, cfg, a),
+    "mc_price": mc_price,
     "mc_greek": lambda m, p, a, cfg: mc_greek(m, p, a, V.CORR_DELTA_E_CONDITIONAL, cfg),
     "mc_estimates": lambda m, p, a, cfg: mc_estimates(m, p, a, [V.CORR_DELTA_I], cfg,
                                                       fd_greeks=["dE"]),
-    "fd_greek": lambda m, p, a, cfg: fd_greek(m, p, "dEdI", cfg, a),
+    "fd_greek": lambda m, p, a, cfg: fd_greek(m, p, a, "dEdI", cfg),
     "quad_price": lambda m, p, a, cfg: quad_price(m, p),
     "quad_greek": lambda m, p, a, cfg: quad_greek(m, p, "dE"),
 }
@@ -229,7 +230,7 @@ class TestEngineValidation:
                                                        field):
         calls = drawn_tiles(monkeypatch)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            mc_price(atm_model, ATM, SimConfig(n_samples, seed), uniform_tuning, sizes=sizes)
+            mc_price(atm_model, ATM, uniform_tuning, SimConfig(n_samples, seed), sizes=sizes)
         assert calls == []
 
     # a SimConfig checks itself when it is built, so no draw can start from an invalid one
@@ -256,19 +257,22 @@ class TestEngineValidation:
         monkeypatch.setattr(simulate, "_draw_tile",
                             lambda plan, model, cfg, gen, tile: calls.append(tile))
         with pytest.raises(ValueError, match=rf"\b{field} must"):
-            mc_price(atm_model, ATM, build(values), uniform_tuning)
+            mc_price(atm_model, ATM, uniform_tuning, build(values))
         with pytest.raises(ValueError, match=rf"\b{field} must"):
             sample_block(atm_model, uniform_tuning, build(values), 0)
         assert calls == []
 
-    # unchecked, each raised an AttributeError on None's horizon; mc_price and fd_greek
-    # read None as the uniform tuning
+    # unchecked, each of the studies and weighted passes raised an AttributeError on None's
+    # horizon, and mc_price and fd_greek read None as the uniform tuning
     @pytest.mark.parametrize("call", [
+        lambda cfg: mc_price(make_model(), ATM, None, cfg),
+        lambda cfg: fd_greek(make_model(), ATM, None, "dE", cfg),
         lambda cfg: mc_greek(make_model(), ATM, None, V.CORR_DELTA_I, cfg),
         lambda cfg: mc_estimates(make_model(), ATM, None, [V.CORR_DELTA_I], cfg),
-        lambda cfg: residual_risk(make_model(), ATM, None, [0.3], cfg),
+        lambda cfg: residual_risk(make_model(), ATM, None, "dE", cfg, [0.3]),
         lambda cfg: convergence_table(make_model(), ATM, None, V.CORR_DELTA_I, cfg, [500, 1000]),
-    ], ids=["mc_greek", "mc_estimates", "residual_risk", "convergence_table"])
+    ], ids=["mc_price", "fd_greek", "mc_greek", "mc_estimates", "residual_risk",
+            "convergence_table"])
     def test_a_missing_tuning_function_is_refused_before_drawing(self, monkeypatch, call):
         calls = drawn_tiles(monkeypatch)
         with pytest.raises(ValueError, match="^tuning must be a TuningFunction, got None$"):
@@ -287,7 +291,7 @@ class TestEngineValidation:
         assert calls == []
 
     def test_the_largest_seed_runs(self, atm_model, uniform_tuning):
-        est = mc_price(atm_model, ATM, SimConfig(1000, seed=2 ** 128 - 1), uniform_tuning)
+        est = mc_price(atm_model, ATM, uniform_tuning, SimConfig(1000, seed=2 ** 128 - 1))
         assert est.n == 1000 and math.isfinite(est.value) and est.stderr > 0.0
 
     # unchecked, these drew block 0 before weight_for refused the variant
@@ -335,9 +339,9 @@ class TestEngineValidation:
         assert calls == []
 
     @pytest.mark.parametrize("call", [
-        lambda m, a, cfg: fd_greek(m, ATM, "dX", cfg, a),
+        lambda m, a, cfg: fd_greek(m, ATM, a, "dX", cfg),
         lambda m, a, cfg: mc_estimates(m, ATM, a, [V.CORR_DELTA_I], cfg, fd_greeks=["dX"]),
-        lambda m, a, cfg: residual_risk(m, ATM, a, [0.3], cfg, which="dX"),
+        lambda m, a, cfg: residual_risk(m, ATM, a, "dX", cfg, [0.3]),
     ], ids=["fd_greek", "mc_estimates", "residual_risk"])
     def test_unknown_sensitivity_is_refused_before_drawing(self, monkeypatch, atm_model,
                                                            uniform_tuning, call):
@@ -398,7 +402,7 @@ class TestQuadrature:
     @pytest.mark.slow
     def test_correlated_regression_cross_checked_by_mc(self, uniform_tuning):
         m = make_model(rho=0.5)
-        est = mc_price(m, ATM, SimConfig(10_000_000, seed=41), uniform_tuning)
+        est = mc_price(m, ATM, uniform_tuning, SimConfig(10_000_000, seed=41))
         assert abs(est.value - QUAD_RHO_HALF_PAYOFF_MIXING) < 4.0 * est.stderr
 
     def test_collar_and_separable_agree_with_mc(self, uniform_tuning):
@@ -407,12 +411,12 @@ class TestQuadrature:
         sep = Separable(PiecewiseLinear((100.0,), (0.0,), 0.0, 1.0),
                         PiecewiseLinear((80.0,), (5.0,), -0.5, 2.0))
         for payoff in (collar, sep):
-            est = mc_price(m, payoff, SimConfig(400_000, seed=42), uniform_tuning)
+            est = mc_price(m, payoff, uniform_tuning, SimConfig(400_000, seed=42))
             assert abs(est.value - quad_price(m, payoff)) < 4.0 * est.stderr
 
     def test_sde_mixing_price_and_delta(self, uniform_tuning):
         m = make_model(rho=0.4, sigI=0.3, mode=CorrelationMode.SDE_MIXING)
-        est = mc_price(m, ATM, SimConfig(400_000, seed=43), uniform_tuning)
+        est = mc_price(m, ATM, uniform_tuning, SimConfig(400_000, seed=43))
         assert abs(est.value - quad_price(m, ATM)) < 4.0 * est.stderr
         greek = mc_greek(m, ATM, uniform_tuning, V.CORR_DELTA_E_MATRIX_INVERSE,
                          SimConfig(400_000, seed=44))
@@ -460,19 +464,19 @@ class TestFiniteDifferences:
         # payoff linear in f0E: CRN differences collapse to price / f0E up to rounding
         payoff = ProductCall(0.0, 100.0)
         cfg = SimConfig(100_000, seed=45)
-        price = mc_price(atm_model, payoff, cfg, uniform_tuning)
-        fd = fd_greek(atm_model, payoff, "dE", cfg, uniform_tuning)
+        price = mc_price(atm_model, payoff, uniform_tuning, cfg)
+        fd = fd_greek(atm_model, payoff, uniform_tuning, "dE", cfg)
         assert fd.value == pytest.approx(price.value / 100.0, rel=1e-12)
 
     def test_matches_weighted_estimator_on_smooth_payoff(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=46)
-        fd = fd_greek(atm_model, ATM, "dE", cfg, uniform_tuning)
+        fd = fd_greek(atm_model, ATM, uniform_tuning, "dE", cfg)
         mal = mc_greek(atm_model, ATM, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg)
         assert abs(fd.value - mal.value) < 3.0 * math.hypot(fd.stderr, mal.stderr)
 
     def test_cross_stencil_matches_oracle(self, atm_model, uniform_tuning):
         cfg = SimConfig(200_000, seed=47)
-        fd = fd_greek(atm_model, ATM, "dEdI", cfg, uniform_tuning)
+        fd = fd_greek(atm_model, ATM, uniform_tuning, "dEdI", cfg)
         ref = oracles.product_call_cross_gamma(100, 100, 0.2, 100, 100, 0.2, 1.0)
         assert abs(fd.value - ref) < 4.0 * fd.stderr
 
@@ -512,7 +516,7 @@ class TestFiniteDifferences:
             fused = mc_estimates(model, payoff, tuning, [weights.mode_variant("dI", mode)], cfg,
                                  fd_greeks=estimators.GREEKS)
             bumps = mc_estimates(model, payoff, tuning, [], cfg, fd_greeks=["dE", "dI"])
-            singles = [fd_greek(model, payoff, which, cfg, tuning) for which in estimators.GREEKS]
+            singles = [fd_greek(model, payoff, tuning, which, cfg) for which in estimators.GREEKS]
             return [(e.value, e.stderr) for e in [*fused.values(), *bumps.values(), *singles]]
 
         on_the_tile = passes()
@@ -543,7 +547,7 @@ class TestFiniteDifferences:
     def test_digital_bump_noise_dwarfs_weighted_estimator(self, atm_model, uniform_tuning):
         cfg = SimConfig(10_000, seed=48)
         digital = DigitalProduct(100.0, 100.0)
-        fd = fd_greek(atm_model, digital, "dE", cfg, uniform_tuning)
+        fd = fd_greek(atm_model, digital, uniform_tuning, "dE", cfg)
         mal = mc_greek(atm_model, digital, uniform_tuning, V.CORR_DELTA_E_CONDITIONAL, cfg)
         assert fd.stderr > mal.stderr
 
@@ -896,7 +900,7 @@ class TestOnePass:
         # without pairs each job multiplies straight into its value row
         model = make_model(rho=0.3, sigI=0.3, mode=mode)
         cfg = SimConfig(70_000, seed=56, antithetic=antithetic)
-        rows = residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI",
+        rows = residual_risk(model, ATM, uniform_tuning, "dEdI", cfg, grid,
                              threads=threads)
         assert rows == per_rho_rows(model, ATM, uniform_tuning, grid, cfg,
                                     weights.mode_variant("dEdI", mode), threads)
@@ -914,8 +918,8 @@ class TestOnePass:
                                 SimConfig(140_000, seed=3, antithetic=True),
                                 fd_greeks=["dE", "dI", "dEdI"])
             sweeps = [residual_risk(make_model(rho=0.3, sigI=0.3, mode=mode), ATM,
-                                    uniform_tuning, grid, SimConfig(70_000, seed=56),
-                                    which="dEdI") for mode in MODES]
+                                    uniform_tuning, "dEdI", SimConfig(70_000, seed=56),
+                                    grid) for mode in MODES]
             table = convergence_table(make_model(rho=0.4), ATM, uniform_tuning, V.CORR_DELTA_I,
                                       SimConfig(200_001, seed=64), [1, 65_537, 100_000, 200_001])
             return [(e.variant, e.value, e.stderr, e.n) for e in ests.values()], sweeps, table
@@ -940,8 +944,32 @@ class TestOnePass:
         grid = [float(rho) for rho in TEN_RHO.removeprefix("--grid=").split(",")]
         assert len(grid) + 1 > estimators._GROUP_JOBS
         residual_risk(make_model(rho=0.3, sigI=0.3, mode=CorrelationMode.SDE_MIXING), ATM,
-                      uniform_tuning, grid, SimConfig(70_000, seed=56), which="dEdI")
+                      uniform_tuning, "dEdI", SimConfig(70_000, seed=56), grid)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_a_tile_finds_its_live_samples_once(self, monkeypatch, uniform_tuning, antithetic):
+        # the manifest's ten-point sde_mixing sweep (11 jobs) and the 9-job greeks pass each
+        # run two groups: the first finds each tile's live samples, the second reads them
+        calls = []
+        live_samples = estimators._live_samples
+
+        def counted(draw, test):
+            calls.append(len(draw.fE_T))
+            return live_samples(draw, test)
+
+        monkeypatch.setattr(estimators, "_live_samples", counted)
+        cfg = SimConfig(BLOCK_SIZE + 2 * TILE_SIZE + 6, seed=56, antithetic=antithetic)
+        grid = [float(rho) for rho in TEN_RHO.removeprefix("--grid=").split(",")]
+        residual_risk(make_model(rho=0.3, sigI=0.3, mode=CorrelationMode.SDE_MIXING), ATM,
+                      uniform_tuning, "dEdI", cfg, grid)
+        assert len(calls) == pass_tiles(cfg)
+        calls.clear()
+        run = build_run(load_config(CONFIGS / "atm_independent.cfg"))
+        ests = mc_estimates(run.model, run.payoff, run.tuning, list(V), cfg,
+                            fd_greeks=estimators.GREEKS)
+        assert len(ests) == 9 > estimators._GROUP_JOBS
+        assert len(calls) == pass_tiles(cfg)
 
     def test_each_group_evaluates_only_the_points_its_jobs_read(self, monkeypatch):
         # greeks with all six --variants and --oracle fd at rho = 0 is 9 jobs in two groups:
@@ -998,7 +1026,7 @@ class TestOnePass:
                                            euler_steps=16), grid)
         for n, row in zip(grid, rows):
             cfg = SimConfig(n, seed=64, antithetic=antithetic, euler_steps=16)
-            est = (mc_price(model, payoff, cfg, tuning) if variant is None
+            est = (mc_price(model, payoff, tuning, cfg) if variant is None
                    else mc_greek(model, payoff, tuning, variant, cfg))
             assert row == {"n": n, "value": est.value, "stderr": est.stderr}
 
@@ -1019,7 +1047,7 @@ class TestOnePass:
                 mc_greek(model, COLLAR, tuning, variant, cfg),
                 seconds=fused[variant.value].seconds)
         for which in ("dE", "dI", "dEdI"):
-            single = fd_greek(model, COLLAR, which, cfg, tuning)
+            single = fd_greek(model, COLLAR, tuning, which, cfg)
             assert fused[f"FD_{which}"] == dataclasses.replace(
                 single, seconds=fused[f"FD_{which}"].seconds)
 
@@ -1058,7 +1086,7 @@ class TestOnePass:
         monkeypatch.setattr(estimators, "weight_for", counted)
         n = BLOCK_SIZE + 2 * TILE_SIZE + 7
         residual_risk(make_model(rho=0.3), ATM, uniform_tuning,
-                      [-0.5, 0.0, 0.25, 0.6], SimConfig(n, seed=63), which=which)
+                      which, SimConfig(n, seed=63), [-0.5, 0.0, 0.25, 0.6])
         tiles = sum(len(tile_bounds(min(BLOCK_SIZE, n - start), False))
                     for start in range(0, n, BLOCK_SIZE))
         assert tiles == 7 and len(weights_returned) == 5 * tiles
@@ -1165,8 +1193,8 @@ class TestOnePass:
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
         tiles = drawn_tiles(monkeypatch)
-        residual_risk(make_model(rho=0.3), ATM, uniform_tuning, [-0.5, 0.25, 0.5],
-                      SimConfig(200_001, seed=59), which="dEdI")
+        residual_risk(make_model(rho=0.3), ATM, uniform_tuning, "dEdI",
+                      SimConfig(200_001, seed=59), [-0.5, 0.25, 0.5])
         assert sorted(block_draws(tiles)) == list(range(block_count(200_001)))
         assert sorted((block, k) for block, k, *_ in tiles) == every_tile_once(200_001)
 
@@ -1188,8 +1216,8 @@ class TestOnePass:
         n = BLOCK_SIZE + TILE_SIZE + 6
         cfg = SimConfig(n, seed=62)
         tiles = drawn_tiles(monkeypatch)
-        residual_risk(model, ATM, uniform_tuning, [0.8 * k / points - 0.4 for k in range(points)],
-                      cfg, which="dEdI")
+        residual_risk(model, ATM, uniform_tuning, "dEdI", cfg,
+                      [0.8 * k / points - 0.4 for k in range(points)])
         assert sorted((block, k) for block, k, *_ in tiles) == every_tile_once(n)
 
         def address(values):
@@ -1218,7 +1246,7 @@ class TestOnePass:
             grid = [0.8 * k / grid_size - 0.4 for k in range(grid_size)]
             tracemalloc.start()
             try:
-                residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI")
+                residual_risk(model, ATM, uniform_tuning, "dEdI", cfg, grid)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1243,8 +1271,8 @@ class TestOnePass:
 
         monkeypatch.setattr(payoffs.Leg, "__call__", counted)
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4, mode=mode)
-        residual_risk(model, payoff, uniform_tuning, [-0.5, -0.25, 0.25, 0.5],
-                      SimConfig(TILE_SIZE, seed=77), which="dEdI")
+        residual_risk(model, payoff, uniform_tuning, "dEdI", SimConfig(TILE_SIZE, seed=77),
+                      [-0.5, -0.25, 0.25, 0.5])
         assert sorted(calls) == list(range(len(energy)))
 
     def test_block_memory_stops_growing_at_one_job_group(self, uniform_tuning):
@@ -1257,7 +1285,7 @@ class TestOnePass:
             grid = [0.8 * k / grid_size - 0.4 for k in range(grid_size)]
             tracemalloc.start()
             try:
-                residual_risk(model, ATM, uniform_tuning, grid, cfg, which="dEdI")
+                residual_risk(model, ATM, uniform_tuning, "dEdI", cfg, grid)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1266,7 +1294,7 @@ class TestOnePass:
 
     def test_sizes_must_end_at_the_pass_size(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError, match="largest sample count"):
-            mc_price(atm_model, ATM, SimConfig(1000, seed=0), uniform_tuning, sizes=[10, 500])
+            mc_price(atm_model, ATM, uniform_tuning, SimConfig(1000, seed=0), sizes=[10, 500])
 
 
 def pair_mean_inputs():
@@ -1300,13 +1328,13 @@ class TestReadSet:
     # (mode, pass(model, tuning, cfg), the fields the pass draws)
     PASSES = {
         "price": (CorrelationMode.PAYOFF_MIXING,
-                  lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS),
+                  lambda m, a, cfg: mc_price(m, COLLAR, a, cfg), LEVELS),
         "payoff-weights": (CorrelationMode.PAYOFF_MIXING,
                            lambda m, a, cfg: mc_estimates(m, COLLAR, a, PAYOFF_WEIGHTS, cfg,
                                                           fd_greeks=["dEdI"]),
                            LEVELS | {"iE", "iI"}),
         "sde-price": (CorrelationMode.SDE_MIXING,
-                      lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS | DRIVERS),
+                      lambda m, a, cfg: mc_price(m, COLLAR, a, cfg), LEVELS | DRIVERS),
         "sde-weights": (CorrelationMode.SDE_MIXING,
                         lambda m, a, cfg: mc_greek(
                             m, COLLAR, a, V.CORR_CROSS_GAMMA_MATRIX_INVERSE, cfg,
@@ -1337,7 +1365,7 @@ class TestReadSet:
 
     # (pass(model, tuning, cfg), the fields it draws) of an sde_mixing pass at rho = 0
     ZERO_RHO_PASSES = {
-        "price": (lambda m, a, cfg: mc_price(m, COLLAR, cfg, a), LEVELS),
+        "price": (lambda m, a, cfg: mc_price(m, COLLAR, a, cfg), LEVELS),
         "scenario": (lambda m, a, cfg: mc_greek(m, COLLAR, a, V.CORR_DELTA_I_MATRIX_INVERSE, cfg,
                                                 scenarios=[-0.2]),
                      LEVELS | DRIVERS | {"iI"}),
@@ -1393,7 +1421,7 @@ class TestPairMeans:
         model = make_model(rho=0.3, f0I=60.0, sigI=0.4)
         tuning = TuningFunction.from_segments([(0.0, 2.0), (0.5, 0.0)])
         cfg = SimConfig(65_538, seed=66, antithetic=True)
-        price = mc_price(model, COLLAR, cfg, tuning)
+        price = mc_price(model, COLLAR, tuning, cfg)
         assert (price.value, price.stderr) == (124.86897289027883, 1.5933037457376678)
         greek = mc_greek(model, COLLAR, tuning, V.CORR_CROSS_GAMMA_CONDITIONAL, cfg)
         assert (greek.value, greek.stderr) == (0.3328884479980064, 0.015264841178394448)
@@ -1402,20 +1430,20 @@ class TestPairMeans:
 class TestResidualRisk:
     def test_zero_rho_row_vanishes_exactly(self, uniform_tuning):
         m = make_model(rho=0.3)
-        rows = residual_risk(m, ATM, uniform_tuning, [0.0], SimConfig(20_000, seed=49))
+        rows = residual_risk(m, ATM, uniform_tuning, "dE", SimConfig(20_000, seed=49), [0.0])
         assert rows[0]["abs_diff"] == 0.0
 
     def test_three_row_grid_format(self, uniform_tuning):
         m = make_model(rho=0.3)
-        rows = residual_risk(m, ATM, uniform_tuning, [-0.5, 0.0, 0.5],
-                             SimConfig(20_000, seed=50))
+        rows = residual_risk(m, ATM, uniform_tuning, "dE", SimConfig(20_000, seed=50),
+                             [-0.5, 0.0, 0.5])
         assert len(rows) == 3
         assert list(rows[0]) == ["rho", "delta_corr", "delta_ind", "abs_diff", "stderr"]
         assert [r["rho"] for r in rows] == [-0.5, 0.0, 0.5]
 
     def test_out_of_range_rho_rejected(self, atm_model, uniform_tuning):
         with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\), got 1.0"):
-            residual_risk(atm_model, ATM, uniform_tuning, [1.0], SimConfig(100, seed=0))
+            residual_risk(atm_model, ATM, uniform_tuning, "dE", SimConfig(100, seed=0), [1.0])
 
 
 class TestConvergenceTable:
