@@ -112,13 +112,9 @@ def _meta(run: RunConfig, command: str) -> tuple[list[str], dict]:
                       "config": config}
 
 
-# Former names of the payoff_mixing weights, kept as spellings while the benchmark's
-# converge command passes IndepCrossGamma; they go once it is repointed.
-_OLD_NAMES = {
-    "IndepDeltaE": WeightVariant.CORR_DELTA_E_CONDITIONAL,
-    "IndepDeltaI": WeightVariant.CORR_DELTA_I,
-    "IndepCrossGamma": WeightVariant.CORR_CROSS_GAMMA_CONDITIONAL,
-}
+# The former name of the payoff_mixing cross-gamma, kept as a spelling while the
+# benchmark's converge command passes it; it goes once that command is repointed.
+_OLD_NAMES = {"IndepCrossGamma": WeightVariant.CORR_CROSS_GAMMA_CONDITIONAL}
 
 
 def _parse_variants(names: list[str] | None) -> list[WeightVariant]:

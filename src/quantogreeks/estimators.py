@@ -1,15 +1,15 @@
 """Price and Greek estimators: weighted Monte Carlo, CRN finite differences, deterministic quadrature.
 
-The Monte Carlo engine (``_mc_pass``) evaluates all requested estimators on
-one shared draw stream, block by block, merging the blocks' partial moments
-in block-index order, so the result is bit-identical for any thread count.
-Correlation scenarios, finite-difference bumps and sample-size prefixes are
-jobs on that one stream, so each command draws once. ``_mc_pass`` holds the
-tile parts, job groups and live-sample policy, ``_live_test`` the live
-thresholds and ``_BlockData`` what a tile shares among its jobs and how
-it evaluates a payoff point. The quadrature oracle shares no sampling code
-with the Monte Carlo path: it integrates a closed-form mean over the
-temperature driver against Gauss-Legendre nodes in the energy driver.
+The Monte Carlo engine (``_mc_pass``) evaluates all requested estimators on one
+shared draw stream, block by block, merging the blocks' partial moments in
+block-index order, so the result is bit-identical for any thread count.
+Correlation scenarios and finite-difference bumps are jobs on that stream, and
+sample-count prefixes (``sizes``) are reduced per block, so each command draws
+once. ``_mc_pass`` holds the tile parts, job groups and live-sample policy,
+``_live_test`` the live thresholds and ``_BlockData`` what a tile shares among
+its jobs and how it evaluates a payoff point. The quadrature oracle shares no
+sampling code with the Monte Carlo path: it integrates a closed-form mean over
+the temperature driver against Gauss-Legendre nodes in the energy driver.
 """
 
 from __future__ import annotations
@@ -77,15 +77,15 @@ class _BlockData:
     levels on its first read, so a part evaluates only the points its jobs
     read: (1, 1) for ``pay_base`` and the finite-difference bumps.
 
-    The tile keeps ``weight_for``'s pair of tables: each Wiener-integral kernel
-    and rho-free weight is built at most once per tile and rho. Scenario views
-    (``at``) share the draw, the rho-free table, the levels that read no rho and
-    energy legs; the table of arrays that read rho starts empty in each view and
-    dies with it.
+    It keeps ``tables = (shared, own)``, the pair ``weight_for`` reads. ``shared``
+    holds what reads no rho, and scenario views (``at``) share it: levels by
+    ``(leg, scale)``, energy legs by ``("energy", scale)``, kernels by name and
+    weights by their kernels' names. ``own`` holds what reads the model's rho:
+    payoff points by ``(scale_E, scale_I)`` and rho kernels by name; each view
+    starts one empty. The sde_mixing temperature level is kept in neither.
     """
 
-    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "_payoffs", "_kernels",
-                 "_levels", "_energy")
+    __slots__ = ("draw", "plan", "eE", "eI", "model", "payoff", "tables")
 
     def __init__(self, draw: SampleDraw, plan: _Plan, model: MarketModel, payoff: PayoffSpec):
         self.draw = draw
@@ -94,10 +94,7 @@ class _BlockData:
         self.payoff = payoff
         self.eE = draw.fE_T / model.energy_f0
         self.eI = draw.fI_T / model.temperature_f0
-        self._payoffs: dict[tuple[float, float], np.ndarray] = {}
-        self._kernels: tuple[dict, dict] = ({}, {})  # weight_for's (rho-free, this rho's) arrays
-        self._levels: dict[tuple[str, float], np.ndarray] = {}  # rho-free levels by (leg, scale)
-        self._energy: dict[float, list] = {}  # each term's energy leg by energy scale
+        self.tables: tuple[dict, dict] = ({}, {})
 
     @property
     def pay_base(self) -> np.ndarray:
@@ -112,8 +109,7 @@ class _BlockData:
         """
         view = _BlockData.__new__(_BlockData)
         view.draw, view.plan, view.model, view.payoff = self.draw, self.plan, model, self.payoff
-        view.eE, view.eI, view._payoffs, view._energy = self.eE, self.eI, {}, self._energy
-        view._levels, view._kernels = self._levels, (self._kernels[0], {})
+        view.eE, view.eI, view.tables = self.eE, self.eI, (self.tables[0], {})
         if model.correlation_mode is CorrelationMode.SDE_MIXING:
             view.eI = _temperature_level(self.plan, model, self.draw.gI, self.draw.gI_cross)
             view.eI /= model.temperature_f0
@@ -125,27 +121,29 @@ class _BlockData:
         The energy level reads no rho in either mode, so each scale's energy
         legs are evaluated once per tile, for the tile and all of its views.
         """
+        shared, own = self.tables
         point = scale_E, scale_I
-        if point not in self._payoffs:
+        if point not in own:
             m = self.model
             fE, h = self._level("E", scale_E), self._level("I", scale_I)
             # at rho = 0, of either sign, the mix is fI exactly: 1.0 * fI is fI, and a zero
             # plus a level is the level, none being -0.0
             if m.correlation_mode is CorrelationMode.PAYOFF_MIXING and m.rho != 0.0:
                 h = m.rho * fE + math.sqrt(1.0 - m.rho * m.rho) * h
-            self._payoffs[point] = evaluate(self.payoff, fE, h,
-                                            _energy=self._energy.setdefault(scale_E, []))
-        return self._payoffs[point]
+            own[point] = evaluate(self.payoff, fE, h,
+                                  _energy=shared.setdefault(("energy", scale_E), []))
+        return own[point]
 
     def _level(self, leg: str, scale: float) -> np.ndarray:
-        """(f0 * scale) * e of ``leg``, kept for the tile's views if it reads no rho."""
+        """(f0 * scale) * e of ``leg``, kept in ``shared`` if it reads no rho."""
         m = self.model
         f0, unit = (m.energy_f0, self.eE) if leg == "E" else (m.temperature_f0, self.eI)
         if leg == "I" and m.correlation_mode is CorrelationMode.SDE_MIXING:
             return (f0 * scale) * unit
-        if (leg, scale) not in self._levels:
-            self._levels[leg, scale] = (f0 * scale) * unit
-        return self._levels[leg, scale]
+        shared = self.tables[0]
+        if (leg, scale) not in shared:
+            shared[leg, scale] = (f0 * scale) * unit
+        return shared[leg, scale]
 
 
 def _live_test(model: MarketModel, payoff: PayoffSpec, points: set[tuple[float, float]],
@@ -309,7 +307,7 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
     whole_block = len(jobs) > _GROUP_JOBS  # later groups read the block's tiles back
     local = threading.local()  # each worker's buffers, reused for every block it runs
 
-    def evaluate(group: list[_Job], part: SampleDraw, live: np.ndarray | None, lo: int) -> None:
+    def run_part(group: list[_Job], part: SampleDraw, live: np.ndarray | None, lo: int) -> None:
         """Write each job's values on ``part``, the block's samples from ``lo``, into its row:
         on ``live``, indices into ``part``, with 0.0 for every other sample, if given. The
         part's arrays die when it returns, before the next tile is drawn."""
@@ -360,13 +358,13 @@ def _mc_pass(model: MarketModel, payoff: PayoffSpec, tuning: TuningFunction,
                     lives.append(None if test is None else _live_samples(tile, test))
                 live = lives[k] if whole_block else lives.pop()
                 if hi - lo <= TILE_SIZE or (live is not None and len(live) <= TILE_SIZE):
-                    evaluate(group, tile, live, lo)
+                    run_part(group, tile, live, lo)
                     continue
                 # an antithetic tile of more than TILE_SIZE samples, in its two halves
                 cut = None if live is None else int(np.searchsorted(live, TILE_SIZE))
-                evaluate(group, _rows(tile, slice(TILE_SIZE)),
+                run_part(group, _rows(tile, slice(TILE_SIZE)),
                          None if live is None else live[:cut], lo)
-                evaluate(group, _rows(tile, slice(TILE_SIZE, None)),
+                run_part(group, _rows(tile, slice(TILE_SIZE, None)),
                          None if live is None else live[cut:] - TILE_SIZE, lo + TILE_SIZE)
             for moments, row in zip(out[first:], local.values[:len(group)]):
                 for end in ends:
@@ -416,7 +414,7 @@ def _variant_job(variant: WeightVariant, tuning: TuningFunction,
                  scenario: MarketModel | None = None) -> _Job:
     """Job for ``variant``; with ``scenario``, on each tile's view under that model."""
     def run(data: _BlockData, out: np.ndarray | None) -> np.ndarray:
-        weight = weight_for(variant, data.draw, data.model, tuning, data._kernels)
+        weight = weight_for(variant, data.draw, data.model, tuning, data.tables)
         return np.multiply(data.pay_base, weight, out=out)
 
     return variant.value, run, _BASE, scenario, WEIGHTS[variant].reads

@@ -1,9 +1,9 @@
 """Bivariate quanto payoffs, their kink geometry and their conditional means.
 
 Every payoff is a pure function of the terminal energy price and an effective
-temperature argument. Which quantity feeds the temperature slot (the raw
-futures level, or a rho-mix with the energy level) is decided by the caller
-through the model's correlation mode, keeping this module mode-agnostic.
+temperature argument. The caller picks what feeds that slot (the raw futures
+level, or a rho-mix with the energy level) by the model's correlation mode;
+only ``KinkSolver``, the quadrature's law of that argument, reads the mode.
 """
 
 from __future__ import annotations

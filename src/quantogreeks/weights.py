@@ -143,7 +143,7 @@ def _kernel(name: str, draw: SampleDraw, model: MarketModel,
 
 def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
                tuning: TuningFunction,
-               kernels: tuple[dict, dict] | None = None) -> np.ndarray:
+               tables: tuple[dict, dict] | None = None) -> np.ndarray:
     """Per-draw weight array of ``variant``; the rest of ``model`` is not validated.
 
     Raises ValueError unless -1 < rho < 1 and both initial levels are
@@ -151,10 +151,10 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
     belongs to ``model``'s correlation mode. The matrix-inverse cross-gamma
     adds the deterministic compensator to the kernel product.
 
-    ``kernels``, when given, is a pair of tables for the arrays of ``draw``:
-    the rho-free ones, which any rho may share, then those of ``model``'s
-    rho. A kernel or rho-free weight (keyed by its kernels) missing from its
-    table is built and stored, so each is built once; every call is checked.
+    ``tables``, when given, holds ``draw``'s arrays in a pair (shared, own):
+    what reads no rho, which any rho may share, then what reads ``model``'s
+    rho. A missing kernel (keyed by name) or rho-free weight (by its kernels'
+    names) is built into its table, so each is built once; every call is checked.
     """
     spec = WEIGHTS.get(variant)
     if spec is None:
@@ -164,13 +164,13 @@ def weight_for(variant: WeightVariant, draw: SampleDraw, model: MarketModel,
         raise ValueError(f"weights need -1 < rho < 1 and positive initial levels, "
                          f"got rho={rho}, fE(0)={f0E}, fI(0)={f0I}")
     require_rho_supported(variant, model)
-    kernels = ({}, {}) if kernels is None else kernels
-    if spec.kernels in kernels[0]:  # a rho-free weight built before
-        return kernels[0][spec.kernels]
-    first, *rest = (_kernel(k, draw, model, kernels) for k in spec.kernels)
+    tables = ({}, {}) if tables is None else tables
+    if spec.kernels in tables[0]:  # a rho-free weight built before
+        return tables[0][spec.kernels]
+    first, *rest = (_kernel(k, draw, model, tables) for k in spec.kernels)
     weight = first * rest[0] if rest else first
     if spec.compensator:  # only a product has one, so this adds into a fresh array
         weight += _compensator(model, tuning)
     elif spec.rho_free:
-        kernels[0][spec.kernels] = weight
+        tables[0][spec.kernels] = weight
     return weight

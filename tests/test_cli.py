@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -135,8 +136,6 @@ class TestGreeks:
 
     @pytest.mark.parametrize("command,old,new", [
         (["converge", "--n-grid", "1000,4000"], "IndepCrossGamma", "CorrCrossGamma_Conditional"),
-        (["greeks"], "IndepDeltaE", "CorrDeltaE_Conditional"),
-        (["greeks"], "IndepDeltaI", "CorrDeltaI"),
     ])
     def test_former_names_run_their_payoff_mixing_weight(self, config_path, tmp_path, command,
                                                          old, new):
@@ -170,9 +169,11 @@ class TestGreeks:
                      "CorrCrossGamma_Conditional", "--oracle", "fd", "--out", str(out)]) == 0
         assert "FD_dEdI" in {r["variant"] for r in read_rows(out)}
 
-    def test_unknown_variant_exits_2(self, config_path, capsys):
-        assert main(["greeks", "--config", config_path, "--variant", "NoSuchWeight"]) == 2
-        assert "NoSuchWeight" in capsys.readouterr().err
+    # the former names of the payoff_mixing deltas are no longer spellings
+    @pytest.mark.parametrize("name", ["NoSuchWeight", "IndepDeltaE", "IndepDeltaI"])
+    def test_unknown_variant_exits_2(self, config_path, capsys, name):
+        assert main(["greeks", "--config", config_path, "--variant", name]) == 2
+        assert name in capsys.readouterr().err
 
     def test_variant_or_all_required(self, config_path, capsys):
         assert main(["greeks", "--config", config_path]) == 2
@@ -767,3 +768,51 @@ def test_an_interrupted_run_leaves_the_out_file_whole(config_path, tmp_path, mon
     monkeypatch.undo()
     assert main(["price", "--config", config_path, "--out", str(out)]) == 0
     assert out.read_text().startswith("# command = price\n") and "previous" not in out.read_text()
+
+
+# The module attributes that bench/run.py wraps by name (its TRACED) and those it replays
+# each pass through (its REPLAYED). A refactor that routed a command around a traced
+# binding would leave its layer reading 0 in the trace instead of failing, so each command,
+# at 20,000 samples, must call exactly its own bindings.
+_TRACED = ("cli.main", "cli.load_config", "cli.build_run", "cli.validate_model", "cli.mc_price",
+           "cli.mc_estimates", "cli.fd_greek", "estimators.mc_price", "estimators.mc_greek",
+           "cli.quad_greek", "estimators.quad_price", "cli.residual_risk",
+           "cli.convergence_table", "estimators.evaluate", "estimators.weight_for")
+_REPLAYED = ("simulate.iter_sample_blocks", "simulate.sample_block")
+_CONFIG_CALLS = {"cli.main", "cli.load_config", "cli.build_run", "cli.validate_model"}
+_WEIGHTED_PASS = {"estimators.evaluate", "estimators.weight_for"}
+_GREEKS_CALLS = {"cli.mc_estimates", "cli.quad_greek", "estimators.quad_price", *_WEIGHTED_PASS}
+TRACED_CALLS = {
+    ("price", "--n", "20000"): {"cli.mc_price", "estimators.evaluate"},
+    ("greeks", "--n", "20000", "--all-variants", "--oracle", "both"): _GREEKS_CALLS,
+    ("greeks", "--n", "20000", "--variant", "CorrDeltaI", "--oracle", "both"): _GREEKS_CALLS,
+    ("sweep-rho", "--n", "20000", "--grid=-0.5,0.5", "--greek", "dEdI"):
+        {"cli.residual_risk", "estimators.mc_greek", *_WEIGHTED_PASS},
+    ("converge", "--n-grid", "10000,20000"):
+        {"cli.convergence_table", "estimators.mc_price", "estimators.evaluate"},
+    ("converge", "--n-grid", "10000,20000", "--variant", "CorrCrossGamma_Conditional"):
+        {"cli.convergence_table", "estimators.mc_greek", *_WEIGHTED_PASS},
+}
+
+
+@pytest.mark.parametrize("command", TRACED_CALLS, ids=" ".join)
+def test_each_command_calls_the_bindings_the_benchmark_traces(config_path, monkeypatch,
+                                                              command):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _TRACED:
+        module, attr = name.split(".")
+        module = importlib.import_module(f"quantogreeks.{module}")
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    for name in _REPLAYED:
+        module, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"quantogreeks.{module}"), attr)), name
+    assert quantogreeks.cli.main([*command, "--config", config_path, "--out", os.devnull]) == 0
+    # cli.fd_greek is in no command's set: cli imports it only for the trace
+    assert set(calls) == _CONFIG_CALLS | TRACED_CALLS[command]

@@ -886,6 +886,13 @@ def every_tile_once(n):
             for k in range(len(tile_bounds(min(BLOCK_SIZE, n - block * BLOCK_SIZE), False)))]
 
 
+def levels(tile):
+    """The levels a ``_BlockData`` keeps in its shared table, by (leg, scale)."""
+    return {key: array for key, array in tile.tables[0].items()
+            if isinstance(key, tuple) and len(key) == 2 and key[0] in ("E", "I")
+            and isinstance(key[1], float)}
+
+
 class TestOnePass:
     # ten points and the baseline are 11 jobs: a second group whose rows must reduce
     # into their own jobs' moments
@@ -1148,20 +1155,21 @@ class TestOnePass:
         tile = estimators._BlockData(draw, plan, model, ATM)
         tile.pay_base
         gamma = V.CORR_CROSS_GAMMA_CONDITIONAL
-        weight = weight_for(gamma, draw, model, uniform_tuning, tile._kernels)
+        weight = weight_for(gamma, draw, model, uniform_tuning, tile.tables)
         view = tile.at(dataclasses.replace(model, rho=0.4))
         view.pay_base
         assert view.draw is draw and view.eE is tile.eE
         if mode is CorrelationMode.SDE_MIXING:
             with pytest.raises(ValueError, match="^CorrCrossGamma_Conditional is a payoff_mixing"):
-                weight_for(gamma, draw, view.model, uniform_tuning, view._kernels)
+                weight_for(gamma, draw, view.model, uniform_tuning, view.tables)
         else:
-            assert weight_for(gamma, draw, view.model, uniform_tuning, view._kernels) is weight
-        assert view._kernels[0] is tile._kernels[0] and not view._kernels[1]
+            assert weight_for(gamma, draw, view.model, uniform_tuning, view.tables) is weight
+        # the view's own table holds its payoff point alone: no kernel of its rho was built
+        assert view.tables[0] is tile.tables[0] and list(view.tables[1]) == [(1.0, 1.0)]
         shared = [("E", 1.0)] if mode is CorrelationMode.SDE_MIXING else [("E", 1.0), ("I", 1.0)]
-        assert sorted(tile._levels) == shared
+        assert sorted(levels(tile)) == shared
         for key in shared:
-            assert view._level(*key) is tile._levels[key]
+            assert view._level(*key) is tile.tables[0][key]
         if mode is CorrelationMode.SDE_MIXING:
             level = estimators._temperature_level(plan, dataclasses.replace(model, rho=0.4),
                                                   draw.gI, draw.gI_cross)
@@ -1181,14 +1189,14 @@ class TestOnePass:
                                      estimators._build_plan(model, uniform_tuning, cfg.euler_steps),
                                      model, COLLAR)
         tile.payoff_at(1.0 + estimators.FD_BUMP, 1.0)
-        assert list(tile._payoffs) == [(1.0 + estimators.FD_BUMP, 1.0)]
+        assert list(tile.tables[1]) == [(1.0 + estimators.FD_BUMP, 1.0)]
         view = tile.at(dataclasses.replace(model, rho=-0.2))
         for point in points:
             assert (view.payoff_at(*point).tobytes()
                     == oracles.per_point_payoff(view, *point).tobytes()), point
         # the sde_mixing temperature level reads rho, so no tile keeps it for its views
         legs = "E" if mode is CorrelationMode.SDE_MIXING else "EI"
-        assert set(tile._levels) == {(leg, point[leg == "I"]) for leg in legs
+        assert set(levels(tile)) == {(leg, point[leg == "I"]) for leg in legs
                                      for point in points}
 
     def test_sweep_draws_each_block_once(self, monkeypatch, uniform_tuning):
